@@ -86,16 +86,7 @@ class ConfigDoc:
     output_dir: str
     environment: EnvironmentSpec | None
     seed: int | None
-    workers: int | None
     parameters: dict
-
-    def __eq__(self, other):
-        if not isinstance(other, ConfigDoc):
-            return NotImplemented
-        return (self.command, self.output_dir, self.environment, self.seed,
-                self.workers, self.parameters) == \
-               (other.command, other.output_dir, other.environment,
-                other.seed, other.workers, other.parameters)
 
 
 def _reject_unknown(doc: Mapping, allowed: set[str], where: str) -> None:
@@ -275,7 +266,7 @@ def config_from_dict(doc: Mapping) -> ConfigDoc:
     if not isinstance(doc, Mapping):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(doc, {"command", "output_dir", "environment", "seed",
-                          "workers", "parameters"}, "config")
+                          "parameters"}, "config")
     command = doc.get("command")
     if command not in COMMANDS:
         raise ConfigError(
@@ -294,12 +285,10 @@ def config_from_dict(doc: Mapping) -> ConfigDoc:
         except EnvironmentError_ as exc:
             raise ConfigError(f"config.environment: {exc}") from exc
     seed = _as_int(doc, "seed", "config", lo=0)
-    workers = _as_int(doc, "workers", "config", lo=1)
     params = _validate_parameters(command, doc.get("parameters", {}),
                                   spec.dimension if spec else None)
     return ConfigDoc(command=command, output_dir=output_dir,
-                     environment=spec, seed=seed, workers=workers,
-                     parameters=params)
+                     environment=spec, seed=seed, parameters=params)
 
 
 def config_to_dict(cfg: ConfigDoc) -> dict:
@@ -312,8 +301,6 @@ def config_to_dict(cfg: ConfigDoc) -> dict:
         out["environment"] = spec_to_dict(cfg.environment)
     if cfg.seed is not None:
         out["seed"] = cfg.seed
-    if cfg.workers is not None:
-        out["workers"] = cfg.workers
     return out
 
 
@@ -368,20 +355,20 @@ def _write_text(path: Path, text: str) -> None:
 # command bodies; each returns (artifacts, warnings, exit_code)
 
 def _cmd_check(env: EnvironmentField, cfg: ConfigDoc, outdir: Path,
-               workers: int, seed: int) -> tuple[list[str], list[str], int]:
+               seed: int) -> tuple[list[str], list[str], int]:
     report = env.conditions.as_dict()
     _write_json(outdir / "condition_report.json", report)
     print(json.dumps(report, sort_keys=True, indent=2))
     return ["condition_report.json"], [], EXIT_OK
 
 
-def _cmd_solve(env, cfg, outdir, workers, seed):
+def _cmd_solve(env, cfg, outdir, seed):
     p = cfg.parameters
     start = tuple(p["start"])
     rows = []
     last = None
     for fld in iter_layers(env, start, p["horizon"], adjoint=p["adjoint"],
-                           max_radius=p["max_radius"], workers=workers):
+                           max_radius=p["max_radius"]):
         log_total = expected_total(fld)
         rate = log_total / fld.n if fld.n > 0 else 0.0
         rows.append((fld.n, log_total, rate, fld.support_size()))
@@ -408,7 +395,7 @@ def _cmd_solve(env, cfg, outdir, workers, seed):
     return artifacts, [], EXIT_OK
 
 
-def _cmd_shape(env, cfg, outdir, workers, seed):
+def _cmd_shape(env, cfg, outdir, seed):
     p = cfg.parameters
     d = env.spec.dimension
     n = p["horizon"]
@@ -493,12 +480,12 @@ def _profile_svgs(profile: BetaProfile, d: int) -> dict[str, str]:
     return out
 
 
-def _cmd_beta(env, cfg, outdir, workers, seed):
+def _cmd_beta(env, cfg, outdir, seed):
     p = cfg.parameters
     d = env.spec.dimension
     grid = [RationalVector.from_fractions([Fraction(c) for c in entry])
             for entry in p["grid"]]
-    profile = beta_profile(env, grid, p["horizon"], workers=workers)
+    profile = beta_profile(env, grid, p["horizon"])
     growth = total_growth(env, p["horizon"], profile)
     artifacts, warnings = [], []
 
@@ -558,7 +545,7 @@ def _cmd_beta(env, cfg, outdir, workers, seed):
     return artifacts, warnings, exit_code
 
 
-def _cmd_classify(env, cfg, outdir, workers, seed):
+def _cmd_classify(env, cfg, outdir, seed):
     res = transience_criterion(list(env.spec.law_support),
                                tol=cfg.parameters["tolerance"])
     doc = res.as_dict()
@@ -568,7 +555,7 @@ def _cmd_classify(env, cfg, outdir, workers, seed):
     return ["classify.json"], [], code
 
 
-def _cmd_simulate(env, cfg, outdir, workers, seed):
+def _cmd_simulate(env, cfg, outdir, seed):
     p = cfg.parameters
     start = tuple(p["start"])
     track = [tuple(s) for s in p["track_sites"]]
@@ -823,7 +810,6 @@ def run_command(cfg: ConfigDoc, flag_seed: int | None = None) -> int:
             "config_sha256": hashlib.sha256(
                 canonical_json(cfg).encode()).hexdigest(),
             "master_seed": None,
-            "workers": None,
             "completed_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                            time.gmtime()),
             "wall_clock_s": {},
@@ -833,19 +819,17 @@ def run_command(cfg: ConfigDoc, flag_seed: int | None = None) -> int:
         return code
 
     seed = _effective_seed(cfg, flag_seed)
-    workers = cfg.workers or os.cpu_count() or 1
     spec = dataclasses.replace(cfg.environment, master_seed=seed)
     env = build_environment(spec)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     artifacts, warnings, code = _DISPATCH[cfg.command](
-        env, cfg, outdir, workers, seed)
+        env, cfg, outdir, seed)
     elapsed = time.perf_counter() - t0
     _record_run(outdir, cfg.command, {
         "config_sha256": hashlib.sha256(
             canonical_json(cfg).encode()).hexdigest(),
         "master_seed": seed,
-        "workers": workers,
         "completed_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "wall_clock_s": {cfg.command: round(elapsed, 3)},
         "warnings": warnings,
@@ -865,8 +849,6 @@ def _apply_overrides(cfg: ConfigDoc, args: argparse.Namespace) -> ConfigDoc:
     doc["parameters"] = params
     if getattr(args, "output_dir", None):
         doc["output_dir"] = args.output_dir
-    if getattr(args, "workers", None):
-        doc["workers"] = args.workers
     return config_from_dict(doc)
 
 
@@ -889,7 +871,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", help="override config.output_dir")
         p.add_argument("--seed", type=int,
                        help="override the master seed (beats BRWRE_SEED)")
-        p.add_argument("--workers", type=int, help="override config.workers")
         if cmd in ("solve", "shape", "beta", "simulate"):
             p.add_argument("--horizon", type=int,
                            help="override parameters.horizon")
@@ -917,8 +898,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "report":
             cfg = ConfigDoc(command="report", output_dir=args.output_dir,
-                            environment=None, seed=None, workers=None,
-                            parameters={})
+                            environment=None, seed=None, parameters={})
         else:
             cfg = load_config(args.config)
             if cfg.command != args.command:

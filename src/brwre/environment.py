@@ -17,7 +17,6 @@ almost-sure properties of the field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -237,8 +236,11 @@ def _select_law_index(cell_uniforms: Sequence[float], cum_weights: np.ndarray) -
 class EnvironmentField:
     """Lazily evaluated environment: pure map Site -> SiteLaw.
 
-    Immutable and safe for concurrent reads.  `law_index_grid` is the
-    vectorized evaluation over a box and agrees bitwise with per-site calls.
+    The map is deterministic, but the object is not immutable: `law_index`
+    memoizes every distinct site it is asked about in `_index_memo`, which
+    is never evicted, so it grows with the number of sites visited.
+    `law_index_grid` is the vectorized evaluation over a box, agrees bitwise
+    with per-site calls, and fills no memo.
     """
 
     spec: EnvironmentSpec
@@ -519,14 +521,3 @@ def spec_to_dict(spec: EnvironmentSpec) -> dict:
         "dependence": dep,
         "seed": spec.master_seed,
     }
-
-
-def load_spec(path: str) -> EnvironmentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
-
-
-def dump_spec(spec: EnvironmentSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")

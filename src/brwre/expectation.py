@@ -24,17 +24,19 @@ which `check_anderson_equation` verifies; forward layers do not satisfy it
 for site-dependent environments (they solve the adjoint identity with the
 edge roles reversed).
 
-Storage is a dense array over the bounding box for d <= 2 and a hash map
-for d = 3.  Gathers accumulate in sorted offset order per destination site,
-so results are bitwise independent of the worker count.
+Every layer, in every dimension, is a dense float array over its bounding
+box.  The law indices of the whole horizon's box are evaluated once per
+solve, and each step accumulates the shifted contributions in sorted offset
+order, so a layer is a deterministic function of the environment and the
+start.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator
@@ -43,12 +45,18 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .environment import EnvironmentField
-from .lattice import Site, sub
+from .lattice import Site
 
 NEG_INF = float("-inf")
 
 _BINARY_MAGIC = b"BRWL"
 _BINARY_VERSION = 1
+
+# Peak resident bytes per cell of a solve's full box.  The peak RSS of d = 3
+# solves at n = 30 and 60, above the interpreter's baseline, was 91-96 B per
+# box cell with a block window and about 50 B i.i.d.: the law-index mesh and
+# the hash temporaries dominate, each layer array is 8 B per cell.
+_BYTES_PER_BOX_CELL = 96
 
 
 class SolverError(ValueError):
@@ -59,74 +67,45 @@ class SolverError(ValueError):
 class LogMassField:
     """One DP layer: log of the expected particle count per site.
 
-    Dense layers hold a float array over the inclusive box starting at `lo`;
-    sparse layers (d=3) hold a dict keyed by site.  Entries absent from
-    either storage are log(0) = -inf.
+    `values` is a float array over the inclusive box starting at `lo`;
+    sites outside the box, and box entries without mass, are log(0) = -inf.
     """
 
     n: int
     dimension: int
     lo: Site
-    values: np.ndarray | dict[Site, float]
-
-    @property
-    def dense(self) -> bool:
-        return isinstance(self.values, np.ndarray)
+    values: np.ndarray
 
     @property
     def hi(self) -> Site:
-        if self.dense:
-            return tuple(l + s - 1 for l, s in zip(self.lo, self.values.shape))
-        if not self.values:
-            return self.lo
-        return tuple(
-            max(x[i] for x in self.values) for i in range(self.dimension)
-        )
+        return tuple(l + s - 1 for l, s in zip(self.lo, self.values.shape))
 
     @classmethod
-    def delta(cls, start: Site, sparse: bool = False) -> "LogMassField":
+    def delta(cls, start: Site) -> "LogMassField":
         start = tuple(start)
-        d = len(start)
-        if sparse:
-            return cls(0, d, start, {start: 0.0})
-        return cls(0, d, start, np.zeros((1,) * d, dtype=np.float64))
+        return cls(0, len(start), start, np.zeros((1,) * len(start)))
 
     def get(self, x: Site) -> float:
-        x = tuple(x)
-        if self.dense:
-            idx = tuple(c - l for c, l in zip(x, self.lo))
-            if any(i < 0 or i >= s for i, s in zip(idx, self.values.shape)):
-                return NEG_INF
-            return float(self.values[idx])
-        return self.values.get(x, NEG_INF)
+        idx = tuple(c - l for c, l in zip(x, self.lo))
+        if any(i < 0 or i >= s for i, s in zip(idx, self.values.shape)):
+            return NEG_INF
+        return float(self.values[idx])
 
     def items(self) -> Iterator[tuple[Site, float]]:
         """Finite (site, log-mass) entries in lexicographic site order."""
-        if self.dense:
-            it = np.ndenumerate(self.values)
-            for idx, v in it:
-                if v > NEG_INF:
-                    yield tuple(c + l for c, l in zip(idx, self.lo)), float(v)
-        else:
-            for x in sorted(self.values):
-                v = self.values[x]
-                if v > NEG_INF:
-                    yield x, v
+        mask = self.values > NEG_INF
+        for idx, v in zip(np.argwhere(mask).tolist(), self.values[mask].tolist()):
+            yield tuple(c + l for c, l in zip(idx, self.lo)), v
 
     def support_size(self) -> int:
-        if self.dense:
-            return int(np.isfinite(self.values).sum())
-        return sum(1 for _, v in self.values.items() if v > NEG_INF)
+        return int(np.isfinite(self.values).sum())
 
     def log_total(self) -> float:
         """log sum_x exp(values): the log expected total population."""
-        if self.dense:
-            flat = self.values[np.isfinite(self.values)]
-            if flat.size == 0:
-                return NEG_INF
-            return float(logsumexp(flat))
-        vals = [v for v in self.values.values() if v > NEG_INF]
-        return float(logsumexp(vals)) if vals else NEG_INF
+        flat = self.values[np.isfinite(self.values)]
+        if flat.size == 0:
+            return NEG_INF
+        return float(logsumexp(flat))
 
 
 def expected_total(fld: LogMassField) -> float:
@@ -137,10 +116,17 @@ def expected_total(fld: LogMassField) -> float:
 class _Tables:
     """Per-law log mean-offspring tables over a fixed box, shared across layers."""
 
-    def __init__(self, env: EnvironmentField, lo: Site, hi: Site):
+    def __init__(self, env: EnvironmentField, lo: Site, hi: Site, adjoint: bool):
         self.offsets = env.spec.step_set.sorted_offsets()
+        self.adjoint = adjoint
+        # per-axis displacement range of one step: layer boxes grow by it
+        lows = [min(y[i] for y in self.offsets) for i in range(len(lo))]
+        highs = [max(y[i] for y in self.offsets) for i in range(len(lo))]
+        if adjoint:
+            lows, highs = [-h for h in highs], [-l for l in lows]
+        self.step_lo = tuple(lows)
+        self.step_hi = tuple(highs)
         self.lo = lo
-        self.hi = hi
         with np.errstate(divide="ignore"):
             self.law_table = np.log(
                 np.array(
@@ -161,138 +147,43 @@ class _Tables:
         return self.law_table[self.idx[sl], j]
 
 
-def _step_dense(
-    fld: LogMassField,
-    tables: _Tables,
-    adjoint: bool,
-    workers: int,
-) -> LogMassField:
-    offs = tables.offsets
+def _step_dense(fld: LogMassField, tables: _Tables) -> LogMassField:
     old = fld.values
-    lo_old = fld.lo
-    d = fld.dimension
-    if adjoint:
-        lo_new = tuple(l - max(y[i] for y in offs) for i, l in enumerate(lo_old))
-        hi_new = tuple(
-            l + s - 1 - min(y[i] for y in offs)
-            for i, (l, s) in enumerate(zip(lo_old, old.shape))
-        )
-    else:
-        lo_new = tuple(l + min(y[i] for y in offs) for i, l in enumerate(lo_old))
-        hi_new = tuple(
-            l + s - 1 + max(y[i] for y in offs)
-            for i, (l, s) in enumerate(zip(lo_old, old.shape))
-        )
-    shape_new = tuple(h - l + 1 for l, h in zip(lo_new, hi_new))
+    lo_new = tuple(l + a for l, a in zip(fld.lo, tables.step_lo))
+    shape_new = tuple(
+        s + b - a for s, a, b in zip(old.shape, tables.step_lo, tables.step_hi)
+    )
     new = np.full(shape_new, NEG_INF, dtype=np.float64)
-
-    def fill_rows(r0: int, r1: int) -> None:
-        for j, y in enumerate(offs):
-            if adjoint:
-                # destination x reads from x + y; coefficient mu_y(x)
-                base = tuple(lo - y[i] - ln for i, (lo, ln) in enumerate(zip(lo_old, lo_new)))
-            else:
-                # destination z reads from z - y; coefficient mu_y(z - y)
-                base = tuple(lo + y[i] - ln for i, (lo, ln) in enumerate(zip(lo_old, lo_new)))
-            a0, a1 = max(base[0], r0), min(base[0] + old.shape[0], r1)
-            if a0 >= a1:
-                continue
-            dst = (slice(a0, a1),) + tuple(
-                slice(b, b + s) for b, s in zip(base[1:], old.shape[1:])
-            )
-            src = (slice(a0 - base[0], a1 - base[0]),) + tuple(
-                slice(None) for _ in old.shape[1:]
-            )
-            if adjoint:
-                coef_lo = tuple(l + sl.start for l, sl in zip(lo_new, dst))
-                coef = tables.log_mu(j, coef_lo, old[src].shape)
-            else:
-                coef_lo = tuple(
-                    lo_old[i] + (a0 - base[0] if i == 0 else 0) for i in range(d)
-                )
-                coef = tables.log_mu(j, coef_lo, old[src].shape)
-            np.logaddexp(new[dst], old[src] + coef, out=new[dst])
-
-    if workers <= 1 or shape_new[0] < 2 * workers:
-        fill_rows(0, shape_new[0])
-    else:
-        bounds = np.linspace(0, shape_new[0], workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(
-                pool.map(
-                    lambda k: fill_rows(int(bounds[k]), int(bounds[k + 1])),
-                    range(workers),
-                )
-            )
-    return LogMassField(fld.n + 1, d, lo_new, new)
-
-
-def _step_sparse(fld: LogMassField, env: EnvironmentField, adjoint: bool) -> LogMassField:
-    offs = env.spec.step_set.sorted_offsets()
-    log_mu_cache: dict[int, list[float]] = {}
-
-    def log_mu_at(x: Site) -> list[float]:
-        i = env.law_index(x)
-        if i not in log_mu_cache:
-            law = env.spec.law_support[i]
-            log_mu_cache[i] = [
-                math.log(law.mean_offspring[y]) if law.mean_offspring.get(y, 0.0) > 0 else NEG_INF
-                for y in offs
-            ]
-        return log_mu_cache[i]
-
-    old = fld.values
-    dests: set[Site] = set()
-    for x in old:
-        for y in offs:
-            dests.add(sub(x, y) if adjoint else tuple(a + b for a, b in zip(x, y)))
-    new: dict[Site, float] = {}
-    for z in sorted(dests):
-        acc = NEG_INF
-        if adjoint:
-            coefs = log_mu_at(z)
-        for j, y in enumerate(offs):
-            if adjoint:
-                src = tuple(a + b for a, b in zip(z, y))
-                c = coefs[j]
-            else:
-                src = sub(z, y)
-                c = log_mu_at(src)[j]
-            v = old.get(src, NEG_INF)
-            if v > NEG_INF and c > NEG_INF:
-                acc = np.logaddexp(acc, v + c)
-        if acc > NEG_INF:
-            new[z] = float(acc)
-    d = fld.dimension
-    lo = tuple(min(x[i] for x in new) for i in range(d)) if new else fld.lo
-    return LogMassField(fld.n + 1, d, lo, new)
-
-
-def forward_layer(
-    env: EnvironmentField,
-    fld: LogMassField,
-    max_radius: int | None = None,
-    adjoint: bool = False,
-    workers: int = 1,
-) -> LogMassField:
-    """One DP step.  Raises if the new bounding box would exceed max_radius."""
-    l0 = env.spec.step_set.l0_max
-    if max_radius is not None:
-        reach = max(
-            abs(c) for corner in (fld.lo, fld.hi) for c in corner
-        ) + l0
-        if reach > max_radius:
-            raise SolverError(
-                f"layer {fld.n + 1} bounding box exceeds radius {max_radius}"
-            )
-    if fld.dense:
-        tables = _Tables(
-            env,
-            tuple(l - l0 for l in fld.lo),
-            tuple(h + l0 for h in fld.hi),
+    for j, y in enumerate(tables.offsets):
+        if tables.adjoint:
+            # destination x reads from x + y; coefficient mu_y(x)
+            dst_lo = tuple(l - c for l, c in zip(fld.lo, y))
+            coef = tables.log_mu(j, dst_lo, old.shape)
+        else:
+            # destination z reads from z - y; coefficient mu_y(z - y)
+            dst_lo = tuple(l + c for l, c in zip(fld.lo, y))
+            coef = tables.log_mu(j, fld.lo, old.shape)
+        dst = tuple(
+            slice(l - ln, l - ln + s) for l, ln, s in zip(dst_lo, lo_new, old.shape)
         )
-        return _step_dense(fld, tables, adjoint, workers)
-    return _step_sparse(fld, env, adjoint)
+        np.logaddexp(new[dst], old + coef, out=new[dst])
+    return LogMassField(fld.n + 1, fld.dimension, lo_new, new)
+
+
+def _check_memory(n: int, lo: Site, hi: Site) -> None:
+    """Refuse a box whose estimated peak footprint exceeds physical memory."""
+    cells = math.prod(h - l + 1 for l, h in zip(lo, hi))
+    need = cells * _BYTES_PER_BOX_CELL
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise SolverError(
+            f"horizon {n} needs a {cells}-cell box, about {need / 2**30:.1f} GiB "
+            f"at {_BYTES_PER_BOX_CELL} B per cell; physical memory is "
+            f"{have / 2**30:.1f} GiB"
+        )
 
 
 def iter_layers(
@@ -301,43 +192,32 @@ def iter_layers(
     n: int,
     adjoint: bool = False,
     max_radius: int | None = None,
-    workers: int = 1,
 ) -> Iterator[LogMassField]:
-    """Yield layers 0..n one at a time (constant memory in the horizon)."""
+    """Yield layers 0..n one at a time (constant memory in the horizon).
+
+    Raises SolverError, before any step, if the horizon's bounding box
+    exceeds max_radius or would not fit in physical memory.
+    """
     if n < 0:
         raise SolverError("negative horizon")
-    d = env.spec.dimension
-    sparse = d == 3
-    fld = LogMassField.delta(tuple(start), sparse=sparse)
+    start = tuple(start)
+    fld = LogMassField.delta(start)
     yield fld
     if n == 0:
         return
     offs = env.spec.step_set.sorted_offsets()
-    tables = None
-    if not sparse:
-        lo_full = tuple(
-            s + n * min(y[i] for y in offs) for i, s in enumerate(start)
-        )
-        hi_full = tuple(
-            s + n * max(y[i] for y in offs) for i, s in enumerate(start)
-        )
-        if adjoint:
-            lo_full, hi_full = (
-                tuple(s - n * max(y[i] for y in offs) for i, s in enumerate(start)),
-                tuple(s - n * min(y[i] for y in offs) for i, s in enumerate(start)),
-            )
-        if max_radius is not None:
-            reach = max(abs(c) for corner in (lo_full, hi_full) for c in corner)
-            if reach > max_radius:
-                raise SolverError(
-                    f"horizon {n} bounding box exceeds radius {max_radius}"
-                )
-        tables = _Tables(env, lo_full, hi_full)
+    sign = -1 if adjoint else 1
+    ends = [tuple(s + sign * n * y[i] for y in offs) for i, s in enumerate(start)]
+    lo_full = tuple(min(e) for e in ends)
+    hi_full = tuple(max(e) for e in ends)
+    if max_radius is not None:
+        reach = max(abs(c) for corner in (lo_full, hi_full) for c in corner)
+        if reach > max_radius:
+            raise SolverError(f"horizon {n} bounding box exceeds radius {max_radius}")
+    _check_memory(n, lo_full, hi_full)
+    tables = _Tables(env, lo_full, hi_full, adjoint)
     for _ in range(n):
-        if sparse:
-            fld = _step_sparse(fld, env, adjoint)
-        else:
-            fld = _step_dense(fld, tables, adjoint, workers)
+        fld = _step_dense(fld, tables)
         yield fld
 
 
@@ -347,7 +227,6 @@ def solve(
     n: int,
     adjoint: bool = False,
     max_radius: int | None = None,
-    workers: int = 1,
 ) -> list[LogMassField]:
     """All layers 0..n.
 
@@ -355,7 +234,7 @@ def solve(
     Adjoint: layer k at site x is log E_w eta_k^x(start), the fixed-target
     object evolved by the Anderson-equation dynamics.
     """
-    return list(iter_layers(env, start, n, adjoint, max_radius, workers))
+    return list(iter_layers(env, start, n, adjoint, max_radius))
 
 
 # --- Anderson-equation check -------------------------------------------------
@@ -467,22 +346,12 @@ def write_layer_binary(fld: LogMassField, path: str) -> None:
     box corner, d x u64 box shape; then the layer as little-endian float64
     in row-major order (missing sites hold -inf).
     """
-    if fld.dense:
-        lo, arr = fld.lo, fld.values
-    else:
-        lo, hi = fld.lo, fld.hi
-        if fld.values:
-            lo = tuple(min(x[i] for x in fld.values) for i in range(fld.dimension))
-        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        arr = np.full(shape, NEG_INF, dtype=np.float64)
-        for x, v in fld.values.items():
-            arr[tuple(c - l for c, l in zip(x, lo))] = v
     with open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC)
         fh.write(struct.pack("<HHq", _BINARY_VERSION, fld.dimension, fld.n))
-        fh.write(struct.pack(f"<{fld.dimension}q", *lo))
-        fh.write(struct.pack(f"<{fld.dimension}Q", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(struct.pack(f"<{fld.dimension}q", *fld.lo))
+        fh.write(struct.pack(f"<{fld.dimension}Q", *fld.values.shape))
+        fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
 
 
 def read_layer_binary(path: str) -> LogMassField:

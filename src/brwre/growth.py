@@ -65,7 +65,6 @@ def _collect_estimates(
     env: EnvironmentField,
     directions: list[RationalVector],
     n: int,
-    workers: int = 1,
 ) -> list[BetaEstimate]:
     if n < 1:
         raise GrowthError("need n >= 1")
@@ -79,7 +78,7 @@ def _collect_estimates(
     horizon = max(k0s) * n
     samples: dict[int, list[tuple[int, float]]] = {i: [] for i in range(len(directions))}
     # one shared DP pass; every direction reads its own sampling times
-    for layer in expectation.iter_layers(env, (0,) * d, horizon, workers=workers):
+    for layer in expectation.iter_layers(env, (0,) * d, horizon):
         t = layer.n
         if t == 0:
             continue
@@ -99,11 +98,9 @@ def _collect_estimates(
     return out
 
 
-def beta_estimate(
-    env: EnvironmentField, a: RationalVector, n: int, workers: int = 1
-) -> BetaEstimate:
+def beta_estimate(env: EnvironmentField, a: RationalVector, n: int) -> BetaEstimate:
     """Growth-exponent estimate for one direction (DP horizon k0*n)."""
-    return _collect_estimates(env, [a], n, workers)[0]
+    return _collect_estimates(env, [a], n)[0]
 
 
 def _b_hull(
@@ -137,13 +134,12 @@ def beta_profile(
     env: EnvironmentField,
     directions: list[RationalVector],
     n: int,
-    workers: int = 1,
 ) -> BetaProfile:
     """Growth exponents over a direction grid from one shared DP pass."""
     dirs = list(directions)
     if len(set(dirs)) != len(dirs):
         raise GrowthError("duplicate directions on the grid")
-    estimates = _collect_estimates(env, dirs, n, workers)
+    estimates = _collect_estimates(env, dirs, n)
     finite = [e.value for e in estimates if not e.minus_infinity]
     sup_beta = max(finite) if finite else NEG_INF
     return BetaProfile(

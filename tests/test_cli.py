@@ -116,6 +116,23 @@ class TestSolve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == 3
 
+    def test_oversized_box_is_runtime_error(self, tmp_path, capsys):
+        cube = law_of(({(1, 0, 0): 1, (-1, 0, 0): 1}, 0.5),
+                      ({(0, 1, 0): 1, (0, -1, 0): 1}, 0.25),
+                      ({(0, 0, 1): 1, (0, 0, -1): 1}, 0.25))
+        doc = {
+            "command": "solve",
+            "output_dir": str(tmp_path / "out"),
+            "environment": spec_to_dict(
+                homogeneous_env(cube, dimension=3).spec),
+            "parameters": {"horizon": 10_000},
+        }
+        cfgp = write_config(tmp_path, "c.json", doc)
+        assert main(["solve", cfgp]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SolverError"
+        assert "horizon 10000" in err["error"]["message"]
+
 
 class TestBeta:
     def test_profile_artifacts(self, tmp_path):
@@ -367,6 +384,12 @@ class TestConfigRoundTrip:
         cfg = config_from_dict(doc)
         assert cfg.seed is None
         assert cfg.parameters["max_radius"] is None
+
+    def test_workers_is_an_unknown_field(self, tmp_path):
+        doc = base_config("solve", tmp_path / "out", horizon=5)
+        doc["workers"] = 2
+        cfgp = write_config(tmp_path, "c.json", doc)
+        assert main(["solve", cfgp]) == 2
 
     def test_unknown_top_level_key(self, tmp_path):
         doc = base_config("check", tmp_path / "out")

@@ -9,7 +9,6 @@ from brwre.expectation import (
     SolverError,
     check_anderson_equation,
     expected_total,
-    forward_layer,
     iter_layers,
     read_layer_binary,
     read_layer_csv,
@@ -17,6 +16,7 @@ from brwre.expectation import (
     write_layer_binary,
     write_layer_csv,
 )
+from brwre.environment import Dependence, EnvironmentSpec, build_environment
 from brwre.lattice import StepSet, add
 
 from _support import (
@@ -61,6 +61,23 @@ def brute_adjoint(env, target, n):
     return cur
 
 
+def cube_env(dependence=Dependence("iid")):
+    """d = 3 nearest-neighbour environment over two distinct laws."""
+    up = law_of(
+        ({(1, 0, 0): 1}, 0.2), ({(-1, 0, 0): 1}, 0.2),
+        ({(0, 1, 0): 1}, 0.15), ({(0, -1, 0): 1}, 0.15),
+        ({(0, 0, 1): 2}, 0.15), ({(0, 0, -1): 1}, 0.15))
+    east = law_of(
+        ({(1, 0, 0): 1, (-1, 0, 0): 1}, 0.3), ({(0, 1, 0): 1}, 0.2),
+        ({(0, -1, 0): 1}, 0.2), ({(0, 0, 1): 1}, 0.15),
+        ({(0, 0, -1): 1}, 0.15))
+    spec = EnvironmentSpec(
+        dimension=3, step_set=StepSet.nearest_neighbour(3),
+        law_support=(up, east), weights=(0.5, 0.5),
+        dependence=dependence, master_seed=17)
+    return build_environment(spec)
+
+
 def layer_masses(fld):
     return {x: math.exp(v) for x, v in fld.items()}
 
@@ -97,19 +114,30 @@ class TestAgainstEnumeration:
             assert math.exp(fwd.get(z)) == pytest.approx(
                 math.exp(adj.get((0,))), rel=1e-10)
 
-    def test_sparse_three_dimensional(self):
+    def test_three_dimensional(self):
         law = law_of(
             ({(1, 0, 0): 1}, 0.2), ({(-1, 0, 0): 1}, 0.2),
             ({(0, 1, 0): 1}, 0.15), ({(0, -1, 0): 1}, 0.15),
             ({(0, 0, 1): 2}, 0.15), ({(0, 0, -1): 1}, 0.15))
         env = homogeneous_env(law, dimension=3)
         fld = last(env, (0, 0, 0), 4)
-        assert not fld.dense
         want = brute_forward(env, (0, 0, 0), 4)
         got = layer_masses(fld)
         assert set(got) == set(want)
         for x, m in got.items():
             assert m == pytest.approx(want[x], rel=1e-10)
+
+    def test_three_dimensional_block_window(self):
+        # two laws picked by a radius-1 window: the DP reads the d = 3
+        # windowed law_index_grid, the reference reads per-site law_index
+        env = cube_env(Dependence("block_window", 1))
+        start = (1, -2, 0)
+        for fld, n in zip(iter_layers(env, start, 5), range(6)):
+            want = brute_forward(env, start, n)
+            got = layer_masses(fld)
+            assert set(got) == set(want)
+            for x, m in got.items():
+                assert m == pytest.approx(want[x], rel=1e-10)
 
 
 class TestHomogeneousClosedForms:
@@ -162,22 +190,6 @@ class TestLayerInvariants:
         assert layers[0].get((0,)) == 0.0
         assert layers[0].support_size() == 1
 
-    def test_workers_bit_identical(self):
-        env = random_env(np.random.default_rng(24))
-        a = solve(env, (0,), 30, workers=1)
-        b = solve(env, (0,), 30, workers=4)
-        for la, lb in zip(a, b):
-            assert la.lo == lb.lo
-            assert np.array_equal(la.values, lb.values)
-
-    def test_two_dimensional_workers_bit_identical(self):
-        lazy = law_of(({(1, 0): 1}, 0.3), ({(-1, 0): 1}, 0.3),
-                      ({(0, 1): 2}, 0.2), ({(0, -1): 1}, 0.2))
-        env = homogeneous_env(lazy, dimension=2)
-        a = solve(env, (0, 0), 12, workers=1)
-        b = solve(env, (0, 0), 12, workers=3)
-        assert np.array_equal(a[-1].values, b[-1].values)
-
     def test_expected_total_helper(self):
         env = homogeneous_env(doubling_law())
         fld = last(env, (0,), 10)
@@ -197,12 +209,17 @@ class TestRadiusCap:
         fld = last(env, (0,), 10, max_radius=10 * l0)
         assert fld.n == 10
 
-    def test_stepwise_cap(self):
-        env = homogeneous_env(doubling_law())
-        fld = LogMassField.delta((0,))
-        fld = forward_layer(env, fld, max_radius=1)
-        with pytest.raises(SolverError):
-            forward_layer(env, fld, max_radius=1)
+    def test_three_dimensional_horizon_exceeding_radius_raises(self):
+        with pytest.raises(SolverError, match="radius 3"):
+            list(iter_layers(cube_env(), (0, 0, 0), 6, max_radius=3))
+
+
+class TestMemoryPreflight:
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_oversized_box_raises_before_allocating(self, adjoint):
+        # a (2 * 10**4 + 1)**3 box: the check must fire before _Tables
+        with pytest.raises(SolverError, match="horizon 10000"):
+            list(iter_layers(cube_env(), (0, 0, 0), 10_000, adjoint=adjoint))
 
 
 class TestAndersonIdentity:
@@ -258,7 +275,7 @@ class TestLayerDumps:
         assert back.lo == fld.lo
         assert np.array_equal(back.values, fld.values)
 
-    def test_binary_round_trip_sparse(self, tmp_path):
+    def test_binary_round_trip_three_dimensional(self, tmp_path):
         law = law_of(
             ({(1, 0, 0): 1}, 0.4), ({(-1, 0, 0): 1}, 0.2),
             ({(0, 1, 0): 1}, 0.1), ({(0, -1, 0): 1}, 0.1),
@@ -269,6 +286,8 @@ class TestLayerDumps:
         write_layer_binary(fld, str(p))
         back = read_layer_binary(str(p))
         assert back.n == fld.n
+        assert back.lo == fld.lo == (-3, -3, -3)
+        assert np.array_equal(back.values, fld.values)
         for x, v in fld.items():
             assert back.get(x) == v
         # odd-parity holes come back as log(0)
@@ -294,12 +313,10 @@ class TestLayerDumps:
 
 class TestFieldBasics:
     def test_delta_layers(self):
-        dense = LogMassField.delta((2,))
-        sparse = LogMassField.delta((1, 2, 3), sparse=True)
-        assert dense.get((2,)) == 0.0
-        assert dense.get((3,)) == float("-inf")
-        assert sparse.get((1, 2, 3)) == 0.0
-        assert sparse.support_size() == dense.support_size() == 1
+        fld = LogMassField.delta((2,))
+        assert fld.get((2,)) == 0.0
+        assert fld.get((3,)) == float("-inf")
+        assert fld.support_size() == 1
 
     def test_negative_horizon_rejected(self):
         env = homogeneous_env(doubling_law())
