@@ -3,142 +3,10 @@
 Quenched expected particle counts, reachable-set shapes, growth exponent
 profiles, a recurrence/transience classifier, and exact-count Monte Carlo,
 over reproducible hash-based random environments.
+
+The Python API is the submodules: `environment`, `expectation`, `shape`,
+`growth`, `classify`, `montecarlo`, `lattice`, `seeding`, `svgplot` and
+the `cli` front end.
 """
 
 __version__ = "0.1.0"
-
-from .classify import CriterionResult, criterion_value_at, transience_criterion
-from .environment import (
-    ConditionReport,
-    Dependence,
-    EnvironmentField,
-    EnvironmentSpec,
-    OffspringConfig,
-    SiteLaw,
-    build_environment,
-    check_conditions,
-    is_delta_aperiodic,
-    mean_offspring,
-    site_law,
-    spec_from_dict,
-    spec_to_dict,
-)
-from .expectation import (
-    FactorizedEnv,
-    LogMassField,
-    check_anderson_equation,
-    expected_total,
-    iter_layers,
-    read_layer_binary,
-    read_layer_csv,
-    solve,
-    write_layer_binary,
-    write_layer_csv,
-)
-from .growth import (
-    BetaEstimate,
-    BetaProfile,
-    TotalGrowth,
-    beta_estimate,
-    beta_profile,
-    classify_by_beta,
-    grid_1d,
-    total_growth,
-)
-from .lattice import RationalVector, Site, StepSet, l1_ball, l1_norm, unit_vectors
-from .montecarlo import (
-    InducedWalkState,
-    PopulationState,
-    ReturnEstimate,
-    SamplerStats,
-    SeedSpec,
-    estimate_return_probability,
-    induced_kernel,
-    induced_walk_step,
-    realized_local_exponent,
-    restricted_run,
-    run,
-    sample_induced_direct,
-    seed_scan,
-    step_population,
-)
-from .shape import (
-    NormEstimate,
-    PassageTimeMap,
-    ShapeEstimate,
-    convex_hull,
-    hausdorff_l1,
-    iter_reachable,
-    norm_estimate,
-    passage_times,
-    reachable_exactly,
-    shape_polytope,
-)
-
-__all__ = [
-    "__version__",
-    "BetaEstimate",
-    "BetaProfile",
-    "ConditionReport",
-    "CriterionResult",
-    "Dependence",
-    "EnvironmentField",
-    "EnvironmentSpec",
-    "FactorizedEnv",
-    "InducedWalkState",
-    "LogMassField",
-    "NormEstimate",
-    "OffspringConfig",
-    "PassageTimeMap",
-    "PopulationState",
-    "RationalVector",
-    "ReturnEstimate",
-    "SamplerStats",
-    "SeedSpec",
-    "ShapeEstimate",
-    "Site",
-    "SiteLaw",
-    "StepSet",
-    "TotalGrowth",
-    "beta_estimate",
-    "beta_profile",
-    "build_environment",
-    "check_anderson_equation",
-    "check_conditions",
-    "classify_by_beta",
-    "convex_hull",
-    "criterion_value_at",
-    "estimate_return_probability",
-    "expected_total",
-    "grid_1d",
-    "hausdorff_l1",
-    "induced_kernel",
-    "induced_walk_step",
-    "is_delta_aperiodic",
-    "iter_layers",
-    "iter_reachable",
-    "l1_ball",
-    "l1_norm",
-    "mean_offspring",
-    "norm_estimate",
-    "passage_times",
-    "reachable_exactly",
-    "read_layer_binary",
-    "read_layer_csv",
-    "realized_local_exponent",
-    "restricted_run",
-    "run",
-    "sample_induced_direct",
-    "seed_scan",
-    "shape_polytope",
-    "site_law",
-    "solve",
-    "spec_from_dict",
-    "spec_to_dict",
-    "step_population",
-    "total_growth",
-    "transience_criterion",
-    "unit_vectors",
-    "write_layer_binary",
-    "write_layer_csv",
-]

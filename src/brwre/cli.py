@@ -52,6 +52,7 @@ from .montecarlo import (
     SamplerStats,
     SimulationError,
     estimate_return_probability,
+    realized_local_exponent,
     run as mc_run,
 )
 from .seeding import PURPOSE_DYNAMICS, replica_rng
@@ -65,14 +66,18 @@ EXIT_INCONCLUSIVE = 4
 
 COMMANDS = ("check", "solve", "shape", "beta", "classify", "simulate", "report")
 
-_MODULE_ERRORS = (
-    EnvironmentError_, SolverError, ShapeError, GrowthError,
-    CriterionError, SimulationError, OSError, ValueError,
-)
-
-
 class ConfigError(ValueError):
     pass
+
+
+class ReportError(RuntimeError):
+    """The output directory does not hold a consistent set of artifacts."""
+
+
+_MODULE_ERRORS = (
+    EnvironmentError_, SolverError, ShapeError, GrowthError,
+    CriterionError, SimulationError, ReportError, OSError, ValueError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +566,14 @@ def _cmd_simulate(env, cfg, outdir, seed):
     track = [tuple(s) for s in p["track_sites"]]
     stats = SamplerStats()
     first_run = None
-    final_counts = []
+    finals = []
     for r in range(p["replicas"]):
         rng = replica_rng(seed, r, PURPOSE_DYNAMICS)
         states = mc_run(env, start, p["horizon"], rng,
                         bit_budget=p["bit_budget"], stats=stats)
         if r == 0:
             first_run = states
-        final_counts.append(states[-1].counts)
+        finals.append(states[-1])
 
     artifacts, warnings = [], []
     with open(outdir / "trajectory.csv", "w", encoding="utf-8") as fh:
@@ -583,21 +588,13 @@ def _cmd_simulate(env, cfg, outdir, seed):
     h = p["horizon"]
     with open(outdir / "realized_exponent.csv", "w", encoding="utf-8") as fh:
         fh.write("site,n,mean,ci_low,ci_high,occupancy,samples\n")
-        for s in track:
-            vals = [math.log(c[s]) / h for c in final_counts if c.get(s, 0) >= 1]
-            k = len(vals)
-            if k:
-                mean = sum(vals) / k
-                if k >= 2:
-                    var = sum((v - mean) ** 2 for v in vals) / (k - 1)
-                    half = 1.96 * math.sqrt(var / k)
-                else:
-                    half = 0.0
-                row = (f"{'|'.join(map(str, s))},{h},{mean!r},"
-                       f"{mean - half!r},{mean + half!r},"
-                       f"{k / len(final_counts)!r},{k}")
+        for st in realized_local_exponent(finals, track):
+            site = "|".join(map(str, st.site))
+            if st.samples:
+                row = (f"{site},{st.n},{st.mean!r},{st.ci_low!r},"
+                       f"{st.ci_high!r},{st.occupancy!r},{st.samples}")
             else:
-                row = f"{'|'.join(map(str, s))},{h},,,,0.0,0"
+                row = f"{site},{st.n},,,,0.0,0"
             fh.write(row + "\n")
     artifacts.append("realized_exponent.csv")
 
@@ -744,7 +741,7 @@ def _run_report(outdir: Path) -> tuple[list[str], list[str], int]:
     if not man_path.exists():
         missing.insert(0, _MANIFEST)
     if missing:
-        raise SimulationError(
+        raise ReportError(
             "missing artifacts: " + ", ".join(sorted(missing)))
     man = _load_manifest(outdir)
     known: set[str] = {_MANIFEST, "summary.txt"}
@@ -753,7 +750,7 @@ def _run_report(outdir: Path) -> tuple[list[str], list[str], int]:
     orphans = sorted(f.name for f in outdir.iterdir()
                      if f.is_file() and f.name not in known)
     if orphans:
-        raise SimulationError(
+        raise ReportError(
             "artifacts missing from the manifest: " + ", ".join(orphans))
 
     artifacts = ["summary.txt"]

@@ -17,6 +17,8 @@ almost-sure properties of the field.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -28,6 +30,14 @@ from .lattice import Site, StepSet, l1_norm, unit_vectors
 from .seeding import TAG_ENVIRONMENT, cell_uniform
 
 PROB_TOL = 1e-12
+
+# Peak resident bytes per cell of a box whose law indices are evaluated by
+# `law_index_grid` and then worked on by a DP solve or a reachability BFS.
+# Peak RSS above the interpreter's baseline, d = 3: solves at n = 30 and 60
+# took 91-96 B per cell with a block window and about 50 B i.i.d.;
+# `passage_times` at radius 30 and 50 took 91-95 B with a block window and
+# about 72 B i.i.d.  The law-index mesh and the hash temporaries dominate.
+BYTES_PER_BOX_CELL = 96
 
 
 class EnvironmentError_(ValueError):
@@ -128,11 +138,6 @@ class SiteLaw:
         return sum(p for cfg, p in self.atoms if cfg.count(offset) >= 1)
 
 
-def mean_offspring(law: SiteLaw) -> dict[Site, float]:
-    """Mean offspring vector of a law (module-level alias of the property)."""
-    return law.mean_offspring
-
-
 @dataclass(frozen=True)
 class Dependence:
     mode: str
@@ -198,9 +203,6 @@ class ConditionReport:
     holds_A: bool
     witness: tuple[Site, OffspringConfig] | None
     rho: int
-
-    def all_standing(self) -> bool:
-        return self.holds_B and self.holds_UE and self.holds_D and self.holds_A
 
     def as_dict(self) -> dict:
         w = None
@@ -346,14 +348,30 @@ class EnvironmentField:
         return cls(spec, law_index_fn)
 
 
+def check_box_memory(lo: Site, hi: Site, error: type[Exception],
+                     what: str) -> None:
+    """Raise `error` if the box [lo, hi] would not fit in physical memory.
+
+    Call it before `law_index_grid`, so an oversized request fails at once
+    with a typed error instead of a MemoryError or an out-of-memory kill.
+    """
+    cells = math.prod(h - l + 1 for l, h in zip(lo, hi))
+    need = cells * BYTES_PER_BOX_CELL
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise error(
+            f"{what} needs a {cells}-cell box, about {need / 2**30:.1f} GiB "
+            f"at {BYTES_PER_BOX_CELL} B per cell; physical memory is "
+            f"{have / 2**30:.1f} GiB"
+        )
+
+
 def build_environment(spec: EnvironmentSpec) -> EnvironmentField:
     """Realize the random environment described by `spec`."""
     return EnvironmentField(spec)
-
-
-def site_law(env: EnvironmentField, x: Site) -> SiteLaw:
-    """The offspring law the environment assigns to site x."""
-    return env.law_at(tuple(x))
 
 
 def check_conditions(spec: EnvironmentSpec) -> ConditionReport:

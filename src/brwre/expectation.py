@@ -14,8 +14,9 @@ count at z for a walk started at x; coefficients attach to x itself:
 
     u_{n+1}(x) = sum_y mu_y(x) u_n(x+y).
 
-For laws that factorize as mu_y(x) = r(x) p(x, y) the adjoint layers satisfy
-the discrete parabolic Anderson identity
+Every law factorizes as mu_y(x) = r(x) p(x, y), with r(x) the mean total
+offspring and p(x, .) = mu(x) / r(x), and the adjoint layers satisfy the
+discrete parabolic Anderson identity
 
     u_{n+1} - u_n = r * Lap_w u_n + (r - 1) u_n,
     (Lap_w f)(x) = sum_y p(x,y) [f(x+y) - f(x)],
@@ -34,29 +35,20 @@ start.
 from __future__ import annotations
 
 import csv
-import math
-import os
 import struct
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .environment import EnvironmentField
+from .environment import EnvironmentField, check_box_memory
 from .lattice import Site
 
 NEG_INF = float("-inf")
 
 _BINARY_MAGIC = b"BRWL"
 _BINARY_VERSION = 1
-
-# Peak resident bytes per cell of a solve's full box.  The peak RSS of d = 3
-# solves at n = 30 and 60, above the interpreter's baseline, was 91-96 B per
-# box cell with a block window and about 50 B i.i.d.: the law-index mesh and
-# the hash temporaries dominate, each layer array is 8 B per cell.
-_BYTES_PER_BOX_CELL = 96
 
 
 class SolverError(ValueError):
@@ -100,17 +92,13 @@ class LogMassField:
     def support_size(self) -> int:
         return int(np.isfinite(self.values).sum())
 
-    def log_total(self) -> float:
-        """log sum_x exp(values): the log expected total population."""
-        flat = self.values[np.isfinite(self.values)]
-        if flat.size == 0:
-            return NEG_INF
-        return float(logsumexp(flat))
-
 
 def expected_total(fld: LogMassField) -> float:
-    """Log of the expected total population in the layer."""
-    return fld.log_total()
+    """log sum_x exp(values): the log expected total population in the layer."""
+    flat = fld.values[np.isfinite(fld.values)]
+    if flat.size == 0:
+        return NEG_INF
+    return float(logsumexp(flat))
 
 
 class _Tables:
@@ -170,22 +158,6 @@ def _step_dense(fld: LogMassField, tables: _Tables) -> LogMassField:
     return LogMassField(fld.n + 1, fld.dimension, lo_new, new)
 
 
-def _check_memory(n: int, lo: Site, hi: Site) -> None:
-    """Refuse a box whose estimated peak footprint exceeds physical memory."""
-    cells = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    need = cells * _BYTES_PER_BOX_CELL
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    if need > have:
-        raise SolverError(
-            f"horizon {n} needs a {cells}-cell box, about {need / 2**30:.1f} GiB "
-            f"at {_BYTES_PER_BOX_CELL} B per cell; physical memory is "
-            f"{have / 2**30:.1f} GiB"
-        )
-
-
 def iter_layers(
     env: EnvironmentField,
     start: Site,
@@ -214,7 +186,7 @@ def iter_layers(
         reach = max(abs(c) for corner in (lo_full, hi_full) for c in corner)
         if reach > max_radius:
             raise SolverError(f"horizon {n} bounding box exceeds radius {max_radius}")
-    _check_memory(n, lo_full, hi_full)
+    check_box_memory(lo_full, hi_full, SolverError, f"horizon {n}")
     tables = _Tables(env, lo_full, hi_full, adjoint)
     for _ in range(n):
         fld = _step_dense(fld, tables)
@@ -240,80 +212,65 @@ def solve(
 # --- Anderson-equation check -------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FactorizedEnv:
-    """Environment whose laws factorize as mu_y(x) = r(x) * p(x, y).
-
-    `r_fn` is the mean total offspring at x, `p_fn` the offspring placement
-    distribution.  Every finite-support law factorizes this way with
-    r = mean_total and p = mu / r; `from_environment` builds exactly that.
-    A hand-built (r, p) pair is validated against the environment's means
-    by check_anderson_equation.
-    """
-
-    env: EnvironmentField
-    r_fn: Callable[[Site], float]
-    p_fn: Callable[[Site], dict[Site, float]]
-
-    @classmethod
-    def from_environment(cls, env: EnvironmentField) -> "FactorizedEnv":
-        def r_fn(x: Site) -> float:
-            return env.law_at(x).mean_total
-
-        def p_fn(x: Site) -> dict[Site, float]:
-            law = env.law_at(x)
-            r = law.mean_total
-            return {y: m / r for y, m in law.mean_offspring.items()}
-
-        return cls(env, r_fn, p_fn)
+def _mass_on_box(fld: LogMassField, lo: Site, shape: tuple[int, ...]) -> np.ndarray:
+    """exp(fld) over the box [lo, lo+shape), zero where the layer has no entry."""
+    out = np.zeros(shape)
+    src, dst = [], []
+    for l, s, fl, fs in zip(lo, shape, fld.lo, fld.values.shape):
+        a, b = max(l, fl), min(l + s, fl + fs)
+        if a >= b:
+            return out
+        src.append(slice(a - fl, b - fl))
+        dst.append(slice(a - l, b - l))
+    out[tuple(dst)] = np.exp(fld.values[tuple(src)])
+    return out
 
 
-def check_anderson_equation(
-    fenv: FactorizedEnv, layers: list[LogMassField], factor_tol: float = 1e-10
-) -> float:
+def check_anderson_equation(env: EnvironmentField, layers: list[LogMassField]) -> float:
     """Max relative residual of the discrete Anderson identity over the layers.
 
-    `layers` must be adjoint layers (see module docstring); the residual at
-    (k, x) is |u_{k+1}(x) - u_k(x) - r(x)(Lap u_k)(x) - (r(x)-1)u_k(x)|
-    divided by max(1, |u_k(x)|, |u_{k+1}(x)|), the scale of the cancelling
-    terms.  Raises SolverError if the (r, p) pair fails to reproduce the
-    environment's mean offspring within factor_tol.
+    `layers` must be adjoint layers of `env` (see module docstring), with
+    r = mean total offspring and p = mu / r per law.  The residual at (k, x),
+    for x in the box of layer k+1, is
+    |u_{k+1}(x) - u_k(x) - r(x)(Lap u_k)(x) - (r(x)-1)u_k(x)| divided by
+    max(1, |u_k(x)|, |u_{k+1}(x)|), the scale of the cancelling terms.
     """
-    if len(layers) < 2:
-        return 0.0
-    offsets = fenv.env.spec.step_set.sorted_offsets()
-    checked: set[int] = set()
+    offsets = env.spec.step_set.sorted_offsets()
+    laws = env.spec.law_support
+    r_table = np.array([law.mean_total for law in laws])
+    p_table = np.array(
+        [
+            [law.mean_offspring.get(y, 0.0) / law.mean_total for y in offsets]
+            for law in laws
+        ]
+    )
+    d = len(offsets[0])
+    step_lo = tuple(min(y[i] for y in offsets) for i in range(d))
+    step_hi = tuple(max(y[i] for y in offsets) for i in range(d))
     max_resid = 0.0
     for prev, cur in zip(layers, layers[1:]):
-        lo, hi = cur.lo, cur.hi
-        d = cur.dimension
-        for idx in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-            x = tuple(idx)
-            li = fenv.env.law_index(x)
-            if li not in checked:
-                checked.add(li)
-                law = fenv.env.spec.law_support[li]
-                r = fenv.r_fn(x)
-                p = fenv.p_fn(x)
-                for y in offsets:
-                    mu = law.mean_offspring.get(y, 0.0)
-                    if abs(mu - r * p.get(y, 0.0)) > factor_tol:
-                        raise SolverError(
-                            f"law at {x} does not factorize: mu_{y}={mu}, "
-                            f"r*p={r * p.get(y, 0.0)}"
-                        )
-            r = fenv.r_fn(x)
-            p = fenv.p_fn(x)
-            u_x = math.exp(prev.get(x)) if prev.get(x) > NEG_INF else 0.0
-            u_next = math.exp(cur.get(x)) if cur.get(x) > NEG_INF else 0.0
-            lap = 0.0
-            for y in offsets:
-                v = prev.get(tuple(a + b for a, b in zip(x, y)))
-                u_y = math.exp(v) if v > NEG_INF else 0.0
-                lap += p.get(y, 0.0) * (u_y - u_x)
-            resid = abs(u_next - u_x - r * lap - (r - 1.0) * u_x)
-            scale = max(1.0, abs(u_x), abs(u_next))
-            max_resid = max(max_resid, resid / scale)
+        shape = cur.values.shape
+        # u_k over cur's box grown by one step, so every x + y is in range
+        u = _mass_on_box(
+            prev,
+            tuple(l + a for l, a in zip(cur.lo, step_lo)),
+            tuple(s + b - a for s, a, b in zip(shape, step_lo, step_hi)),
+        )
+
+        def shifted(y: Site) -> np.ndarray:
+            sl = tuple(slice(c - a, c - a + s) for c, a, s in zip(y, step_lo, shape))
+            return u[sl]
+
+        u_x = shifted((0,) * d)
+        u_next = np.exp(cur.values)
+        idx = env.law_index_grid(cur.lo, cur.hi)
+        lap = np.zeros(shape)
+        for j, y in enumerate(offsets):
+            lap += p_table[idx, j] * (shifted(y) - u_x)
+        r = r_table[idx]
+        resid = np.abs(u_next - u_x - r * lap - (r - 1.0) * u_x)
+        scale = np.maximum(np.maximum(np.abs(u_x), np.abs(u_next)), 1.0)
+        max_resid = max(max_resid, float((resid / scale).max()))
     return max_resid
 
 

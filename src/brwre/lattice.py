@@ -27,10 +27,6 @@ def sub(x: Site, y: Site) -> Site:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def scale(k: int, x: Site) -> Site:
-    return tuple(k * c for c in x)
-
-
 def unit_vectors(dimension: int) -> list[Site]:
     """The 2d signed unit vectors, ordered +e1, -e1, +e2, -e2, ...
 
@@ -129,9 +125,6 @@ class RationalVector:
     @property
     def dimension(self) -> int:
         return len(self.numerators)
-
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(n / self.denominator for n in self.numerators)

@@ -2,19 +2,22 @@
 
 Populations are evolved in aggregated form: the per-site particle count is a
 Python integer and every site resolves all of its particles with a single
-multinomial draw over the local offspring law.  This is exact in distribution
-with respect to per-particle sampling and keeps the cost per step proportional
-to the number of occupied sites rather than the number of particles.
+multinomial draw over the local offspring law.  This keeps the cost per step
+proportional to the number of occupied sites rather than the number of
+particles.  Draws with a count below 2**62 are exact in distribution with
+respect to per-particle sampling.  Above 2**62 a binomial is approximated:
+by a normal when its variance npq exceeds 1e6 (Berry-Esseen bounds the CDF
+error by C/sqrt(npq)), by a Poisson otherwise.  `SamplerStats` counts the
+draws of each path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -168,14 +171,11 @@ class PopulationState:
 def step_population(env: EnvironmentField, state: PopulationState,
                     rng: np.random.Generator, *,
                     bit_budget: int = DEFAULT_BIT_BUDGET,
-                    region: Callable[[Site], bool] | None = None,
                     stats: SamplerStats | None = None) -> PopulationState:
     """Advance the population one generation under the quenched environment.
 
     Sites are visited in sorted order so a fixed generator state yields a
-    fixed next state.  When `region` is given, children landing outside it
-    are discarded after sampling; the draw sequence is therefore identical
-    to the unrestricted one for equal input states.
+    fixed next state.
     """
     new_counts: dict[Site, int] = {}
     for x in sorted(state.counts):
@@ -189,8 +189,6 @@ def step_population(env: EnvironmentField, state: PopulationState,
                 continue
             for y, v_y in cfg.counts:
                 z = add(x, y)
-                if region is not None and not region(z):
-                    continue
                 new_counts[z] = new_counts.get(z, 0) + c * v_y
     total = sum(new_counts.values())
     if total.bit_length() > bit_budget:
@@ -218,31 +216,6 @@ def run(env: EnvironmentField, start: Site, n: int,
     return out
 
 
-def restricted_run(env: EnvironmentField, region: Callable[[Site], bool],
-                   start: Site, n: int, rng: np.random.Generator, *,
-                   bit_budget: int = DEFAULT_BIT_BUDGET,
-                   stats: SamplerStats | None = None) -> list[PopulationState]:
-    """Evolve with children killed outside `region`.
-
-    The population may die out; subsequent states stay empty.  With a
-    region containing every reachable site the trajectory coincides with
-    run() at equal generator state, draw for draw.
-    """
-    if not region(start):
-        raise ValueError("start site lies outside the region")
-    state = PopulationState.initial(start)
-    out = [state]
-    for _ in range(n):
-        if state.total == 0:
-            out.append(PopulationState(n=state.n + 1, counts={}, total=0))
-            state = out[-1]
-            continue
-        state = step_population(env, state, rng, bit_budget=bit_budget,
-                                region=region, stats=stats)
-        out.append(state)
-    return out
-
-
 @dataclass(frozen=True)
 class LocalExponentStat:
     """Across-run statistics of ln eta_n(x) / n at one (n, x) pair."""
@@ -256,25 +229,26 @@ class LocalExponentStat:
     samples: int
 
 
-def realized_local_exponent(runs: Sequence[Sequence[PopulationState]],
-                            targets: Iterable[tuple[int, Site]],
+def realized_local_exponent(finals: Sequence[PopulationState],
+                            sites: Iterable[Site],
                             ) -> list[LocalExponentStat]:
-    """Estimate the realized growth exponent at selected (generation, site).
+    """Estimate the realized growth exponent ln eta_n(x) / n at each site.
 
-    Only runs with at least one particle at the target contribute; the
-    occupancy field records the contributing fraction.  The interval is the
-    normal 95% band around the sample mean (degenerate when fewer than two
-    runs contribute).
+    `finals` holds one state per run, all at the same generation n.  Only
+    runs with at least one particle at the site contribute; the occupancy
+    field records the contributing fraction.  The interval is the normal
+    95% band around the sample mean (degenerate when fewer than two runs
+    contribute).
     """
+    if not finals:
+        raise ValueError("need at least one run")
+    n = finals[0].n
+    if any(st.n != n for st in finals):
+        raise ValueError("final states are at different generations")
     out = []
-    for n, x in targets:
-        vals = []
-        for states in runs:
-            if n >= len(states):
-                continue
-            c = states[n].count(x)
-            if c >= 1:
-                vals.append(math.log(c) / n if n > 0 else 0.0)
+    for x in sites:
+        vals = [math.log(c) / n if n > 0 else 0.0
+                for c in (st.count(x) for st in finals) if c >= 1]
         k = len(vals)
         if k == 0:
             out.append(LocalExponentStat(n, x, math.nan, math.nan,
@@ -287,7 +261,7 @@ def realized_local_exponent(runs: Sequence[Sequence[PopulationState]],
         else:
             half = 0.0
         out.append(LocalExponentStat(n, x, mean, mean - half, mean + half,
-                                     k / len(runs), k))
+                                     k / len(finals), k))
     return out
 
 
@@ -388,43 +362,6 @@ def sample_induced_direct(env: EnvironmentField, x: Site,
         if u < acc:
             return y
     return offsets[-1]
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Local environment predicates anchored at the origin offset.
-
-    Maps relative offsets to predicates on site laws; the origin offset
-    must be present so every match is anchored at a concrete site.
-    """
-
-    predicates: dict[Site, Callable]
-
-    def __post_init__(self):
-        dims = {len(o) for o in self.predicates}
-        if len(dims) != 1:
-            raise ValueError("seed offsets must share one dimension")
-        origin = (0,) * dims.pop()
-        if origin not in self.predicates:
-            raise ValueError("seed spec must constrain the origin offset")
-
-
-def seed_scan(env: EnvironmentField, seed: SeedSpec,
-              lo: Site, hi: Site) -> list[Site]:
-    """List anchor sites in the box [lo, hi] whose neighborhood matches.
-
-    A site z matches when every (offset, predicate) pair in the seed holds
-    for the law at z + offset.
-    """
-    if len(lo) != len(hi) or len(lo) != env.spec.step_set.dimension:
-        raise ValueError("box endpoints must match the lattice dimension")
-    out = []
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    for z in itertools.product(*ranges):
-        if all(pred(env.law_at(add(z, off)))
-               for off, pred in seed.predicates.items()):
-            out.append(z)
-    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .environment import EnvironmentField
+from .environment import EnvironmentField, check_box_memory
 from .lattice import RationalVector, Site, l1_norm
 
 INF = math.inf
@@ -57,7 +57,12 @@ def _ball_mask(shape: tuple[int, ...], center: Sequence[int], radius: int) -> np
 def _open_masks(
     env: EnvironmentField, delta: float, lo: Site, hi: Site
 ) -> tuple[tuple[Site, ...], list[np.ndarray]]:
-    """Per-offset boolean grids: True where the edge out of the site is open."""
+    """Per-offset boolean grids: True where the edge out of the site is open.
+
+    Raises ShapeError, before anything is allocated, if the BFS box would not
+    fit in physical memory.
+    """
+    check_box_memory(lo, hi, ShapeError, f"a reachability BFS over {lo}..{hi}")
     offsets = env.spec.step_set.sorted_offsets()
     idx = env.law_index_grid(lo, hi)
     law_open = np.array(
@@ -162,16 +167,6 @@ def iter_reachable(
             nxt |= _shift(cur & open_m[j], y)
         cur = nxt
         yield to_sites(cur)
-
-
-def reachable_exactly(
-    env: EnvironmentField, delta: float, n: int, start: Site
-) -> set[Site]:
-    """R(n): the set of sites reached in exactly n delta-open steps."""
-    out: set[Site] = set()
-    for out in iter_reachable(env, delta, n, start):
-        pass
-    return out
 
 
 @dataclass(frozen=True)

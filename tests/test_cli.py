@@ -35,6 +35,12 @@ def borderline_doc():
     return spec_to_dict(homogeneous_env(borderline_law()).spec)
 
 
+def cube_law():
+    return law_of(({(1, 0, 0): 1, (-1, 0, 0): 1}, 0.5),
+                  ({(0, 1, 0): 1, (0, -1, 0): 1}, 0.25),
+                  ({(0, 0, 1): 1, (0, 0, -1): 1}, 0.25))
+
+
 def write_config(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc), encoding="utf-8")
@@ -117,14 +123,11 @@ class TestSolve:
         assert err["error"]["code"] == 3
 
     def test_oversized_box_is_runtime_error(self, tmp_path, capsys):
-        cube = law_of(({(1, 0, 0): 1, (-1, 0, 0): 1}, 0.5),
-                      ({(0, 1, 0): 1, (0, -1, 0): 1}, 0.25),
-                      ({(0, 0, 1): 1, (0, 0, -1): 1}, 0.25))
         doc = {
             "command": "solve",
             "output_dir": str(tmp_path / "out"),
             "environment": spec_to_dict(
-                homogeneous_env(cube, dimension=3).spec),
+                homogeneous_env(cube_law(), dimension=3).spec),
             "parameters": {"horizon": 10_000},
         }
         cfgp = write_config(tmp_path, "c.json", doc)
@@ -247,6 +250,20 @@ class TestShape:
         ps = json.loads((out / "passage_summary.json").read_text())
         assert len(ps["deltas"]) == 2
 
+    def test_oversized_box_is_runtime_error(self, tmp_path, capsys):
+        doc = {
+            "command": "shape",
+            "output_dir": str(tmp_path / "out"),
+            "environment": spec_to_dict(
+                homogeneous_env(cube_law(), dimension=3).spec),
+            "parameters": {"horizon": 10_000, "delta_grid": [0.1]},
+        }
+        cfgp = write_config(tmp_path, "c.json", doc)
+        assert main(["shape", cfgp]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ShapeError"
+        assert "cell box" in err["error"]["message"]
+
 
 class TestReport:
     def _pipeline(self, tmp_path, out):
@@ -282,6 +299,7 @@ class TestReport:
         out.mkdir()
         assert main(["report", str(out)]) == 3
         err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ReportError"
         assert "condition_report.json" in err["error"]["message"]
 
     def test_orphan_file_exit_three(self, tmp_path, capsys):
@@ -290,6 +308,7 @@ class TestReport:
         (out / "stray.txt").write_text("not produced by any run")
         assert main(["report", str(out)]) == 3
         err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ReportError"
         assert "stray.txt" in err["error"]["message"]
 
 

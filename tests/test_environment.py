@@ -13,8 +13,6 @@ from brwre.environment import (
     build_environment,
     check_conditions,
     is_delta_aperiodic,
-    mean_offspring,
-    site_law,
     spec_from_dict,
     spec_to_dict,
 )
@@ -51,7 +49,7 @@ class TestSiteLaw:
 
     def test_mean_offspring(self):
         law = drift_law()
-        mu = mean_offspring(law)
+        mu = law.mean_offspring
         assert mu[(1,)] == pytest.approx(0.84, abs=1e-12)
         assert mu[(-1,)] == pytest.approx(0.21, abs=1e-12)
         assert law.mean_total == pytest.approx(1.05, abs=1e-12)
@@ -166,8 +164,8 @@ class TestFieldRealization:
         spec = iid_env([doubling_law(), drift_law()], [0.5, 0.5], 0).spec
         env = EnvironmentField.from_index_function(
             spec, lambda x: abs(x[0]) % 2)
-        assert site_law(env, (0,)) == doubling_law()
-        assert site_law(env, (3,)) == drift_law()
+        assert env.law_at((0,)) == doubling_law()
+        assert env.law_at((3,)) == drift_law()
 
 
 class TestAperiodicity:

@@ -1,10 +1,10 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from brwre.expectation import (
-    FactorizedEnv,
     LogMassField,
     SolverError,
     check_anderson_equation,
@@ -59,6 +59,23 @@ def brute_adjoint(env, target, n):
                 nxt[x] = s
         cur = nxt
     return cur
+
+
+def brute_anderson_residual(env, layers):
+    """Per-site loop form of the residual that check_anderson_equation takes."""
+    offs = env.spec.step_set.sorted_offsets()
+    worst = 0.0
+    for prev, cur in zip(layers, layers[1:]):
+        for x in product(*(range(l, h + 1) for l, h in zip(cur.lo, cur.hi))):
+            law = env.law_at(x)
+            r = law.mean_total
+            u_x = math.exp(prev.get(x))
+            u_next = math.exp(cur.get(x))
+            lap = sum(law.mean_offspring.get(y, 0.0) / r
+                      * (math.exp(prev.get(add(x, y))) - u_x) for y in offs)
+            resid = abs(u_next - u_x - r * lap - (r - 1.0) * u_x)
+            worst = max(worst, resid / max(1.0, abs(u_x), abs(u_next)))
+    return worst
 
 
 def cube_env(dependence=Dependence("iid")):
@@ -157,7 +174,7 @@ class TestHomogeneousClosedForms:
         env = homogeneous_env(mean2_law())
         n = 120
         fld = last(env, (0,), n)
-        assert fld.log_total() / n == pytest.approx(math.log(2.0), abs=1e-12)
+        assert expected_total(fld) / n == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_offset_start(self):
         env = homogeneous_env(doubling_law())
@@ -190,11 +207,6 @@ class TestLayerInvariants:
         assert layers[0].get((0,)) == 0.0
         assert layers[0].support_size() == 1
 
-    def test_expected_total_helper(self):
-        env = homogeneous_env(doubling_law())
-        fld = last(env, (0,), 10)
-        assert expected_total(fld) == fld.log_total()
-
 
 class TestRadiusCap:
     def test_horizon_exceeding_radius_raises(self):
@@ -222,29 +234,43 @@ class TestMemoryPreflight:
             list(iter_layers(cube_env(), (0, 0, 0), 10_000, adjoint=adjoint))
 
 
+def plane_env():
+    """d = 2 i.i.d. nearest-neighbour environment over two distinct laws."""
+    north = law_of(
+        ({(1, 0): 1}, 0.2), ({(-1, 0): 1}, 0.2),
+        ({(0, 1): 2}, 0.3), ({(0, -1): 1}, 0.3))
+    pair = law_of(
+        ({(1, 0): 1, (-1, 0): 1}, 0.4), ({(0, 1): 1}, 0.3),
+        ({(0, -1): 1}, 0.3))
+    return iid_env([north, pair], [0.5, 0.5], 23, dimension=2)
+
+
+# (environment, start, horizon) per dimension, each over two distinct laws
+ANDERSON_CASES = {
+    "d1-random": lambda: (random_env(np.random.default_rng(41)), (0,), 20),
+    "d1": lambda: (iid_env([drift_law(), doubling_law()], [0.5, 0.5], 99),
+                   (0,), 12),
+    "d2-iid": lambda: (plane_env(), (0, 0), 10),
+    "d3-window": lambda: (cube_env(Dependence("block_window", 1)),
+                          (1, -2, 0), 6),
+}
+
+
 class TestAndersonIdentity:
-    def test_adjoint_layers_satisfy_identity(self):
-        env = random_env(np.random.default_rng(41))
-        fenv = FactorizedEnv.from_environment(env)
-        layers = list(iter_layers(env, (0,), 20, adjoint=True))
-        assert check_anderson_equation(fenv, layers) <= 1e-10
+    @pytest.mark.parametrize("case", sorted(ANDERSON_CASES))
+    def test_adjoint_layers_satisfy_identity(self, case):
+        env, start, n = ANDERSON_CASES[case]()
+        layers = list(iter_layers(env, start, n, adjoint=True))
+        assert check_anderson_equation(env, layers) <= 1e-10
 
-    def test_forward_layers_violate_identity(self):
+    @pytest.mark.parametrize("case", sorted(ANDERSON_CASES))
+    def test_forward_layers_violate_identity(self, case):
         # two distinct laws: source-site coefficients break the site-local form
-        env = iid_env([drift_law(), doubling_law()], [0.5, 0.5], 99)
-        fenv = FactorizedEnv.from_environment(env)
-        fwd = list(iter_layers(env, (0,), 12))
-        adj = list(iter_layers(env, (0,), 12, adjoint=True))
-        assert check_anderson_equation(fenv, adj) <= 1e-10
-        assert check_anderson_equation(fenv, fwd) > 1e-3
-
-    def test_bad_factorization_raises(self):
-        env = homogeneous_env(drift_law())
-        fenv = FactorizedEnv(env, lambda x: 1.0,
-                             lambda x: {(1,): 0.5, (-1,): 0.5})
-        layers = list(iter_layers(env, (0,), 2, adjoint=True))
-        with pytest.raises(SolverError):
-            check_anderson_equation(fenv, layers)
+        env, start, n = ANDERSON_CASES[case]()
+        fwd = list(iter_layers(env, start, n))
+        resid = check_anderson_equation(env, fwd)
+        assert resid > 1e-3
+        assert resid == pytest.approx(brute_anderson_residual(env, fwd), rel=1e-9)
 
 
 class TestLayerDumps:

@@ -12,18 +12,15 @@ from brwre.montecarlo import (
     InducedWalkState,
     PopulationState,
     SamplerStats,
-    SeedSpec,
     SimulationError,
     estimate_return_probability,
     induced_kernel,
     induced_walk_step,
     realized_local_exponent,
-    restricted_run,
     run,
     sample_binomial,
     sample_induced_direct,
     sample_multinomial,
-    seed_scan,
     step_population,
 )
 from brwre.seeding import (
@@ -197,27 +194,6 @@ class TestPopulationDynamics:
         with pytest.raises(BitBudgetError):
             run(env, (0,), 40, np.random.default_rng(0), bit_budget=16)
 
-    def test_restricted_equals_free_until_region_binds(self):
-        env = random_env(np.random.default_rng(16))
-        free = run(env, (0,), 30, np.random.default_rng(7))
-        boxed = restricted_run(env, lambda x: abs(x[0]) <= 1000, (0,), 30,
-                               np.random.default_rng(7))
-        assert [st.counts for st in free] == [st.counts for st in boxed]
-
-    def test_restriction_can_extinguish(self):
-        env = homogeneous_env(doubling_law())
-        states = restricted_run(env, lambda x: x == (0,), (0,), 6,
-                                np.random.default_rng(0))
-        # every child lands at +-1 and is culled immediately
-        assert [st.total for st in states] == [1, 0, 0, 0, 0, 0, 0]
-        assert all(st.counts == {} for st in states[1:])
-
-    def test_restricted_run_validates_start(self):
-        env = homogeneous_env(doubling_law())
-        with pytest.raises(ValueError):
-            restricted_run(env, lambda x: x[0] > 5, (0,), 3,
-                           np.random.default_rng(0))
-
 
 class TestAgainstExpectation:
     def test_sample_mean_matches_solver(self):
@@ -338,36 +314,6 @@ class TestInducedWalk:
         assert len(state.forced_symbols) == 50
 
 
-class TestSeedScan:
-    def test_matches_hand_filter(self):
-        env = iid_env([doubling_law(), drift_law()], [0.5, 0.5], 31)
-        spec = SeedSpec(predicates={
-            (0,): lambda law: law.mean_total > 1.5,
-            (1,): lambda law: law.mean_total < 1.5,
-        })
-        got = seed_scan(env, spec, (-30,), (30,))
-        want = [(z,) for z in range(-30, 31)
-                if env.law_at((z,)).mean_total > 1.5
-                and env.law_at((z + 1,)).mean_total < 1.5]
-        assert got == want
-        assert got  # the scan box is wide enough to contain matches
-
-    def test_requires_origin_offset(self):
-        with pytest.raises(ValueError):
-            SeedSpec(predicates={(1,): lambda law: True})
-
-    def test_requires_consistent_dimension(self):
-        with pytest.raises(ValueError):
-            SeedSpec(predicates={(0,): lambda law: True,
-                                 (0, 1): lambda law: True})
-
-    def test_box_dimension_checked(self):
-        env = homogeneous_env(doubling_law())
-        spec = SeedSpec(predicates={(0,): lambda law: True})
-        with pytest.raises(ValueError):
-            seed_scan(env, spec, (0, 0), (1, 1))
-
-
 class TestReturnProbability:
     def test_doubling_returns_by_two_steps(self):
         env = homogeneous_env(doubling_law())
@@ -416,32 +362,40 @@ class TestRealizedExponent:
         run_b = states([{(0,): 1}, {(-1,): 1}, {(2,): 2}])
         return [run_a, run_b]
 
+    def _finals(self, n):
+        return [states[n] for states in self._fake_runs()]
+
     def test_mean_and_occupancy(self):
-        [stat] = realized_local_exponent(self._fake_runs(), [(2, (0,))])
+        [stat] = realized_local_exponent(self._finals(2), [(0,)])
+        assert stat.n == 2
         assert stat.samples == 1
         assert stat.occupancy == 0.5
         assert stat.mean == pytest.approx(math.log(4) / 2)
         assert stat.ci_low == stat.ci_high == stat.mean
 
     def test_never_occupied_gives_nan(self):
-        [stat] = realized_local_exponent(self._fake_runs(), [(2, (9,))])
+        [stat] = realized_local_exponent(self._finals(2), [(9,)])
         assert math.isnan(stat.mean)
         assert stat.occupancy == 0.0
         assert stat.samples == 0
 
     def test_generation_zero_counts_as_zero_rate(self):
-        [stat] = realized_local_exponent(self._fake_runs(), [(0, (0,))])
+        [stat] = realized_local_exponent(self._finals(0), [(0,)])
         assert stat.mean == 0.0
         assert stat.occupancy == 1.0
 
     def test_two_contributors_yield_interval(self):
-        runs = self._fake_runs()
-        [stat] = realized_local_exponent(runs, [(1, (1,))])
+        [stat] = realized_local_exponent(self._finals(1), [(1,)])
         assert stat.samples == 1
-        both = [runs[0], runs[0]]
-        [stat2] = realized_local_exponent(both, [(2, (0,))])
+        both = [self._fake_runs()[0][2]] * 2
+        [stat2] = realized_local_exponent(both, [(0,)])
         assert stat2.samples == 2
         assert stat2.ci_low == stat2.ci_high == stat2.mean  # zero variance
+
+    def test_mixed_generations_rejected(self):
+        run_a, run_b = self._fake_runs()
+        with pytest.raises(ValueError):
+            realized_local_exponent([run_a[2], run_b[1]], [(0,)])
 
 
 class TestStreamSeparation:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from brwre.shape import (
     iter_reachable,
     norm_estimate,
     passage_times,
-    reachable_exactly,
     shape_polytope,
 )
 
@@ -121,6 +121,28 @@ class TestBoundaryContact:
         assert passage_times(env, 0.1, 9).boundary_contact
 
 
+def open_law_3d():
+    return law_of(*[({y: 1}, 1.0 / 6.0)
+                    for y in [(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                              (0, -1, 0), (0, 0, 1), (0, 0, -1)]])
+
+
+class TestMemoryPreflight:
+    def test_oversized_box_raises_before_allocating(self):
+        # a (2 * 10**4 + 1)**3 box: the check must fire before law_index_grid
+        env = homogeneous_env(open_law_3d(), dimension=3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match="cell box"):
+                passage_times(env, 0.1, 10_000)
+            with pytest.raises(ShapeError, match="cell box"):
+                next(iter_reachable(env, 0.1, 10_000, (0, 0, 0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestReachableSets:
     def test_parity_alternates(self):
         env = homogeneous_env(open_law_1d())
@@ -133,7 +155,7 @@ class TestReachableSets:
         delta = env.conditions.epsilon0 / 2
         n = 8
         ptm = passage_times(env, delta, n * env.spec.step_set.l0_max)
-        rn = reachable_exactly(env, delta, n, (0,))
+        *_, rn = iter_reachable(env, delta, n, (0,))
         wn = set(ptm.reached(n))
         assert rn <= wn
 
