@@ -30,6 +30,8 @@ from .environment import (
     EnvironmentField,
     EnvironmentSpec,
     build_environment,
+    checked_int,
+    reject_unknown,
     spec_from_dict,
     spec_to_dict,
 )
@@ -45,7 +47,6 @@ from .growth import (
     GrowthError,
     beta_profile,
     classify_by_beta,
-    total_growth,
 )
 from .lattice import RationalVector
 from .montecarlo import (
@@ -64,7 +65,19 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_INCONCLUSIVE = 4
 
-COMMANDS = ("check", "solve", "shape", "beta", "classify", "simulate", "report")
+# the parameters each command accepts; README's per-command table lists
+# exactly these
+PARAMETERS: dict[str, tuple[str, ...]] = {
+    "check": (),
+    "solve": ("horizon", "start", "adjoint", "save"),
+    "shape": ("horizon", "delta_grid"),
+    "beta": ("horizon", "grid"),
+    "classify": ("tolerance",),
+    "simulate": ("horizon", "replicas", "start", "track_sites", "bit_budget",
+                 "return_probability"),
+    "report": (),
+}
+COMMANDS = tuple(PARAMETERS)
 
 class ConfigError(ValueError):
     pass
@@ -94,24 +107,11 @@ class ConfigDoc:
     parameters: dict
 
 
-def _reject_unknown(doc: Mapping, allowed: set[str], where: str) -> None:
-    extra = set(doc) - allowed
-    if extra:
-        raise ConfigError(f"unknown fields in {where}: {sorted(extra)}")
-
-
 def _as_int(doc: Mapping, key: str, where: str, *, lo: int | None = None,
-            hi: int | None = None, default: int | None = None) -> int | None:
+            default: int | None = None) -> int | None:
     if key not in doc or doc[key] is None:
         return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{where}.{key} must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{where}.{key} must be <= {hi}, got {v}")
-    return v
+    return checked_int(doc[key], f"{where}.{key}", ConfigError, lo=lo)
 
 
 def _as_site(value, dimension: int, where: str) -> list[int]:
@@ -160,15 +160,11 @@ def _parse_grid(value, dimension: int, where: str) -> list[list[str]]:
 def _validate_parameters(command: str, params: Mapping,
                          dimension: int | None) -> dict:
     """Check ranges and fill defaults; returns the canonical form."""
-    if not isinstance(params, Mapping):
-        raise ConfigError("parameters must be an object")
     w = f"parameters({command})"
-    if command == "check":
-        _reject_unknown(params, set(), w)
+    reject_unknown(params, PARAMETERS[command], w, ConfigError)
+    if not PARAMETERS[command]:
         return {}
     if command == "solve":
-        _reject_unknown(params, {"horizon", "start", "adjoint",
-                                 "max_radius", "save"}, w)
         horizon = _as_int(params, "horizon", w, lo=0)
         if horizon is None:
             raise ConfigError(f"{w}.horizon is required")
@@ -183,11 +179,9 @@ def _validate_parameters(command: str, params: Mapping,
             "horizon": horizon,
             "start": _as_site(start, dimension, f"{w}.start"),
             "adjoint": adjoint,
-            "max_radius": _as_int(params, "max_radius", w, lo=1),
             "save": save,
         }
     if command == "shape":
-        _reject_unknown(params, {"horizon", "delta_grid", "radius"}, w)
         horizon = _as_int(params, "horizon", w, lo=1)
         if horizon is None:
             raise ConfigError(f"{w}.horizon is required")
@@ -201,13 +195,8 @@ def _validate_parameters(command: str, params: Mapping,
             raise ConfigError(f"{w}.delta_grid values must lie in [0, 1)")
         if sorted(set(grid)) != grid:
             raise ConfigError(f"{w}.delta_grid must be strictly increasing")
-        return {
-            "horizon": horizon,
-            "delta_grid": grid,
-            "radius": _as_int(params, "radius", w, lo=1),
-        }
+        return {"horizon": horizon, "delta_grid": grid}
     if command == "beta":
-        _reject_unknown(params, {"horizon", "grid"}, w)
         horizon = _as_int(params, "horizon", w, lo=1)
         if horizon is None:
             raise ConfigError(f"{w}.horizon is required")
@@ -218,60 +207,50 @@ def _validate_parameters(command: str, params: Mapping,
             "grid": _parse_grid(params["grid"], dimension, f"{w}.grid"),
         }
     if command == "classify":
-        _reject_unknown(params, {"tolerance"}, w)
         tol = params.get("tolerance", 1e-6)
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
                 or not 0.0 < tol < 1.0:
             raise ConfigError(f"{w}.tolerance must be a number in (0, 1)")
         return {"tolerance": float(tol)}
-    if command == "simulate":
-        _reject_unknown(params, {"horizon", "replicas", "bit_budget",
-                                 "start", "track_sites",
-                                 "return_probability"}, w)
-        horizon = _as_int(params, "horizon", w, lo=1)
-        replicas = _as_int(params, "replicas", w, lo=1)
-        if horizon is None or replicas is None:
-            raise ConfigError(f"{w}.horizon and {w}.replicas are required")
-        start = _as_site(params.get("start", [0] * dimension), dimension,
-                         f"{w}.start")
-        track = params.get("track_sites", [start])
-        if not isinstance(track, list) or not track:
-            raise ConfigError(f"{w}.track_sites must be a nonempty list")
-        track = [_as_site(s, dimension, f"{w}.track_sites[{i}]")
-                 for i, s in enumerate(track)]
-        ret = params.get("return_probability")
-        if ret is not None:
-            _reject_unknown(ret, {"horizon", "replicas"},
-                            f"{w}.return_probability")
-            ret = {
-                "horizon": _as_int(ret, "horizon",
-                                   f"{w}.return_probability", lo=1),
-                "replicas": _as_int(ret, "replicas",
-                                    f"{w}.return_probability", lo=1),
-            }
-            if ret["horizon"] is None or ret["replicas"] is None:
-                raise ConfigError(
-                    f"{w}.return_probability needs horizon and replicas")
-        return {
-            "horizon": horizon,
-            "replicas": replicas,
-            "bit_budget": _as_int(params, "bit_budget", w, lo=16,
-                                  default=4096),
-            "start": start,
-            "track_sites": track,
-            "return_probability": ret,
+    # simulate
+    horizon = _as_int(params, "horizon", w, lo=1)
+    replicas = _as_int(params, "replicas", w, lo=1)
+    if horizon is None or replicas is None:
+        raise ConfigError(f"{w}.horizon and {w}.replicas are required")
+    start = _as_site(params.get("start", [0] * dimension), dimension,
+                     f"{w}.start")
+    track = params.get("track_sites", [start])
+    if not isinstance(track, list) or not track:
+        raise ConfigError(f"{w}.track_sites must be a nonempty list")
+    track = [_as_site(s, dimension, f"{w}.track_sites[{i}]")
+             for i, s in enumerate(track)]
+    ret = params.get("return_probability")
+    if ret is not None:
+        reject_unknown(ret, {"horizon", "replicas"},
+                       f"{w}.return_probability", ConfigError)
+        ret = {
+            "horizon": _as_int(ret, "horizon",
+                               f"{w}.return_probability", lo=1),
+            "replicas": _as_int(ret, "replicas",
+                                f"{w}.return_probability", lo=1),
         }
-    if command == "report":
-        _reject_unknown(params, set(), w)
-        return {}
-    raise ConfigError(f"unknown command {command!r}")
+        if ret["horizon"] is None or ret["replicas"] is None:
+            raise ConfigError(
+                f"{w}.return_probability needs horizon and replicas")
+    return {
+        "horizon": horizon,
+        "replicas": replicas,
+        "bit_budget": _as_int(params, "bit_budget", w, lo=16,
+                              default=4096),
+        "start": start,
+        "track_sites": track,
+        "return_probability": ret,
+    }
 
 
 def config_from_dict(doc: Mapping) -> ConfigDoc:
-    if not isinstance(doc, Mapping):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(doc, {"command", "output_dir", "environment", "seed",
-                          "parameters"}, "config")
+    reject_unknown(doc, {"command", "output_dir", "environment", "seed",
+                         "parameters"}, "config", ConfigError)
     command = doc.get("command")
     if command not in COMMANDS:
         raise ConfigError(
@@ -372,8 +351,7 @@ def _cmd_solve(env, cfg, outdir, seed):
     start = tuple(p["start"])
     rows = []
     last = None
-    for fld in iter_layers(env, start, p["horizon"], adjoint=p["adjoint"],
-                           max_radius=p["max_radius"]):
+    for fld in iter_layers(env, start, p["horizon"], adjoint=p["adjoint"]):
         log_total = expected_total(fld)
         rate = log_total / fld.n if fld.n > 0 else 0.0
         rows.append((fld.n, log_total, rate, fld.support_size()))
@@ -404,9 +382,9 @@ def _cmd_shape(env, cfg, outdir, seed):
     p = cfg.parameters
     d = env.spec.dimension
     n = p["horizon"]
-    # paths of length <= n stay inside the n*L0 ball, so the default
-    # radius makes the reached set exact; smaller overrides may truncate
-    radius = p["radius"] or n * env.spec.step_set.l0_max
+    # paths of length <= n stay inside the n*L0 ball: the smallest radius
+    # whose reached set is exact
+    radius = n * env.spec.step_set.l0_max
     artifacts, warnings = [], []
     summary = []
     polygons = []
@@ -419,10 +397,6 @@ def _cmd_shape(env, cfg, outdir, seed):
             for v in est.hull:
                 fh.write(",".join(repr(c) for c in v) + "\n")
         artifacts.append(name)
-        if ptm.boundary_contact and radius < n * env.spec.step_set.l0_max:
-            warnings.append(
-                f"delta={delta}: radius {radius} may truncate the "
-                f"horizon-{n} reachable set")
         summary.append({
             "delta": delta,
             "hull_csv": name,
@@ -491,7 +465,6 @@ def _cmd_beta(env, cfg, outdir, seed):
     grid = [RationalVector.from_fractions([Fraction(c) for c in entry])
             for entry in p["grid"]]
     profile = beta_profile(env, grid, p["horizon"])
-    growth = total_growth(env, p["horizon"], profile)
     artifacts, warnings = [], []
 
     with open(outdir / "profile.csv", "w", encoding="utf-8") as fh:
@@ -514,10 +487,10 @@ def _cmd_beta(env, cfg, outdir, seed):
 
     _write_json(outdir / "total_growth.json", {
         "horizon": p["horizon"],
-        "log_expected_total_over_n": growth.log_expected,
+        "log_expected_total_over_n": profile.total_rate,
         "sup_beta": profile.sup_beta,
-        "sup_beta_gap": growth.sup_beta_gap,
-        "sup_beta_positive": growth.sup_beta_positive,
+        "sup_beta_gap": profile.total_rate - profile.sup_beta,
+        "sup_beta_positive": profile.sup_beta > 0.0,
     })
     artifacts.append("total_growth.json")
 
@@ -638,55 +611,57 @@ def _cmd_simulate(env, cfg, outdir, seed):
 # ---------------------------------------------------------------------------
 # report
 
-_REQUIRED_FOR_REPORT = (
-    "condition_report.json",
-    "classify.json",
-    "profile.csv",
-    "beta_classifier.json",
-    "growth_trace.csv",
-)
-
-
 def _read_csv_rows(path: Path) -> list[dict[str, str]]:
     import csv
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
+def _read_json(path: Path):
+    """The parsed JSON document at `path`, or None when there is none."""
+    return json.loads(path.read_text()) if path.exists() else None
+
+
 def _report_text(outdir: Path) -> str:
+    """One section per artifact kind present in `outdir`."""
     lines = ["reachability and growth summary",
              "=" * 31, ""]
-    cond = json.loads((outdir / "condition_report.json").read_text())
-    lines.append("standing conditions")
-    for key in sorted(cond):
-        lines.append(f"  {key} = {cond[key]}")
-    lines.append("")
+    cond = _read_json(outdir / "condition_report.json")
+    if cond is not None:
+        lines.append("standing conditions")
+        for key in sorted(cond):
+            lines.append(f"  {key} = {cond[key]}")
+        lines.append("")
 
-    cls = json.loads((outdir / "classify.json").read_text())
-    bc = json.loads((outdir / "beta_classifier.json").read_text())
-    lines.append("recurrence verdicts")
-    lines.append(f"  convex criterion : {cls['verdict']} "
-                 f"(value={cls['value']:.6f}, t_star={cls['t_star']})")
-    lines.append(f"  beta classifier  : {bc['verdict']} "
-                 f"(beta_at_origin={bc['beta_at_origin']:.6f}, "
-                 f"horizon={bc['horizon']})")
-    lines.append("")
+    cls = _read_json(outdir / "classify.json")
+    bc = _read_json(outdir / "beta_classifier.json")
+    if cls is not None or bc is not None:
+        lines.append("recurrence verdicts")
+        if cls is not None:
+            lines.append(f"  convex criterion : {cls['verdict']} "
+                         f"(value={cls['value']:.6f}, t_star={cls['t_star']})")
+        if bc is not None:
+            lines.append(f"  beta classifier  : {bc['verdict']} "
+                         f"(beta_at_origin={bc['beta_at_origin']:.6f}, "
+                         f"horizon={bc['horizon']})")
+        lines.append("")
 
-    rows = _read_csv_rows(outdir / "profile.csv")
-    finite = [float(r["beta_hat"]) for r in rows if r["beta_hat"]]
-    lines.append("growth exponent profile")
-    lines.append(f"  grid points      : {len(rows)}")
-    lines.append(f"  finite estimates : {len(finite)}")
-    if finite:
-        lines.append(f"  sup beta_hat     : {max(finite):.6f}")
-        lines.append(f"  min beta_hat     : {min(finite):.6f}")
-    if (outdir / "b_hull.csv").exists():
-        hull = _read_csv_rows(outdir / "b_hull.csv")
-        lines.append(f"  B hull vertices  : {len(hull)}")
-    lines.append("")
+    if (outdir / "profile.csv").exists():
+        rows = _read_csv_rows(outdir / "profile.csv")
+        finite = [float(r["beta_hat"]) for r in rows if r["beta_hat"]]
+        lines.append("growth exponent profile")
+        lines.append(f"  grid points      : {len(rows)}")
+        lines.append(f"  finite estimates : {len(finite)}")
+        if finite:
+            lines.append(f"  sup beta_hat     : {max(finite):.6f}")
+            lines.append(f"  min beta_hat     : {min(finite):.6f}")
+        if (outdir / "b_hull.csv").exists():
+            hull = _read_csv_rows(outdir / "b_hull.csv")
+            lines.append(f"  B hull vertices  : {len(hull)}")
+        lines.append("")
 
-    if (outdir / "total_growth.json").exists():
-        tg = json.loads((outdir / "total_growth.json").read_text())
+    tg = _read_json(outdir / "total_growth.json")
+    if tg is not None:
         lines.append("total population growth")
         lines.append(f"  ln E Z_n / n     : "
                      f"{tg['log_expected_total_over_n']:.6f} "
@@ -694,15 +669,16 @@ def _report_text(outdir: Path) -> str:
         lines.append(f"  sup beta gap     : {tg['sup_beta_gap']:.6f}")
         lines.append("")
 
-    trace = _read_csv_rows(outdir / "growth_trace.csv")
-    lines.append("expected-total trace (last 5 layers)")
-    for r in trace[-5:]:
-        lines.append(f"  n={r['n']:>5}  ln E Z_n / n = "
-                     f"{float(r['log_total_over_n']):.6f}")
-    lines.append("")
+    if (outdir / "growth_trace.csv").exists():
+        trace = _read_csv_rows(outdir / "growth_trace.csv")
+        lines.append("expected-total trace (last 5 layers)")
+        for r in trace[-5:]:
+            lines.append(f"  n={r['n']:>5}  ln E Z_n / n = "
+                         f"{float(r['log_total_over_n']):.6f}")
+        lines.append("")
 
-    if (outdir / "passage_summary.json").exists():
-        ps = json.loads((outdir / "passage_summary.json").read_text())
+    ps = _read_json(outdir / "passage_summary.json")
+    if ps is not None:
         lines.append(f"reachable shape (horizon {ps['horizon']})")
         for entry in ps["deltas"]:
             flag = " boundary-contact" if entry["boundary_contact"] else ""
@@ -722,8 +698,8 @@ def _report_text(outdir: Path) -> str:
                 lines.append(f"  x={r['site']:<12} n={r['n']} never occupied")
         lines.append("")
 
-    if (outdir / "return_probability.json").exists():
-        rp = json.loads((outdir / "return_probability.json").read_text())
+    rp = _read_json(outdir / "return_probability.json")
+    if rp is not None:
         lines.append("return probability (lower bound)")
         lines.append(f"  site={rp['site']} horizon={rp['horizon']} "
                      f"estimate={rp['estimate']:.4f} "
@@ -735,17 +711,16 @@ def _report_text(outdir: Path) -> str:
 def _run_report(outdir: Path) -> tuple[list[str], list[str], int]:
     if not outdir.is_dir():
         raise ConfigError(f"output dir {outdir} does not exist")
-    man_path = outdir / _MANIFEST
-    missing = [name for name in _REQUIRED_FOR_REPORT
-               if not (outdir / name).exists()]
-    if not man_path.exists():
-        missing.insert(0, _MANIFEST)
+    if not (outdir / _MANIFEST).exists():
+        raise ReportError(f"missing artifact: {_MANIFEST}")
+    runs = _load_manifest(outdir).get("runs", {})
+    missing = sorted(name for cmd, entry in runs.items() if cmd != "report"
+                     for name in entry.get("artifacts", [])
+                     if not (outdir / name).exists())
     if missing:
-        raise ReportError(
-            "missing artifacts: " + ", ".join(sorted(missing)))
-    man = _load_manifest(outdir)
+        raise ReportError("missing artifacts: " + ", ".join(missing))
     known: set[str] = {_MANIFEST, "summary.txt"}
-    for entry in man.get("runs", {}).values():
+    for entry in runs.values():
         known.update(entry.get("artifacts", []))
     orphans = sorted(f.name for f in outdir.iterdir()
                      if f.is_file() and f.name not in known)
@@ -754,9 +729,11 @@ def _run_report(outdir: Path) -> tuple[list[str], list[str], int]:
             "artifacts missing from the manifest: " + ", ".join(orphans))
 
     artifacts = ["summary.txt"]
-    trace = _read_csv_rows(outdir / "growth_trace.csv")
-    pts = [(float(r["n"]), float(r["log_total_over_n"]))
-           for r in trace if int(r["n"]) > 0]
+    pts = []
+    if (outdir / "growth_trace.csv").exists():
+        pts = [(float(r["n"]), float(r["log_total_over_n"]))
+               for r in _read_csv_rows(outdir / "growth_trace.csv")
+               if int(r["n"]) > 0]
     if pts:
         _write_text(outdir / "growth_trace.svg", svgplot.render_curve(
             [("ln E Z_n / n", pts)], title="expected total growth",
@@ -783,14 +760,15 @@ _DISPATCH = {
 
 def _effective_seed(cfg: ConfigDoc, flag_seed: int | None) -> int:
     if flag_seed is not None:
-        return flag_seed
+        return checked_int(flag_seed, "--seed", ConfigError, lo=0)
     env_seed = os.environ.get("BRWRE_SEED")
     if env_seed is not None:
         try:
-            return int(env_seed)
+            seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(
                 f"BRWRE_SEED must be an integer, got {env_seed!r}") from exc
+        return checked_int(seed, "BRWRE_SEED", ConfigError, lo=0)
     if cfg.seed is not None:
         return cfg.seed
     if cfg.environment is not None:

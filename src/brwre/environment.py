@@ -471,48 +471,97 @@ def _parse_offset_key(key: str, dimension: int) -> Site:
     return offset
 
 
-def _require_keys(obj: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise EnvironmentError_(f"unknown fields in {where}: {sorted(unknown)}")
+def reject_unknown(doc: object, allowed: Iterable[str], where: str,
+                   error: type[Exception] = EnvironmentError_) -> None:
+    """Raise `error` unless `doc` is a mapping whose keys all lie in `allowed`."""
+    if not isinstance(doc, Mapping):
+        raise error(f"{where} must be an object, got {doc!r}")
+    extra = set(doc) - set(allowed)
+    if extra:
+        raise error(f"unknown fields in {where}: {sorted(extra)}")
+
+
+def checked_int(v: object, where: str, error: type[Exception] = EnvironmentError_,
+                lo: int | None = None) -> int:
+    """`v` itself if it is an int (bools and floats are not) and >= lo."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise error(f"{where} must be an integer, got {v!r}")
+    if lo is not None and v < lo:
+        raise error(f"{where} must be >= {lo}, got {v}")
+    return v
+
+
+def _number(v: object, where: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise EnvironmentError_(f"{where} must be a number, got {v!r}")
+    return float(v)
+
+
+def _field(doc: Mapping, key: str, where: str) -> object:
+    if key not in doc:
+        raise EnvironmentError_(f"missing field {where}.{key}")
+    return doc[key]
+
+
+def _list(v: object, where: str) -> list:
+    if not isinstance(v, list):
+        raise EnvironmentError_(f"{where} must be a list, got {v!r}")
+    return v
 
 
 def spec_from_dict(doc: Mapping) -> EnvironmentSpec:
-    _require_keys(
-        doc, {"dimension", "step_set", "laws", "weights", "dependence", "seed"}, "environment"
+    """Parse the JSON schema above, raising EnvironmentError_ on any defect."""
+    w = "environment"
+    reject_unknown(
+        doc, {"dimension", "step_set", "laws", "weights", "dependence", "seed"}, w
     )
+    dimension = checked_int(_field(doc, "dimension", w), f"{w}.dimension")
+    offsets = []
+    for i, y in enumerate(_list(_field(doc, "step_set", w), f"{w}.step_set")):
+        wy = f"{w}.step_set[{i}]"
+        offsets.append(tuple(checked_int(c, wy) for c in _list(y, wy)))
     try:
-        dimension = int(doc["dimension"])
-        step_set = StepSet(tuple(tuple(int(c) for c in y) for y in doc["step_set"]))
-        laws_doc = doc["laws"]
-        weights = tuple(float(w) for w in doc["weights"])
-        dep_doc = doc.get("dependence", {"mode": "iid"})
-        seed = int(doc.get("seed", 0))
-    except KeyError as exc:
-        raise EnvironmentError_(f"missing environment field {exc}") from exc
-    _require_keys(dep_doc, {"mode", "window_radius"}, "dependence")
-    dependence = Dependence(
-        str(dep_doc["mode"]), int(dep_doc.get("window_radius", 0))
+        step_set = StepSet(tuple(offsets))
+    except ValueError as exc:
+        raise EnvironmentError_(f"{w}.step_set: {exc}") from exc
+    weights = tuple(
+        _number(x, f"{w}.weights[{i}]")
+        for i, x in enumerate(_list(_field(doc, "weights", w), f"{w}.weights"))
     )
+    wd = f"{w}.dependence"
+    dep_doc = doc.get("dependence", {"mode": "iid"})
+    reject_unknown(dep_doc, {"mode", "window_radius"}, wd)
+    mode = _field(dep_doc, "mode", wd)
+    if not isinstance(mode, str):
+        raise EnvironmentError_(f"{wd}.mode must be a string, got {mode!r}")
+    radius = checked_int(dep_doc.get("window_radius", 0), f"{wd}.window_radius")
     laws = []
-    for i, law_doc in enumerate(laws_doc):
-        _require_keys(law_doc, {"atoms"}, f"laws[{i}]")
+    for i, law_doc in enumerate(_list(_field(doc, "laws", w), f"{w}.laws")):
+        wl = f"{w}.laws[{i}]"
+        reject_unknown(law_doc, {"atoms"}, wl)
         atoms = []
-        for j, atom_doc in enumerate(law_doc["atoms"]):
-            _require_keys(atom_doc, {"counts", "p"}, f"laws[{i}].atoms[{j}]")
+        atom_docs = _list(_field(law_doc, "atoms", wl), f"{wl}.atoms")
+        for j, atom_doc in enumerate(atom_docs):
+            wa = f"{wl}.atoms[{j}]"
+            reject_unknown(atom_doc, {"counts", "p"}, wa)
+            counts_doc = _field(atom_doc, "counts", wa)
+            if not isinstance(counts_doc, Mapping):
+                raise EnvironmentError_(
+                    f"{wa}.counts must be an object, got {counts_doc!r}")
             counts = {
-                _parse_offset_key(k, dimension): int(v)
-                for k, v in atom_doc["counts"].items()
+                _parse_offset_key(k, dimension): checked_int(v, f"{wa}.counts[{k!r}]")
+                for k, v in counts_doc.items()
             }
-            atoms.append((OffspringConfig.from_dict(counts), float(atom_doc["p"])))
+            p = _number(_field(atom_doc, "p", wa), f"{wa}.p")
+            atoms.append((OffspringConfig.from_dict(counts), p))
         laws.append(SiteLaw(tuple(atoms)))
     return EnvironmentSpec(
         dimension=dimension,
         step_set=step_set,
         law_support=tuple(laws),
         weights=weights,
-        dependence=dependence,
-        master_seed=seed,
+        dependence=Dependence(mode, radius),
+        master_seed=checked_int(doc.get("seed", 0), f"{w}.seed", lo=0),
     )
 
 

@@ -163,12 +163,12 @@ def iter_layers(
     start: Site,
     n: int,
     adjoint: bool = False,
-    max_radius: int | None = None,
 ) -> Iterator[LogMassField]:
     """Yield layers 0..n one at a time (constant memory in the horizon).
 
-    Raises SolverError, before any step, if the horizon's bounding box
-    exceeds max_radius or would not fit in physical memory.
+    Every layer lies in the bounding box of {start + n*y : y a step
+    offset}, so the horizon alone sizes the solve.  Raises SolverError,
+    before any step, if that box would not fit in physical memory.
     """
     if n < 0:
         raise SolverError("negative horizon")
@@ -182,10 +182,6 @@ def iter_layers(
     ends = [tuple(s + sign * n * y[i] for y in offs) for i, s in enumerate(start)]
     lo_full = tuple(min(e) for e in ends)
     hi_full = tuple(max(e) for e in ends)
-    if max_radius is not None:
-        reach = max(abs(c) for corner in (lo_full, hi_full) for c in corner)
-        if reach > max_radius:
-            raise SolverError(f"horizon {n} bounding box exceeds radius {max_radius}")
     check_box_memory(lo_full, hi_full, SolverError, f"horizon {n}")
     tables = _Tables(env, lo_full, hi_full, adjoint)
     for _ in range(n):
@@ -198,7 +194,6 @@ def solve(
     start: Site,
     n: int,
     adjoint: bool = False,
-    max_radius: int | None = None,
 ) -> list[LogMassField]:
     """All layers 0..n.
 
@@ -206,7 +201,7 @@ def solve(
     Adjoint: layer k at site x is log E_w eta_k^x(start), the fixed-target
     object evolved by the Anderson-equation dynamics.
     """
-    return list(iter_layers(env, start, n, adjoint, max_radius))
+    return list(iter_layers(env, start, n, adjoint))
 
 
 # --- Anderson-equation check -------------------------------------------------

@@ -9,11 +9,14 @@ sample is reported as the value and the whole sample path is kept so callers
 can inspect convergence; no Cesaro smoothing.
 
 The profile over a direction grid shares one DP pass to the largest needed
-horizon.  B = {a : beta(a) >= 0} is estimated from the grid by linear
-interpolation of the zero crossing between adjacent values, which is sound
-because beta is continuous and concave on the interior of its domain (the
-superadditivity of expected counts makes midpoints at least as large as
-averages; the set B is convex for exactly this reason).
+horizon max(k0)*n.  Because every k0 >= 2, that pass also passes layer n,
+where it reads the total growth rate log E Z_n / n (E Z_n = sum_x m_n(x)),
+so the profile carries both growth laws of the model.  B = {a : beta(a) >= 0}
+is estimated from the grid by linear interpolation of the zero crossing
+between adjacent values, which is sound because beta is continuous and
+concave on the interior of its domain (the superadditivity of expected
+counts makes midpoints at least as large as averages; the set B is convex
+for exactly this reason).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 from . import expectation
 from .environment import EnvironmentField
-from .expectation import NEG_INF, LogMassField
+from .expectation import NEG_INF
 from .lattice import RationalVector
 from .shape import convex_hull
 
@@ -50,9 +53,12 @@ class BetaEstimate:
 
 @dataclass(frozen=True)
 class BetaProfile:
+    """beta estimates over a grid, with total_rate = log E Z_n / n at layer n."""
+
     grid: tuple[tuple[RationalVector, BetaEstimate], ...]
     b_hull: tuple[tuple[float, ...], ...]
     sup_beta: float
+    total_rate: float
 
     def find(self, a: RationalVector) -> BetaEstimate:
         for g, est in self.grid:
@@ -61,46 +67,9 @@ class BetaProfile:
         raise GrowthError(f"direction {a} not on the profile grid")
 
 
-def _collect_estimates(
-    env: EnvironmentField,
-    directions: list[RationalVector],
-    n: int,
-) -> list[BetaEstimate]:
-    if n < 1:
-        raise GrowthError("need n >= 1")
-    if not directions:
-        raise GrowthError("empty direction grid")
-    d = env.spec.dimension
-    for a in directions:
-        if a.dimension != d:
-            raise GrowthError(f"direction {a} has wrong dimension")
-    k0s = [a.even_scale() for a in directions]
-    horizon = max(k0s) * n
-    samples: dict[int, list[tuple[int, float]]] = {i: [] for i in range(len(directions))}
-    # one shared DP pass; every direction reads its own sampling times
-    for layer in expectation.iter_layers(env, (0,) * d, horizon):
-        t = layer.n
-        if t == 0:
-            continue
-        for i, (a, k0) in enumerate(zip(directions, k0s)):
-            if t % k0 == 0:
-                j = t // k0
-                v = layer.get(a.site_at(t))
-                if v > NEG_INF:
-                    samples[i].append((j, v / t))
-    out = []
-    for i, (a, k0) in enumerate(zip(directions, k0s)):
-        ss = tuple(samples[i])
-        if ss:
-            out.append(BetaEstimate(a, k0, ss, ss[-1][1], False))
-        else:
-            out.append(BetaEstimate(a, k0, (), NEG_INF, True))
-    return out
-
-
 def beta_estimate(env: EnvironmentField, a: RationalVector, n: int) -> BetaEstimate:
     """Growth-exponent estimate for one direction (DP horizon k0*n)."""
-    return _collect_estimates(env, [a], n)[0]
+    return beta_profile(env, [a], n).grid[0][1]
 
 
 def _b_hull(
@@ -135,17 +104,43 @@ def beta_profile(
     directions: list[RationalVector],
     n: int,
 ) -> BetaProfile:
-    """Growth exponents over a direction grid from one shared DP pass."""
+    """Growth exponents over a direction grid and log E Z_n / n, one DP pass."""
     dirs = list(directions)
     if len(set(dirs)) != len(dirs):
         raise GrowthError("duplicate directions on the grid")
-    estimates = _collect_estimates(env, dirs, n)
+    if n < 1:
+        raise GrowthError("need n >= 1")
+    if not dirs:
+        raise GrowthError("empty direction grid")
+    d = env.spec.dimension
+    for a in dirs:
+        if a.dimension != d:
+            raise GrowthError(f"direction {a} has wrong dimension")
+    k0s = [a.even_scale() for a in dirs]
+    samples: list[list[tuple[int, float]]] = [[] for _ in dirs]
+    total_rate = NEG_INF
+    # every direction reads its own sampling times; k0 >= 2 puts layer n
+    # inside the pass
+    for layer in expectation.iter_layers(env, (0,) * d, max(k0s) * n):
+        t = layer.n
+        if t == n:
+            total_rate = expectation.expected_total(layer) / n
+        for ss, a, k0 in zip(samples, dirs, k0s):
+            if t > 0 and t % k0 == 0:
+                v = layer.get(a.site_at(t))
+                if v > NEG_INF:
+                    ss.append((t // k0, v / t))
+    estimates = [
+        BetaEstimate(a, k0, tuple(ss), ss[-1][1], False) if ss
+        else BetaEstimate(a, k0, (), NEG_INF, True)
+        for a, k0, ss in zip(dirs, k0s, samples)
+    ]
     finite = [e.value for e in estimates if not e.minus_infinity]
-    sup_beta = max(finite) if finite else NEG_INF
     return BetaProfile(
         grid=tuple(zip(dirs, estimates)),
         b_hull=_b_hull(dirs, estimates),
-        sup_beta=sup_beta,
+        sup_beta=max(finite) if finite else NEG_INF,
+        total_rate=total_rate,
     )
 
 
@@ -172,32 +167,13 @@ def classify_by_beta(profile: BetaProfile, tol: float = 0.01) -> str:
     return "inconclusive"
 
 
-@dataclass(frozen=True)
-class TotalGrowth:
-    log_expected: float
-    sup_beta_gap: float | None
-    sup_beta_positive: bool | None
-
-
-def total_growth(
-    env: EnvironmentField, n: int, profile: BetaProfile | None = None
-) -> TotalGrowth:
-    """Growth rate of the expected total population, log E Z_n / n.
-
-    With a profile, also reports the gap to sup beta over its grid and
-    whether that sup is positive (it must be, in the large-n limit, for any
-    environment with genuine branching)."""
+def total_growth(env: EnvironmentField, n: int) -> float:
+    """log E Z_n / n from a DP pass to n; `beta_profile` reports the same value."""
     if n < 1:
         raise GrowthError("need n >= 1")
-    layers = expectation.iter_layers(env, (0,) * env.spec.dimension, n)
-    last: LogMassField | None = None
-    for last in layers:
+    for last in expectation.iter_layers(env, (0,) * env.spec.dimension, n):
         pass
-    assert last is not None
-    rate = expectation.expected_total(last) / n
-    if profile is None:
-        return TotalGrowth(rate, None, None)
-    return TotalGrowth(rate, rate - profile.sup_beta, profile.sup_beta > 0.0)
+    return expectation.expected_total(last) / n
 
 
 def grid_1d(lo: Fraction, hi: Fraction, step: Fraction) -> list[RationalVector]:

@@ -182,12 +182,12 @@ def norm_estimate(
     delta: float,
     a: RationalVector,
     n_max: int,
-    radius: int | None = None,
 ) -> NormEstimate:
     """Finite-n proxy for the passage-time norm along the rational ray a.
 
     Samples T(0, k0*a*n) / (k0*n) for n = 1..n_max, with k0 the smallest
-    positive integer making k0*a integral; `value` is the largest-n finite
+    positive integer making k0*a integral, from one BFS over the l1 ball
+    reaching the ray's last sample point; `value` is the largest-n finite
     sample (math.inf if the ray is never reached inside the ball).
     """
     if a.is_zero():
@@ -195,14 +195,7 @@ def norm_estimate(
     if n_max < 1:
         raise ShapeError("need n_max >= 1")
     k0 = a.integer_scale()
-    need = int(math.ceil(float(k0 * n_max * a.l1())))
-    if radius is None:
-        radius = need
-    elif radius < need:
-        raise ShapeError(
-            f"ray endpoint at l1 distance {need} exits the computed radius {radius}"
-        )
-    ptm = passage_times(env, delta, radius)
+    ptm = passage_times(env, delta, int(math.ceil(float(k0 * n_max * a.l1()))))
     samples: list[tuple[int, float]] = []
     value = INF
     for j in range(1, n_max + 1):

@@ -43,6 +43,7 @@ from brwre.lattice import RationalVector, StepSet
 from brwre.montecarlo import (
     InducedWalkState,
     PopulationState,
+    SamplerStats,
     induced_kernel,
     induced_walk_step,
     run,
@@ -357,18 +358,22 @@ def test_criterion_10_total_growth():
                  ({(1,): 2, (-1,): 1}, 0.25), ({(-1,): 2, (1,): 1}, 0.25))
     env = homogeneous_env(law)
     n, replicas = 200, 200
+    stats = SamplerStats()
     t0 = time.perf_counter()
-    dp_err = abs(total_growth(env, n).log_expected - LN2)
+    dp_err = abs(total_growth(env, n) - LN2)
     hits = 0
     for i in range(replicas):
-        states = run(env, (0,), n, replica_rng(4242, i, PURPOSE_DYNAMICS))
+        states = run(env, (0,), n, replica_rng(4242, i, PURPOSE_DYNAMICS),
+                     stats=stats)
         if abs(math.log(states[-1].total) / n - LN2) <= 0.05:
             hits += 1
     dt = time.perf_counter() - t0
     ok = dp_err <= 1e-9 and hits >= 190 and dt <= 180.0
     _report(10, "total growth", ok,
             f"dp err {dp_err:.1e} (tol 1e-9), realized rate within 0.05 in "
-            f"{hits}/{replicas} replicas (need 190), {dt:.1f}s (budget 180s)")
+            f"{hits}/{replicas} replicas (need 190), sampler draws "
+            f"exact/normal/poisson {stats.exact_draws}/{stats.normal_draws}/"
+            f"{stats.poisson_draws}, {dt:.1f}s (budget 180s)")
 
 
 # --- 11: convexity of the growth profile ---------------------------------------

@@ -1,10 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from brwre import expectation
 from brwre.cli import (
     COMMANDS,
+    PARAMETERS,
     ConfigError,
     canonical_json,
     config_from_dict,
@@ -12,8 +15,9 @@ from brwre.cli import (
     load_config,
     main,
 )
-from brwre.environment import spec_to_dict
+from brwre.environment import build_environment, spec_from_dict, spec_to_dict
 from brwre.expectation import read_layer_binary, read_layer_csv
+from brwre.growth import total_growth
 
 from _support import (
     borderline_law,
@@ -113,15 +117,6 @@ class TestSolve:
         trace = (out / "growth_trace.csv").read_text().strip().splitlines()
         assert len(trace) == 1 + 6
 
-    def test_max_radius_failure_is_runtime_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfgp = write_config(tmp_path, "c.json",
-                            base_config("solve", out, horizon=30,
-                                        max_radius=3))
-        assert main(["solve", cfgp]) == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["code"] == 3
-
     def test_oversized_box_is_runtime_error(self, tmp_path, capsys):
         doc = {
             "command": "solve",
@@ -158,6 +153,38 @@ class TestBeta:
             base_config("beta", out, horizon=10, grid=[["1/2"], ["1"]]))
         assert main(["beta", cfgp]) == 0
         assert not (out / "beta_classifier.json").exists()
+
+    def test_single_dp_pass(self, tmp_path, monkeypatch):
+        calls = []
+        orig = expectation.iter_layers
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(expectation, "iter_layers", counting)
+        cfgp = write_config(
+            tmp_path, "c.json",
+            base_config("beta", tmp_path / "out", horizon=12,
+                        grid=[["0"], ["1/2"]]))
+        assert main(["beta", cfgp]) == 0
+        assert calls == [4 * 12]  # max k0 = 4 for a = 1/2
+
+    def test_total_growth_from_profile_pass(self, tmp_path):
+        out = tmp_path / "out"
+        n = 17
+        cfgp = write_config(
+            tmp_path, "c.json",
+            base_config("beta", out, horizon=n,
+                        grid=[["-1/2"], ["0"], ["1/3"]]))
+        assert main(["beta", cfgp]) == 0
+        tg = json.loads((out / "total_growth.json").read_text())
+        env = build_environment(spec_from_dict(env_doc()))
+        rate = total_growth(env, n)
+        assert tg["horizon"] == n
+        assert tg["log_expected_total_over_n"] == rate
+        assert tg["sup_beta_gap"] == rate - tg["sup_beta"]
+        assert tg["sup_beta_positive"] is (tg["sup_beta"] > 0.0)
 
     def test_borderline_environment_is_inconclusive(self, tmp_path):
         out = tmp_path / "out"
@@ -300,7 +327,33 @@ class TestReport:
         assert main(["report", str(out)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ReportError"
-        assert "condition_report.json" in err["error"]["message"]
+        assert "manifest.json" in err["error"]["message"]
+
+    def test_solve_then_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfgp = write_config(tmp_path, "c.json",
+                            base_config("solve", out, horizon=6))
+        assert main(["solve", cfgp]) == 0
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        text = (out / "summary.txt").read_text()
+        assert text == capsys.readouterr().out
+        assert "expected-total trace" in text
+        for absent in ("standing conditions", "recurrence verdicts",
+                       "growth exponent profile", "reachable shape"):
+            assert absent not in text
+        assert (out / "growth_trace.svg").exists()
+        assert manifest(out)["runs"]["report"]["artifacts"] == [
+            "summary.txt", "growth_trace.svg"]
+
+    def test_recorded_artifact_missing_exit_three(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._pipeline(tmp_path, out)
+        (out / "profile.csv").unlink()
+        assert main(["report", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ReportError"
+        assert err["error"]["message"] == "missing artifacts: profile.csv"
 
     def test_orphan_file_exit_three(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -312,7 +365,50 @@ class TestReport:
         assert "stray.txt" in err["error"]["message"]
 
 
+def _corrupted(path, value):
+    """A simulate config with the field at `path` set to `value`."""
+    doc = base_config("simulate", "unused", horizon=3, replicas=1,
+                      return_probability={"horizon": 2, "replicas": 2})
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+ATOM = ("environment", "laws", 0, "atoms", 0)
+
+
 class TestExitCodeTwo:
+    @pytest.mark.parametrize("path, value", [
+        (("environment",), 5),
+        (("environment", "laws"), 5),
+        (("environment", "step_set"), 5),
+        (ATOM + ("counts",), [1, 1]),
+        (("environment", "laws", 0), {}),
+        (("environment", "weights"), ["half", 0.5]),
+        (ATOM + ("p",), "one"),
+        (("environment", "dimension"), "1"),
+        (("environment", "dependence"),
+         {"mode": "block_window", "window_radius": "1"}),
+        (("parameters", "return_probability"), 5),
+        (ATOM + ("counts", "(1,)"), 1.5),
+        (("environment", "seed"), 1.5),
+        (("environment", "seed"), -1),
+    ], ids=["environment-int", "laws-int", "step_set-int", "counts-list",
+            "law-without-atoms", "weights-str", "p-str", "dimension-str",
+            "window_radius-str", "return_probability-int",
+            "child-count-float", "seed-float", "seed-negative"])
+    def test_malformed_document(self, tmp_path, capsys, path, value):
+        doc = _corrupted(path, value)
+        doc["output_dir"] = str(tmp_path / "out")
+        cfgp = write_config(tmp_path, "c.json", doc)
+        assert main(["simulate", cfgp]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == 2
+        assert err["error"]["type"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_config(self, capsys):
         assert main(["check", "/nonexistent/config.json"]) == 2
 
@@ -341,6 +437,17 @@ class TestExitCodeTwo:
         doc = base_config("check", tmp_path / "out")
         cfgp = write_config(tmp_path, "c.json", doc)
         assert main(["check", cfgp]) == 2
+
+    @pytest.mark.parametrize("flag, env_var", [("-1", None), (None, "-1")],
+                             ids=["flag", "env-var"])
+    def test_negative_seed(self, tmp_path, monkeypatch, flag, env_var):
+        if env_var is not None:
+            monkeypatch.setenv("BRWRE_SEED", env_var)
+        doc = base_config("simulate", tmp_path / "out", horizon=2,
+                          replicas=1)
+        cfgp = write_config(tmp_path, "c.json", doc)
+        args = ["simulate", cfgp] + (["--seed", flag] if flag else [])
+        assert main(args) == 2
 
     def test_bad_grid_rejected(self, tmp_path):
         doc = base_config("beta", tmp_path / "out", horizon=5,
@@ -397,18 +504,30 @@ class TestConfigRoundTrip:
             assert canonical_json(again) == canonical_json(cfg)
 
     def test_null_optionals_treated_as_absent(self, tmp_path):
-        doc = base_config("solve", tmp_path / "out", horizon=5)
+        doc = base_config("simulate", tmp_path / "out", horizon=5,
+                          replicas=2)
         doc["seed"] = None
-        doc["parameters"]["max_radius"] = None
+        doc["parameters"]["bit_budget"] = None
         cfg = config_from_dict(doc)
         assert cfg.seed is None
-        assert cfg.parameters["max_radius"] is None
+        assert cfg.parameters["bit_budget"] == 4096
 
-    def test_workers_is_an_unknown_field(self, tmp_path):
-        doc = base_config("solve", tmp_path / "out", horizon=5)
-        doc["workers"] = 2
+    # fields that existed once and are gone: a config still setting one
+    # must fail rather than be silently ignored
+    @pytest.mark.parametrize("command, params, extra", [
+        ("solve", {"horizon": 5}, {"workers": 2}),
+        ("solve", {"horizon": 5, "max_radius": 10}, {}),
+        ("shape", {"horizon": 4, "delta_grid": [0.1], "radius": 8}, {}),
+    ], ids=["workers", "max_radius", "radius"])
+    def test_removed_field_is_unknown(self, tmp_path, capsys, command,
+                                      params, extra):
+        doc = base_config(command, tmp_path / "out", **params)
+        doc.update(extra)
         cfgp = write_config(tmp_path, "c.json", doc)
-        assert main(["solve", cfgp]) == 2
+        assert main([command, cfgp]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "unknown fields" in err["error"]["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_top_level_key(self, tmp_path):
         doc = base_config("check", tmp_path / "out")
@@ -422,6 +541,16 @@ class TestConfigRoundTrip:
         cfg = load_config(cfgp)
         assert cfg.command == "check"
         assert config_to_dict(cfg)["environment"] == env_doc()
+
+    def test_readme_parameter_table_matches_cli(self):
+        # README's per-command table: `name` items separated by ", "
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = {
+            m[1]: {re.match(r"`(\w+)`", item)[1]
+                   for item in m[2].split(", ") if item.startswith("`")}
+            for m in re.finditer(r"^\| `(\w+)` +\| (.*) \|$", readme, re.M)
+        }
+        assert table == {cmd: set(names) for cmd, names in PARAMETERS.items()}
 
     def test_command_list_is_complete(self):
         assert set(COMMANDS) == {"check", "solve", "shape", "beta",

@@ -208,24 +208,6 @@ class TestLayerInvariants:
         assert layers[0].support_size() == 1
 
 
-class TestRadiusCap:
-    def test_horizon_exceeding_radius_raises(self):
-        env = random_env(np.random.default_rng(31))
-        l0 = env.spec.step_set.l0_max
-        with pytest.raises(SolverError):
-            list(iter_layers(env, (0,), 10, max_radius=10 * l0 - 1))
-
-    def test_exact_radius_is_enough(self):
-        env = random_env(np.random.default_rng(31))
-        l0 = env.spec.step_set.l0_max
-        fld = last(env, (0,), 10, max_radius=10 * l0)
-        assert fld.n == 10
-
-    def test_three_dimensional_horizon_exceeding_radius_raises(self):
-        with pytest.raises(SolverError, match="radius 3"):
-            list(iter_layers(cube_env(), (0, 0, 0), 6, max_radius=3))
-
-
 class TestMemoryPreflight:
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_oversized_box_raises_before_allocating(self, adjoint):

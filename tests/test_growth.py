@@ -181,21 +181,18 @@ class TestClassifier:
 class TestTotalGrowth:
     def test_doubling_rate_is_log_two(self):
         env = homogeneous_env(doubling_law())
-        tg = total_growth(env, 150)
-        assert tg.log_expected == pytest.approx(math.log(2.0), abs=1e-12)
-        assert tg.sup_beta_gap is None
-        assert tg.sup_beta_positive is None
+        assert total_growth(env, 150) == pytest.approx(math.log(2.0),
+                                                       abs=1e-12)
 
     def test_gap_against_profile(self):
         env = homogeneous_env(doubling_law())
         prof = beta_profile(env, grid_1d(Fraction(-1), Fraction(1),
                                          Fraction(1, 2)), 40)
-        tg = total_growth(env, 80, prof)
-        assert tg.sup_beta_positive is True
-        assert tg.sup_beta_gap == pytest.approx(
-            tg.log_expected - prof.sup_beta)
+        # the profile's pass reads layer 40 of the same DP
+        assert prof.total_rate == total_growth(env, 40)
+        assert prof.sup_beta > 0.0
         # the total grows at least as fast as any single ray
-        assert tg.sup_beta_gap > 0.0
+        assert prof.total_rate - prof.sup_beta > 0.0
 
     def test_horizon_validation(self):
         env = homogeneous_env(doubling_law())

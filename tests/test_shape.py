@@ -188,12 +188,6 @@ class TestNormEstimate:
         assert est.value == math.inf
         assert est.samples == ()
 
-    def test_radius_override_too_small(self):
-        env = homogeneous_env(open_law_1d())
-        with pytest.raises(ShapeError):
-            norm_estimate(env, 0.1, RationalVector.from_fractions(["1"]), 10,
-                          radius=3)
-
     def test_zero_direction_rejected(self):
         env = homogeneous_env(open_law_1d())
         with pytest.raises(ShapeError):
