@@ -39,6 +39,9 @@ PROB_TOL = 1e-12
 # about 72 B i.i.d.  The law-index mesh and the hash temporaries dominate.
 BYTES_PER_BOX_CELL = 96
 
+# Most sites `EnvironmentField.law_index` remembers; the oldest goes first.
+_INDEX_MEMO_SIZE = 1 << 14
+
 
 class EnvironmentError_(ValueError):
     """Invalid environment specification or query."""
@@ -239,10 +242,11 @@ class EnvironmentField:
     """Lazily evaluated environment: pure map Site -> SiteLaw.
 
     The map is deterministic, but the object is not immutable: `law_index`
-    memoizes every distinct site it is asked about in `_index_memo`, which
-    is never evicted, so it grows with the number of sites visited.
-    `law_index_grid` is the vectorized evaluation over a box, agrees bitwise
-    with per-site calls, and fills no memo.
+    memoizes the sites it is asked about in `_index_memo`, at most
+    `_INDEX_MEMO_SIZE` of them, evicting the oldest first.  Its callers are
+    per-site ones (the induced walk, tests); the DP, the BFS and population
+    steps use `law_index_grid`, the vectorized evaluation over a box, which
+    agrees bitwise with per-site calls and fills no memo.
     """
 
     spec: EnvironmentSpec
@@ -285,9 +289,10 @@ class EnvironmentField:
         x = tuple(x)
         if self._override is not None:
             return self._override(x)
-        # memoized: the field is a pure function of the site, and simulation
-        # revisits the same sites every generation
-        hit = self._index_memo.get(x)
+        # memoized: the field is a pure function of the site, and a walk
+        # revisits the same sites
+        memo = self._index_memo
+        hit = memo.get(x)
         if hit is not None:
             return hit
         us = [
@@ -299,7 +304,9 @@ class EnvironmentField:
             idx = int(np.searchsorted(self._cum_weights, us[0], side="right"))
         else:
             idx = _select_law_index(us, self._cum_weights)
-        self._index_memo[x] = idx
+        if len(memo) >= _INDEX_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[x] = idx
         return idx
 
     def law_at(self, x: Site) -> SiteLaw:

@@ -1,27 +1,35 @@
 """Quenched Monte Carlo: population runs, induced walk, return probability.
 
 Populations are evolved in aggregated form: the per-site particle count is a
-Python integer and every site resolves all of its particles with a single
-multinomial draw over the local offspring law.  This keeps the cost per step
-proportional to the number of occupied sites rather than the number of
-particles.  Draws with a count below 2**62 are exact in distribution with
-respect to per-particle sampling.  Above 2**62 a binomial is approximated:
-by a normal when its variance npq exceeds 1e6 (Berry-Esseen bounds the CDF
-error by C/sqrt(npq)), by a Poisson otherwise.  `SamplerStats` counts the
-draws of each path.
+Python integer and each site resolves all of its particles with one
+multinomial draw over its offspring law, so the cost per step follows the
+number of occupied sites, not of particles.  A generation is drawn over
+arrays: one `law_index_grid` call gives the laws of all occupied sites,
+each law draws its sites below 2**62 with one exact `rng.multinomial`
+call, and the sites at or above 2**62, of all laws together, split into
+conditional binomials, one batched draw per atom.  Draws with a count
+below 2**62 are exact in distribution with respect to per-particle
+sampling.  Above 2**62 a binomial is approximated: by a normal when its
+variance npq exceeds 1e6 (Berry-Esseen bounds the CDF error by
+C/sqrt(npq)), by a Poisson otherwise; means and standard deviations are
+exact integers.  `SamplerStats` counts the draws of each path: one per
+exact multinomial row, one per conditional binomial.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .environment import EnvironmentField
+from .environment import EnvironmentField, check_box_memory
 from .lattice import Site, add, unit_vectors
 from .seeding import PURPOSE_RETURN_PROBE, replica_rng
 
@@ -32,7 +40,7 @@ _EXACT_LIMIT = 1 << 62
 
 # The normal approximation to Binomial(n, q) is used only when the variance
 # n*q*(1-q) exceeds this; below it the small side is Poisson-approximated.
-_NORMAL_VARIANCE_GATE = 1.0e6
+_NORMAL_VARIANCE_GATE = 10**6
 
 
 class SimulationError(RuntimeError):
@@ -63,13 +71,103 @@ class SamplerStats:
 def _q_decomposition(q: float) -> tuple[int, int, int, int]:
     """Exact integer pieces of q reused across draws at the same probability.
 
-    Returns (num, den, c, shift) with q = num/den exactly and
-    q(1-q) = c * 2**-shift up to one float rounding; frexp keeps isqrt on
-    integers at any magnitude of q.
+    Returns (num, k, c, shift) with q = num * 2**-k exactly (a float's
+    denominator is a power of two) and q(1-q) = c * 2**-shift up to one
+    float rounding; frexp keeps isqrt on integers at any magnitude of q.
+    q(1-q) <= 1/4, so shift >= 55.
     """
     qf = Fraction(q)
     m, e = math.frexp(q * (1.0 - q))
-    return qf.numerator, qf.denominator, int(m * (1 << 53)), 53 - e
+    return (qf.numerator, qf.denominator.bit_length() - 1,
+            int(m * (1 << 53)), 53 - e)
+
+
+_isqrt = np.frompyfunc(math.isqrt, 1, 1)
+
+
+def _binomials(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
+               stats: SamplerStats) -> np.ndarray:
+    """Binomial(n_i, p_i) for an object array n of Python ints, p in [0, 1].
+
+    Entries with 0 < n < 2**62 and 0 < p < 1 share one exact
+    `rng.binomial` call.  Above 2**62 the small side q = min(p, 1-p) takes
+    one normal variate per entry when the variance n*q*(1-q), computed as
+    an exact integer, exceeds the gate, and one Poisson variate otherwise.
+    Means, variances and square roots stay exact integers; floats enter
+    only through q and the variate.
+    """
+    out = np.zeros(len(n), dtype=object)
+    sure = p == 1.0
+    out[sure] = n[sure]
+    draw = (p > 0.0) & ~sure
+    small = draw & (n < _EXACT_LIMIT)
+    if small.any():
+        ns = n[small].astype(np.int64)
+        out[small] = rng.binomial(ns, p[small])
+        stats.exact_draws += int(np.count_nonzero(ns))
+    big = draw & ~small
+    if not big.any():
+        return out
+    nb, pb = n[big], p[big]
+    flipped = pb > 0.5
+    uq, inv = np.unique(np.where(flipped, 1.0 - pb, pb), return_inverse=True)
+    num, k, c, shift = np.array(
+        [_q_decomposition(q) for q in uq.tolist()], dtype=object)[inv].T
+    var = (nb * c) >> shift
+    normal = var > _NORMAL_VARIANCE_GATE
+    kb = np.empty(len(nb), dtype=object)
+    if normal.any():
+        mean = (nb[normal] * num[normal]) >> k[normal]
+        z = rng.standard_normal(len(mean)) * float(1 << 53)
+        delta = (z.astype(np.int64).astype(object) * _isqrt(var[normal])) >> 53
+        kb[normal] = mean + delta
+        stats.normal_draws += len(mean)
+    if not normal.all():
+        # small-variance side: n*q is at most ~2e6 here, safe as a float
+        poisson = ~normal
+        lam = [float(Fraction(x * a, 1 << b)) for x, a, b in
+               zip(nb[poisson], num[poisson], k[poisson])]
+        kb[poisson] = rng.poisson(lam)
+        stats.poisson_draws += len(lam)
+    kb = np.minimum(np.maximum(kb, 0), nb)
+    kb[flipped] = nb[flipped] - kb[flipped]
+    out[big] = kb
+    return out
+
+
+def _exact_multinomials(rng: np.random.Generator, n: np.ndarray,
+                        probs: np.ndarray, stats: SamplerStats) -> np.ndarray:
+    """Multinomial(n_i, probs) for counts below 2**62: (rows, atoms) int64.
+
+    One `rng.multinomial` call; a one-atom law draws nothing.
+    """
+    if len(probs) == 1:
+        return n[:, None].astype(np.int64)
+    stats.exact_draws += len(n)
+    return rng.multinomial(n.astype(np.int64), probs)
+
+
+def _conditional_chain(rng: np.random.Generator, n: np.ndarray,
+                       probs: np.ndarray, stats: SamplerStats) -> np.ndarray:
+    """Multinomial(n_i, probs_i) for any counts, by conditional binomials.
+
+    `probs` holds one row of atom probabilities per count; rows of laws
+    with fewer atoms are padded with leading zeros, which draw nothing.
+    Atom j takes Binomial(remaining, p_j / mass left) for every row in one
+    `_binomials` call; the last atom takes the remainder.  Returns a
+    (rows, atoms) object array of Python ints.
+    """
+    out = np.zeros(probs.shape, dtype=object)
+    remaining = n.astype(object)
+    mass_left = np.ones(len(n))
+    for j in range(probs.shape[1] - 1):
+        cond = np.zeros(len(n))
+        np.divide(probs[:, j], mass_left, out=cond, where=mass_left > 0.0)
+        out[:, j] = _binomials(rng, remaining, np.clip(cond, 0.0, 1.0), stats)
+        remaining = remaining - out[:, j]
+        mass_left = mass_left - probs[:, j]
+    out[:, -1] = remaining
+    return out
 
 
 def sample_binomial(rng: np.random.Generator, n: int, p: float,
@@ -78,45 +176,16 @@ def sample_binomial(rng: np.random.Generator, n: int, p: float,
 
     Below 2**62 the draw is numpy's exact sampler.  Above it, the small
     side q = min(p, 1-p) is approximated: by a normal when the variance
-    n*q*(1-q) is large, by a Poisson of mean n*q otherwise.  All integer
-    arithmetic stays exact; floats only enter through q and the standard
-    normal variate.
+    n*q*(1-q) is large, by a Poisson of mean n*q otherwise.  This is the
+    one-entry case of the batched sampler `_binomials`.
     """
     if n < 0:
         raise ValueError("binomial count must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binomial probability {p} outside [0, 1]")
-    if n == 0 or p == 0.0:
-        return 0
-    if p == 1.0:
-        return n
-    if n < _EXACT_LIMIT:
-        if stats is not None:
-            stats.exact_draws += 1
-        return int(rng.binomial(n, p))
-
-    flipped = p > 0.5
-    q = 1.0 - p if flipped else p
-    # log-space gate: n can exceed float range, math.log takes big ints.
-    log_var = math.log(n) + math.log(q) + math.log1p(-q)
-    num, den, c, shift = _q_decomposition(q)
-    if log_var > math.log(_NORMAL_VARIANCE_GATE):
-        mean = (n * num) // den
-        nv = (n * c) >> shift if shift >= 0 else (n * c) << -shift
-        sd = math.isqrt(nv)
-        z = float(rng.standard_normal())
-        delta = (int(z * (1 << 53)) * sd) >> 53
-        k = mean + delta
-        if stats is not None:
-            stats.normal_draws += 1
-    else:
-        # small-variance side: n*q is at most ~2e6 here, safe as a float
-        lam = float(Fraction(n * num, den))
-        k = int(rng.poisson(lam))
-        if stats is not None:
-            stats.poisson_draws += 1
-    k = max(0, min(n, k))
-    return n - k if flipped else k
+    k = _binomials(rng, np.array([n], dtype=object), np.array([p]),
+                   stats if stats is not None else SamplerStats())
+    return int(k[0])
 
 
 def sample_multinomial(rng: np.random.Generator, n: int,
@@ -124,29 +193,16 @@ def sample_multinomial(rng: np.random.Generator, n: int,
                        stats: SamplerStats | None = None) -> list[int]:
     """Draw from Multinomial(n, probs), exact for n below 2**62.
 
-    Larger counts are decomposed into conditional binomials, each handled
-    by sample_binomial.
+    Larger counts are decomposed into conditional binomials.  This is the
+    one-row case of the batched samplers `step_population` uses.
     """
-    if len(probs) == 1:
-        return [n]
+    stats = stats if stats is not None else SamplerStats()
     if n < _EXACT_LIMIT:
-        if stats is not None:
-            stats.exact_draws += 1
-        return [int(c) for c in rng.multinomial(n, probs)]
-    counts: list[int] = []
-    remaining = n
-    mass_left = 1.0
-    for p in probs[:-1]:
-        if remaining == 0 or mass_left <= 0.0:
-            counts.append(0)
-            continue
-        cond = min(1.0, max(0.0, float(p) / mass_left))
-        k = sample_binomial(rng, remaining, cond, stats)
-        counts.append(k)
-        remaining -= k
-        mass_left -= float(p)
-    counts.append(remaining)
-    return counts
+        row = _exact_multinomials(rng, np.array([n]), probs, stats)[0]
+    else:
+        row = _conditional_chain(rng, np.array([n], dtype=object),
+                                 np.asarray(probs)[None, :], stats)[0]
+    return [int(c) for c in row]
 
 
 @dataclass(frozen=True)
@@ -168,34 +224,118 @@ class PopulationState:
         return sum(1 for c in self.counts.values() if c > 0)
 
 
+class _Tables:
+    """Per-environment sampler tables, built on first use.
+
+    Atom rows are padded with leading zeros to the largest atom count A:
+    `probs` is (laws, A) and `children` (laws, A, offsets) holds the child
+    count of each atom at each offset of the sorted step set.  `walk_rows`
+    holds the induced-walk tables of each law index the walk has stood on.
+    """
+
+    def __init__(self, env: EnvironmentField):
+        spec = env.spec
+        offsets = spec.step_set.sorted_offsets()
+        column = {y: j for j, y in enumerate(offsets)}
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.step_lo = self.offsets.min(axis=0)
+        self.step_hi = self.offsets.max(axis=0)
+        laws = spec.law_support
+        self.atoms = max(len(law.atoms) for law in laws)
+        self.probs = np.zeros((len(laws), self.atoms))
+        self.children = np.zeros((len(laws), self.atoms, len(offsets)),
+                                 dtype=np.int64)
+        for i, law in enumerate(laws):
+            pad = self.atoms - len(law.atoms)
+            self.probs[i, pad:] = law.atom_probs
+            for a, (cfg, _) in enumerate(law.atoms):
+                for y, c in cfg.counts:
+                    self.children[i, pad + a, column[y]] = c
+        self.max_children = int(self.children.sum(axis=2).max())
+        d = spec.dimension
+        self.units = unit_vectors(d)
+        self.eps_hat = env.conditions.epsilon0 / len(offsets)
+        self.forced_mass = 2 * d * self.eps_hat
+        self.walk_rows: dict[int, _WalkRow] = {}
+
+
+_TABLES: "weakref.WeakKeyDictionary[EnvironmentField, _Tables]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _tables(env: EnvironmentField) -> _Tables:
+    t = _TABLES.get(env)
+    if t is None:
+        t = _TABLES[env] = _Tables(env)
+    return t
+
+
 def step_population(env: EnvironmentField, state: PopulationState,
                     rng: np.random.Generator, *,
                     bit_budget: int = DEFAULT_BIT_BUDGET,
                     stats: SamplerStats | None = None) -> PopulationState:
     """Advance the population one generation under the quenched environment.
 
-    Sites are visited in sorted order so a fixed generator state yields a
-    fixed next state.
+    The occupied sites become a coordinate array and their laws are read
+    with one `law_index_grid` call over their bounding box.  Each law
+    draws all of its sites below 2**62 with one `rng.multinomial` call;
+    the sites at or above 2**62, of every law together, run one batched
+    conditional-binomial chain.  Children are added into a box over the
+    next generation's bounding box, one shifted add per step offset.
+    Counts stay Python ints; the arithmetic runs in int64 while no count
+    can reach 2**63.  Laws draw in index order and sites in lexicographic
+    order, so a fixed generator state yields a fixed next state.
     """
-    new_counts: dict[Site, int] = {}
-    for x in sorted(state.counts):
-        n_here = state.counts[x]
-        if n_here <= 0:
-            continue
-        law = env.law_at(x)
-        per_atom = sample_multinomial(rng, n_here, law.atom_probs, stats)
-        for (cfg, _), c in zip(law.atoms, per_atom):
-            if c == 0:
-                continue
-            for y, v_y in cfg.counts:
-                z = add(x, y)
-                new_counts[z] = new_counts.get(z, 0) + c * v_y
-    total = sum(new_counts.values())
+    stats = stats if stats is not None else SamplerStats()
+    tables = _tables(env)
+    occupied = [(x, c) for x, c in state.counts.items() if c > 0]
+    if not occupied:
+        return PopulationState(n=state.n + 1, counts={}, total=0)
+    sites, counts = zip(*occupied)
+    wide = sum(counts) * tables.max_children >= 1 << 63
+    dtype = object if wide else np.int64
+    coords = np.array(sites, dtype=np.int64)
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    new_lo, new_hi = lo + tables.step_lo, hi + tables.step_hi
+    check_box_memory(tuple(new_lo.tolist()), tuple(new_hi.tolist()),
+                     SimulationError, f"generation {state.n + 1}")
+    occ = np.ravel_multi_index((coords - lo).T, hi - lo + 1)
+    order = np.argsort(occ)
+    coords, n = coords[order], np.array(counts, dtype=dtype)[order]
+    laws = env.law_index_grid(tuple(lo.tolist()),
+                              tuple(hi.tolist())).ravel()[occ[order]]
+
+    draws = np.zeros((len(n), tables.atoms), dtype=dtype)
+    exact = n < _EXACT_LIMIT
+    by_law = np.argsort(laws, kind="stable")
+    for rows in np.split(by_law, np.flatnonzero(np.diff(laws[by_law])) + 1):
+        rows = rows[exact[rows]]
+        if len(rows):
+            law = env.spec.law_support[laws[rows[0]]]
+            draws[rows, tables.atoms - len(law.atoms):] = _exact_multinomials(
+                rng, n[rows], law.atom_probs, stats)
+    if not exact.all():
+        draws[~exact] = _conditional_chain(
+            rng, n[~exact], tables.probs[laws[~exact]], stats)
+    children = (draws[:, :, None] * tables.children[laws]).sum(axis=1)
+
+    new_shape = new_hi - new_lo + 1
+    box = np.zeros(int(new_shape.prod()), dtype=dtype)
+    for j, y in enumerate(tables.offsets):
+        box[np.ravel_multi_index((coords + y - new_lo).T, new_shape)] += \
+            children[:, j]
+    nz = np.flatnonzero(box)
+    values = box[nz].tolist()
+    new_sites = np.stack(np.unravel_index(nz, new_shape), axis=1) + new_lo
+    total = sum(values)
     if total.bit_length() > bit_budget:
         raise BitBudgetError(
             f"population needs {total.bit_length()} bits at generation "
             f"{state.n + 1}, budget is {bit_budget}")
-    return PopulationState(n=state.n + 1, counts=new_counts, total=total)
+    return PopulationState(
+        n=state.n + 1,
+        counts=dict(zip(map(tuple, new_sites.tolist()), values)),
+        total=total)
 
 
 def run(env: EnvironmentField, start: Site, n: int,
@@ -282,6 +422,45 @@ def induced_kernel(env: EnvironmentField, x: Site) -> dict[Site, float]:
     return row
 
 
+@dataclass(frozen=True)
+class _WalkRow:
+    """Induced-walk tables of one law: running sums of the kernel row and
+    of the residual row left after the forced unit steps."""
+
+    offsets: list[Site]
+    cum: list[float]
+    residual_cum: list[float]
+    residual_total: float
+    residual_error: str | None
+
+    @classmethod
+    def build(cls, row: dict[Site, float], units: list[Site],
+              eps_hat: float) -> "_WalkRow":
+        offsets = sorted(row)
+        probs, error = [], None
+        for y in offsets:
+            p = row[y] - eps_hat if y in units else row[y]
+            if p < -1e-9 and error is None:
+                error = f"residual kernel negative at offset {y}: {p}"
+            probs.append(max(0.0, p))
+        return cls(offsets, list(accumulate(row[y] for y in offsets)),
+                   list(accumulate(probs)), sum(probs), error)
+
+    def pick(self, cum: list[float], u: float) -> Site:
+        """The first offset whose running sum exceeds u, else the last."""
+        return self.offsets[min(bisect_right(cum, u), len(self.offsets) - 1)]
+
+
+def _walk_row(env: EnvironmentField, x: Site) -> _WalkRow:
+    t = _tables(env)
+    i = env.law_index(x)
+    row = t.walk_rows.get(i)
+    if row is None:
+        row = t.walk_rows[i] = _WalkRow.build(induced_kernel(env, x),
+                                              t.units, t.eps_hat)
+    return row
+
+
 @dataclass
 class InducedWalkState:
     """Mutable trace of an induced walk: position plus forcing history."""
@@ -304,41 +483,25 @@ def induced_walk_step(env: EnvironmentField, state: InducedWalkState,
     is a forced unit step whose symbol j in 1..2d follows the unit vector
     ordering +e1, -e1, +e2, ...; otherwise the move is drawn from the
     residual kernel.  The mixture reproduces the induced kernel exactly.
+    The kernel and residual rows are built once per law index.
     """
-    report = env.conditions
-    if not report.holds_UE:
+    if not env.conditions.holds_UE:
         raise SimulationError("forcing decomposition needs a uniformly "
                               "elliptic environment")
-    d = env.spec.step_set.dimension
-    units = unit_vectors(d)
-    eps_hat = report.epsilon0 / len(env.spec.step_set.offsets)
-    forced_mass = 2 * d * eps_hat
-
+    t = _tables(env)
     x = state.position
     u = float(rng.random())
-    if u < forced_mass or forced_mass >= 1.0:
-        j = min(int(u / eps_hat), 2 * d - 1)
-        step = units[j]
+    if u < t.forced_mass or t.forced_mass >= 1.0:
+        j = min(int(u / t.eps_hat), len(t.units) - 1)
+        step = t.units[j]
         state.forced_flags.append(True)
         state.forced_symbols.append(j + 1)
     else:
-        row = induced_kernel(env, x)
-        offsets = sorted(row)
-        probs = []
-        for y in offsets:
-            p = row[y] - eps_hat if y in units else row[y]
-            if p < -1e-9:
-                raise SimulationError(
-                    f"residual kernel negative at offset {y}: {p}")
-            probs.append(max(0.0, p))
-        u2 = float(rng.random()) * sum(probs)
-        step = offsets[-1]
-        acc = 0.0
-        for y, p in zip(offsets, probs):
-            acc += p
-            if u2 < acc:
-                step = y
-                break
+        row = _walk_row(env, x)
+        if row.residual_error is not None:
+            raise SimulationError(row.residual_error)
+        u2 = float(rng.random()) * row.residual_total
+        step = row.pick(row.residual_cum, u2)
         state.forced_flags.append(False)
         state.forced_symbols.append(0)
     state.position = add(x, step)
@@ -353,15 +516,8 @@ def sample_induced_direct(env: EnvironmentField, x: Site,
     Reference sampler for agreement tests against the forcing
     decomposition in induced_walk_step.
     """
-    row = induced_kernel(env, x)
-    offsets = sorted(row)
-    u = float(rng.random())
-    acc = 0.0
-    for y in offsets:
-        acc += row[y]
-        if u < acc:
-            return y
-    return offsets[-1]
+    row = _walk_row(env, x)
+    return row.pick(row.cum, float(rng.random()))
 
 
 @dataclass(frozen=True)

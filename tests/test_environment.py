@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from brwre import environment
 from brwre.environment import (
     Dependence,
     EnvironmentError_,
@@ -153,6 +154,19 @@ class TestFieldRealization:
         for i, x in enumerate(range(-5, 6)):
             for j, y in enumerate(range(-5, 6)):
                 assert env.law_index((x, y)) == grid[i, j]
+
+    def test_index_memo_is_bounded(self):
+        env = iid_env([doubling_law(), drift_law()], [0.5, 0.5], 11)
+        bound = environment._INDEX_MEMO_SIZE
+        last = bound + 100
+        for x in range(last):
+            env.law_index((x,))
+        assert len(env._index_memo) == bound
+        assert (0,) not in env._index_memo  # the oldest went first
+        grid = env.law_index_grid((0,), (last - 1,))
+        for x in (0, 1, bound // 2, last - 1):
+            assert env.law_index((x,)) == grid[x]
+        assert len(env._index_memo) <= bound
 
     def test_weights_respected(self):
         env = iid_env([doubling_law(), drift_law()], [0.8, 0.2], 3)

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from brwre.environment import (
+    Dependence,
+    EnvironmentField,
+    EnvironmentSpec,
+    build_environment,
+)
 from brwre.expectation import solve
-from brwre.lattice import unit_vectors
+from brwre.lattice import StepSet, unit_vectors
 from brwre.montecarlo import (
     BitBudgetError,
     InducedWalkState,
@@ -232,6 +238,99 @@ class TestAgainstExpectation:
         chi2, pval = sstats.chisquare([obs.get(k, 0) for k in range(6)],
                                       expected)
         assert pval > 1e-3
+
+
+class TestBatchedStep:
+    """One generation drawn per law over arrays, against per-site references."""
+
+    @staticmethod
+    def _straddling():
+        # law 0: three atoms, each with two children; law 1: one atom with
+        # three.  Even sites take law 0, odd sites law 1.
+        pairs = law_of(({(1,): 2}, 0.25), ({(1,): 1, (-1,): 1}, 0.5),
+                       ({(-1,): 2}, 0.25))
+        triple = law_of(({(-1,): 2, (1,): 1}, 1.0))
+        spec = iid_env([pairs, triple], [0.5, 0.5], 0).spec
+        env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
+        counts = [2**62 - 1, 2**62, 2**62 + 1, 5, 10**30, 3 * 2**70, 1, 2**64]
+        state = PopulationState(n=0, counts={(x,): c for x, c in
+                                             enumerate(counts)},
+                                total=sum(counts))
+        return env, state
+
+    def test_total_is_exact_across_the_exact_limit(self):
+        env, state = self._straddling()
+        nxt = step_population(env, state, np.random.default_rng(40))
+        want = sum(c * (2 if x[0] % 2 == 0 else 3)
+                   for x, c in state.counts.items())
+        assert nxt.total == want
+        assert sum(nxt.counts.values()) == want
+        assert type(nxt.total) is int
+        assert all(type(c) is int and c > 0 for c in nxt.counts.values())
+
+    def test_stats_match_per_site_accounting(self):
+        env, state = self._straddling()
+        stats = SamplerStats()
+        step_population(env, state, np.random.default_rng(41), stats=stats)
+        ref = SamplerStats()
+        rng = np.random.default_rng(42)
+        for x, c in sorted(state.counts.items()):
+            sample_multinomial(rng, c, env.law_at(x).atom_probs, ref)
+        assert stats.as_dict() == ref.as_dict()
+        # two exact rows of the three-atom law, and two conditionals for
+        # each of its two rows at or above 2**62; the one-atom law draws
+        # nothing
+        assert sum(stats.as_dict().values()) == 2 + 2 * 2
+
+    def test_d2_block_window_mean_matches_solver(self):
+        # drifted laws keep ~20 sites above the mass cut, so a site past
+        # 3 se by chance stays rare; with ~45 sites about one replica seed
+        # in four put one there
+        def law(axis):
+            units = unit_vectors(2)
+            probs = ((0.82, 0.04, 0.05, 0.04) if axis == 0
+                     else (0.78, 0.04, 0.04, 0.09))
+            pair = {units[2 * axis]: 1, units[2 * axis + 1]: 1}
+            return law_of(*[({y: 1}, p) for y, p in zip(units, probs)],
+                          (pair, 0.05))
+
+        spec = EnvironmentSpec(
+            dimension=2, step_set=StepSet.nearest_neighbour(2),
+            law_support=(law(0), law(1)), weights=(0.5, 0.5),
+            dependence=Dependence("block_window", 1), master_seed=2024)
+        env = build_environment(spec)
+        n, batches, batch = 6, 200, 1000
+        layer = solve(env, (0, 0), n)[-1]
+        sites = [x for x, v in layer.items() if math.exp(v) >= 1e-3]
+        means = {x: [] for x in sites}
+        for b in range(batches):
+            rng = replica_rng(77, b, PURPOSE_DYNAMICS)
+            state = PopulationState(n=0, counts={(0, 0): batch}, total=batch)
+            for _ in range(n):
+                state = step_population(env, state, rng)
+            for x in sites:
+                means[x].append(state.count(x) / batch)
+        assert len(sites) >= 20
+        for x in sites:
+            arr = np.asarray(means[x])
+            se = arr.std(ddof=1) / math.sqrt(batches)
+            assert abs(arr.mean() - math.exp(layer.get(x))) <= 3 * se
+
+    def test_no_per_site_law_lookup(self, monkeypatch):
+        env = random_env(np.random.default_rng(43))
+        calls = []
+        orig = EnvironmentField.law_index
+
+        def counting(self, x):
+            calls.append(x)
+            return orig(self, x)
+
+        monkeypatch.setattr(EnvironmentField, "law_index", counting)
+        counts = {(x,): x + 30 for x in range(-25, 25)}
+        state = PopulationState(n=0, counts=counts, total=sum(counts.values()))
+        nxt = step_population(env, state, np.random.default_rng(44))
+        assert nxt.n == 1 and len(state.counts) == 50
+        assert calls == []
 
 
 class TestInducedWalk:
