@@ -7,8 +7,17 @@ t = (ln lambda) s collapses the pair into one vector: transience holds iff
     Phi(t) = max_w ln sum_y mu_y^w exp(t.y)
 
 dips to 0 or below at some t != 0.  Phi is a maximum of log-sum-exp
-functions, hence convex, so a global minimum is found by a direction grid
-with golden-section line searches plus a finite-difference descent polish.
+functions, hence convex, so a global minimum is found in two stages, both
+on one batched evaluator that returns Phi, the argmax law and its exact
+gradient (the softmax-weighted mean offset) at many points at once:
+
+- golden-section line searches on [0, SEARCH_RADIUS] along every ray of a
+  direction grid (2, 32 or 26 rays in d = 1, 2, 3), run in lockstep with
+  one batched evaluation per iteration; the best ray point, or t = 0 if
+  no ray point is lower, starts
+- a backtracking descent along the analytic gradient, whose halved trial
+  steps are evaluated in one batch.
+
 The excluded point t = 0 corresponds to lambda = 1, where the criterion
 degenerates to "every support law has mean total offspring <= 1"; that case
 is tested separately and flagged.
@@ -24,10 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .environment import SiteLaw
-from .lattice import Site
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SEARCH_RADIUS = 64.0
@@ -62,108 +69,157 @@ class CriterionResult:
 
 
 class _Phi:
-    """Phi(t) = max over support laws of ln sum_y mu_y exp(t.y)."""
+    """Phi(t) = max over support laws of ln sum_y mu_y exp(t.y), on batches.
+
+    The laws are padded into one (L, K) log-mu array, -inf where a law has
+    fewer than K positive-mass offsets, and one (L, K, d) offset array.
+    """
 
     def __init__(self, law_support: list[SiteLaw]):
         if not law_support:
             raise CriterionError("empty law support")
-        self.per_law: list[tuple[np.ndarray, np.ndarray]] = []
-        self.dimension = None
+        rows = []
         for law in law_support:
             mu = law.mean_offspring
             if sum(mu.values()) < 1.0 - 1e-9:
                 raise CriterionError(
                     f"law has mean total offspring {sum(mu.values())} < 1"
                 )
-            offs = [y for y, m in mu.items() if m > 0.0]
-            self.dimension = len(offs[0])
-            self.per_law.append(
-                (
-                    np.log(np.array([mu[y] for y in offs], dtype=np.float64)),
-                    np.array(offs, dtype=np.float64),
-                )
-            )
+            rows.append([(y, m) for y, m in mu.items() if m > 0.0])
+        self.dimension = len(rows[0][0][0])
+        width = max(len(r) for r in rows)
+        self.log_mu = np.full((len(rows), width), -np.inf)
+        self.offsets = np.zeros((len(rows), width, self.dimension))
+        for i, r in enumerate(rows):
+            self.log_mu[i, : len(r)] = np.log(np.array([m for _, m in r]))
+            self.offsets[i, : len(r)] = [y for y, _ in r]
 
-    def value(self, t: np.ndarray) -> float:
-        return max(
-            float(logsumexp(logmu + offs @ t)) for logmu, offs in self.per_law
-        )
+    def evaluate(
+        self, points: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phi, the argmax law and the gradient at each row of a (P, d) batch.
 
-    def argmax_law(self, t: np.ndarray) -> int:
-        vals = [float(logsumexp(logmu + offs @ t)) for logmu, offs in self.per_law]
-        return int(np.argmax(vals))
+        The gradient is that of the argmax law's term, the softmax-weighted
+        mean offset: the exact gradient where one law attains the maximum,
+        a subgradient where several tie.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        expo = self.log_mu + (pts[:, None, None, :] * self.offsets).sum(axis=3)
+        top = expo.max(axis=2, keepdims=True)
+        at_top = expo == top
+        ties = at_top.sum(axis=2)
+        weights = np.exp(expo - top)
+        # ln(m + rest) as log1p(rest / m) + ln m, m the number of maximal
+        # terms: forming 1 + rest / m would lose a bit, enough for the line
+        # searches to find spurious minima one ulp below a symmetric law's
+        # value at t = 0
+        rest = np.where(at_top, 0.0, weights).sum(axis=2)
+        per_law = np.log1p(rest / ties) + np.log(ties) + top[:, :, 0]
+        law = per_law.argmax(axis=1)
+        rows = np.arange(len(pts))
+        grad = (weights[rows, law, :, None] * self.offsets[law]).sum(axis=1)
+        total = ties[rows, law] + rest[rows, law]
+        return per_law[rows, law], law, grad / total[:, None]
+
+    def at(self, t: np.ndarray) -> tuple[float, int, np.ndarray]:
+        """`evaluate` at the single point t."""
+        f, law, grad = self.evaluate(t[None, :])
+        return float(f[0]), int(law[0]), grad[0]
 
 
 def criterion_value_at(law_support: list[SiteLaw], t) -> float:
     """Phi(t): the worst-case log criterion value at parameter t."""
-    return _Phi(list(law_support)).value(np.asarray(t, dtype=np.float64))
+    return _Phi(list(law_support)).at(np.asarray(t, dtype=np.float64))[0]
 
 
-def _golden_section(f, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if b - a < 1e-13 * max(1.0, abs(a) + abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def _direction_grid(d: int) -> list[np.ndarray]:
+def _direction_grid(d: int) -> np.ndarray:
     if d == 1:
-        return [np.array([1.0]), np.array([-1.0])]
+        return np.array([[1.0], [-1.0]])
     if d == 2:
-        return [
-            np.array([math.cos(k * math.pi / 16), math.sin(k * math.pi / 16)])
-            for k in range(32)
-        ]
+        return np.array(
+            [[math.cos(k * math.pi / 16), math.sin(k * math.pi / 16)]
+             for k in range(32)]
+        )
     dirs = []
     for v in itertools.product((-1.0, 0.0, 1.0), repeat=3):
         a = np.array(v)
         n = np.linalg.norm(a)
         if n > 0:
             dirs.append(a / n)
-    return dirs
+    return np.array(dirs)
 
 
-def _fd_descent(phi: _Phi, t0: np.ndarray, max_iter: int = 300) -> np.ndarray:
-    """Finite-difference gradient descent with backtracking, convex objective."""
-    h = 1e-7
-    t = t0.astype(np.float64).copy()
-    f = phi.value(t)
-    d = len(t)
+def _line_searches(
+    phi: _Phi, dirs: np.ndarray, iters: int = 90
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima of Phi along the rays r*u, r in [0, SEARCH_RADIUS].
+
+    All rays advance in lockstep, one batched evaluation per iteration; each
+    ray keeps its own bracket and stops once the bracket is below 1e-13
+    relative.  Returns the minimizing r and Phi there, per ray.
+    """
+    a = np.zeros(len(dirs))
+    b = np.full(len(dirs), SEARCH_RADIUS)
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f = phi.evaluate(np.concatenate([x1[:, None] * dirs, x2[:, None] * dirs]))[0]
+    f1, f2 = f[: len(dirs)], f[len(dirs) :]
+    active = np.ones(len(dirs), dtype=bool)
+    for _ in range(iters):
+        active &= ~(b - a < 1e-13 * np.maximum(1.0, np.abs(a) + np.abs(b)))
+        if not active.any():
+            break
+        left = active & (f1 <= f2)  # keep [a, x2]: x2 <- x1, new x1
+        right = active & ~(f1 <= f2)  # keep [x1, b]: x1 <- x2, new x2
+        b = np.where(left, x2, b)
+        x2 = np.where(left, x1, x2)
+        f2 = np.where(left, f1, f2)
+        a = np.where(right, x1, a)
+        x1 = np.where(right, x2, x1)
+        f1 = np.where(right, f2, f1)
+        x1 = np.where(left, b - GOLDEN * (b - a), x1)
+        x2 = np.where(right, a + GOLDEN * (b - a), x2)
+        r = np.where(left, x1, x2)[active]
+        fr = phi.evaluate(r[:, None] * dirs[active])[0]
+        f1[left] = fr[left[active]]
+        f2[right] = fr[right[active]]
+    first = f1 <= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
+
+
+def _descend(
+    phi: _Phi, t: np.ndarray, at_t: tuple[float, int, np.ndarray],
+    max_iter: int = 300,
+) -> tuple[np.ndarray, tuple[float, int, np.ndarray]]:
+    """Backtracking descent along the analytic gradient of convex Phi.
+
+    The halved steps 1, 1/2, ... (while step * |grad| > 1e-8) of one
+    iteration are evaluated in one batch and the first that lowers Phi is
+    taken.  Returns the final point and `phi.at` there.
+    """
+    f, _, grad = at_t
     for _ in range(max_iter):
-        grad = np.zeros(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            grad[i] = (phi.value(t + e) - phi.value(t - e)) / (2 * h)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-12:
             break
+        steps = []
         step = 1.0
-        moved = False
         while step * gnorm > 1e-8:
-            cand = t - step * grad
-            cand = np.clip(cand, -SEARCH_RADIUS, SEARCH_RADIUS)
-            fc = phi.value(cand)
-            if fc < f - 1e-15:
-                t, f = cand, fc
-                moved = True
-                break
+            steps.append(step)
             step *= 0.5
-        if not moved:
+        if not steps:
             break
-    return t
+        cand = np.clip(
+            t - np.array(steps)[:, None] * grad, -SEARCH_RADIUS, SEARCH_RADIUS
+        )
+        fc, lc, gc = phi.evaluate(cand)
+        better = np.flatnonzero(fc < f - 1e-15)
+        if not better.size:
+            break
+        j = better[0]
+        t, f, grad = cand[j], float(fc[j]), gc[j]
+        at_t = (f, int(lc[j]), grad)
+    return t, at_t
 
 
 def transience_criterion(
@@ -178,7 +234,6 @@ def transience_criterion(
     support = list(law_support)
     phi = _Phi(support)
     d = phi.dimension
-    assert d is not None
 
     # lambda = 1 special case: criterion reads sum_y mu_y <= 1 for all laws
     max_total = max(sum(law.mean_offspring.values()) for law in support)
@@ -189,29 +244,23 @@ def transience_criterion(
             value=float(max_total),
             log_value=math.log(max_total),
             verdict="transient",
-            argmax_law=phi.argmax_law(t0),
+            argmax_law=phi.at(t0)[1],
             gradient_norm=0.0,
             on_boundary=False,
             lambda_one=True,
         )
 
+    dirs = _direction_grid(d)
+    r, fr = _line_searches(phi, dirs)
     best_t = np.zeros(d)
-    best_f = phi.value(best_t)
-    for u in _direction_grid(d):
-        r, fr = _golden_section(lambda r: phi.value(r * u), 0.0, SEARCH_RADIUS)
-        if fr < best_f:
-            best_f, best_t = fr, r * u
-    t_star = _fd_descent(phi, best_t)
-    f_star = phi.value(t_star)
-    if f_star > best_f:
-        t_star, f_star = best_t, best_f
-
-    h = 1e-7
-    grad = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        grad[i] = (phi.value(t_star + e) - phi.value(t_star - e)) / (2 * h)
+    best = phi.at(best_t)
+    k = int(np.argmin(fr))  # the first ray attaining the grid minimum
+    if fr[k] < best[0]:
+        best_t = r[k] * dirs[k]
+        best = phi.at(best_t)
+    t_star, (f_star, law, grad) = _descend(phi, best_t, best)
+    if f_star > best[0]:
+        t_star, (f_star, law, grad) = best_t, best
     gnorm = float(np.linalg.norm(grad))
     on_boundary = bool(np.max(np.abs(t_star)) >= SEARCH_RADIUS * 0.999)
 
@@ -226,7 +275,7 @@ def transience_criterion(
         value=float(math.exp(f_star)),
         log_value=float(f_star),
         verdict=verdict,
-        argmax_law=phi.argmax_law(t_star),
+        argmax_law=law,
         gradient_norm=gnorm,
         on_boundary=on_boundary,
         lambda_one=False,

@@ -403,7 +403,6 @@ def _cmd_shape(env, cfg, outdir, seed):
             "vertices": len(est.hull),
             "reached": len(ptm.times),
             "radius": radius,
-            "boundary_contact": ptm.boundary_contact,
         })
         polygons.append((f"delta={delta:g}", [tuple(v) for v in est.hull]))
     _write_json(outdir / "passage_summary.json",
@@ -415,9 +414,8 @@ def _cmd_shape(env, cfg, outdir, seed):
     else:
         _write_text(outdir / "shape_hulls.svg", svg)
         artifacts.append("shape_hulls.svg")
-    print(json.dumps({"horizon": n, "deltas": [s["delta"] for s in summary],
-                      "boundary_contact": [s["boundary_contact"]
-                                           for s in summary]}, sort_keys=True))
+    print(json.dumps({"horizon": n, "deltas": [s["delta"] for s in summary]},
+                     sort_keys=True))
     return artifacts, warnings, EXIT_OK
 
 
@@ -681,10 +679,9 @@ def _report_text(outdir: Path) -> str:
     if ps is not None:
         lines.append(f"reachable shape (horizon {ps['horizon']})")
         for entry in ps["deltas"]:
-            flag = " boundary-contact" if entry["boundary_contact"] else ""
             lines.append(f"  delta={entry['delta']:<8g} "
                          f"hull_vertices={entry['vertices']} "
-                         f"reached={entry['reached']}{flag}")
+                         f"reached={entry['reached']}")
         lines.append("")
 
     if (outdir / "realized_exponent.csv").exists():

@@ -3,12 +3,11 @@
 An edge x -> x+y is delta-open when the law at x sends at least one child to
 offset y with probability strictly greater than delta.  T(origin, x) is the
 minimal number of steps along delta-open edges, computed by BFS truncated to
-the l1 ball of a caller-chosen radius; a boundary-contact flag records
-whether the frontier touched the truncation shell (so a caller can tell
-"genuinely unreachable" from "escaped the box").  W(n) = {x : T <= n} scaled
-by 1/n approximates the limit shape; R(n) is the set reached in exactly n
-steps (parity matters: without an aperiodic site on the path, R alternates
-between the even and odd sublattices).
+the l1 ball of a caller-chosen radius; a time t with t * L0 <= radius is
+exact, since every path of t steps stays inside that ball.  W(n) =
+{x : T <= n} scaled by 1/n approximates the limit shape; R(n) is the set
+reached in exactly n steps (parity matters: without an aperiodic site on
+the path, R alternates between the even and odd sublattices).
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ class PassageTimeMap:
     origin: Site
     radius: int
     times: dict[Site, int]
-    boundary_contact: bool
 
     def t(self, x: Site) -> float:
         """T(origin, x); infinity when x was not reached inside the ball."""
@@ -101,7 +99,12 @@ def passage_times(
     radius: int,
     origin: Site | None = None,
 ) -> PassageTimeMap:
-    """BFS passage times from `origin` inside the l1 ball of `radius`."""
+    """BFS passage times from `origin` inside the l1 ball of `radius`.
+
+    A path of t steps moves at most t * L0 in l1, so every site whose time
+    t has t * L0 <= radius gets its exact passage time; larger times are
+    upper bounds, and sites reachable only through the outside are missed.
+    """
     if radius <= 0:
         raise ShapeError("radius must be positive")
     d = env.spec.dimension
@@ -111,7 +114,6 @@ def passage_times(
     offsets, open_m = _open_masks(env, delta, lo, hi)
     center = tuple(radius for _ in range(d))
     ball = _ball_mask(tuple(2 * radius + 1 for _ in range(d)), center, radius)
-    l0 = env.spec.step_set.l0_max
 
     times = np.full(ball.shape, -1, dtype=np.int64)
     frontier = np.zeros(ball.shape, dtype=bool)
@@ -127,14 +129,11 @@ def passage_times(
         times[nxt] = t
         frontier = nxt
 
-    visited = times >= 0
-    shell = ~_ball_mask(ball.shape, center, radius - l0) if radius > l0 else ball
-    contact = bool((visited & shell).any())
     out: dict[Site, int] = {}
-    for idx in zip(*np.nonzero(visited)):
+    for idx in zip(*np.nonzero(times >= 0)):
         site = tuple(int(i) + l for i, l in zip(idx, lo))
         out[site] = int(times[idx])
-    return PassageTimeMap(delta, origin, radius, out, contact)
+    return PassageTimeMap(delta, origin, radius, out)
 
 
 def iter_reachable(
@@ -275,13 +274,24 @@ def shape_polytope(ptm: PassageTimeMap, n: int) -> ShapeEstimate:
     if n == 0:
         pt = tuple(0.0 for _ in ptm.origin)
         return ShapeEstimate(ptm.delta, 0, (pt,), (pt,))
-    sites = sorted(
-        tuple(c - o for c, o in zip(x, ptm.origin)) for x in ptm.reached(n)
-    )
-    norm = tuple(tuple(c / n for c in x) for x in sites)
+    sites = np.array(ptm.reached(n), dtype=np.int64) - np.array(ptm.origin)
+    sites = sites[np.lexsort(sites.T[::-1])]  # lexicographic order
+    norm = tuple(map(tuple, (sites / n).tolist()))
     # hull on the integer sites: exact arithmetic, no float-collinearity noise
-    hull = tuple(tuple(c / n for c in v) for v in convex_hull(sites))
+    ends = list(map(tuple, sites[_row_ends(sites)].tolist()))
+    hull = tuple(tuple(c / n for c in v) for v in convex_hull(ends))
     return ShapeEstimate(ptm.delta, n, norm, hull)
+
+
+def _row_ends(sites: np.ndarray) -> np.ndarray:
+    """Mask of the first and last site of each row of lexicographic sites.
+
+    A row is a run of sites that agree in all but the last coordinate; every
+    other site lies between its row's ends, so the ends have the convex hull
+    of the whole set, with at most two points per row.
+    """
+    new_row = (sites[1:, :-1] != sites[:-1, :-1]).any(axis=1)
+    return np.r_[True, new_row] | np.r_[new_row, True]
 
 
 def hausdorff_l1(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from brwre import classify
 from brwre.classify import (
     CriterionError,
     CriterionResult,
@@ -90,13 +91,17 @@ class TestMultiLaw:
         assert double.value == pytest.approx(single.value, abs=1e-9)
 
 
+def _planar_law():
+    return law_of(
+        ({(1, 0): 1}, 0.32), ({(-1, 0): 1}, 0.02),
+        ({(0, 1): 1}, 0.33), ({(0, -1): 2}, 0.165), ({(0, -1): 1}, 0.165))
+
+
 class TestPlanarClosedForm:
     def test_separable_two_dimensional(self):
         # axis-separable means: min over (t1, t2) factorizes into
         # 2 sqrt(a b) + 2 sqrt(c d) with a,b the x means and c,d the y means
-        law = law_of(
-            ({(1, 0): 1}, 0.32), ({(-1, 0): 1}, 0.02),
-            ({(0, 1): 1}, 0.33), ({(0, -1): 2}, 0.165), ({(0, -1): 1}, 0.165))
+        law = _planar_law()
         # x means: 0.32, 0.02 -> 2 sqrt(0.0064) = 0.16
         # y means: 0.33, 0.495 -> 2 sqrt(0.163350) = 0.808341...
         want = 2 * math.sqrt(0.32 * 0.02) + 2 * math.sqrt(0.33 * 0.495)
@@ -146,3 +151,100 @@ class TestDiagnostics:
     def test_empty_support_rejected(self):
         with pytest.raises((CriterionError, ValueError)):
             transience_criterion([])
+
+
+def _mixed_planar_laws():
+    # 4, 2 and 3 positive-mass offsets: the padded rows hold -inf
+    return [
+        law_of(({(1, 0): 1}, 0.3), ({(-1, 0): 1}, 0.2),
+               ({(0, 1): 1, (0, -1): 1}, 0.5)),
+        law_of(({(1, 0): 1, (0, 1): 1}, 1.0)),
+        law_of(({(-1, 0): 2}, 0.4), ({(0, 1): 1}, 0.35), ({(0, -1): 3}, 0.25)),
+    ]
+
+
+def _reference_phi(laws, t):
+    vals = []
+    for law in laws:
+        terms = [m * math.exp(sum(c * y for c, y in zip(t, off)))
+                 for off, m in law.mean_offspring.items() if m > 0.0]
+        vals.append(math.log(math.fsum(terms)))
+    return max(vals), int(np.argmax(vals))
+
+
+class TestBatchedEvaluator:
+    def test_matches_fsum_reference(self):
+        laws = _mixed_planar_laws()
+        phi = classify._Phi(laws)
+        assert phi.log_mu.shape == (3, 4)
+        assert np.isneginf(phi.log_mu).sum() == 3
+        pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2))
+        values, argmax, _ = phi.evaluate(pts)
+        for t, v, w in zip(pts, values, argmax):
+            want, want_law = _reference_phi(laws, t)
+            assert abs(v - want) <= 1e-12
+            assert criterion_value_at(laws, t) == v
+            if w != want_law:  # only a tie to the last bits may reorder
+                assert abs(_reference_phi([laws[w]], t)[0] - want) <= 1e-12
+
+    def test_gradient_matches_central_differences(self):
+        laws = _mixed_planar_laws()
+        phi = classify._Phi(laws)
+        rng = np.random.default_rng(4)
+        h = 1e-6
+        checked = 0
+        for t in rng.uniform(-2.0, 2.0, size=(60, 2)):
+            per_law = sorted(_reference_phi([law], t)[0] for law in laws)
+            if per_law[-1] - per_law[-2] < 1e-3:
+                continue  # near a kink the gradient is only a subgradient
+            _, _, grad = phi.evaluate(t[None, :])
+            fd = [(criterion_value_at(laws, t + h * e)
+                   - criterion_value_at(laws, t - h * e)) / (2 * h)
+                  for e in np.eye(2)]
+            assert np.max(np.abs(grad[0] - fd)) <= 1e-6
+            checked += 1
+        assert checked >= 40
+
+    def test_symmetric_minimum_stays_at_origin(self):
+        # Phi(t) >= Phi(0) for a symmetric law; a log-sum-exp that rounds
+        # 1 + rest lets the line searches find points an ulp below Phi(0)
+        res = transience_criterion([mean2_law()])
+        assert res.t_star == (0.0,)
+        assert res.log_value == criterion_value_at([mean2_law()], (0.0,))
+        assert res.gradient_norm == 0.0
+
+    def test_batched_evaluation_count(self, monkeypatch):
+        calls = []
+        orig = classify._Phi.evaluate
+
+        def counting(self, points):
+            calls.append(len(points))
+            return orig(self, points)
+
+        monkeypatch.setattr(classify._Phi, "evaluate", counting)
+        res = transience_criterion([_planar_law()])
+        assert res.verdict == "transient"
+        # at most 91 line-search batches over the 32 rays (the two start
+        # points, then 90 iterations), then one batch per descent step:
+        # a few hundred calls, not thousands of scalar ones
+        assert len(calls) <= 400
+        assert max(calls) >= 32
+
+
+class TestSpatialClosedForm:
+    def test_separable_three_dimensional(self):
+        # means a, b on x; c, d on y; e, f on z (0.15 + 2 * 0.1 + 0.1 at -z):
+        # the minimum factorizes into 2 sqrt(ab) + 2 sqrt(cd) + 2 sqrt(ef)
+        law = law_of(
+            ({(1, 0, 0): 1}, 0.30), ({(-1, 0, 0): 1}, 0.05),
+            ({(0, 1, 0): 1}, 0.20), ({(0, -1, 0): 1}, 0.10),
+            ({(0, 0, 1): 1}, 0.15), ({(0, 0, -1): 2}, 0.10),
+            ({(0, 0, -1): 1}, 0.10))
+        a, b, c, d, e, f = 0.30, 0.05, 0.20, 0.10, 0.15, 0.30
+        want = 2 * math.sqrt(a * b) + 2 * math.sqrt(c * d) + 2 * math.sqrt(e * f)
+        res = transience_criterion([law])
+        assert res.verdict == "transient"
+        assert res.value == pytest.approx(want, abs=1e-6)
+        for got, (p, q) in zip(res.t_star, [(a, b), (c, d), (e, f)]):
+            assert got == pytest.approx(0.5 * math.log(q / p), abs=1e-3)
+        assert res.gradient_norm < 1e-4

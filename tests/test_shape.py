@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from brwre.environment import EnvironmentField
-from brwre.lattice import RationalVector, l1_norm, sub
+from brwre.lattice import RationalVector, StepSet, l1_norm, sub, unit_vectors
 from brwre.shape import (
     ShapeError,
     convex_hull,
@@ -17,6 +17,12 @@ from brwre.shape import (
 )
 
 from _support import homogeneous_env, iid_env, law_of, random_env
+
+
+def unit_mass_law(rng, offsets):
+    """One child at one offset, the offset drawn with random masses."""
+    probs = rng.dirichlet(np.ones(len(offsets)))
+    return law_of(*[({y: 1}, float(p)) for y, p in zip(offsets, probs)])
 
 
 def open_law_1d():
@@ -90,35 +96,28 @@ class TestPassageTimes:
                     continue
                 assert base.t(z) <= base.t(x) + tz + 1e-12
 
+    def test_times_within_radius_are_exact(self):
+        # a path of t steps moves at most t * L0, so times with t * L0 <= r
+        # are the same in a radius-r ball as in a radius-2r ball; the jumps
+        # of length 2 make L0 = 2 and delta closes some edges
+        step_set = StepSet(tuple(unit_vectors(2)) + ((2, 0), (0, -2)))
+        rng = np.random.default_rng(31)
+        laws = [unit_mass_law(rng, step_set.offsets) for _ in range(3)]
+        env = iid_env(laws, [0.5, 0.3, 0.2], 5, dimension=2,
+                      step_set=step_set)
+        l0 = step_set.l0_max
+        r = 12
+        for delta in (0.05, 0.12, 0.2):
+            near = passage_times(env, delta, r).times
+            far = passage_times(env, delta, 2 * r).times
+            exact = {x: t for x, t in far.items() if t * l0 <= r}
+            assert {x: t for x, t in near.items() if t * l0 <= r} == exact
+            assert len(exact) > 1
+
     def test_rejects_nonpositive_radius(self):
         env = homogeneous_env(open_law_1d())
         with pytest.raises(ShapeError):
             passage_times(env, 0.1, 0)
-
-
-class TestBoundaryContact:
-    def _walled(self):
-        free = law_of(({(1,): 1, (-1,): 1}, 1.0))  # both edges carry mass 1
-        blocked = open_law_1d()  # masses 0.5, closed once delta > 0.5
-        spec = iid_env([free, blocked], [0.5, 0.5], 0).spec
-        return EnvironmentField.from_index_function(
-            spec, lambda x: 0 if abs(x[0]) <= 2 else 1)
-
-    def test_no_contact_when_growth_stops_inside(self):
-        # edges out of |x| > 2 need mass > 0.6; the outer law has only 0.5
-        env = self._walled()
-        ptm = passage_times(env, 0.6, 10)
-        assert set(ptm.times) == {(x,) for x in range(-3, 4)}
-        assert not ptm.boundary_contact
-
-    def test_contact_when_frontier_hits_shell(self):
-        env = self._walled()
-        ptm = passage_times(env, 0.6, 3)
-        assert ptm.boundary_contact
-
-    def test_open_environment_reaches_shell(self):
-        env = homogeneous_env(open_law_1d())
-        assert passage_times(env, 0.1, 9).boundary_contact
 
 
 def open_law_3d():
@@ -231,6 +230,55 @@ class TestShapePolytope:
         l0 = env.spec.step_set.l0_max
         for p in est.normalized_sites:
             assert sum(abs(c) for c in p) <= l0 + 1e-12
+
+
+class TestRowEndHull:
+    """The hull from each row's end sites equals the hull of all sites."""
+
+    @staticmethod
+    def _all_site_hull(ptm, n):
+        sites = [sub(x, ptm.origin) for x in ptm.reached(n)]
+        return tuple(tuple(c / n for c in v) for v in convex_hull(sites))
+
+    def _check(self, ptm, n):
+        est = shape_polytope(ptm, n)
+        sites = np.array([sub(x, ptm.origin) for x in ptm.reached(n)])
+        if np.linalg.matrix_rank(sites - sites[0]) == sites.shape[1]:
+            assert est.hull == self._all_site_hull(ptm, n)
+        else:
+            # a flat 3-d set: qhull fails and convex_hull returns its input,
+            # now the row ends instead of every site
+            assert set(est.hull) <= set(self._all_site_hull(ptm, n))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_reached_sets(self, d):
+        rng = np.random.default_rng(60 + d)
+        step_set = StepSet.nearest_neighbour(d)
+        for _ in range(6):
+            laws = [unit_mass_law(rng, step_set.offsets) for _ in range(2)]
+            env = iid_env(laws, [0.6, 0.4], int(rng.integers(0, 2**31)),
+                          dimension=d)
+            delta = float(rng.uniform(0.05, 0.25))
+            n = 9 if d == 2 else 6
+            ptm = passage_times(env, delta, n)
+            for m in (1, n // 2, n):
+                self._check(ptm, m)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_walled_environment(self, d):
+        # edges out of sites beyond the l-infinity wall close once delta
+        # exceeds 0.02, so the reached set stops at a box, not the l1 ball
+        inside = law_of(*[({y: 1}, 1.0 / (2 * d)) for y in unit_vectors(d)])
+        outside = law_of(*[({y: 1}, p) for y, p in zip(
+            unit_vectors(d), [0.02] * (2 * d - 1) + [1.0 - 0.02 * (2 * d - 1)])])
+        spec = iid_env([inside, outside], [0.5, 0.5], 0, dimension=d).spec
+        env = EnvironmentField.from_index_function(
+            spec, lambda x: 0 if max(abs(c) for c in x) <= 2 else 1)
+        ptm = passage_times(env, 0.05, 8)
+        for m in (2, 3, 5, 8):
+            self._check(ptm, m)
+        est = shape_polytope(ptm, 8)
+        assert len(est.hull) > 2 * d  # the wall cuts the cross-polytope
 
 
 class TestHullAndDistance:
