@@ -17,7 +17,6 @@ almost-sure properties of the field.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,13 +30,15 @@ from .seeding import TAG_ENVIRONMENT, cell_uniform
 
 PROB_TOL = 1e-12
 
-# Peak resident bytes per cell of a box whose law indices are evaluated by
-# `law_index_grid` and then worked on by a DP solve or a reachability BFS.
-# Peak RSS above the interpreter's baseline, d = 3: solves at n = 30 and 60
-# took 91-96 B per cell with a block window and about 50 B i.i.d.;
-# `passage_times` at radius 30 and 50 took 91-95 B with a block window and
-# about 72 B i.i.d.  The law-index mesh and the hash temporaries dominate.
-BYTES_PER_BOX_CELL = 96
+# Peak resident bytes per cell of a box whose law indices are evaluated and
+# then worked on by a DP solve, a reachability BFS or a population step.
+# Peak RSS above the interpreter's baseline, d = 3 nearest-neighbour steps:
+# a `brwre solve` (layers, `expected_total` of each, writers) took 101-108 B
+# per lattice cell at horizons 60, 90 and 120, i.i.d. and block window,
+# forward and adjoint; the slabs of log mean offspring are 48 of them.
+# `passage_times` at radius 30 and 50 took 91-95 B per box cell with a block
+# window and about 72 B i.i.d.
+BYTES_PER_BOX_CELL = 108
 
 # Most sites `EnvironmentField.law_index` remembers; the oldest goes first.
 _INDEX_MEMO_SIZE = 1 << 14
@@ -318,33 +319,46 @@ class EnvironmentField:
         Returns an int array of shape hi-lo+1 whose entry at (x-lo) is
         law_index(x).
         """
-        d = self.spec.dimension
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         if any(s <= 0 for s in shape):
             raise EnvironmentError_(f"empty box {lo}..{hi}")
-        if self._override is not None:
-            out = np.empty(shape, dtype=np.int64)
-            for idx in product(*(range(s) for s in shape)):
-                out[idx] = self._override(tuple(l + i for l, i in zip(lo, idx)))
-            return out
         axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        if self._override is not None or self.spec.dependence.mode == "iid":
+            return self.law_index_sites(mesh)
+        # a block window hashes each cell of the padded box once
+        w = self.spec.dependence.window_radius
+        pad_axes = [np.arange(l - w, h + w + 1, dtype=np.int64)
+                    for l, h in zip(lo, hi)]
+        pad_mesh = np.stack(np.meshgrid(*pad_axes, indexing="ij"), axis=-1)
+        cell_u = cell_uniform(self.spec.master_seed, pad_mesh, TAG_ENVIRONMENT)
+        acc = np.zeros(shape, dtype=np.float64)
+        for c in self._window_cells:
+            sl = tuple(slice(w + ci, w + ci + s) for ci, s in zip(c, shape))
+            acc += cell_u[sl]
+        return self._select(np.mod(acc, 1.0))
+
+    def law_index_sites(self, sites: np.ndarray) -> np.ndarray:
+        """Law indices at an int array of sites of shape (..., d).
+
+        Agrees bitwise with `law_index`: a block window adds its cell
+        uniforms in window-cell order, as `_select_law_index` does.
+        """
+        sites = np.asarray(sites, dtype=np.int64)
+        if self._override is not None:
+            flat = sites.reshape(-1, sites.shape[-1]).tolist()
+            return np.array([self._override(tuple(x)) for x in flat],
+                            dtype=np.int64).reshape(sites.shape[:-1])
+        seed = self.spec.master_seed
         if self.spec.dependence.mode == "iid":
-            u = cell_uniform(self.spec.master_seed, mesh, TAG_ENVIRONMENT)
-        else:
-            w = self.spec.dependence.window_radius
-            pad_lo = tuple(l - w for l in lo)
-            pad_hi = tuple(h + w for h in hi)
-            pad_axes = [
-                np.arange(l, h + 1, dtype=np.int64) for l, h in zip(pad_lo, pad_hi)
-            ]
-            pad_mesh = np.stack(np.meshgrid(*pad_axes, indexing="ij"), axis=-1)
-            cell_u = cell_uniform(self.spec.master_seed, pad_mesh, TAG_ENVIRONMENT)
-            acc = np.zeros(shape, dtype=np.float64)
-            for c in self._window_cells:
-                sl = tuple(slice(w + ci, w + ci + s) for ci, s in zip(c, shape))
-                acc += cell_u[sl]
-            u = np.mod(acc, 1.0)
+            return self._select(cell_uniform(seed, sites, TAG_ENVIRONMENT))
+        acc = np.zeros(sites.shape[:-1], dtype=np.float64)
+        for c in self._window_cells:
+            acc += cell_uniform(seed, sites + np.array(c, dtype=np.int64),
+                                TAG_ENVIRONMENT)
+        return self._select(np.mod(acc, 1.0))
+
+    def _select(self, u: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._cum_weights, u, side="right").astype(np.int64)
 
     @classmethod
@@ -355,14 +369,13 @@ class EnvironmentField:
         return cls(spec, law_index_fn)
 
 
-def check_box_memory(lo: Site, hi: Site, error: type[Exception],
-                     what: str) -> None:
-    """Raise `error` if the box [lo, hi] would not fit in physical memory.
+def check_box_memory(cells: int, error: type[Exception], what: str) -> None:
+    """Raise `error` if a working set of `cells` box cells would not fit.
 
-    Call it before `law_index_grid`, so an oversized request fails at once
-    with a typed error instead of a MemoryError or an out-of-memory kill.
+    Call it before evaluating the cells' law indices, so an oversized
+    request fails at once with a typed error instead of a MemoryError or
+    an out-of-memory kill.
     """
-    cells = math.prod(h - l + 1 for l, h in zip(lo, hi))
     need = cells * BYTES_PER_BOX_CELL
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

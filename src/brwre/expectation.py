@@ -25,25 +25,38 @@ which `check_anderson_equation` verifies; forward layers do not satisfy it
 for site-dependent environments (they solve the adjoint identity with the
 edge roles reversed).
 
-Every layer, in every dimension, is a dense float array over its bounding
-box.  The law indices of the whole horizon's box are evaluated once per
-solve, and each step accumulates the shifted contributions in sorted offset
-order, so a layer is a deterministic function of the environment and the
-start.
+Layers are stored in the coordinates of the lattice the walk can reach
+(`lattice.step_lattice`): after k steps every site lies on
+start + k*base + L, L the lattice spanned by the differences of the steps,
+and the layer is a float array over the box [0, k*width] of lattice
+coordinates.  For nearest-neighbour steps that is (k+1)^d cells where the
+bounding box of the sites has (2k+1)^d; when L = Z^d the basis is the
+identity and the layer is its bounding box.  Each step adds the shifted
+contributions of the offsets in sorted order, as on the bounding box, so
+every site sees the same sequence of finite `logaddexp` terms (the first
+is a plain sum, exact because logaddexp(-inf, v) = v) and a layer is
+bitwise the same as a dense-box evaluation: a deterministic function of
+the environment and the start.  The log mean offspring of the sites every
+layer reads are tabulated once per solve, one slab per offset and coset of
+L, and a layer reads them through shifted slices.
+
+At its boundary a layer is the dense box of its sites (`LogMassField.lo`,
+`values`), which the writers, the Anderson check and `expected_total` read.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import logsumexp
+from numpy.lib.stride_tricks import as_strided
 
 from .environment import EnvironmentField, check_box_memory
-from .lattice import Site
+from .lattice import Site, StepLattice, step_lattice
 
 NEG_INF = float("-inf")
 
@@ -59,103 +72,200 @@ class SolverError(ValueError):
 class LogMassField:
     """One DP layer: log of the expected particle count per site.
 
-    `values` is a float array over the inclusive box starting at `lo`;
-    sites outside the box, and box entries without mass, are log(0) = -inf.
+    `cells[z]` is the log-mass at site `origin + B z`, with B the basis of
+    `lattice`.  Publicly the layer is a dense box: `values` is a float
+    array over the inclusive box [lo, lo + shape), built on each access
+    (and not kept, so a stepping solve holds no dense box), and sites
+    outside the box, and box entries without mass, are log(0) = -inf.
+    Cells whose sites fall outside the box are always -inf.
     """
 
     n: int
-    dimension: int
+    cells: np.ndarray
+    origin: Site
+    lattice: StepLattice
     lo: Site
-    values: np.ndarray
+    shape: tuple[int, ...]
 
-    @property
-    def hi(self) -> Site:
-        return tuple(l + s - 1 for l, s in zip(self.lo, self.values.shape))
+    @classmethod
+    def from_box(cls, n: int, lo: Site, values: np.ndarray) -> "LogMassField":
+        """A layer given as its dense box: the identity lattice frame."""
+        lo = tuple(lo)
+        return cls(n, values, lo, StepLattice.identity(len(lo)), lo,
+                   values.shape)
 
     @classmethod
     def delta(cls, start: Site) -> "LogMassField":
-        start = tuple(start)
-        return cls(0, len(start), start, np.zeros((1,) * len(start)))
+        return cls.from_box(0, start, np.zeros((1,) * len(start)))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.lo)
+
+    @property
+    def hi(self) -> Site:
+        return tuple(l + s - 1 for l, s in zip(self.lo, self.shape))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense box, row-major; cells outside it are dropped.
+
+        The box's flat index is affine in the lattice coordinates, so one
+        strided view of a padded buffer holds every cell, and the finite
+        cells are copied through it.  A cell whose site lies outside the
+        box lands in the padding or on another cell's position; it is -inf
+        and is not copied.
+        """
+        cells = self.cells
+        if (self.lattice.basis == StepLattice.identity(self.dimension).basis
+                and cells.shape == self.shape and self.origin == self.lo):
+            return cells
+        strides = [int(np.prod(self.shape[i + 1:])) for i in range(len(self.shape))]
+        step = [sum(b * s for b, s in zip(col, strides)) for col in self.lattice.basis]
+        first = sum((o - l) * s for o, l, s in zip(self.origin, self.lo, strides))
+        reach = [(c - 1) * s for c, s in zip(cells.shape, step)]
+        below = max(0, -(first + sum(min(0, r) for r in reach)))
+        size = max(int(np.prod(self.shape)), first + sum(max(0, r) for r in reach) + 1)
+        buf = np.full(below + size, NEG_INF)
+        view = as_strided(buf[below + first:], cells.shape,
+                          [s * buf.itemsize for s in step])
+        np.copyto(view, cells, where=np.isfinite(cells))
+        return buf[below:below + int(np.prod(self.shape))].reshape(self.shape)
 
     def get(self, x: Site) -> float:
-        idx = tuple(c - l for c, l in zip(x, self.lo))
-        if any(i < 0 or i >= s for i, s in zip(idx, self.values.shape)):
+        z = self.lattice.coords([c - o for c, o in zip(x, self.origin)])
+        if z is None or any(i < 0 or i >= s for i, s in zip(z, self.cells.shape)):
             return NEG_INF
-        return float(self.values[idx])
+        return float(self.cells[z])
 
     def items(self) -> Iterator[tuple[Site, float]]:
         """Finite (site, log-mass) entries in lexicographic site order."""
-        mask = self.values > NEG_INF
-        for idx, v in zip(np.argwhere(mask).tolist(), self.values[mask].tolist()):
+        values = self.values
+        mask = values > NEG_INF
+        for idx, v in zip(np.argwhere(mask).tolist(), values[mask].tolist()):
             yield tuple(c + l for c, l in zip(idx, self.lo)), v
 
     def support_size(self) -> int:
-        return int(np.isfinite(self.values).sum())
+        return int(np.isfinite(self.cells).sum())
 
 
 def expected_total(fld: LogMassField) -> float:
-    """log sum_x exp(values): the log expected total population in the layer."""
-    flat = fld.values[np.isfinite(fld.values)]
+    """log sum_x exp(values): the log expected total population in the layer.
+
+    The finite values are summed in the dense box's row-major order, in
+    the form of scipy's `logsumexp`: the maxima are taken out of the sum,
+    log1p(sum / m) + log m + max with m the number of maxima.
+    """
+    values = fld.values
+    flat = values[np.isfinite(values)]
     if flat.size == 0:
         return NEG_INF
-    return float(logsumexp(flat))
+    top = flat.max()
+    at_top = flat == top
+    m = np.float64(np.count_nonzero(at_top))
+    flat[at_top] = NEG_INF
+    s = np.exp(flat - top).sum()
+    if s != 0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + top)
 
 
 class _Tables:
-    """Per-law log mean-offspring tables over a fixed box, shared across layers."""
+    """Lattice frame and log mean-offspring slabs of one solve.
 
-    def __init__(self, env: EnvironmentField, lo: Site, hi: Site, adjoint: bool):
-        self.offsets = env.spec.step_set.sorted_offsets()
+    Layer k has cells [0, k*width] at sites start + k*base + B z.  Layer
+    k = c + q*m (q the lattice period) lies on coset c, and its cell z is
+    cell z + m*kappa - lo of `slabs[c] = (lo, slab)`, where q*base =
+    B kappa.  The slab of coset c holds one contiguous array per offset,
+    over the sites of every layer of that coset that carries coefficients:
+    the sources (layers 0..n-1) forward, the destinations (layers 1..n)
+    adjoint.
+    """
+
+    def __init__(self, env: EnvironmentField, start: Site, n: int, adjoint: bool):
+        offsets = env.spec.step_set.sorted_offsets()
+        sign = -1 if adjoint else 1
+        moves = [tuple(sign * c for c in y) for y in offsets]
         self.adjoint = adjoint
-        # per-axis displacement range of one step: layer boxes grow by it
-        lows = [min(y[i] for y in self.offsets) for i in range(len(lo))]
-        highs = [max(y[i] for y in self.offsets) for i in range(len(lo))]
-        if adjoint:
-            lows, highs = [-h for h in highs], [-l for l in lows]
-        self.step_lo = tuple(lows)
-        self.step_hi = tuple(highs)
-        self.lo = lo
+        self.lattice = lat = step_lattice(tuple(moves))
+        self.shifts = lat.shifts
+        self.width = lat.width
+        self.start = start
+        # the dense box of layer k is start + k*[step_lo, step_hi]
+        self.step_lo = tuple(map(min, zip(*moves)))
+        self.step_hi = tuple(map(max, zip(*moves)))
+        q = lat.period
+        kappa = lat.coords([q * c for c in lat.base])
+        self.kappa = np.array(kappa)
+        # coset c holds the layers k = c (mod q) in [first, last]; cell 0 of
+        # layer k is slab cell (k // q) * kappa, linear in k, so the slab
+        # box is spanned by the first and the last of them
+        first, last = (1, n) if adjoint else (0, n - 1)
+        boxes = {}
+        for c in range(q):
+            ends = (first + (c - first) % q, last - (last - c) % q)
+            if ends[0] <= ends[1]:
+                lo = [min(k // q * a for k in ends) for a in kappa]
+                hi = [max(k // q * a + k * w for k in ends)
+                      for a, w in zip(kappa, self.width)]
+                boxes[c] = (lo, hi)
+        check_box_memory(sum(math.prod(h - l + 1 for l, h in zip(lo, hi))
+                             for lo, hi in boxes.values()),
+                         SolverError, f"horizon {n}")
         with np.errstate(divide="ignore"):
-            self.law_table = np.log(
+            law_table = np.log(
                 np.array(
                     [
-                        [law.mean_offspring.get(y, 0.0) for y in self.offsets]
+                        [law.mean_offspring.get(y, 0.0) for y in offsets]
                         for law in env.spec.law_support
                     ],
                     dtype=np.float64,
                 )
             )
-        self.idx = env.law_index_grid(lo, hi)
+        basis = np.array(lat.basis, dtype=np.int64)  # rows are B's columns
+        self.slabs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for c, (lo, hi) in boxes.items():
+            axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+            u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            sites = u @ basis + np.array(self.origin(c))
+            del u
+            idx = env.law_index_sites(sites)
+            del sites
+            self.slabs[c] = (np.array(lo), law_table.T[:, idx])
 
-    def log_mu(self, j: int, lo: Site, shape: tuple[int, ...]) -> np.ndarray:
-        """log mu_{offsets[j]} over the sub-box [lo, lo+shape)."""
-        sl = tuple(
-            slice(l - tl, l - tl + s) for l, tl, s in zip(lo, self.lo, shape)
+    def origin(self, k: int) -> Site:
+        """Site of cell 0 of layer k."""
+        return tuple(s + k * b for s, b in zip(self.start, self.lattice.base))
+
+    def layer(self, k: int, cells: np.ndarray) -> LogMassField:
+        return LogMassField(
+            k, cells, self.origin(k), self.lattice,
+            tuple(s + k * a for s, a in zip(self.start, self.step_lo)),
+            tuple(k * (b - a) + 1 for a, b in zip(self.step_lo, self.step_hi)),
         )
-        return self.law_table[self.idx[sl], j]
 
 
 def _step_dense(fld: LogMassField, tables: _Tables) -> LogMassField:
-    old = fld.values
-    lo_new = tuple(l + a for l, a in zip(fld.lo, tables.step_lo))
-    shape_new = tuple(
-        s + b - a for s, a, b in zip(old.shape, tables.step_lo, tables.step_hi)
-    )
-    new = np.full(shape_new, NEG_INF, dtype=np.float64)
-    for j, y in enumerate(tables.offsets):
-        if tables.adjoint:
-            # destination x reads from x + y; coefficient mu_y(x)
-            dst_lo = tuple(l - c for l, c in zip(fld.lo, y))
-            coef = tables.log_mu(j, dst_lo, old.shape)
+    old = fld.cells
+    # the layer whose sites carry the coefficients mu_y
+    k = fld.n + 1 if tables.adjoint else fld.n
+    m, c = divmod(k, tables.lattice.period)
+    slab_lo, slabs = tables.slabs[c]
+    at = m * tables.kappa - slab_lo
+    new = np.full(tuple(s + w for s, w in zip(old.shape, tables.width)),
+                  NEG_INF, dtype=np.float64)
+    for j, w in enumerate(tables.shifts):
+        # cell z of the old layer feeds cell z + w of the new one; forward
+        # the coefficient sits at the source, adjoint at the destination
+        dst = tuple(slice(a, a + s) for a, s in zip(w, old.shape))
+        src = at + w if tables.adjoint else at
+        coef = slabs[j][tuple(slice(a, a + s) for a, s in zip(src, old.shape))]
+        if j == 0:
+            # logaddexp(-inf, v) is exactly v: the first term is a plain sum
+            np.add(old, coef, out=new[dst])
         else:
-            # destination z reads from z - y; coefficient mu_y(z - y)
-            dst_lo = tuple(l + c for l, c in zip(fld.lo, y))
-            coef = tables.log_mu(j, fld.lo, old.shape)
-        dst = tuple(
-            slice(l - ln, l - ln + s) for l, ln, s in zip(dst_lo, lo_new, old.shape)
-        )
-        np.logaddexp(new[dst], old + coef, out=new[dst])
-    return LogMassField(fld.n + 1, fld.dimension, lo_new, new)
+            np.logaddexp(new[dst], old + coef, out=new[dst])
+    return tables.layer(fld.n + 1, new)
 
 
 def iter_layers(
@@ -166,9 +276,9 @@ def iter_layers(
 ) -> Iterator[LogMassField]:
     """Yield layers 0..n one at a time (constant memory in the horizon).
 
-    Every layer lies in the bounding box of {start + n*y : y a step
-    offset}, so the horizon alone sizes the solve.  Raises SolverError,
-    before any step, if that box would not fit in physical memory.
+    The horizon alone sizes the solve: the slabs cover the lattice sites
+    of the layers' boxes.  Raises SolverError, before any step, if they
+    would not fit in physical memory.
     """
     if n < 0:
         raise SolverError("negative horizon")
@@ -177,13 +287,7 @@ def iter_layers(
     yield fld
     if n == 0:
         return
-    offs = env.spec.step_set.sorted_offsets()
-    sign = -1 if adjoint else 1
-    ends = [tuple(s + sign * n * y[i] for y in offs) for i, s in enumerate(start)]
-    lo_full = tuple(min(e) for e in ends)
-    hi_full = tuple(max(e) for e in ends)
-    check_box_memory(lo_full, hi_full, SolverError, f"horizon {n}")
-    tables = _Tables(env, lo_full, hi_full, adjoint)
+    tables = _Tables(env, start, n, adjoint)
     for _ in range(n):
         fld = _step_dense(fld, tables)
         yield fld
@@ -211,7 +315,7 @@ def _mass_on_box(fld: LogMassField, lo: Site, shape: tuple[int, ...]) -> np.ndar
     """exp(fld) over the box [lo, lo+shape), zero where the layer has no entry."""
     out = np.zeros(shape)
     src, dst = [], []
-    for l, s, fl, fs in zip(lo, shape, fld.lo, fld.values.shape):
+    for l, s, fl, fs in zip(lo, shape, fld.lo, fld.shape):
         a, b = max(l, fl), min(l + s, fl + fs)
         if a >= b:
             return out
@@ -244,7 +348,7 @@ def check_anderson_equation(env: EnvironmentField, layers: list[LogMassField]) -
     step_hi = tuple(max(y[i] for y in offsets) for i in range(d))
     max_resid = 0.0
     for prev, cur in zip(layers, layers[1:]):
-        shape = cur.values.shape
+        shape = cur.shape
         # u_k over cur's box grown by one step, so every x + y is in range
         u = _mass_on_box(
             prev,
@@ -302,7 +406,7 @@ def write_layer_binary(fld: LogMassField, path: str) -> None:
         fh.write(_BINARY_MAGIC)
         fh.write(struct.pack("<HHq", _BINARY_VERSION, fld.dimension, fld.n))
         fh.write(struct.pack(f"<{fld.dimension}q", *fld.lo))
-        fh.write(struct.pack(f"<{fld.dimension}Q", *fld.values.shape))
+        fh.write(struct.pack(f"<{fld.dimension}Q", *fld.shape))
         fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
 
 
@@ -318,4 +422,4 @@ def read_layer_binary(path: str) -> LogMassField:
         shape = struct.unpack(f"<{d}Q", fh.read(8 * d))
         count = int(np.prod(shape))
         data = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
-    return LogMassField(n, d, tuple(lo), data.reshape(shape))
+    return LogMassField.from_box(n, lo, data.reshape(shape))

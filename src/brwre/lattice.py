@@ -1,7 +1,8 @@
 """Lattice primitives: sites, step sets, rational directions, l1 geometry.
 
 Sites are plain tuples of ints so they hash and compare naturally; all
-modules agree on that representation.
+modules agree on that representation.  `step_lattice` gives the
+coordinates of the sublattice a walk with a given step set can reach.
 """
 
 from __future__ import annotations
@@ -9,8 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Site = tuple[int, ...]
 
@@ -92,6 +96,153 @@ class StepSet:
     @classmethod
     def nearest_neighbour(cls, dimension: int) -> "StepSet":
         return cls(tuple(unit_vectors(dimension)))
+
+
+@dataclass(frozen=True)
+class StepLattice:
+    """Coordinates adapted to the lattice a walk with given steps lives on.
+
+    After k steps from `start` the walk stands on start + k*base + L, where
+    L is the lattice spanned by the differences of the steps.  `basis`
+    holds the columns of a basis B of L; the site start + k*base + B z has
+    lattice coordinates z, and a step y moves z by its shift
+    B^-1 (y - base), a vector in the per-step box [0, width].  The k-step
+    positions therefore fill the box [0, k*width] of z.
+
+    `dual` holds the rows of the integer matrix 2 B^-1 (every step set
+    holds the unit vectors +-e_i, so L contains 2 Z^d).  `period` is the
+    smallest q >= 1 with q*base in L: layers k and k + q lie on the same
+    coset of L, shifted by (q*base) / B.
+    """
+
+    basis: tuple[Site, ...]
+    dual: tuple[Site, ...]
+    base: Site
+    shifts: tuple[Site, ...]
+    period: int
+
+    @classmethod
+    @lru_cache(maxsize=3)
+    def identity(cls, dimension: int) -> "StepLattice":
+        """The frame of Z^d itself: B = I, no steps."""
+        eye = tuple(tuple(int(i == j) for j in range(dimension))
+                    for i in range(dimension))
+        return cls(eye, tuple(tuple(2 * c for c in r) for r in eye),
+                   (0,) * dimension, (), 1)
+
+    @property
+    def width(self) -> Site:
+        """Per-axis extent of the shifts: one step grows a layer by this."""
+        return tuple(max(col) for col in zip(*self.shifts))
+
+    def coords(self, x: Sequence[int]) -> Site | None:
+        """B^-1 x, or None when the displacement x is not in the lattice."""
+        twice = [sum(a * c for a, c in zip(row, x)) for row in self.dual]
+        if any(t % 2 for t in twice):
+            return None
+        return tuple(t // 2 for t in twice)
+
+
+@lru_cache(maxsize=32)
+def step_lattice(steps: tuple[Site, ...]) -> StepLattice:
+    """The lattice frame of a step set, with the smallest per-step box.
+
+    `steps` must hold every signed unit vector.  Among the bases of L the
+    one chosen minimizes the number of cells of the per-step box,
+    prod(width + 1); ties go to the dual vectors of smallest l1 norm, so
+    when L = Z^d with the steps' bounding box as the best box the basis is
+    the identity.  Shifts are listed in the order of `steps`.
+
+    A basis of L corresponds to a basis t_1..t_d / 2 of the dual lattice
+    (the functionals that are integral on L); the width of axis i is
+    (max - min) of t_i . y / 2 over the steps.  Because +-e_i are steps,
+    that width is at least |t_i| in every coordinate, so a search over
+    t in [-W, W]^d sees every axis of width up to W.  The search widens W
+    until it covers the largest width a basis with a smaller box could
+    have.
+    """
+    d = len(steps[0])
+    if any(e not in steps for e in unit_vectors(d)):
+        raise ValueError("a step lattice needs every signed unit vector")
+    y = np.array(steps, dtype=np.int64)
+    gens = y[1:] - y[0]
+    # classes of the dual lattice modulo Z^d: as many as [Z^d : L]
+    parity = np.array(list(product((0, 1), repeat=d)), dtype=np.int64)
+    index = int(((parity @ gens.T) % 2 == 0).all(axis=1).sum())
+    target = 2**d // index  # |det| of the rows t of a dual basis
+    bound = 1
+    while True:
+        rows, widths = _dual_candidates(y, gens, bound)
+        pick = _smallest_box_basis(rows, widths, target, d)
+        if pick is not None:
+            cells = math.prod(widths[i] + 1 for i in pick)
+            need = cells // 2 ** (d - 1) - 1
+            if need <= bound:
+                break
+            bound = need
+        else:
+            bound *= 2
+    dual = np.array(sorted((rows[i] for i in pick), reverse=True),
+                    dtype=np.int64)
+    basis = np.rint(2 * np.linalg.inv(dual)).astype(np.int64)
+    proj = y @ dual.T
+    shifts = (proj - proj.min(axis=0)) // 2
+    base = y[0] - basis @ shifts[0]
+    period = 1 if ((dual @ base) % 2 == 0).all() else 2
+    return StepLattice(
+        basis=tuple(map(tuple, basis.T.tolist())),
+        dual=tuple(map(tuple, dual.tolist())),
+        base=tuple(base.tolist()),
+        shifts=tuple(map(tuple, shifts.tolist())),
+        period=period,
+    )
+
+
+def _dual_candidates(y: np.ndarray, gens: np.ndarray,
+                     bound: int) -> tuple[list[Site], list[int]]:
+    """Dual vectors t/2 with per-step width <= bound, one of each +-t.
+
+    Sorted by width, then l1 norm, then t in decreasing order.
+    """
+    d = y.shape[1]
+    r = np.arange(-bound, bound + 1)
+    t = np.stack(np.meshgrid(*[r] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    lead = t[np.arange(len(t)), (t != 0).argmax(axis=1)]
+    t = t[lead > 0]
+    t = t[((t @ gens.T) % 2 == 0).all(axis=1)]
+    proj = t @ y.T
+    widths = (proj.max(axis=1) - proj.min(axis=1)) // 2
+    keep = widths <= bound
+    ranked = sorted(zip(widths[keep].tolist(), map(tuple, t[keep].tolist())),
+                    key=lambda wt: (wt[0], sum(map(abs, wt[1])),
+                                    tuple(-c for c in wt[1])))
+    return [v for _, v in ranked], [w for w, _ in ranked]
+
+
+def _smallest_box_basis(rows: list[Site], widths: list[int], target: int,
+                        d: int) -> list[int] | None:
+    """Indices of d rows with |det| = target and the least prod(width + 1).
+
+    `widths` is ascending, so a branch stops once even repeating its
+    narrowest remaining row cannot beat the best box found; among equal
+    boxes the first in row order wins.
+    """
+    best: list = [None, math.inf]
+
+    def extend(chosen: list[int], first: int, cells: int) -> None:
+        if len(chosen) == d:
+            det = round(np.linalg.det(np.array([rows[i] for i in chosen],
+                                               dtype=np.float64)))
+            if abs(det) == target and cells < best[1]:
+                best[:] = [list(chosen), cells]
+            return
+        for i in range(first, len(rows)):
+            if cells * (widths[i] + 1) ** (d - len(chosen)) >= best[1]:
+                break
+            extend(chosen + [i], i + 1, cells * (widths[i] + 1))
+
+    extend([], 0, 1)
+    return best[0]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Populations are evolved in aggregated form: the per-site particle count is a
 Python integer and each site resolves all of its particles with one
 multinomial draw over its offspring law, so the cost per step follows the
 number of occupied sites, not of particles.  A generation is drawn over
-arrays: one `law_index_grid` call gives the laws of all occupied sites,
+arrays: the laws of all occupied sites are read from a law-index box
+cached per environment (grown geometrically as the population spreads),
 each law draws its sites below 2**62 with one exact `rng.multinomial`
 call, and the sites at or above 2**62, of all laws together, split into
 conditional binomials, one batched draw per atom.  Draws with a count
@@ -231,6 +232,8 @@ class _Tables:
     `probs` is (laws, A) and `children` (laws, A, offsets) holds the child
     count of each atom at each offset of the sorted step set.  `walk_rows`
     holds the induced-walk tables of each law index the walk has stood on.
+    `law_box` holds the law indices of a box from `law_lo` on, which
+    `law_indices` grows when a population leaves it.
     """
 
     def __init__(self, env: EnvironmentField):
@@ -257,6 +260,34 @@ class _Tables:
         self.eps_hat = env.conditions.epsilon0 / len(offsets)
         self.forced_mass = 2 * d * self.eps_hat
         self.walk_rows: dict[int, _WalkRow] = {}
+        self.law_lo = np.zeros(d, dtype=np.int64)
+        self.law_box = np.zeros((0,) * d, dtype=np.int64)
+
+    def law_indices(self, env: EnvironmentField, coords: np.ndarray,
+                    lo: np.ndarray, hi: np.ndarray, what: str) -> np.ndarray:
+        """Law indices at the sites `coords` (an (N, d) array in [lo, hi]).
+
+        The environment is fixed, so they are read from `law_box`.  When
+        the sites leave it, the box is re-evaluated over the union with
+        their bounding box, widened by half the union's width on each side
+        they left, so a spreading population re-hashes it a logarithmic
+        number of times.
+        """
+        box_lo = self.law_lo
+        box_hi = box_lo + np.array(self.law_box.shape) - 1
+        if (lo < box_lo).any() or (hi > box_hi).any():
+            if self.law_box.size == 0:
+                box_lo, box_hi = lo, hi
+            u_lo, u_hi = np.minimum(lo, box_lo), np.maximum(hi, box_hi)
+            pad = (u_hi - u_lo + 1) // 2
+            box_lo = np.where(lo < box_lo, u_lo - pad, u_lo)
+            box_hi = np.where(hi > box_hi, u_hi + pad, u_hi)
+            check_box_memory(math.prod((box_hi - box_lo + 1).tolist()),
+                             SimulationError, what)
+            self.law_lo = box_lo
+            self.law_box = env.law_index_grid(tuple(box_lo.tolist()),
+                                              tuple(box_hi.tolist()))
+        return self.law_box[tuple((coords - self.law_lo).T)]
 
 
 _TABLES: "weakref.WeakKeyDictionary[EnvironmentField, _Tables]" = \
@@ -277,7 +308,7 @@ def step_population(env: EnvironmentField, state: PopulationState,
     """Advance the population one generation under the quenched environment.
 
     The occupied sites become a coordinate array and their laws are read
-    with one `law_index_grid` call over their bounding box.  Each law
+    from the environment's cached law-index box.  Each law
     draws all of its sites below 2**62 with one `rng.multinomial` call;
     the sites at or above 2**62, of every law together, run one batched
     conditional-binomial chain.  Children are added into a box over the
@@ -297,13 +328,12 @@ def step_population(env: EnvironmentField, state: PopulationState,
     coords = np.array(sites, dtype=np.int64)
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     new_lo, new_hi = lo + tables.step_lo, hi + tables.step_hi
-    check_box_memory(tuple(new_lo.tolist()), tuple(new_hi.tolist()),
-                     SimulationError, f"generation {state.n + 1}")
-    occ = np.ravel_multi_index((coords - lo).T, hi - lo + 1)
-    order = np.argsort(occ)
+    what = f"generation {state.n + 1}"
+    check_box_memory(math.prod((new_hi - new_lo + 1).tolist()),
+                     SimulationError, what)
+    order = np.argsort(np.ravel_multi_index((coords - lo).T, hi - lo + 1))
     coords, n = coords[order], np.array(counts, dtype=dtype)[order]
-    laws = env.law_index_grid(tuple(lo.tolist()),
-                              tuple(hi.tolist())).ravel()[occ[order]]
+    laws = tables.law_indices(env, coords, lo, hi, what)
 
     draws = np.zeros((len(n), tables.atoms), dtype=dtype)
     exact = n < _EXACT_LIMIT

@@ -61,7 +61,8 @@ def _open_masks(
     Raises ShapeError, before anything is allocated, if the BFS box would not
     fit in physical memory.
     """
-    check_box_memory(lo, hi, ShapeError, f"a reachability BFS over {lo}..{hi}")
+    check_box_memory(math.prod(h - l + 1 for l, h in zip(lo, hi)), ShapeError,
+                     f"a reachability BFS over {lo}..{hi}")
     offsets = env.spec.step_set.sorted_offsets()
     idx = env.law_index_grid(lo, hi)
     law_open = np.array(
@@ -244,15 +245,31 @@ def _hull_2d(points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
 
 
 def _hull_3d(points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    from scipy.spatial import ConvexHull, QhullError
+    """Hull vertices in lexicographic order, flat sets included.
 
+    A coplanar set is hulled in 2-D after dropping a coordinate along
+    which the plane's normal is nonzero (an affine map, injective on the
+    plane); a collinear set has its two lexicographic extremes.
+    """
     pts = sorted(set(points))
+    arr = np.asarray(pts)
+    diffs = arr[1:] - arr[0]
+    if not len(diffs):
+        return pts
+    normals = np.cross(diffs[0], diffs)
+    independent = np.flatnonzero(normals.any(axis=1))
+    if not len(independent):
+        return [pts[0], pts[-1]]
+    normal = normals[independent[0]]
+    if not (diffs @ normal).any():
+        keep = [i for i in range(3) if i != int(np.flatnonzero(normal)[0])]
+        back = {tuple(p[i] for i in keep): p for p in pts}
+        return sorted(back[v] for v in _hull_2d(list(back)))
     if len(pts) <= 4:
-        return list(pts)
-    try:
-        hull = ConvexHull(np.asarray(pts, dtype=np.float64))
-    except QhullError:
-        return list(pts)
+        return pts
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(arr.astype(np.float64))
     return [tuple(float(c) for c in hull.points[v]) for v in sorted(hull.vertices)]
 
 

@@ -1,6 +1,8 @@
-"""Shared environment builders for the test suite."""
+"""Shared environment builders and reference solvers for the test suite."""
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -107,3 +109,40 @@ def capped_mean_law(rng: np.random.Generator, cap: float = 1.1) -> SiteLaw:
     p_minus = 1.0 - p2 - p_plus
     return law_of(({(1,): 1}, p_plus), ({(-1,): 1}, p_minus),
                   ({(1,): 1, (-1,): 1}, p2))
+
+
+def reference_layers(env: EnvironmentField, start, n: int, adjoint: bool = False):
+    """Per-site scalar DP over each layer's bounding box: (lo, values) per layer.
+
+    Each cell starts at -inf and takes `np.logaddexp` with the term of every
+    offset in sorted order whose source lies in the previous box; forward
+    the coefficient is mu_y at the source x - y, adjoint it is mu_y at the
+    cell itself, whose source is x + y.  Laws come from per-site
+    `law_index` calls.
+    """
+    offsets = env.spec.step_set.sorted_offsets()
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(np.array([[law.mean_offspring.get(y, 0.0) for y in offsets]
+                                  for law in env.spec.law_support]))
+    sign = -1 if adjoint else 1
+    moves = [tuple(sign * c for c in y) for y in offsets]
+    step_lo = [min(m[i] for m in moves) for i in range(len(start))]
+    step_hi = [max(m[i] for m in moves) for i in range(len(start))]
+    lo, old = tuple(start), np.zeros((1,) * len(start))
+    yield lo, old
+    for _ in range(n):
+        new_lo = tuple(l + a for l, a in zip(lo, step_lo))
+        new = np.full(tuple(s + b - a for s, a, b in zip(old.shape, step_lo, step_hi)),
+                      -np.inf)
+        for idx in product(*(range(s) for s in new.shape)):
+            x = tuple(l + i for l, i in zip(new_lo, idx))
+            acc = np.float64(-np.inf)
+            for j, m in enumerate(moves):
+                src = tuple(c - a - l for c, a, l in zip(x, m, lo))
+                if any(i < 0 or i >= s for i, s in zip(src, old.shape)):
+                    continue
+                at = x if adjoint else tuple(c - a for c, a in zip(x, m))
+                acc = np.logaddexp(acc, old[src] + log_mu[env.law_index(at), j])
+            new[idx] = acc
+        lo, old = new_lo, new
+        yield lo, old

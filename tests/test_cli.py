@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,18 @@ from _support import (
     law_of,
     symmetric06_law,
 )
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy's import costs more than the CLI's own; only the d = 3 hull
+    # (Qhull) loads it, on first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, brwre.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def env_doc(seed=2024):

@@ -3,7 +3,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from brwre import environment
 from brwre.expectation import (
     LogMassField,
     SolverError,
@@ -16,8 +18,14 @@ from brwre.expectation import (
     write_layer_binary,
     write_layer_csv,
 )
-from brwre.environment import Dependence, EnvironmentSpec, build_environment
-from brwre.lattice import StepSet, add
+from brwre.environment import (
+    BYTES_PER_BOX_CELL,
+    Dependence,
+    EnvironmentSpec,
+    build_environment,
+    check_box_memory,
+)
+from brwre.lattice import StepSet, add, unit_vectors
 
 from _support import (
     doubling_law,
@@ -27,6 +35,7 @@ from _support import (
     law_of,
     mean2_law,
     random_env,
+    reference_layers,
 )
 
 
@@ -214,6 +223,88 @@ class TestMemoryPreflight:
         # a (2 * 10**4 + 1)**3 box: the check must fire before _Tables
         with pytest.raises(SolverError, match="horizon 10000"):
             list(iter_layers(cube_env(), (0, 0, 0), 10_000, adjoint=adjoint))
+
+    def test_adapted_box_runs_where_dense_box_is_refused(self, monkeypatch):
+        # memory for half the d = 3 dense box of horizon h: the lattice
+        # cells, about a quarter of it, fit
+        h = 40
+        dense = (2 * h + 1) ** 3
+        pages = dense * BYTES_PER_BOX_CELL // 2 // 4096
+        monkeypatch.setattr(environment.os, "sysconf",
+                            lambda name: 4096 if name == "SC_PAGE_SIZE" else pages)
+        with pytest.raises(SolverError, match="cell box"):
+            check_box_memory(dense, SolverError, "the dense box")
+        env, start = cube_env(Dependence("block_window", 1)), (1, -2, 0)
+        layers = iter_layers(env, start, h)
+        for n in range(3):
+            fld = next(layers)
+            assert fld.n == n
+            assert layer_masses(fld) == pytest.approx(brute_forward(env, start, n),
+                                                      rel=1e-12)
+        # at twice the horizon even the lattice cells do not fit
+        with pytest.raises(SolverError, match=f"horizon {2 * h}"):
+            list(iter_layers(env, start, 2 * h))
+
+
+def _lattice_env(steps, dependence, seed):
+    """Three random laws on `steps`, each charging every step."""
+    rng = np.random.default_rng(seed)
+    laws = []
+    for _ in range(3):
+        configs = [{y: 1} for y in steps]
+        for a, b in rng.choice(len(steps), size=(2, 2)):
+            configs.append({steps[a]: 1, steps[b]: 2} if a != b else {steps[a]: 2})
+        probs = rng.dirichlet(np.ones(len(configs)))
+        laws.append(law_of(*[(c, float(p)) for c, p in zip(configs, probs)]))
+    spec = EnvironmentSpec(
+        dimension=len(steps[0]), step_set=StepSet(tuple(steps)),
+        law_support=tuple(laws), weights=(0.5, 0.3, 0.2),
+        dependence=dependence, master_seed=seed)
+    return build_environment(spec)
+
+
+# (step set, start, horizon): nearest-neighbour steps in d = 1, 2, 3 (a
+# lattice of index 2), with the origin (the lattice is Z^d), with a (2, 0)
+# jump (Z^2, a wider box on one axis) and with a (-2, 1) jump (index 2;
+# some lattice cells lie outside the dense box, one on the flat position of
+# a cell inside it)
+LATTICE_CASES = {
+    "parity-d2": (unit_vectors(2) + [(-2, 1)], (-2, 1), 8),
+    "nn-d1": (unit_vectors(1), (3,), 24),
+    "nn-d2": (unit_vectors(2), (2, -1), 10),
+    "nn-d3": (unit_vectors(3), (1, -2, 1), 5),
+    "origin-d2": (unit_vectors(2) + [(0, 0)], (-1, 2), 7),
+    "jump-d2": (unit_vectors(2) + [(2, 0)], (2, 1), 7),
+}
+
+
+class TestLatticeLayout:
+    """Layers on the lattice frame equal the per-site dense-box DP bit for bit."""
+
+    @pytest.mark.parametrize("dependence", ["iid", "block_window"])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+    def test_layers_match_scalar_reference(self, case, adjoint, dependence):
+        steps, start, n = LATTICE_CASES[case]
+        dep = Dependence("iid") if dependence == "iid" \
+            else Dependence("block_window", 1)
+        env = _lattice_env(steps, dep, 7 + len(steps))
+        pairs = zip(iter_layers(env, start, n, adjoint=adjoint),
+                    reference_layers(env, start, n, adjoint=adjoint))
+        for fld, (lo, values) in pairs:
+            assert fld.lo == lo
+            assert fld.values.shape == values.shape
+            assert fld.values.tobytes() == values.tobytes()
+            finite = np.isfinite(values)
+            sites = [tuple(int(c) + l for c, l in zip(i, lo)) for i in np.argwhere(finite)]
+            assert list(fld.items()) == list(zip(sites, values[finite].tolist()))
+            assert fld.support_size() == len(sites)
+            if sites:
+                assert expected_total(fld) == logsumexp(values[finite])
+            for idx in product(*(range(-1, s + 1) for s in values.shape)):
+                x = tuple(l + i for l, i in zip(lo, idx))
+                inside = all(0 <= i < s for i, s in zip(idx, values.shape))
+                assert fld.get(x) == (values[idx] if inside else float("-inf"))
 
 
 def plane_env():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from brwre import montecarlo
 from brwre.environment import (
     Dependence,
     EnvironmentField,
@@ -331,6 +332,41 @@ class TestBatchedStep:
         nxt = step_population(env, state, np.random.default_rng(44))
         assert nxt.n == 1 and len(state.counts) == 50
         assert calls == []
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_law_box_is_hashed_a_logarithmic_number_of_times(self, d, monkeypatch):
+        # against a law_index_grid call over each generation's occupied box
+        def make_env():
+            law = law_of(*[({y: 1}, 0.2) for y in unit_vectors(d)],
+                         ({unit_vectors(d)[0]: 1, unit_vectors(d)[1]: 1},
+                          1.0 - 0.2 * 2 * d))
+            spec = EnvironmentSpec(
+                dimension=d, step_set=StepSet.nearest_neighbour(d),
+                law_support=(law, law_of(*[({y: 1}, 1.0 / (2 * d))
+                                           for y in unit_vectors(d)])),
+                weights=(0.5, 0.5), dependence=Dependence("block_window", 1),
+                master_seed=31)
+            return build_environment(spec)
+
+        n, start = 40, (3,) * d
+        calls = []
+        orig = EnvironmentField.law_index_grid
+
+        def counting(self, lo, hi):
+            calls.append((lo, hi))
+            return orig(self, lo, hi)
+
+        def per_generation(tables, env, coords, lo, hi, what):
+            box = env.law_index_grid(tuple(lo.tolist()), tuple(hi.tolist()))
+            return box[tuple((coords - lo).T)]
+
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo._Tables, "law_indices", per_generation)
+            want = run(make_env(), start, n, np.random.default_rng(5))
+        monkeypatch.setattr(EnvironmentField, "law_index_grid", counting)
+        got = run(make_env(), start, n, np.random.default_rng(5))
+        assert [s.counts for s in got] == [s.counts for s in want]
+        assert len(calls) <= 2 * math.log2(2 * n) + 1
 
 
 class TestInducedWalk:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from brwre.environment import EnvironmentField
 from brwre.lattice import RationalVector, StepSet, l1_norm, sub, unit_vectors
@@ -240,15 +241,28 @@ class TestRowEndHull:
         sites = [sub(x, ptm.origin) for x in ptm.reached(n)]
         return tuple(tuple(c / n for c in v) for v in convex_hull(sites))
 
+    @staticmethod
+    def _flat_vertices(sites):
+        """Vertices of a collinear or coplanar set, by Qhull in the plane."""
+        rel = sites - sites[0]
+        _, sv, vt = np.linalg.svd(rel.astype(float))
+        rank = int((sv > 1e-9 * sv[0]).sum())
+        coords = rel @ vt[:rank].T
+        if rank == 1:
+            keep = [int(coords.argmin()), int(coords.argmax())]
+        else:
+            keep = ConvexHull(coords).vertices
+        return {tuple(sites[i].tolist()) for i in keep}
+
     def _check(self, ptm, n):
         est = shape_polytope(ptm, n)
         sites = np.array([sub(x, ptm.origin) for x in ptm.reached(n)])
         if np.linalg.matrix_rank(sites - sites[0]) == sites.shape[1]:
             assert est.hull == self._all_site_hull(ptm, n)
         else:
-            # a flat 3-d set: qhull fails and convex_hull returns its input,
-            # now the row ends instead of every site
-            assert set(est.hull) <= set(self._all_site_hull(ptm, n))
+            # a flat 3-d set: the exact vertices of the plane or segment
+            want = {tuple(c / n for c in v) for v in self._flat_vertices(sites)}
+            assert set(est.hull) == want == set(self._all_site_hull(ptm, n))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_reached_sets(self, d):
@@ -300,6 +314,18 @@ class TestHullAndDistance:
                (0, 0, 1), (0, 0, -1), (0, 0, 0)]
         hull = convex_hull(pts)
         assert set(hull) == set(pts) - {(0, 0, 0)}
+
+    def test_hull_3d_flat_sets(self):
+        # the hexagon of x + y + z = 0 in the unit cube, and its centre
+        hexagon = [(1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1),
+                   (0, 1, -1), (0, -1, 1), (0, 0, 0)]
+        assert set(convex_hull(hexagon)) == set(hexagon) - {(0, 0, 0)}
+        # four coplanar points, one on the segment of two others
+        assert convex_hull([(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 2, 0)]) == [
+            (0, 0, 0), (0, 2, 0), (2, 2, 0)]
+        line = [(i, 2 * i, -i) for i in range(-3, 4)]
+        assert convex_hull(line) == [(-3, -6, 3), (3, 6, -3)]
+        assert convex_hull([(1, 2, 3), (1, 2, 3)]) == [(1, 2, 3)]
 
     def test_hull_empty_rejected(self):
         with pytest.raises(ShapeError):
