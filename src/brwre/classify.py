@@ -38,6 +38,8 @@ from .environment import SiteLaw
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SEARCH_RADIUS = 64.0
+LINE_SEARCH_ITERS = 90  # golden-section steps per ray, at most
+DESCENT_ITERS = 300  # gradient steps of the polish, at most
 
 
 class CriterionError(ValueError):
@@ -149,9 +151,7 @@ def _direction_grid(d: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _line_searches(
-    phi: _Phi, dirs: np.ndarray, iters: int = 90
-) -> tuple[np.ndarray, np.ndarray]:
+def _line_searches(phi: _Phi, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section minima of Phi along the rays r*u, r in [0, SEARCH_RADIUS].
 
     All rays advance in lockstep, one batched evaluation per iteration; each
@@ -165,7 +165,7 @@ def _line_searches(
     f = phi.evaluate(np.concatenate([x1[:, None] * dirs, x2[:, None] * dirs]))[0]
     f1, f2 = f[: len(dirs)], f[len(dirs) :]
     active = np.ones(len(dirs), dtype=bool)
-    for _ in range(iters):
+    for _ in range(LINE_SEARCH_ITERS):
         active &= ~(b - a < 1e-13 * np.maximum(1.0, np.abs(a) + np.abs(b)))
         if not active.any():
             break
@@ -188,8 +188,7 @@ def _line_searches(
 
 
 def _descend(
-    phi: _Phi, t: np.ndarray, at_t: tuple[float, int, np.ndarray],
-    max_iter: int = 300,
+    phi: _Phi, t: np.ndarray, at_t: tuple[float, int, np.ndarray]
 ) -> tuple[np.ndarray, tuple[float, int, np.ndarray]]:
     """Backtracking descent along the analytic gradient of convex Phi.
 
@@ -198,7 +197,7 @@ def _descend(
     taken.  Returns the final point and `phi.at` there.
     """
     f, _, grad = at_t
-    for _ in range(max_iter):
+    for _ in range(DESCENT_ITERS):
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-12:
             break

@@ -401,7 +401,7 @@ def _cmd_shape(env, cfg, outdir, seed):
             "delta": delta,
             "hull_csv": name,
             "vertices": len(est.hull),
-            "reached": len(ptm.times),
+            "reached": int((ptm.grid >= 0).sum()),
             "radius": radius,
         })
         polygons.append((f"delta={delta:g}", [tuple(v) for v in est.hull]))

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .lattice import Site, StepSet, l1_norm, unit_vectors
-from .seeding import TAG_ENVIRONMENT, cell_uniform
+from .seeding import cell_uniform
 
 PROB_TOL = 1e-12
 
@@ -270,10 +270,6 @@ class EnvironmentField:
         ]
         return tuple(sorted(cells))
 
-    @property
-    def rho(self) -> int:
-        return self.spec.rho
-
     @cached_property
     def conditions(self) -> ConditionReport:
         return check_conditions(self.spec)
@@ -297,7 +293,7 @@ class EnvironmentField:
         if hit is not None:
             return hit
         us = [
-            float(cell_uniform(self.spec.master_seed, cell, TAG_ENVIRONMENT))
+            float(cell_uniform(self.spec.master_seed, cell))
             for cell in self.dependence_window(x)
         ]
         if self.spec.dependence.mode == "iid":
@@ -322,16 +318,16 @@ class EnvironmentField:
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         if any(s <= 0 for s in shape):
             raise EnvironmentError_(f"empty box {lo}..{hi}")
-        axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         if self._override is not None or self.spec.dependence.mode == "iid":
-            return self.law_index_sites(mesh)
+            axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
+            return self.law_index_sites(
+                np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
         # a block window hashes each cell of the padded box once
         w = self.spec.dependence.window_radius
         pad_axes = [np.arange(l - w, h + w + 1, dtype=np.int64)
                     for l, h in zip(lo, hi)]
         pad_mesh = np.stack(np.meshgrid(*pad_axes, indexing="ij"), axis=-1)
-        cell_u = cell_uniform(self.spec.master_seed, pad_mesh, TAG_ENVIRONMENT)
+        cell_u = cell_uniform(self.spec.master_seed, pad_mesh)
         acc = np.zeros(shape, dtype=np.float64)
         for c in self._window_cells:
             sl = tuple(slice(w + ci, w + ci + s) for ci, s in zip(c, shape))
@@ -351,11 +347,10 @@ class EnvironmentField:
                             dtype=np.int64).reshape(sites.shape[:-1])
         seed = self.spec.master_seed
         if self.spec.dependence.mode == "iid":
-            return self._select(cell_uniform(seed, sites, TAG_ENVIRONMENT))
+            return self._select(cell_uniform(seed, sites))
         acc = np.zeros(sites.shape[:-1], dtype=np.float64)
         for c in self._window_cells:
-            acc += cell_uniform(seed, sites + np.array(c, dtype=np.int64),
-                                TAG_ENVIRONMENT)
+            acc += cell_uniform(seed, sites + np.array(c, dtype=np.int64))
         return self._select(np.mod(acc, 1.0))
 
     def _select(self, u: np.ndarray) -> np.ndarray:

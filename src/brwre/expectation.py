@@ -110,6 +110,7 @@ class LogMassField:
     def values(self) -> np.ndarray:
         """The dense box, row-major; cells outside it are dropped.
 
+        Always a new array, so writing into it leaves the layer as it was.
         The box's flat index is affine in the lattice coordinates, so one
         strided view of a padded buffer holds every cell, and the finite
         cells are copied through it.  A cell whose site lies outside the
@@ -117,9 +118,6 @@ class LogMassField:
         and is not copied.
         """
         cells = self.cells
-        if (self.lattice.basis == StepLattice.identity(self.dimension).basis
-                and cells.shape == self.shape and self.origin == self.lo):
-            return cells
         strides = [int(np.prod(self.shape[i + 1:])) for i in range(len(self.shape))]
         step = [sum(b * s for b, s in zip(col, strides)) for col in self.lattice.basis]
         first = sum((o - l) * s for o, l, s in zip(self.origin, self.lo, strides))
@@ -140,10 +138,15 @@ class LogMassField:
 
     def items(self) -> Iterator[tuple[Site, float]]:
         """Finite (site, log-mass) entries in lexicographic site order."""
+        sites, values = self._finite()
+        return zip(map(tuple, sites), values)
+
+    def _finite(self) -> tuple[list[list[int]], list[float]]:
+        """The finite entries' sites and log masses, as `items` orders them."""
         values = self.values
         mask = values > NEG_INF
-        for idx, v in zip(np.argwhere(mask).tolist(), values[mask].tolist()):
-            yield tuple(c + l for c, l in zip(idx, self.lo)), v
+        sites = np.argwhere(mask) + np.array(self.lo, dtype=np.int64)
+        return sites.tolist(), values[mask].tolist()
 
     def support_size(self) -> int:
         return int(np.isfinite(self.cells).sum())
@@ -381,8 +384,8 @@ def write_layer_csv(fld: LogMassField, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"x{i + 1}" for i in range(fld.dimension)] + ["log_mass"])
-        for site, v in fld.items():
-            w.writerow(list(site) + [repr(v)])
+        sites, values = fld._finite()
+        w.writerows(site + [repr(v)] for site, v in zip(sites, values))
 
 
 def read_layer_csv(path: str) -> dict[Site, float]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,15 +44,6 @@ def unit_vectors(dimension: int) -> list[Site]:
         out.append(plus)
         out.append(minus)
     return out
-
-
-def l1_ball(dimension: int, radius: int) -> Iterator[Site]:
-    """All lattice sites x with ||x||_1 <= radius."""
-    if radius < 0:
-        return
-    for x in product(range(-radius, radius + 1), repeat=dimension):
-        if l1_norm(x) <= radius:
-            yield x
 
 
 @dataclass(frozen=True)
@@ -249,9 +240,10 @@ def _smallest_box_basis(rows: list[Site], widths: list[int], target: int,
 class RationalVector:
     """Rational point of R^d as integer numerators over one positive denominator.
 
-    Normalized so gcd(*numerators, denominator) == 1.  Directions for norm and
-    growth-exponent estimates are stored this way so that the integer scales
-    k0 below are exact.
+    Normalized so gcd(*numerators, denominator) == 1: the denominator is then
+    the smallest positive integer k with k*a integral.  Directions for norm
+    and growth-exponent estimates are stored this way so that their integer
+    scales are exact.
     """
 
     numerators: tuple[int, ...]
@@ -285,10 +277,6 @@ class RationalVector:
 
     def is_zero(self) -> bool:
         return all(n == 0 for n in self.numerators)
-
-    def integer_scale(self) -> int:
-        """Smallest positive integer k with k*a integral (lcm of denominators)."""
-        return self.denominator
 
     def even_scale(self) -> int:
         """Smallest positive even integer k with k*a in (2Z)^d.

@@ -19,13 +19,12 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
-# Domain tags keep the per-cell environment stream and any future per-cell
-# streams disjoint even under equal seeds.
+# Mixed into the seed of every cell hash; part of the environment's
+# definition, so changing it would change every realized law.
 TAG_ENVIRONMENT = 0x45E31B6D02F411D7
 
 # Purpose codes for dynamics streams (SeedSequence spawn keys).
 PURPOSE_DYNAMICS = 1
-PURPOSE_INDUCED_WALK = 2
 PURPOSE_RETURN_PROBE = 3
 
 
@@ -38,24 +37,24 @@ def _mix(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def cell_hash(seed: int, coords: Sequence[int] | np.ndarray, tag: int = TAG_ENVIRONMENT) -> np.ndarray:
-    """64-bit hash of (seed, tag, coords), vectorized over leading axes.
+def cell_hash(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:
+    """64-bit hash of (seed, TAG_ENVIRONMENT, coords), vectorized over leading axes.
 
     `coords` is either one site (1-D, length d) or an array (..., d); the
     result drops the last axis.  Scalar and vectorized evaluation agree
     bitwise because both run through this function.
     """
     arr = np.asarray(coords, dtype=np.int64).view(np.uint64)
-    h = _mix(np.uint64((seed ^ tag) & 0xFFFFFFFFFFFFFFFF))
+    h = _mix(np.uint64((seed ^ TAG_ENVIRONMENT) & 0xFFFFFFFFFFFFFFFF))
     h = np.broadcast_to(h, arr.shape[:-1]).copy()
     for i in range(arr.shape[-1]):
         h = _mix(h ^ arr[..., i])
     return h
 
 
-def cell_uniform(seed: int, coords: Sequence[int] | np.ndarray, tag: int = TAG_ENVIRONMENT) -> np.ndarray:
+def cell_uniform(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:
     """Uniform [0,1) variate(s) attached to lattice cell(s)."""
-    h = cell_hash(seed, coords, tag)
+    h = cell_hash(seed, coords)
     return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -77,17 +78,29 @@ def _open_masks(
 
 @dataclass(frozen=True, eq=False)
 class PassageTimeMap:
+    """Passage times from `origin` on the BFS box origin +- radius.
+
+    `grid[x - origin + radius]` is T(origin, x), and -1 where x was not
+    reached (outside the l1 ball of `radius`, or not reached inside it).
+    `times` is the same map as a dict from reached site to time, built
+    on first access for per-site callers.
+    """
+
     delta: float
     origin: Site
     radius: int
-    times: dict[Site, int]
+    grid: np.ndarray
+
+    @cached_property
+    def times(self) -> dict[Site, int]:
+        """Reached site -> T(origin, site), in lexicographic site order."""
+        hit = self.grid >= 0
+        sites = np.argwhere(hit) + (np.array(self.origin) - self.radius)
+        return dict(zip(map(tuple, sites.tolist()), self.grid[hit].tolist()))
 
     def t(self, x: Site) -> float:
         """T(origin, x); infinity when x was not reached inside the ball."""
-        x = tuple(x)
-        if x == self.origin:
-            return 0
-        return self.times.get(x, INF)
+        return self.times.get(tuple(x), INF)
 
     def reached(self, n: int) -> list[Site]:
         """W(n): sites with passage time at most n."""
@@ -102,9 +115,11 @@ def passage_times(
 ) -> PassageTimeMap:
     """BFS passage times from `origin` inside the l1 ball of `radius`.
 
-    A path of t steps moves at most t * L0 in l1, so every site whose time
-    t has t * L0 <= radius gets its exact passage time; larger times are
-    upper bounds, and sites reachable only through the outside are missed.
+    The BFS runs on the box origin +- radius, one boolean frontier per
+    layer, and its time grid is the map's `grid`.  A path of t steps moves
+    at most t * L0 in l1, so every site whose time t has t * L0 <= radius
+    gets its exact passage time; larger times are upper bounds, and sites
+    reachable only through the outside are missed.
     """
     if radius <= 0:
         raise ShapeError("radius must be positive")
@@ -129,12 +144,7 @@ def passage_times(
         nxt &= ball & (times < 0)
         times[nxt] = t
         frontier = nxt
-
-    out: dict[Site, int] = {}
-    for idx in zip(*np.nonzero(times >= 0)):
-        site = tuple(int(i) + l for i, l in zip(idx, lo))
-        out[site] = int(times[idx])
-    return PassageTimeMap(delta, origin, radius, out)
+    return PassageTimeMap(delta, origin, radius, times)
 
 
 def iter_reachable(
@@ -194,7 +204,7 @@ def norm_estimate(
         raise ShapeError("direction must be nonzero")
     if n_max < 1:
         raise ShapeError("need n_max >= 1")
-    k0 = a.integer_scale()
+    k0 = a.denominator
     ptm = passage_times(env, delta, int(math.ceil(float(k0 * n_max * a.l1()))))
     samples: list[tuple[int, float]] = []
     value = INF
@@ -207,11 +217,13 @@ def norm_estimate(
     return NormEstimate(a, k0, tuple(samples), value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapeEstimate:
+    """W(n)/n as an (m, d) array in lexicographic order, and its hull."""
+
     delta: float
     n: int
-    normalized_sites: tuple[tuple[float, ...], ...]
+    normalized_sites: np.ndarray
     hull: tuple[tuple[float, ...], ...]
 
 
@@ -285,19 +297,21 @@ def convex_hull(points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
 
 
 def shape_polytope(ptm: PassageTimeMap, n: int) -> ShapeEstimate:
-    """Normalized reachable set W(n)/n with its convex hull."""
+    """Normalized reachable set W(n)/n with its convex hull.
+
+    W(n) is read off `ptm.grid`; `np.argwhere` lists it in lexicographic
+    order, relative to the origin once the radius is subtracted.
+    """
     if n > ptm.radius:
         raise ShapeError(f"n={n} exceeds the map radius {ptm.radius}")
     if n == 0:
         pt = tuple(0.0 for _ in ptm.origin)
-        return ShapeEstimate(ptm.delta, 0, (pt,), (pt,))
-    sites = np.array(ptm.reached(n), dtype=np.int64) - np.array(ptm.origin)
-    sites = sites[np.lexsort(sites.T[::-1])]  # lexicographic order
-    norm = tuple(map(tuple, (sites / n).tolist()))
+        return ShapeEstimate(ptm.delta, 0, np.zeros((1, len(pt))), (pt,))
+    sites = np.argwhere((ptm.grid >= 0) & (ptm.grid <= n)) - ptm.radius
     # hull on the integer sites: exact arithmetic, no float-collinearity noise
     ends = list(map(tuple, sites[_row_ends(sites)].tolist()))
     hull = tuple(tuple(c / n for c in v) for v in convex_hull(ends))
-    return ShapeEstimate(ptm.delta, n, norm, hull)
+    return ShapeEstimate(ptm.delta, n, sites / n, hull)
 
 
 def _row_ends(sites: np.ndarray) -> np.ndarray:

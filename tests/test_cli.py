@@ -21,6 +21,7 @@ from brwre.cli import (
 from brwre.environment import build_environment, spec_from_dict, spec_to_dict
 from brwre.expectation import read_layer_binary, read_layer_csv
 from brwre.growth import total_growth
+from brwre.shape import passage_times
 
 from _support import (
     borderline_law,
@@ -291,6 +292,24 @@ class TestShape:
         assert (out / "shape_hulls.svg").exists()
         ps = json.loads((out / "passage_summary.json").read_text())
         assert len(ps["deltas"]) == 2
+
+    def test_reached_counts_the_passage_map(self, tmp_path):
+        spread = law_of(({(1, 0): 1, (-1, 0): 1}, 0.5), ({(0, 1): 1}, 0.3),
+                        ({(0, -1): 1}, 0.2))
+        lazy = law_of(({(1, 0): 1}, 0.1), ({(-1, 0): 1}, 0.1),
+                      ({(0, 1): 1}, 0.4), ({(0, -1): 1}, 0.4))
+        env = iid_env([spread, lazy], [0.6, 0.4], 19, dimension=2)
+        out = tmp_path / "out"
+        deltas = [0.05, 0.15, 0.35]
+        doc = {"command": "shape", "output_dir": str(out),
+               "environment": spec_to_dict(env.spec),
+               "parameters": {"horizon": 10, "delta_grid": deltas}}
+        assert main(["shape", write_config(tmp_path, "c.json", doc)]) == 0
+        ps = json.loads((out / "passage_summary.json").read_text())
+        got = [entry["reached"] for entry in ps["deltas"]]
+        want = [len(passage_times(env, delta, 10).times) for delta in deltas]
+        assert got == want
+        assert len(set(want)) == len(want)  # the deltas reach different sets
 
     def test_oversized_box_is_runtime_error(self, tmp_path, capsys):
         doc = {

@@ -18,6 +18,7 @@ from brwre.environment import (
     spec_to_dict,
 )
 from brwre.lattice import StepSet
+from brwre.seeding import cell_uniform
 
 from _support import doubling_law, drift_law, iid_env, law_of
 
@@ -132,6 +133,18 @@ class TestFieldRealization:
         ia = [a.law_index(s) for s in sites]
         assert ia == [b.law_index(s) for s in sites]
         assert ia != [c.law_index(s) for s in sites]
+
+    @pytest.mark.parametrize("seed,site,want", [
+        (0, (0,), 0.4627342646327526),
+        (7, (3, -2), 0.4783091665896938),
+        (11, (-5, 4, 9), 0.11968978728910451),
+        (2**40 + 3, (123456, -7), 0.9170676179549913),
+        (53, (0, 0, 0), 0.44445080737055254),
+    ])
+    def test_cell_uniform_golden(self, seed, site, want):
+        # pinned values: a change to the hash or its tag changes every law
+        assert float(cell_uniform(seed, site)) == want
+        assert cell_uniform(seed, np.array([site, site]))[1] == want
 
     def test_scalar_matches_grid_iid(self):
         env = iid_env([doubling_law(), drift_law(), drift_law()],

@@ -417,6 +417,14 @@ class TestFieldBasics:
         assert fld.get((3,)) == float("-inf")
         assert fld.support_size() == 1
 
+    def test_values_is_a_copy(self):
+        box = np.array([[-0.5, -np.inf, 2.0], [0.0, 1.5, -np.inf]])
+        fld = LogMassField.from_box(4, (-1, 2), box.copy())
+        fld.values[:] = 7.0
+        for idx in np.ndindex(box.shape):
+            assert fld.get((idx[0] - 1, idx[1] + 2)) == box[idx]
+        assert np.array_equal(fld.values, box)
+
     def test_negative_horizon_rejected(self):
         env = homogeneous_env(doubling_law())
         with pytest.raises(SolverError):

@@ -11,7 +11,6 @@ from brwre.lattice import (
     StepLattice,
     StepSet,
     add,
-    l1_ball,
     l1_norm,
     step_lattice,
     sub,
@@ -29,13 +28,6 @@ def test_unit_vector_ordering():
     assert unit_vectors(1) == [(1,), (-1,)]
     assert unit_vectors(2) == [(1, 0), (-1, 0), (0, 1), (0, -1)]
     assert len(unit_vectors(3)) == 6
-
-
-def test_l1_ball_counts():
-    assert sorted(l1_ball(1, 1)) == [(-1,), (0,), (1,)]
-    assert len(list(l1_ball(2, 1))) == 5
-    assert len(list(l1_ball(2, 2))) == 13
-    assert (0, 0) in set(l1_ball(2, 2))
 
 
 class TestStepSet:
@@ -74,9 +66,6 @@ class TestRationalVector:
         a = RationalVector.from_fractions([Fraction(1, 2), Fraction(-1, 3)])
         assert a.numerators == (3, -2)
         assert a.denominator == 6
-
-    def test_integer_scale(self):
-        assert RationalVector.from_fractions([Fraction(3, 10)]).integer_scale() == 10
 
     @pytest.mark.parametrize("frac,expected", [
         (Fraction(0), 2),

@@ -233,6 +233,63 @@ class TestShapePolytope:
             assert sum(abs(c) for c in p) <= l0 + 1e-12
 
 
+
+class TestPassageTimeGrid:
+    """`times`, `t`, `reached` and `shape_polytope` agree with `grid`."""
+
+    @staticmethod
+    def _map(d):
+        rng = np.random.default_rng(70 + d)
+        step_set = StepSet.nearest_neighbour(d)
+        laws = [unit_mass_law(rng, step_set.offsets) for _ in range(2)]
+        env = iid_env(laws, [0.5, 0.5], int(rng.integers(0, 2**31)),
+                      dimension=d)
+        radius = {1: 15, 2: 9, 3: 5}[d]
+        origin = tuple(int(c) for c in rng.integers(-20, 21, size=d))
+        delta = float(rng.uniform(0.2, 0.45))
+        return passage_times(env, delta, radius, origin=origin)
+
+    @staticmethod
+    def _grid_times(ptm):
+        """site -> time from the grid, one cell at a time."""
+        out = {}
+        for idx in np.ndindex(ptm.grid.shape):
+            if ptm.grid[idx] >= 0:
+                site = tuple(i - ptm.radius + o for i, o in zip(idx, ptm.origin))
+                out[site] = int(ptm.grid[idx])
+        return out
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_per_site_views_agree_with_grid(self, d):
+        ptm = self._map(d)
+        r = ptm.radius
+        assert ptm.grid.shape == (2 * r + 1,) * d
+        want = self._grid_times(ptm)
+        assert 1 < len(want) < (2 * r + 1) ** d
+        assert ptm.times == want
+        assert list(ptm.times) == sorted(want)
+        assert all(type(c) is int for x in ptm.times for c in x)
+        assert all(type(t) is int for t in ptm.times.values())
+        assert ptm.times[ptm.origin] == 0
+        # the box and a shell of sites outside it
+        for idx in np.ndindex((2 * r + 3,) * d):
+            x = tuple(i - r - 1 + o for i, o in zip(idx, ptm.origin))
+            assert ptm.t(x) == want.get(x, math.inf)
+        for n in (0, 1, r // 2, r):
+            assert ptm.reached(n) == sorted(x for x, t in want.items() if t <= n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_shape_polytope_reads_the_grid(self, d):
+        ptm = self._map(d)
+        ests = {n: shape_polytope(ptm, n) for n in (1, 2, ptm.radius)}
+        # the shape path builds no per-site dict
+        assert "times" not in vars(ptm)
+        for n, est in ests.items():
+            want = np.array(sorted(sub(x, ptm.origin) for x in ptm.reached(n)))
+            assert est.normalized_sites.shape == want.shape
+            assert np.array_equal(est.normalized_sites, want / n)
+        assert "times" in vars(ptm)
+
 class TestRowEndHull:
     """The hull from each row's end sites equals the hull of all sites."""
 
