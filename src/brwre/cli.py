@@ -467,14 +467,15 @@ def _cmd_beta(env, cfg, outdir, seed):
 
     with open(outdir / "profile.csv", "w", encoding="utf-8") as fh:
         head = ",".join(f"a{k + 1}" for k in range(d))
-        fh.write(f"{head},k0,n,samples,beta_hat,minus_infinity\n")
+        fh.write(f"{head},n,beta_hat,beta_point,minus_infinity\n")
         for a, est in profile.grid:
             coords = ",".join(
                 _fraction_str(Fraction(num, a.denominator))
                 for num in a.numerators)
             beta_txt = "" if est.minus_infinity else repr(est.value)
-            fh.write(f"{coords},{est.k0},{p['horizon']},{len(est.samples)},"
-                     f"{beta_txt},{est.minus_infinity}\n")
+            point_txt = repr(est.point) if math.isfinite(est.point) else ""
+            fh.write(f"{coords},{p['horizon']},{beta_txt},{point_txt},"
+                     f"{est.minus_infinity}\n")
     artifacts.append("profile.csv")
 
     with open(outdir / "b_hull.csv", "w", encoding="utf-8") as fh:

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -225,19 +225,6 @@ class ConditionReport:
         }
 
 
-def _select_law_index(cell_uniforms: Sequence[float], cum_weights: np.ndarray) -> int:
-    """Mixing rule: sum of per-cell uniforms mod 1, then inverse CDF over weights.
-
-    Pure in the uniforms, so two sites with equal window content always get
-    the same law (the construction-audit property).  The sum is accumulated
-    in window-cell order, matching the vectorized grid path bit for bit.
-    """
-    acc = np.float64(0.0)
-    for u in cell_uniforms:
-        acc = acc + np.float64(u)
-    return int(np.searchsorted(cum_weights, np.mod(acc, 1.0), side="right"))
-
-
 @dataclass(frozen=True, eq=False)
 class EnvironmentField:
     """Lazily evaluated environment: pure map Site -> SiteLaw.
@@ -278,10 +265,6 @@ class EnvironmentField:
     def _index_memo(self) -> dict[Site, int]:
         return {}
 
-    def dependence_window(self, x: Site) -> list[Site]:
-        """Underlying seed cells the law at x reads."""
-        return [tuple(a + b for a, b in zip(x, c)) for c in self._window_cells]
-
     def law_index(self, x: Site) -> int:
         x = tuple(x)
         if self._override is not None:
@@ -292,15 +275,7 @@ class EnvironmentField:
         hit = memo.get(x)
         if hit is not None:
             return hit
-        us = [
-            float(cell_uniform(self.spec.master_seed, cell))
-            for cell in self.dependence_window(x)
-        ]
-        if self.spec.dependence.mode == "iid":
-            # single-cell window: plain inverse CDF on the cell uniform
-            idx = int(np.searchsorted(self._cum_weights, us[0], side="right"))
-        else:
-            idx = _select_law_index(us, self._cum_weights)
+        idx = int(self.law_index_sites(np.array(x)))
         if len(memo) >= _INDEX_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[x] = idx
@@ -337,8 +312,8 @@ class EnvironmentField:
     def law_index_sites(self, sites: np.ndarray) -> np.ndarray:
         """Law indices at an int array of sites of shape (..., d).
 
-        Agrees bitwise with `law_index`: a block window adds its cell
-        uniforms in window-cell order, as `_select_law_index` does.
+        `law_index` computes its memo misses here.  A block window adds
+        its cell uniforms in window-cell order, as `law_index_grid` does.
         """
         sites = np.asarray(sites, dtype=np.int64)
         if self._override is not None:

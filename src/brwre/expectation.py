@@ -139,14 +139,15 @@ class LogMassField:
     def items(self) -> Iterator[tuple[Site, float]]:
         """Finite (site, log-mass) entries in lexicographic site order."""
         sites, values = self._finite()
-        return zip(map(tuple, sites), values)
+        return zip(map(tuple, sites.tolist()), values.tolist())
 
-    def _finite(self) -> tuple[list[list[int]], list[float]]:
-        """The finite entries' sites and log masses, as `items` orders them."""
+    def _finite(self) -> tuple[np.ndarray, np.ndarray]:
+        """The finite entries' sites (m, d) and log masses (m,), as `items`
+        orders them: lexicographic in the site."""
         values = self.values
         mask = values > NEG_INF
         sites = np.argwhere(mask) + np.array(self.lo, dtype=np.int64)
-        return sites.tolist(), values[mask].tolist()
+        return sites, values[mask]
 
     def support_size(self) -> int:
         return int(np.isfinite(self.cells).sum())
@@ -385,7 +386,8 @@ def write_layer_csv(fld: LogMassField, path: str) -> None:
         w = csv.writer(fh)
         w.writerow([f"x{i + 1}" for i in range(fld.dimension)] + ["log_mass"])
         sites, values = fld._finite()
-        w.writerows(site + [repr(v)] for site, v in zip(sites, values))
+        w.writerows(site + [repr(v)]
+                    for site, v in zip(sites.tolist(), values.tolist()))
 
 
 def read_layer_csv(path: str) -> dict[Site, float]:

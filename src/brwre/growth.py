@@ -1,22 +1,29 @@
 """Local growth exponents and population-level growth.
 
-beta(a) is the exponential rate of the expected particle count along the ray
-n*a: the limit of log m_{k0 n}(k0 a n)/(k0 n), where k0 is the smallest
-positive even integer making k0*a a vector of even integers.  Sampling only
-at those times sidesteps parity nulls (a nearest-neighbour walk can occupy
-the origin only at even times).  Estimates are finite-n: the largest-n
-sample is reported as the value and the whole sample path is kept so callers
-can inspect convergence; no Cesaro smoothing.
+beta(a) is the exponential rate of the expected particle count along the
+ray n*a.  beta is concave, so by Varadhan's lemma the tilted total mass
+Lambda_T(t) = (1/T) log sum_x m_T(x) e^{t.x} tends to sup_a [beta(a) + t.a]
+and beta(a) = inf_t [Lambda(t) - t.a].  The estimate reads one DP layer T
+(the horizon): for every direction at once a damped Newton minimizes
+Lambda_T(t) - t.a over the box |t_i| <= SEARCH_RADIUS, starting at t = 0,
+where Lambda_T(0) = log E Z_T / T is the total growth rate; every estimate
+is therefore at most that rate.  A direction is -inf exactly when T*a lies
+outside the convex hull of the layer's sites.
 
-The profile over a direction grid shares one DP pass to the largest needed
-horizon max(k0)*n.  Because every k0 >= 2, that pass also passes layer n,
-where it reads the total growth rate log E Z_n / n (E Z_n = sum_x m_n(x)),
-so the profile carries both growth laws of the model.  B = {a : beta(a) >= 0}
-is estimated from the grid by linear interpolation of the zero crossing
-between adjacent values, which is sound because beta is continuous and
-concave on the interior of its domain (the superadditivity of expected
-counts makes midpoints at least as large as averages; the set B is convex
-for exactly this reason).
+Finite-T bias: for a homogeneous law m_T is a T-fold convolution, so
+Lambda_T = Lambda and the estimate is exact up to the minimizer's accuracy
+(boundary directions, whose infimum lies at |t| -> infinity, stop where
+the remaining decrease is below NEWTON_TOL).  In a random environment
+Lambda_T differs from its limit by an error the code does not bound, and
+rare islands of favourable laws can move it (intermittency).  The point
+value log m_T(T*a) / T, read where T*a is a site with mass, is kept as a
+diagnostic only; it carries the local-CLT bias -log(T)/(2T).
+
+B = {a : beta(a) >= 0} is estimated from the grid by linear interpolation
+of the zero crossing between adjacent values, which is sound because beta
+is continuous and concave on the interior of its domain (the superadditivity
+of expected counts makes midpoints at least as large as averages; the set B
+is convex for exactly this reason).
 """
 
 from __future__ import annotations
@@ -24,11 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import expectation
+from .classify import SEARCH_RADIUS
 from .environment import EnvironmentField
 from .expectation import NEG_INF
 from .lattice import RationalVector
-from .shape import convex_hull
+from .shape import _row_ends, convex_hull
+
+NEWTON_STEPS = 100  # damped Newton iterations, at most
+NEWTON_TOL = 1e-15  # stop once the Newton decrement predicts less decrease
+_HALVINGS = 52  # a step cut 2^52 times no longer moves t
 
 
 class GrowthError(ValueError):
@@ -37,17 +51,16 @@ class GrowthError(ValueError):
 
 @dataclass(frozen=True)
 class BetaEstimate:
-    """Finite-n growth-exponent estimate along one rational direction.
+    """Growth-exponent estimate along one rational direction from layer n.
 
-    samples holds (j, log m_{k0 j}(k0 a j) / (k0 j)) for every j where the
-    target carries mass; value is the largest-j sample; minus_infinity marks
-    a target that was never reachable at the sampled times.
+    value is inf_t [Lambda_n(t) - t.a] (-inf when minus_infinity, i.e. n*a
+    lies outside the hull of the layer's sites); point is the diagnostic
+    log m_n(n*a) / n, -inf unless n*a is a site with mass.
     """
 
     a: RationalVector
-    k0: int
-    samples: tuple[tuple[int, float], ...]
     value: float
+    point: float
     minus_infinity: bool
 
 
@@ -68,7 +81,7 @@ class BetaProfile:
 
 
 def beta_estimate(env: EnvironmentField, a: RationalVector, n: int) -> BetaEstimate:
-    """Growth-exponent estimate for one direction (DP horizon k0*n)."""
+    """Growth-exponent estimate for one direction from DP layer n."""
     return beta_profile(env, [a], n).grid[0][1]
 
 
@@ -99,12 +112,71 @@ def _b_hull(
     return tuple(convex_hull(sorted(set(pts))))
 
 
+def _outside_hull(sites: np.ndarray, a: RationalVector, n: int) -> bool:
+    """Whether n*a lies outside the hull of lexicographic integer sites.
+
+    Scaled by a's denominator everything is an integer; n*a is outside
+    exactly when adding it to the row ends makes it a hull vertex that is
+    not one of the sites.
+    """
+    ends = list(map(tuple, (a.denominator * sites[_row_ends(sites)]).tolist()))
+    p = tuple(n * c for c in a.numerators)
+    return p in convex_hull(ends + [p]) and p not in ends
+
+
+def _legendre(sites: np.ndarray, log_mass: np.ndarray, n: int,
+              dirs: np.ndarray) -> np.ndarray:
+    """inf over |t_i| <= SEARCH_RADIUS of Lambda_n(t) - t.a for each row a.
+
+    Damped Newton on all rows at once: the gradient is the tilted mean
+    site / n - a and the Hessian the tilted covariance / n; a step halves
+    until the value does not rise, and a row stops once its Newton
+    decrement, or its halving, runs out.  The pseudo-inverse takes
+    singular Hessians (all weight on one face of the hull).
+    """
+    x = sites.astype(np.float64)
+
+    def tilted(t):
+        w = log_mass + t @ x.T
+        top = w.max(axis=1, keepdims=True)
+        w = np.exp(w - top)
+        total = w.sum(axis=1)
+        w /= total[:, None]
+        mean = w @ x
+        dev = x - mean[:, None, :]
+        cov = np.einsum("km,kmi,kmj->kij", w, dev, dev)
+        f = (top[:, 0] + np.log(total)) / n - (t * dirs).sum(axis=1)
+        return f, mean / n - dirs, cov / n
+
+    t = np.zeros_like(dirs)
+    f, g, h = tilted(t)
+    done = np.zeros(len(dirs), dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        step = -np.einsum("kij,kj->ki", np.linalg.pinv(h), g)
+        done |= -(g * step).sum(axis=1) <= 2 * NEWTON_TOL
+        if done.all():
+            break
+        scale = np.where(done, 0.0, 1.0)
+        for _ in range(_HALVINGS):
+            trial = np.clip(t + scale[:, None] * step, -SEARCH_RADIUS,
+                            SEARCH_RADIUS)
+            ft, gt, ht = tilted(trial)
+            rise = ft > f
+            if not rise.any():
+                break
+            scale[rise] /= 2
+        done |= rise
+        keep = ~rise
+        t[keep], f[keep], g[keep], h[keep] = trial[keep], ft[keep], gt[keep], ht[keep]
+    return f
+
+
 def beta_profile(
     env: EnvironmentField,
     directions: list[RationalVector],
     n: int,
 ) -> BetaProfile:
-    """Growth exponents over a direction grid and log E Z_n / n, one DP pass."""
+    """Growth exponents over a direction grid and log E Z_n / n from layer n."""
     dirs = list(directions)
     if len(set(dirs)) != len(dirs):
         raise GrowthError("duplicate directions on the grid")
@@ -116,31 +188,25 @@ def beta_profile(
     for a in dirs:
         if a.dimension != d:
             raise GrowthError(f"direction {a} has wrong dimension")
-    k0s = [a.even_scale() for a in dirs]
-    samples: list[list[tuple[int, float]]] = [[] for _ in dirs]
-    total_rate = NEG_INF
-    # every direction reads its own sampling times; k0 >= 2 puts layer n
-    # inside the pass
-    for layer in expectation.iter_layers(env, (0,) * d, max(k0s) * n):
-        t = layer.n
-        if t == n:
-            total_rate = expectation.expected_total(layer) / n
-        for ss, a, k0 in zip(samples, dirs, k0s):
-            if t > 0 and t % k0 == 0:
-                v = layer.get(a.site_at(t))
-                if v > NEG_INF:
-                    ss.append((t // k0, v / t))
-    estimates = [
-        BetaEstimate(a, k0, tuple(ss), ss[-1][1], False) if ss
-        else BetaEstimate(a, k0, (), NEG_INF, True)
-        for a, k0, ss in zip(dirs, k0s, samples)
-    ]
+    for layer in expectation.iter_layers(env, (0,) * d, n):
+        pass
+    sites, log_mass = layer._finite()
+    outside = np.array([_outside_hull(sites, a, n) for a in dirs])
+    values = np.full(len(dirs), NEG_INF)
+    if not outside.all():
+        values[~outside] = _legendre(sites, log_mass, n, np.array(
+            [a.as_floats() for a, out in zip(dirs, outside) if not out]))
+    estimates = []
+    for a, v, out in zip(dirs, values.tolist(), outside.tolist()):
+        on_site = all(n * c % a.denominator == 0 for c in a.numerators)
+        point = layer.get(a.site_at(n)) / n if on_site else NEG_INF
+        estimates.append(BetaEstimate(a, v, point, out))
     finite = [e.value for e in estimates if not e.minus_infinity]
     return BetaProfile(
         grid=tuple(zip(dirs, estimates)),
         b_hull=_b_hull(dirs, estimates),
         sup_beta=max(finite) if finite else NEG_INF,
-        total_rate=total_rate,
+        total_rate=expectation.expected_total(layer) / n,
     )
 
 

@@ -278,20 +278,6 @@ class RationalVector:
     def is_zero(self) -> bool:
         return all(n == 0 for n in self.numerators)
 
-    def even_scale(self) -> int:
-        """Smallest positive even integer k with k*a in (2Z)^d.
-
-        Growth-exponent sampling times are multiples of this so that targets
-        sit on the even sublattice the walk reaches at even times.
-        """
-        k = 1
-        for n in self.numerators:
-            need = 2 * self.denominator // math.gcd(n, 2 * self.denominator)
-            k = math.lcm(k, need)
-        if k % 2 == 1:
-            k *= 2
-        return k
-
     def site_at(self, k: int) -> Site:
         """k*a as a lattice site; k*a must be integral in every coordinate."""
         if any((k * n) % self.denominator for n in self.numerators):

@@ -147,16 +147,22 @@ def _subcritical_env(rng):
     return iid_env(laws, [w, 1.0 - w], int(rng.integers(0, 2**31)))
 
 
-def test_criterion_04_classifier_cross_agreement():
+def _criterion_04_battery():
+    """20 (environment, criterion) pairs, none within 0.05 of the border."""
     rng = np.random.default_rng(815)
     battery = []
-    t0 = time.perf_counter()
     while len(battery) < 20:
         env = _subcritical_env(rng) if len(battery) % 2 else random_env(rng)
         crit = transience_criterion(list(env.spec.law_support))
         if abs(crit.value - 1.0) < 0.05:
             continue
         battery.append((env, crit))
+    return battery
+
+
+def test_criterion_04_classifier_cross_agreement():
+    t0 = time.perf_counter()
+    battery = _criterion_04_battery()
     origin = RationalVector.from_fractions(["0"])
     agree = 0
     verdicts = set()
@@ -169,6 +175,14 @@ def test_criterion_04_classifier_cross_agreement():
     _report(4, "classifier cross-agreement", ok,
             f"{agree}/20 agree, verdicts seen {sorted(verdicts)}, "
             f"{dt:.1f}s (budget 300s)")
+
+
+def test_quenched_beta_zero_below_criterion():
+    # sum_x m_n(x) e^{t.x} <= exp(n Phi(t)) step by step, so Lambda_n <= Phi
+    # and beta(0) = inf Lambda_n <= min Phi <= the criterion's log_value
+    origin = RationalVector.from_fractions(["0"])
+    for env, crit in _criterion_04_battery():
+        assert beta_estimate(env, origin, 300).value <= crit.log_value
 
 
 # --- 5: Monte Carlo / dynamic programming agreement --------------------------

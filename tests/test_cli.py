@@ -161,6 +161,11 @@ class TestBeta:
             assert (out / name).exists(), name
         cls = json.loads((out / "beta_classifier.json").read_text())
         assert cls["verdict"] == "recurrent"
+        lines = (out / "profile.csv").read_text().splitlines()
+        assert lines[0] == "a1,n,beta_hat,beta_point,minus_infinity"
+        # 20 * 1/2 = 10 is a site with mass; beta_point is log m_20(10) / 20
+        row = lines[3].split(",")
+        assert row[:2] == ["1/2", "20"] and row[3] and row[4] == "False"
 
     def test_no_classifier_without_origin(self, tmp_path):
         out = tmp_path / "out"
@@ -184,7 +189,7 @@ class TestBeta:
             base_config("beta", tmp_path / "out", horizon=12,
                         grid=[["0"], ["1/2"]]))
         assert main(["beta", cfgp]) == 0
-        assert calls == [4 * 12]  # max k0 = 4 for a = 1/2
+        assert calls == [12]
 
     def test_total_growth_from_profile_pass(self, tmp_path):
         out = tmp_path / "out"

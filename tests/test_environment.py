@@ -168,6 +168,21 @@ class TestFieldRealization:
             for j, y in enumerate(range(-5, 6)):
                 assert env.law_index((x, y)) == grid[i, j]
 
+    @pytest.mark.parametrize("site,want", [
+        ((0, 0, 0), 0), ((1, -2, 3), 1), ((-7, 0, 5), 0), ((40, -13, -2), 1),
+        ((123456, -7, 99), 2), ((-1, -1, -1), 1), ((2, 2, 0), 0),
+        ((-5, 8, -8), 0),
+    ])
+    def test_law_index_golden_block_d3(self, site, want):
+        # pinned values of the per-site lookup on a d = 3 block window
+        units = StepSet.nearest_neighbour(3).offsets
+        hop = law_of(*[({u: 1}, 1 / 6) for u in units])
+        spec = EnvironmentSpec(
+            dimension=3, step_set=StepSet.nearest_neighbour(3),
+            law_support=(hop, hop, hop), weights=(0.3, 0.5, 0.2),
+            dependence=Dependence("block_window", 1), master_seed=53)
+        assert build_environment(spec).law_index(site) == want
+
     def test_index_memo_is_bounded(self):
         env = iid_env([doubling_law(), drift_law()], [0.5, 0.5], 11)
         bound = environment._INDEX_MEMO_SIZE

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from brwre.growth import (
@@ -11,14 +12,16 @@ from brwre.growth import (
     grid_1d,
     total_growth,
 )
-from brwre.lattice import RationalVector
+from brwre.lattice import RationalVector, StepSet
 
 from _support import (
     borderline_law,
     doubling_law,
     drift_law,
     homogeneous_env,
+    iid_env,
     law_of,
+    random_env,
 )
 
 
@@ -31,36 +34,89 @@ def binomial_rate(t, x):
     return math.log(math.comb(t, (t + x) // 2)) / t
 
 
+def doubling_rate(a):
+    """ln 2 - I(a): the growth exponent of the doubling law along slope a."""
+    return math.log(2.0) - sum((1 + s * a) / 2 * math.log(1 + s * a)
+                               for s in (1, -1) if 1 + s * a > 0)
+
+
+def two_point_rate(a, p):
+    """-I(a) of a +-1 step taken to the right with probability p."""
+    return -sum((1 + s * a) / 2 * math.log((1 + s * a) / (2 * w))
+                for s, w in ((1, p), (-1, 1 - p)) if 1 + s * a > 0)
+
+
+def random_law_d2(rng):
+    """Random d = 2 law: one or two children on each unit vector."""
+    units = StepSet.nearest_neighbour(2).offsets
+    probs = rng.dirichlet(np.ones(len(units)))
+    return law_of(*[({y: int(rng.integers(1, 3))}, float(p))
+                    for y, p in zip(units, probs)])
+
+
 class TestBetaEstimate:
+    @pytest.mark.parametrize("n", [49, 50])
+    def test_doubling_law_matches_closed_form(self, n):
+        # Lambda_n = log(2 cosh t) at every n, so neither parity nor the
+        # local-CLT correction of log m_n(na)/n enters
+        env = homogeneous_env(doubling_law())
+        prof = beta_profile(env, grid_1d(Fraction(-1), Fraction(1),
+                                         Fraction(1, 10)), n)
+        for a, est in prof.grid:
+            assert not est.minus_infinity
+            assert abs(est.value - doubling_rate(a.as_floats()[0])) <= 1e-12
+
+    def test_product_form_d2_matches_closed_form(self):
+        # diagonal steps with mu_(s1,s2) = 2 p(s1) q(s2): Lambda splits into
+        # ln 2 + Lambda_p(t1) + Lambda_q(t2), and so does its dual
+        p, q = 0.7, 0.4
+        diag = [(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
+        law = law_of(*[({y: 2}, (p if y[0] > 0 else 1 - p)
+                        * (q if y[1] > 0 else 1 - q)) for y in diag])
+        steps = StepSet(StepSet.nearest_neighbour(2).offsets + tuple(diag))
+        env = homogeneous_env(law, dimension=2, step_set=steps)
+        dirs = [rv(Fraction(i, 4), Fraction(j, 3))
+                for i in range(-4, 5) for j in range(-3, 4)]
+        for a, est in beta_profile(env, dirs, 15).grid:
+            a1, a2 = a.as_floats()
+            want = math.log(2.0) + two_point_rate(a1, p) + two_point_rate(a2, q)
+            assert abs(est.value - want) <= 1e-12
+
     def test_origin_matches_central_binomial(self):
         env = homogeneous_env(doubling_law())
         est = beta_estimate(env, rv(0), 50)
-        assert est.k0 == 2
         assert not est.minus_infinity
-        assert est.value == pytest.approx(binomial_rate(100, 0), abs=1e-10)
-        for j, v in est.samples:
-            assert v == pytest.approx(binomial_rate(2 * j, 0), abs=1e-10)
+        assert abs(est.value - math.log(2.0)) <= 1e-12
+        # the diagnostic point value carries the local-CLT bias
+        assert est.point == pytest.approx(binomial_rate(50, 0), abs=1e-12)
+        assert est.point < est.value
 
     def test_half_direction_matches_binomial(self):
         env = homogeneous_env(doubling_law())
         est = beta_estimate(env, rv("1/2"), 12)
-        assert est.k0 == 4
-        for j, v in est.samples:
-            t = 4 * j
-            assert v == pytest.approx(binomial_rate(t, t // 2), abs=1e-10)
+        assert abs(est.value - doubling_rate(0.5)) <= 1e-12
+        assert est.point == pytest.approx(binomial_rate(12, 6), abs=1e-12)
+        # 25/2 is not a site, and odd sites carry no mass at even n
+        assert beta_estimate(env, rv("1/2"), 25).point == float("-inf")
+        assert beta_estimate(env, rv("1/50"), 50).point == float("-inf")
 
-    def test_boundary_direction_is_exactly_zero(self):
+    def test_boundary_direction_is_zero(self):
         # a=1 counts only the all-right path, expectation 1 at every time
         env = homogeneous_env(doubling_law())
         est = beta_estimate(env, rv(1), 20)
-        assert est.value == 0.0
-        assert all(v == 0.0 for _, v in est.samples)
+        assert not est.minus_infinity
+        assert abs(est.value) <= 1e-12
 
     def test_unreachable_direction(self):
         env = homogeneous_env(doubling_law())
         est = beta_estimate(env, rv("3/2"), 6)
         assert est.minus_infinity
-        assert est.samples == ()
+        assert est.value == float("-inf")
+
+    def test_origin_unreachable_under_one_way_law(self):
+        one_way = law_of(({(1,): 1}, 1.0), ({(-1,): 1}, 0.0))
+        est = beta_estimate(homogeneous_env(one_way), rv(0), 10)
+        assert est.minus_infinity
         assert est.value == float("-inf")
 
     def test_horizon_positive_required(self):
@@ -71,18 +127,13 @@ class TestBetaEstimate:
 
 class TestBetaProfile:
     def test_profile_matches_single_direction_runs(self):
-        # the shared pass runs to the largest k0*n on the grid, so directions
-        # with a smaller k0 pick up extra samples past their standalone horizon
         env = homogeneous_env(drift_law())
         dirs = grid_1d(Fraction(-1), Fraction(1), Fraction(1, 2))
         prof = beta_profile(env, dirs, 10)
-        max_k0 = max(a.even_scale() for a in dirs)
         for a, est in prof.grid:
             alone = beta_estimate(env, a, 10)
-            assert est.samples[:len(alone.samples)] == alone.samples
-            if a.even_scale() == max_k0:
-                assert est.samples == alone.samples
-                assert est.value == alone.value
+            assert est.value == pytest.approx(alone.value, abs=1e-12)
+            assert est.point == alone.point
 
     def test_sup_beta_is_grid_max(self):
         env = homogeneous_env(drift_law())
@@ -99,9 +150,27 @@ class TestBetaProfile:
     def test_find(self):
         env = homogeneous_env(doubling_law())
         prof = beta_profile(env, [rv(0), rv("1/2")], 6)
-        assert prof.find(rv("1/2")).k0 == 4
+        assert prof.find(rv("1/2")).a == rv("1/2")
         with pytest.raises(GrowthError):
             prof.find(rv("1/4"))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sup_beta_at_most_total_rate_d1(self, seed):
+        # t = 0 gives the total rate, and the minimizer starts there
+        env = random_env(np.random.default_rng(seed))
+        prof = beta_profile(env, grid_1d(Fraction(-1), Fraction(1),
+                                         Fraction(1, 8)), 40)
+        assert prof.sup_beta <= prof.total_rate + 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sup_beta_at_most_total_rate_d2(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        env = iid_env([random_law_d2(rng), random_law_d2(rng)], [0.4, 0.6],
+                      int(rng.integers(0, 2**31)), dimension=2)
+        dirs = [rv(Fraction(i, 4), Fraction(j, 4))
+                for i in range(-4, 5) for j in range(-4, 5)]
+        prof = beta_profile(env, dirs, 20)
+        assert prof.sup_beta <= prof.total_rate + 1e-12
 
 
 class TestBHull:
@@ -133,14 +202,17 @@ class TestBHull:
         assert prof.b_hull[0][0] == pytest.approx(min(roots))
         assert prof.b_hull[-1][0] == pytest.approx(max(roots))
 
-    def test_empty_region_for_subcritical_drift(self):
-        # plain biased walk, no branching: every rate is strictly negative
+    def test_unbranched_walk_grows_only_along_its_drift(self):
+        # a plain biased walk keeps total mass 1, so sup beta = 0, taken at
+        # the drift a = 0.4 alone; every other direction decays
         walk = law_of(({(1,): 1}, 0.7), ({(-1,): 1}, 0.3))
         env = homogeneous_env(walk)
         dirs = grid_1d(Fraction(-1), Fraction(1), Fraction(1, 5))
         prof = beta_profile(env, dirs, 25)
-        assert prof.b_hull == ()
-        assert prof.sup_beta < 0.0
+        assert abs(prof.sup_beta) <= 1e-12
+        assert abs(prof.find(rv("2/5")).value) <= 1e-12
+        assert all(e.value < -1e-3 for a, e in prof.grid if a != rv("2/5"))
+        assert prof.b_hull in ((), ((0.4,),))
 
 
 class TestClassifier:
@@ -191,8 +263,8 @@ class TestTotalGrowth:
         # the profile's pass reads layer 40 of the same DP
         assert prof.total_rate == total_growth(env, 40)
         assert prof.sup_beta > 0.0
-        # the total grows at least as fast as any single ray
-        assert prof.total_rate - prof.sup_beta > 0.0
+        # sup beta = Lambda(0) = ln 2 exactly for a homogeneous law
+        assert 0.0 <= prof.total_rate - prof.sup_beta <= 1e-12
 
     def test_horizon_validation(self):
         env = homogeneous_env(doubling_law())

@@ -4,7 +4,6 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from brwre.lattice import (
     RationalVector,
@@ -67,19 +66,6 @@ class TestRationalVector:
         assert a.numerators == (3, -2)
         assert a.denominator == 6
 
-    @pytest.mark.parametrize("frac,expected", [
-        (Fraction(0), 2),
-        (Fraction(1, 2), 4),
-        (Fraction(1, 10), 20),
-        (Fraction(1, 5), 10),
-        (Fraction(2, 5), 10),
-        (Fraction(4, 5), 10),
-        (Fraction(3, 10), 20),
-        (Fraction(1), 2),
-    ])
-    def test_even_scale_values(self, frac, expected):
-        assert RationalVector.from_fractions([frac]).even_scale() == expected
-
     def test_site_at(self):
         a = RationalVector.from_fractions([Fraction(1, 2), Fraction(-1, 2)])
         assert a.site_at(4) == (2, -2)
@@ -96,22 +82,6 @@ class TestRationalVector:
         assert a.site_at(3) == (1, 2)
         with pytest.raises(ValueError):
             a.site_at(2)
-
-    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
-                    min_size=1, max_size=3))
-    def test_even_scale_property(self, coords):
-        a = RationalVector.from_fractions(coords)
-        k0 = a.even_scale()
-        assert k0 > 0 and k0 % 2 == 0
-        site = a.site_at(k0)
-        assert all(c % 2 == 0 for c in site)
-        # minimality over even candidates
-        for k in range(2, k0, 2):
-            try:
-                s = a.site_at(k)
-            except ValueError:
-                continue
-            assert any(c % 2 for c in s)
 
 
 def _lattice_index(steps):
