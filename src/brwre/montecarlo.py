@@ -1,15 +1,16 @@
 """Quenched Monte Carlo: population runs, induced walk, return probability.
 
-Populations are evolved in aggregated form: the per-site particle count is a
-Python integer and each site resolves all of its particles with one
-multinomial draw over its offspring law, so the cost per step follows the
-number of occupied sites, not of particles.  A generation is drawn over
-arrays: the laws of all occupied sites are read from a law-index box
-cached per environment (grown geometrically as the population spreads),
-each law draws its sites below 2**62 with one exact `rng.multinomial`
-call, and the sites at or above 2**62, of all laws together, split into
-conditional binomials, one batched draw per atom.  Draws with a count
-below 2**62 are exact in distribution with respect to per-particle
+Populations are evolved in aggregated form: a state is its occupied sites,
+sorted, and their particle counts, int64 while they fit and Python integers
+after, and each site resolves all of its particles with one multinomial
+draw over its offspring law, so the cost per step follows the number of
+occupied sites, not of particles.  A generation stays in array form: the
+laws of the sites are read from a law-index box cached per environment
+(grown geometrically as the population spreads), each law draws its sites
+below 2**62 with one exact `rng.multinomial` call, and the sites at or
+above 2**62, of all laws together, split into conditional binomials, one
+batched draw per atom, with probabilities tabulated per law.  Draws with a
+count below 2**62 are exact in distribution with respect to per-particle
 sampling.  Above 2**62 a binomial is approximated: by a normal when its
 variance npq exceeds 1e6 (Berry-Esseen bounds the CDF error by
 C/sqrt(npq)), by a Poisson otherwise; means and standard deviations are
@@ -86,16 +87,41 @@ def _q_decomposition(q: float) -> tuple[int, int, int, int]:
 _isqrt = np.frompyfunc(math.isqrt, 1, 1)
 
 
+def _chain_tables(probs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Constants of the conditional-binomial chain for each row of `probs`.
+
+    Pass j draws atom j with p = probs[:, j] / (mass left, by sequential
+    subtraction; p = 0 where none is left), clipped to [0, 1].  Returns,
+    per (row, pass), p, whether the sampler flips it (p > 1/2) and the
+    `_q_decomposition` of the small side q = min(p, 1-p).
+    """
+    rows, passes = probs.shape[0], probs.shape[1] - 1
+    cond = np.zeros((rows, passes))
+    mass_left = np.ones(rows)
+    for j in range(passes):
+        np.divide(probs[:, j], mass_left, out=cond[:, j],
+                  where=mass_left > 0.0)
+        mass_left = mass_left - probs[:, j]
+    cond = np.clip(cond, 0.0, 1.0)
+    flipped = cond > 0.5
+    q = np.where(flipped, 1.0 - cond, cond).tolist()
+    dec = np.empty((rows, passes, 4), dtype=object)
+    for i, j in np.ndindex(rows, passes):
+        dec[i, j] = _q_decomposition(q[i][j])
+    return cond, flipped, dec
+
+
 def _binomials(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
+               flipped: np.ndarray, dec: np.ndarray,
                stats: SamplerStats) -> np.ndarray:
     """Binomial(n_i, p_i) for an object array n of Python ints, p in [0, 1].
 
     Entries with 0 < n < 2**62 and 0 < p < 1 share one exact
     `rng.binomial` call.  Above 2**62 the small side q = min(p, 1-p) takes
     one normal variate per entry when the variance n*q*(1-q), computed as
-    an exact integer, exceeds the gate, and one Poisson variate otherwise.
-    Means, variances and square roots stay exact integers; floats enter
-    only through q and the variate.
+    an exact integer, exceeds the gate, and one Poisson variate otherwise;
+    `flipped` and `dec` come from `_chain_tables`.  Means, variances and
+    their square roots stay exact; floats enter only through q and the variate.
     """
     out = np.zeros(len(n), dtype=object)
     sure = p == 1.0
@@ -109,11 +135,8 @@ def _binomials(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
     big = draw & ~small
     if not big.any():
         return out
-    nb, pb = n[big], p[big]
-    flipped = pb > 0.5
-    uq, inv = np.unique(np.where(flipped, 1.0 - pb, pb), return_inverse=True)
-    num, k, c, shift = np.array(
-        [_q_decomposition(q) for q in uq.tolist()], dtype=object)[inv].T
+    nb, flipped = n[big], flipped[big]
+    num, k, c, shift = dec[big].T
     var = (nb * c) >> shift
     normal = var > _NORMAL_VARIANCE_GATE
     kb = np.empty(len(nb), dtype=object)
@@ -149,24 +172,22 @@ def _exact_multinomials(rng: np.random.Generator, n: np.ndarray,
 
 
 def _conditional_chain(rng: np.random.Generator, n: np.ndarray,
-                       probs: np.ndarray, stats: SamplerStats) -> np.ndarray:
+                       chain: tuple, stats: SamplerStats) -> np.ndarray:
     """Multinomial(n_i, probs_i) for any counts, by conditional binomials.
 
-    `probs` holds one row of atom probabilities per count; rows of laws
-    with fewer atoms are padded with leading zeros, which draw nothing.
-    Atom j takes Binomial(remaining, p_j / mass left) for every row in one
-    `_binomials` call; the last atom takes the remainder.  Returns a
-    (rows, atoms) object array of Python ints.
+    `chain` holds the `_chain_tables` rows of each count's atom
+    probabilities; rows of laws with fewer atoms are padded with leading
+    zeros, which draw nothing.  Atom j takes Binomial(remaining, p_j / mass
+    left) for every row in one `_binomials` call; the last atom takes the
+    remainder.  Returns a (rows, atoms) object array of Python ints.
     """
-    out = np.zeros(probs.shape, dtype=object)
+    cond, flipped, dec = chain
+    out = np.zeros((len(n), cond.shape[1] + 1), dtype=object)
     remaining = n.astype(object)
-    mass_left = np.ones(len(n))
-    for j in range(probs.shape[1] - 1):
-        cond = np.zeros(len(n))
-        np.divide(probs[:, j], mass_left, out=cond, where=mass_left > 0.0)
-        out[:, j] = _binomials(rng, remaining, np.clip(cond, 0.0, 1.0), stats)
+    for j in range(cond.shape[1]):
+        out[:, j] = _binomials(rng, remaining, cond[:, j], flipped[:, j],
+                               dec[:, j], stats)
         remaining = remaining - out[:, j]
-        mass_left = mass_left - probs[:, j]
     out[:, -1] = remaining
     return out
 
@@ -178,15 +199,16 @@ def sample_binomial(rng: np.random.Generator, n: int, p: float,
     Below 2**62 the draw is numpy's exact sampler.  Above it, the small
     side q = min(p, 1-p) is approximated: by a normal when the variance
     n*q*(1-q) is large, by a Poisson of mean n*q otherwise.  This is the
-    one-entry case of the batched sampler `_binomials`.
+    first pass of the batched conditional chain over (p, 1-p).
     """
     if n < 0:
         raise ValueError("binomial count must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binomial probability {p} outside [0, 1]")
-    k = _binomials(rng, np.array([n], dtype=object), np.array([p]),
-                   stats if stats is not None else SamplerStats())
-    return int(k[0])
+    k = _conditional_chain(rng, np.array([n], dtype=object),
+                           _chain_tables(np.array([[p, 1.0 - p]])),
+                           stats if stats is not None else SamplerStats())
+    return int(k[0, 0])
 
 
 def sample_multinomial(rng: np.random.Generator, n: int,
@@ -202,38 +224,61 @@ def sample_multinomial(rng: np.random.Generator, n: int,
         row = _exact_multinomials(rng, np.array([n]), probs, stats)[0]
     else:
         row = _conditional_chain(rng, np.array([n], dtype=object),
-                                 np.asarray(probs)[None, :], stats)[0]
+                                 _chain_tables(np.asarray(probs)[None, :]),
+                                 stats)[0]
     return [int(c) for c in row]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationState:
-    """Particle counts at a fixed time: a sparse map from site to count."""
+    """Particle counts at a fixed time, in array form.
+
+    `sites` is an (N, d) int64 array of the occupied sites in lexicographic
+    order and `values` the (N,) positive counts there, int64 or an object
+    array of Python ints.  `counts` builds a site -> count dict per access.
+    """
 
     n: int
-    counts: dict[Site, int]
     total: int
+    sites: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def initial(cls, start: Site) -> "PopulationState":
-        return cls(n=0, counts={start: 1}, total=1)
+        return cls.from_counts(0, {start: 1})
+
+    @classmethod
+    def from_counts(cls, n: int, counts: dict[Site, int]) -> "PopulationState":
+        """The state at generation n with these positive counts."""
+        sites, total = sorted(counts), sum(counts.values())
+        values = [counts[x] for x in sites]
+        return cls(n, total, np.array(sites, dtype=np.int64),
+                   np.array(values, dtype=object if total >> 63 else np.int64))
+
+    @property
+    def counts(self) -> dict[Site, int]:
+        return dict(zip(map(tuple, self.sites.tolist()), self.values.tolist()))
 
     def count(self, x: Site) -> int:
-        return self.counts.get(x, 0)
+        lo, hi = 0, len(self.values)
+        for j, c in enumerate(x):  # narrow the sorted rows coordinate-wise
+            lo, hi = lo + np.searchsorted(self.sites[lo:hi, j], (c, c + 1))
+        return int(self.values[lo]) if hi > lo else 0
 
     def occupied(self) -> int:
-        return sum(1 for c in self.counts.values() if c > 0)
+        return len(self.values)
 
 
 class _Tables:
     """Per-environment sampler tables, built on first use.
 
     Atom rows are padded with leading zeros to the largest atom count A:
-    `probs` is (laws, A) and `children` (laws, A, offsets) holds the child
-    count of each atom at each offset of the sorted step set.  `walk_rows`
-    holds the induced-walk tables of each law index the walk has stood on.
-    `law_box` holds the law indices of a box from `law_lo` on, which
-    `law_indices` grows when a population leaves it.
+    `chain` holds the `_chain_tables` of the (laws, A) atom probabilities
+    and `children` (laws, A, offsets) the child count of each atom at each
+    offset of the sorted step set.  `walk_rows` holds the induced-walk
+    tables of each law index the walk has stood on.  `law_box` holds the
+    law indices of a box from `law_lo` on, which `law_indices` grows when
+    a population leaves it.
     """
 
     def __init__(self, env: EnvironmentField):
@@ -245,16 +290,17 @@ class _Tables:
         self.step_hi = self.offsets.max(axis=0)
         laws = spec.law_support
         self.atoms = max(len(law.atoms) for law in laws)
-        self.probs = np.zeros((len(laws), self.atoms))
+        probs = np.zeros((len(laws), self.atoms))
         self.children = np.zeros((len(laws), self.atoms, len(offsets)),
                                  dtype=np.int64)
         for i, law in enumerate(laws):
             pad = self.atoms - len(law.atoms)
-            self.probs[i, pad:] = law.atom_probs
+            probs[i, pad:] = law.atom_probs
             for a, (cfg, _) in enumerate(law.atoms):
                 for y, c in cfg.counts:
                     self.children[i, pad + a, column[y]] = c
         self.max_children = int(self.children.sum(axis=2).max())
+        self.chain = _chain_tables(probs)
         d = spec.dimension
         self.units = unit_vectors(d)
         self.eps_hat = env.conditions.epsilon0 / len(offsets)
@@ -307,32 +353,26 @@ def step_population(env: EnvironmentField, state: PopulationState,
                     stats: SamplerStats | None = None) -> PopulationState:
     """Advance the population one generation under the quenched environment.
 
-    The occupied sites become a coordinate array and their laws are read
-    from the environment's cached law-index box.  Each law
-    draws all of its sites below 2**62 with one `rng.multinomial` call;
-    the sites at or above 2**62, of every law together, run one batched
-    conditional-binomial chain.  Children are added into a box over the
-    next generation's bounding box, one shifted add per step offset.
-    Counts stay Python ints; the arithmetic runs in int64 while no count
-    can reach 2**63.  Laws draw in index order and sites in lexicographic
-    order, so a fixed generator state yields a fixed next state.
+    The laws of the state's sites are read from the environment's cached
+    law-index box.  Each law draws its sites below 2**62 with one
+    `rng.multinomial` call; the sites at or above 2**62, of every law
+    together, run one conditional-binomial chain over `_Tables.chain`.
+    Children are added into a box over the next generation's bounding box,
+    one shifted add per step offset; its nonzero cells, row-major and so
+    lexicographic, are the next state.  The arithmetic runs in int64 while
+    `state.total` times the largest offspring count is below 2**63.  Laws
+    draw in index order and sites in lexicographic order, so a fixed
+    generator state yields a fixed next state.
     """
     stats = stats if stats is not None else SamplerStats()
     tables = _tables(env)
-    occupied = [(x, c) for x, c in state.counts.items() if c > 0]
-    if not occupied:
-        return PopulationState(n=state.n + 1, counts={}, total=0)
-    sites, counts = zip(*occupied)
-    wide = sum(counts) * tables.max_children >= 1 << 63
-    dtype = object if wide else np.int64
-    coords = np.array(sites, dtype=np.int64)
+    dtype = object if state.total * tables.max_children >> 63 else np.int64
+    coords, n = state.sites, state.values.astype(dtype, copy=False)
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     new_lo, new_hi = lo + tables.step_lo, hi + tables.step_hi
     what = f"generation {state.n + 1}"
     check_box_memory(math.prod((new_hi - new_lo + 1).tolist()),
                      SimulationError, what)
-    order = np.argsort(np.ravel_multi_index((coords - lo).T, hi - lo + 1))
-    coords, n = coords[order], np.array(counts, dtype=dtype)[order]
     laws = tables.law_indices(env, coords, lo, hi, what)
 
     draws = np.zeros((len(n), tables.atoms), dtype=dtype)
@@ -346,7 +386,7 @@ def step_population(env: EnvironmentField, state: PopulationState,
                 rng, n[rows], law.atom_probs, stats)
     if not exact.all():
         draws[~exact] = _conditional_chain(
-            rng, n[~exact], tables.probs[laws[~exact]], stats)
+            rng, n[~exact], [t[laws[~exact]] for t in tables.chain], stats)
     children = (draws[:, :, None] * tables.children[laws]).sum(axis=1)
 
     new_shape = new_hi - new_lo + 1
@@ -355,17 +395,15 @@ def step_population(env: EnvironmentField, state: PopulationState,
         box[np.ravel_multi_index((coords + y - new_lo).T, new_shape)] += \
             children[:, j]
     nz = np.flatnonzero(box)
-    values = box[nz].tolist()
-    new_sites = np.stack(np.unravel_index(nz, new_shape), axis=1) + new_lo
-    total = sum(values)
+    values = box[nz]
+    total = int(values.sum())
     if total.bit_length() > bit_budget:
         raise BitBudgetError(
             f"population needs {total.bit_length()} bits at generation "
             f"{state.n + 1}, budget is {bit_budget}")
     return PopulationState(
-        n=state.n + 1,
-        counts=dict(zip(map(tuple, new_sites.tolist()), values)),
-        total=total)
+        n=state.n + 1, total=total, values=values,
+        sites=np.stack(np.unravel_index(nz, new_shape), axis=1) + new_lo)
 
 
 def run(env: EnvironmentField, start: Site, n: int,

@@ -198,7 +198,7 @@ def test_criterion_05_mc_dp_agreement():
     per_site = {x: [] for x, v in layer.items() if math.exp(v) >= 1e-3}
     for b in range(n_batches):
         rng_b = replica_rng(550, b, PURPOSE_DYNAMICS)
-        state = PopulationState(n=0, counts={(0,): batch}, total=batch)
+        state = PopulationState.from_counts(0, {(0,): batch})
         for _ in range(n):
             state = step_population(env, state, rng_b)
         for x in per_site:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -44,6 +45,19 @@ from _support import (
     law_of,
     random_env,
 )
+
+
+def _digest(states) -> str:
+    return hashlib.sha256(repr([(st.n, sorted(st.counts.items()))
+                                for st in states]).encode()).hexdigest()
+
+
+def _long_d1_laws():
+    # the two mean-total-2 laws of the long-d1 benchmark workload
+    return [law_of(({(1,): 1}, 0.25), ({(-1,): 1}, 0.25),
+                   ({(1,): 2, (-1,): 1}, 0.25), ({(-1,): 2, (1,): 1}, 0.25)),
+            law_of(({(1,): 1}, 0.3), ({(-1,): 1}, 0.2),
+                   ({(1,): 2, (-1,): 1}, 0.2), ({(-1,): 2, (1,): 1}, 0.3))]
 
 
 class TestBinomialSampler:
@@ -229,7 +243,7 @@ class TestAgainstExpectation:
         env = homogeneous_env(walk)
         rng = np.random.default_rng(18)
         reps = 20000
-        state0 = PopulationState(n=0, counts={(0,): 5}, total=5)
+        state0 = PopulationState.from_counts(0, {(0,): 5})
         obs = Counter()
         for _ in range(reps):
             nxt = step_population(env, state0, rng)
@@ -254,9 +268,8 @@ class TestBatchedStep:
         spec = iid_env([pairs, triple], [0.5, 0.5], 0).spec
         env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
         counts = [2**62 - 1, 2**62, 2**62 + 1, 5, 10**30, 3 * 2**70, 1, 2**64]
-        state = PopulationState(n=0, counts={(x,): c for x, c in
-                                             enumerate(counts)},
-                                total=sum(counts))
+        state = PopulationState.from_counts(
+            0, {(x,): c for x, c in enumerate(counts)})
         return env, state
 
     def test_total_is_exact_across_the_exact_limit(self):
@@ -283,6 +296,29 @@ class TestBatchedStep:
         # nothing
         assert sum(stats.as_dict().values()) == 2 + 2 * 2
 
+    def test_chain_reaches_poisson_and_flipped_branches(self):
+        # the conditional at the middle atom is (1/2 - 1e-15) / (1/2) > 1/2,
+        # so it flips to q ~ 2e-15: a Poisson draw for the 2**64 row (half
+        # of it remains, still above 2**62), a normal one for the 10**30 row
+        rare = law_of(({(1,): 2}, 0.5), ({(1,): 1, (-1,): 1}, 0.5 - 1e-15),
+                      ({(-1,): 2}, 1e-15))
+        triple = law_of(({(-1,): 2, (1,): 1}, 1.0))
+        spec = iid_env([rare, triple], [0.5, 0.5], 0).spec
+        env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
+        counts = [2**62 - 1, 2**62, 2**64, 5, 10**30, 3 * 2**70, 1, 2**64]
+        state = PopulationState.from_counts(
+            0, {(x,): c for x, c in enumerate(counts)})
+        stats = SamplerStats()
+        nxt = step_population(env, state, np.random.default_rng(46),
+                              stats=stats)
+        assert nxt.total == sum(c * (2 if x % 2 == 0 else 3)
+                                for x, c in enumerate(counts))
+        assert stats.poisson_draws > 0 and stats.normal_draws > 0
+        assert stats.as_dict() == {"exact_draws": 2, "normal_draws": 3,
+                                   "poisson_draws": 1}
+        assert _digest([nxt]) == ("9002e62208012190dbd6b2ecf0e7aa71"
+                                  "385221162144ab148b769f8ebf66d575")
+
     def test_d2_block_window_mean_matches_solver(self):
         # drifted laws keep ~20 sites above the mass cut, so a site past
         # 3 se by chance stays rare; with ~45 sites about one replica seed
@@ -306,7 +342,7 @@ class TestBatchedStep:
         means = {x: [] for x in sites}
         for b in range(batches):
             rng = replica_rng(77, b, PURPOSE_DYNAMICS)
-            state = PopulationState(n=0, counts={(0, 0): batch}, total=batch)
+            state = PopulationState.from_counts(0, {(0, 0): batch})
             for _ in range(n):
                 state = step_population(env, state, rng)
             for x in sites:
@@ -328,7 +364,7 @@ class TestBatchedStep:
 
         monkeypatch.setattr(EnvironmentField, "law_index", counting)
         counts = {(x,): x + 30 for x in range(-25, 25)}
-        state = PopulationState(n=0, counts=counts, total=sum(counts.values()))
+        state = PopulationState.from_counts(0, counts)
         nxt = step_population(env, state, np.random.default_rng(44))
         assert nxt.n == 1 and len(state.counts) == 50
         assert calls == []
@@ -367,6 +403,50 @@ class TestBatchedStep:
         got = run(make_env(), start, n, np.random.default_rng(5))
         assert [s.counts for s in got] == [s.counts for s in want]
         assert len(calls) <= 2 * math.log2(2 * n) + 1
+
+
+class TestGoldenPins:
+    """Draws pinned to their values before the array-resident state.
+
+    A change to the population layout or the sampler tables must leave
+    every state and every path count bitwise as it is.
+    """
+
+    def test_long_d1_run(self):
+        # counts pass 2**62 at generation 62, so half the run is normal-path
+        env = iid_env(_long_d1_laws(), [0.5, 0.5], 5)
+        stats = SamplerStats()
+        states = run(env, (0,), 120, replica_rng(2718, 0, PURPOSE_DYNAMICS),
+                     stats=stats)
+        assert stats.as_dict() == {"exact_draws": 4065, "normal_draws": 8809,
+                                   "poisson_draws": 0}
+        assert _digest(states) == ("3e360df3d1d78351b6c0045c9f176f5a"
+                                   "e55178c50dc96bb995f720e0fcbc1f1a")
+
+    def test_d2_block_window_run(self):
+        units = unit_vectors(2)
+        pair = law_of(({units[0]: 1, units[1]: 1}, 0.5),
+                      ({units[2]: 1, units[3]: 1}, 0.5))
+        single = law_of(*[({y: 1}, 0.25) for y in units])
+        spec = EnvironmentSpec(
+            dimension=2, step_set=StepSet.nearest_neighbour(2),
+            law_support=(pair, single), weights=(0.3, 0.7),
+            dependence=Dependence("block_window", 1), master_seed=2718)
+        stats = SamplerStats()
+        states = run(build_environment(spec), (0, 0), 40,
+                     replica_rng(2718, 1, PURPOSE_DYNAMICS), stats=stats)
+        assert stats.as_dict() == {"exact_draws": 4244, "normal_draws": 0,
+                                   "poisson_draws": 0}
+        assert _digest(states) == ("b22c09c62f8c6497434d4fc76f05b3d6"
+                                   "067710a6d67693128a6243a83203545b")
+
+    def test_return_probe_hits(self):
+        env = iid_env([drift_law(), _long_d1_laws()[0]], [0.7, 0.3], 9)
+        stats = SamplerStats()
+        est = estimate_return_probability(env, (0,), 4, 60, 2718, stats=stats)
+        assert est.hits == 33
+        assert stats.as_dict() == {"exact_draws": 221, "normal_draws": 0,
+                                   "poisson_draws": 0}
 
 
 class TestInducedWalk:
@@ -490,7 +570,7 @@ class TestReturnProbability:
 class TestRealizedExponent:
     def _fake_runs(self):
         def states(counts_by_n):
-            return [PopulationState(n=k, counts=c, total=sum(c.values()))
+            return [PopulationState.from_counts(k, c)
                     for k, c in enumerate(counts_by_n)]
 
         run_a = states([{(0,): 1}, {(1,): 2}, {(0,): 4}])
