@@ -24,13 +24,15 @@ is tested separately and flagged.
 
 The reported `value` is on the lambda scale (exp of the minimum of Phi), the
 quantity compared against 1; `log_value` is the minimum itself.
+`gradient_norm` is the norm of the smallest subgradient at the minimizer,
+so it reads about 0 at a minimum, a kink where several laws tie included.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,16 +60,7 @@ class CriterionResult:
     lambda_one: bool
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "t_star": list(self.t_star),
-            "value": self.value,
-            "log_value": self.log_value,
-            "argmax_law": self.argmax_law,
-            "gradient_norm": self.gradient_norm,
-            "on_boundary": self.on_boundary,
-            "lambda_one": self.lambda_one,
-        }
+        return asdict(self)
 
 
 class _Phi:
@@ -96,16 +89,12 @@ class _Phi:
             self.log_mu[i, : len(r)] = np.log(np.array([m for _, m in r]))
             self.offsets[i, : len(r)] = [y for y, _ in r]
 
-    def evaluate(
-        self, points: np.ndarray
+    def _per_law(
+        self, pts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Phi, the argmax law and the gradient at each row of a (P, d) batch.
-
-        The gradient is that of the argmax law's term, the softmax-weighted
-        mean offset: the exact gradient where one law attains the maximum,
-        a subgradient where several tie.
-        """
-        pts = np.asarray(points, dtype=np.float64)
+        """Every law's term at each point of a (P, d) batch: its value, its
+        softmax weights relative to the largest offset term and their sum,
+        of shapes (P, L), (P, L, K) and (P, L)."""
         expo = self.log_mu + (pts[:, None, None, :] * self.offsets).sum(axis=3)
         top = expo.max(axis=2, keepdims=True)
         at_top = expo == top
@@ -117,11 +106,29 @@ class _Phi:
         # value at t = 0
         rest = np.where(at_top, 0.0, weights).sum(axis=2)
         per_law = np.log1p(rest / ties) + np.log(ties) + top[:, :, 0]
+        return per_law, weights, ties + rest
+
+    def evaluate(
+        self, points: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phi, the argmax law and the gradient at each row of a (P, d) batch.
+
+        The gradient is that of the argmax law's term, the softmax-weighted
+        mean offset: the exact gradient where one law attains the maximum,
+        a subgradient where several tie.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        per_law, weights, total = self._per_law(pts)
         law = per_law.argmax(axis=1)
         rows = np.arange(len(pts))
         grad = (weights[rows, law, :, None] * self.offsets[law]).sum(axis=1)
-        total = ties[rows, law] + rest[rows, law]
-        return per_law[rows, law], law, grad / total[:, None]
+        return per_law[rows, law], law, grad / total[rows, law][:, None]
+
+    def laws_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every law's term and its gradient at the single point t."""
+        per_law, weights, total = self._per_law(t[None, :])
+        grads = (weights[0, :, :, None] * self.offsets).sum(axis=1)
+        return per_law[0], grads / total[0, :, None]
 
     def at(self, t: np.ndarray) -> tuple[float, int, np.ndarray]:
         """`evaluate` at the single point t."""
@@ -132,6 +139,26 @@ class _Phi:
 def criterion_value_at(law_support: list[SiteLaw], t) -> float:
     """Phi(t): the worst-case log criterion value at parameter t."""
     return _Phi(list(law_support)).at(np.asarray(t, dtype=np.float64))[0]
+
+
+def _min_norm_in_hull(points: np.ndarray) -> float:
+    """Norm of the point of the convex hull of the rows of `points` nearest 0.
+
+    That point is the point nearest 0 of the affine hull of at most d + 1
+    of the rows, where its weights are nonnegative; every such candidate
+    lies in the hull, so the smallest candidate norm is the exact minimum.
+    """
+    m, d = points.shape
+    best = min(float(np.linalg.norm(g)) for g in points)
+    for size in range(2, min(m, d + 1) + 1):
+        for subset in itertools.combinations(points, size):
+            g0, diffs = subset[0], np.array(subset[1:]) - subset[0]
+            # the affine hull's point nearest 0 is g0 + c @ diffs, and g0
+            # weighs 1 - sum(c)
+            c = np.linalg.lstsq(diffs.T, -g0, rcond=None)[0]
+            if c.min() >= -1e-12 and c.sum() <= 1.0 + 1e-12:
+                best = min(best, float(np.linalg.norm(g0 + c @ diffs)))
+    return best
 
 
 def _direction_grid(d: int) -> np.ndarray:
@@ -257,10 +284,14 @@ def transience_criterion(
     if fr[k] < best[0]:
         best_t = r[k] * dirs[k]
         best = phi.at(best_t)
-    t_star, (f_star, law, grad) = _descend(phi, best_t, best)
+    t_star, (f_star, law, _) = _descend(phi, best_t, best)
     if f_star > best[0]:
-        t_star, (f_star, law, grad) = best_t, best
-    gnorm = float(np.linalg.norm(grad))
+        t_star, (f_star, law, _) = best_t, best
+    # at a kink the laws within rounding of the maximum all attain it, and
+    # the subdifferential is the hull of their gradients
+    values, grads = phi.laws_at(t_star)
+    near = values >= values.max() - 1e-12 * max(1.0, abs(f_star))
+    gnorm = _min_norm_in_hull(grads[near])
     on_boundary = bool(np.max(np.abs(t_star)) >= SEARCH_RADIUS * 0.999)
 
     if f_star < -tol:

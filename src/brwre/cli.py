@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import __version__
-from .classify import CriterionError, transience_criterion
+from .classify import transience_criterion
 from .environment import (
     EnvironmentError_,
     EnvironmentField,
@@ -36,18 +36,12 @@ from .environment import (
     spec_to_dict,
 )
 from .expectation import (
-    SolverError,
     expected_total,
     iter_layers,
     write_layer_binary,
     write_layer_csv,
 )
-from .growth import (
-    BetaProfile,
-    GrowthError,
-    beta_profile,
-    classify_by_beta,
-)
+from .growth import BetaProfile, beta_profile, classify_by_beta
 from .lattice import RationalVector
 from .montecarlo import (
     SamplerStats,
@@ -57,7 +51,7 @@ from .montecarlo import (
     run as mc_run,
 )
 from .seeding import PURPOSE_DYNAMICS, replica_rng
-from .shape import ShapeError, passage_times, shape_polytope
+from .shape import passage_times, shape_polytope
 from . import svgplot
 
 EXIT_OK = 0
@@ -78,6 +72,9 @@ PARAMETERS: dict[str, tuple[str, ...]] = {
     "report": (),
 }
 COMMANDS = tuple(PARAMETERS)
+# the scalar parameters a flag may override, with the flag's type; a
+# command gets the flag when it accepts the parameter
+_OVERRIDES = {"horizon": int, "replicas": int, "tolerance": float}
 
 class ConfigError(ValueError):
     pass
@@ -87,10 +84,8 @@ class ReportError(RuntimeError):
     """The output directory does not hold a consistent set of artifacts."""
 
 
-_MODULE_ERRORS = (
-    EnvironmentError_, SolverError, ShapeError, GrowthError,
-    CriterionError, SimulationError, ReportError, OSError, ValueError,
-)
+# the package's other error classes are ValueErrors
+_MODULE_ERRORS = (SimulationError, ReportError, OSError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +283,12 @@ def config_to_dict(cfg: ConfigDoc) -> dict:
     return out
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def canonical_json(cfg: ConfigDoc) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
+    return _json_text(config_to_dict(cfg))
 
 
 def load_config(path: str) -> ConfigDoc:
@@ -302,72 +301,89 @@ def load_config(path: str) -> ConfigDoc:
 
 
 # ---------------------------------------------------------------------------
-# manifest
+# manifest and artifacts
 
 _MANIFEST = "manifest.json"
 
 
+def _read_json(path: Path):
+    """The parsed JSON document at `path`, or None when there is none."""
+    return json.loads(path.read_text()) if path.exists() else None
+
+
 def _load_manifest(outdir: Path) -> dict:
-    path = outdir / _MANIFEST
-    if not path.exists():
-        return {"code_version": __version__, "runs": {}}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return (_read_json(outdir / _MANIFEST)
+            or {"code_version": __version__, "runs": {}})
 
 
 def _record_run(outdir: Path, command: str, entry: dict) -> None:
     man = _load_manifest(outdir)
     man["code_version"] = __version__
     man["runs"][command] = entry
-    with open(outdir / _MANIFEST, "w", encoding="utf-8") as fh:
-        json.dump(man, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (outdir / _MANIFEST).write_text(_json_text(man), encoding="utf-8")
 
 
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+class _Outputs:
+    """The files one run writes, named in write order, and its warnings.
+
+    `run_command` records both in the run's manifest entry.
+    """
+
+    def __init__(self, outdir: Path):
+        self.dir = outdir
+        self.artifacts: list[str] = []
+        self.warnings: list[str] = []
+
+    def path(self, name: str) -> str:
+        """Record `name` and return its path, for a writer that opens it."""
+        self.artifacts.append(name)
+        return str(self.dir / name)
+
+    def text(self, name: str, text: str) -> None:
+        with open(self.path(name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    def json(self, name: str, doc) -> None:
+        self.text(name, _json_text(doc))
+
+    def csv(self, name: str, header: str, rows) -> None:
+        """A header line and one line per preformatted row."""
+        self.text(name, "".join(f"{line}\n" for line in (header, *rows)))
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _axes_header(prefix: str, d: int) -> str:
+    return ",".join(f"{prefix}{k + 1}" for k in range(d))
+
+
+def _hull_rows(hull) -> list[str]:
+    return [",".join(repr(c) for c in v) for v in hull]
 
 
 # ---------------------------------------------------------------------------
-# command bodies; each returns (artifacts, warnings, exit_code)
+# command bodies; each is (env, params, out) -> exit code and writes its
+# files through `out`
 
-def _cmd_check(env: EnvironmentField, cfg: ConfigDoc, outdir: Path,
-               seed: int) -> tuple[list[str], list[str], int]:
+def _cmd_check(env: EnvironmentField, params: dict, out: _Outputs) -> int:
     report = env.conditions.as_dict()
-    _write_json(outdir / "condition_report.json", report)
+    out.json("condition_report.json", report)
     print(json.dumps(report, sort_keys=True, indent=2))
-    return ["condition_report.json"], [], EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_solve(env, cfg, outdir, seed):
-    p = cfg.parameters
-    start = tuple(p["start"])
+def _cmd_solve(env, p, out):
     rows = []
-    last = None
-    for fld in iter_layers(env, start, p["horizon"], adjoint=p["adjoint"]):
+    for fld in iter_layers(env, tuple(p["start"]), p["horizon"],
+                           adjoint=p["adjoint"]):
         log_total = expected_total(fld)
         rate = log_total / fld.n if fld.n > 0 else 0.0
         rows.append((fld.n, log_total, rate, fld.support_size()))
         if p["save"] == "all":
-            write_layer_csv(fld, str(outdir / f"layer_{fld.n:04d}.csv"))
-        last = fld
-    artifacts = []
-    if p["save"] == "all":
-        artifacts += [f"layer_{k:04d}.csv" for k in range(p["horizon"] + 1)]
-    write_layer_csv(last, str(outdir / "layer_final.csv"))
-    write_layer_binary(last, str(outdir / "layer_final.bin"))
-    with open(outdir / "growth_trace.csv", "w", encoding="utf-8") as fh:
-        fh.write("n,log_total,log_total_over_n,support\n")
-        for n_, lt, rt, sup in rows:
-            fh.write(f"{n_},{lt!r},{rt!r},{sup}\n")
-    artifacts += ["layer_final.csv", "layer_final.bin", "growth_trace.csv"]
+            write_layer_csv(fld, out.path(f"layer_{fld.n:04d}.csv"))
+    # fld is the last layer
+    write_layer_csv(fld, out.path("layer_final.csv"))
+    write_layer_binary(fld, out.path("layer_final.bin"))
+    out.csv("growth_trace.csv", "n,log_total,log_total_over_n,support",
+            (f"{n_},{lt!r},{rt!r},{sup}" for n_, lt, rt, sup in rows))
     print(json.dumps({
         "horizon": p["horizon"],
         "adjoint": p["adjoint"],
@@ -375,28 +391,22 @@ def _cmd_solve(env, cfg, outdir, seed):
         "log_total_over_n": rows[-1][2],
         "support": rows[-1][3],
     }, sort_keys=True))
-    return artifacts, [], EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_shape(env, cfg, outdir, seed):
-    p = cfg.parameters
+def _cmd_shape(env, p, out):
     d = env.spec.dimension
     n = p["horizon"]
     # paths of length <= n stay inside the n*L0 ball: the smallest radius
     # whose reached set is exact
     radius = n * env.spec.step_set.l0_max
-    artifacts, warnings = [], []
     summary = []
     polygons = []
     for i, delta in enumerate(p["delta_grid"]):
         ptm = passage_times(env, delta, radius)
         est = shape_polytope(ptm, n)
         name = f"shape_hull_{i:02d}.csv"
-        with open(outdir / name, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"x{k + 1}" for k in range(d)) + "\n")
-            for v in est.hull:
-                fh.write(",".join(repr(c) for c in v) + "\n")
-        artifacts.append(name)
+        out.csv(name, _axes_header("x", d), _hull_rows(est.hull))
         summary.append({
             "delta": delta,
             "hull_csv": name,
@@ -405,18 +415,15 @@ def _cmd_shape(env, cfg, outdir, seed):
             "radius": radius,
         })
         polygons.append((f"delta={delta:g}", [tuple(v) for v in est.hull]))
-    _write_json(outdir / "passage_summary.json",
-                {"horizon": n, "deltas": summary})
-    artifacts.append("passage_summary.json")
+    out.json("passage_summary.json", {"horizon": n, "deltas": summary})
     svg = _shape_svg(d, polygons)
     if svg is None:
-        warnings.append(f"no hull plot for dimension {d}")
+        out.warnings.append(f"no hull plot for dimension {d}")
     else:
-        _write_text(outdir / "shape_hulls.svg", svg)
-        artifacts.append("shape_hulls.svg")
+        out.text("shape_hulls.svg", svg)
     print(json.dumps({"horizon": n, "deltas": [s["delta"] for s in summary]},
                      sort_keys=True))
-    return artifacts, warnings, EXIT_OK
+    return EXIT_OK
 
 
 def _shape_svg(d: int, polygons) -> str | None:
@@ -457,83 +464,67 @@ def _profile_svgs(profile: BetaProfile, d: int) -> dict[str, str]:
     return out
 
 
-def _cmd_beta(env, cfg, outdir, seed):
-    p = cfg.parameters
+def _cmd_beta(env, p, out):
     d = env.spec.dimension
+    n = p["horizon"]
     grid = [RationalVector.from_fractions([Fraction(c) for c in entry])
             for entry in p["grid"]]
-    profile = beta_profile(env, grid, p["horizon"])
-    artifacts, warnings = [], []
+    profile = beta_profile(env, grid, n)
 
-    with open(outdir / "profile.csv", "w", encoding="utf-8") as fh:
-        head = ",".join(f"a{k + 1}" for k in range(d))
-        fh.write(f"{head},n,beta_hat,beta_point,minus_infinity\n")
-        for a, est in profile.grid:
-            coords = ",".join(
-                _fraction_str(Fraction(num, a.denominator))
-                for num in a.numerators)
-            beta_txt = "" if est.minus_infinity else repr(est.value)
-            point_txt = repr(est.point) if math.isfinite(est.point) else ""
-            fh.write(f"{coords},{p['horizon']},{beta_txt},{point_txt},"
-                     f"{est.minus_infinity}\n")
-    artifacts.append("profile.csv")
-
-    with open(outdir / "b_hull.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"a{k + 1}" for k in range(d)) + "\n")
-        for v in profile.b_hull:
-            fh.write(",".join(repr(c) for c in v) + "\n")
-    artifacts.append("b_hull.csv")
-
-    _write_json(outdir / "total_growth.json", {
-        "horizon": p["horizon"],
+    rows = []
+    for a, est in profile.grid:
+        coords = ",".join(_fraction_str(Fraction(num, a.denominator))
+                          for num in a.numerators)
+        beta_txt = "" if est.minus_infinity else repr(est.value)
+        point_txt = repr(est.point) if math.isfinite(est.point) else ""
+        rows.append(f"{coords},{n},{beta_txt},{point_txt},"
+                    f"{est.minus_infinity}")
+    out.csv("profile.csv",
+            f"{_axes_header('a', d)},n,beta_hat,beta_point,minus_infinity",
+            rows)
+    out.csv("b_hull.csv", _axes_header("a", d), _hull_rows(profile.b_hull))
+    out.json("total_growth.json", {
+        "horizon": n,
         "log_expected_total_over_n": profile.total_rate,
         "sup_beta": profile.sup_beta,
         "sup_beta_gap": profile.total_rate - profile.sup_beta,
         "sup_beta_positive": profile.sup_beta > 0.0,
     })
-    artifacts.append("total_growth.json")
-
     svgs = _profile_svgs(profile, d)
     for name, text in sorted(svgs.items()):
-        _write_text(outdir / name, text)
-        artifacts.append(name)
+        out.text(name, text)
     if "profile.svg" not in svgs and d > 1:
-        warnings.append(f"no profile plot for dimension {d}")
+        out.warnings.append(f"no profile plot for dimension {d}")
 
-    exit_code = EXIT_OK
     origin = RationalVector((0,) * d, 1)
     verdict = None
     if any(a == origin for a, _ in profile.grid):
         verdict = classify_by_beta(profile)
-        _write_json(outdir / "beta_classifier.json", {
+        out.json("beta_classifier.json", {
             "verdict": verdict,
             "beta_at_origin": profile.find(origin).value,
-            "horizon": p["horizon"],
+            "horizon": n,
         })
-        artifacts.append("beta_classifier.json")
-        if verdict == "inconclusive":
-            exit_code = EXIT_INCONCLUSIVE
     print(json.dumps({
-        "horizon": p["horizon"],
+        "horizon": n,
         "grid_size": len(grid),
         "sup_beta": profile.sup_beta,
         "verdict": verdict,
     }, sort_keys=True))
-    return artifacts, warnings, exit_code
+    return EXIT_INCONCLUSIVE if verdict == "inconclusive" else EXIT_OK
 
 
-def _cmd_classify(env, cfg, outdir, seed):
+def _cmd_classify(env, p, out):
     res = transience_criterion(list(env.spec.law_support),
-                               tol=cfg.parameters["tolerance"])
+                               tol=p["tolerance"])
     doc = res.as_dict()
-    _write_json(outdir / "classify.json", doc)
+    out.json("classify.json", doc)
     print(json.dumps(doc, sort_keys=True, indent=2))
-    code = EXIT_INCONCLUSIVE if res.verdict == "boundary" else EXIT_OK
-    return ["classify.json"], [], code
+    return EXIT_INCONCLUSIVE if res.verdict == "boundary" else EXIT_OK
 
 
-def _cmd_simulate(env, cfg, outdir, seed):
-    p = cfg.parameters
+def _cmd_simulate(env, p, out):
+    seed = env.spec.master_seed
     start = tuple(p["start"])
     track = [tuple(s) for s in p["track_sites"]]
     stats = SamplerStats()
@@ -547,28 +538,24 @@ def _cmd_simulate(env, cfg, outdir, seed):
             first_run = states
         finals.append(states[-1])
 
-    artifacts, warnings = [], []
-    with open(outdir / "trajectory.csv", "w", encoding="utf-8") as fh:
-        site_cols = ",".join(f"eta@{'|'.join(map(str, s))}" for s in track)
-        fh.write(f"n,total,ln_total,occupied,{site_cols}\n")
-        for st in first_run:
-            ln_total = repr(math.log(st.total)) if st.total > 0 else ""
-            cells = ",".join(str(st.count(s)) for s in track)
-            fh.write(f"{st.n},{st.total},{ln_total},{st.occupied()},{cells}\n")
-    artifacts.append("trajectory.csv")
+    site_cols = ",".join(f"eta@{'|'.join(map(str, s))}" for s in track)
+    rows = []
+    for st in first_run:
+        ln_total = repr(math.log(st.total)) if st.total > 0 else ""
+        cells = ",".join(str(st.count(s)) for s in track)
+        rows.append(f"{st.n},{st.total},{ln_total},{st.occupied()},{cells}")
+    out.csv("trajectory.csv", f"n,total,ln_total,occupied,{site_cols}", rows)
 
-    h = p["horizon"]
-    with open(outdir / "realized_exponent.csv", "w", encoding="utf-8") as fh:
-        fh.write("site,n,mean,ci_low,ci_high,occupancy,samples\n")
-        for st in realized_local_exponent(finals, track):
-            site = "|".join(map(str, st.site))
-            if st.samples:
-                row = (f"{site},{st.n},{st.mean!r},{st.ci_low!r},"
-                       f"{st.ci_high!r},{st.occupancy!r},{st.samples}")
-            else:
-                row = f"{site},{st.n},,,,0.0,0"
-            fh.write(row + "\n")
-    artifacts.append("realized_exponent.csv")
+    rows = []
+    for st in realized_local_exponent(finals, track):
+        site = "|".join(map(str, st.site))
+        if st.samples:
+            rows.append(f"{site},{st.n},{st.mean!r},{st.ci_low!r},"
+                        f"{st.ci_high!r},{st.occupancy!r},{st.samples}")
+        else:
+            rows.append(f"{site},{st.n},,,,0.0,0")
+    out.csv("realized_exponent.csv",
+            "site,n,mean,ci_low,ci_high,occupancy,samples", rows)
 
     ret_doc = None
     if p["return_probability"] is not None:
@@ -582,18 +569,17 @@ def _cmd_simulate(env, cfg, outdir, seed):
             "estimate": est.estimate,
             "ci_low": est.ci_low, "ci_high": est.ci_high,
         }
-        _write_json(outdir / "return_probability.json", ret_doc)
-        artifacts.append("return_probability.json")
+        out.json("return_probability.json", ret_doc)
 
-    _write_json(outdir / "sampler_stats.json", stats.as_dict())
-    artifacts.append("sampler_stats.json")
+    out.json("sampler_stats.json", stats.as_dict())
     if stats.normal_draws:
-        warnings.append(
+        out.warnings.append(
             f"normal fast path used for {stats.normal_draws} draws")
     if stats.poisson_draws:
-        warnings.append(
+        out.warnings.append(
             f"poisson fast path used for {stats.poisson_draws} draws")
 
+    h = p["horizon"]
     final = first_run[-1]
     print(json.dumps({
         "horizon": h,
@@ -604,7 +590,7 @@ def _cmd_simulate(env, cfg, outdir, seed):
         "return_probability": None if ret_doc is None
         else ret_doc["estimate"],
     }, sort_keys=True))
-    return artifacts, warnings, EXIT_OK
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +600,6 @@ def _read_csv_rows(path: Path) -> list[dict[str, str]]:
     import csv
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
-
-
-def _read_json(path: Path):
-    """The parsed JSON document at `path`, or None when there is none."""
-    return json.loads(path.read_text()) if path.exists() else None
 
 
 def _report_text(outdir: Path) -> str:
@@ -706,7 +687,8 @@ def _report_text(outdir: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_report(outdir: Path) -> tuple[list[str], list[str], int]:
+def _cmd_report(env: None, params: dict, out: _Outputs) -> int:
+    outdir = out.dir
     if not outdir.is_dir():
         raise ConfigError(f"output dir {outdir} does not exist")
     if not (outdir / _MANIFEST).exists():
@@ -726,21 +708,19 @@ def _run_report(outdir: Path) -> tuple[list[str], list[str], int]:
         raise ReportError(
             "artifacts missing from the manifest: " + ", ".join(orphans))
 
-    artifacts = ["summary.txt"]
+    text = _report_text(outdir)
+    out.text("summary.txt", text)
+    print(text, end="")
     pts = []
     if (outdir / "growth_trace.csv").exists():
         pts = [(float(r["n"]), float(r["log_total_over_n"]))
                for r in _read_csv_rows(outdir / "growth_trace.csv")
                if int(r["n"]) > 0]
     if pts:
-        _write_text(outdir / "growth_trace.svg", svgplot.render_curve(
+        out.text("growth_trace.svg", svgplot.render_curve(
             [("ln E Z_n / n", pts)], title="expected total growth",
             x_label="n", y_label="ln E Z_n / n"))
-        artifacts.append("growth_trace.svg")
-    text = _report_text(outdir)
-    _write_text(outdir / "summary.txt", text)
-    print(text, end="")
-    return artifacts, [], EXIT_OK
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +733,7 @@ _DISPATCH = {
     "beta": _cmd_beta,
     "classify": _cmd_classify,
     "simulate": _cmd_simulate,
+    "report": _cmd_report,
 }
 
 
@@ -769,60 +750,48 @@ def _effective_seed(cfg: ConfigDoc, flag_seed: int | None) -> int:
         return checked_int(seed, "BRWRE_SEED", ConfigError, lo=0)
     if cfg.seed is not None:
         return cfg.seed
-    if cfg.environment is not None:
-        return cfg.environment.master_seed
-    return 0
+    return cfg.environment.master_seed
 
 
 def run_command(cfg: ConfigDoc, flag_seed: int | None = None) -> int:
-    """Execute a validated config; returns the process exit code."""
-    outdir = Path(cfg.output_dir)
-    if cfg.command == "report":
-        artifacts, warnings, code = _run_report(outdir)
-        _record_run(outdir, "report", {
-            "config_sha256": hashlib.sha256(
-                canonical_json(cfg).encode()).hexdigest(),
-            "master_seed": None,
-            "completed_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                           time.gmtime()),
-            "wall_clock_s": {},
-            "warnings": warnings,
-            "artifacts": artifacts,
-        })
-        return code
+    """Execute a validated config; returns the process exit code.
 
-    seed = _effective_seed(cfg, flag_seed)
-    spec = dataclasses.replace(cfg.environment, master_seed=seed)
-    env = build_environment(spec)
-    outdir.mkdir(parents=True, exist_ok=True)
+    `report` reads an existing directory and has no environment; every
+    other command realizes the environment under the effective seed.
+    """
+    outdir = Path(cfg.output_dir)
+    env = None
+    if cfg.command != "report":
+        seed = _effective_seed(cfg, flag_seed)
+        env = build_environment(
+            dataclasses.replace(cfg.environment, master_seed=seed))
+        outdir.mkdir(parents=True, exist_ok=True)
+    out = _Outputs(outdir)
     t0 = time.perf_counter()
-    artifacts, warnings, code = _DISPATCH[cfg.command](
-        env, cfg, outdir, seed)
+    code = _DISPATCH[cfg.command](env, cfg.parameters, out)
     elapsed = time.perf_counter() - t0
     _record_run(outdir, cfg.command, {
         "config_sha256": hashlib.sha256(
             canonical_json(cfg).encode()).hexdigest(),
-        "master_seed": seed,
+        "master_seed": None if env is None else env.spec.master_seed,
         "completed_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "wall_clock_s": {cfg.command: round(elapsed, 3)},
-        "warnings": warnings,
-        "artifacts": artifacts,
+        "warnings": out.warnings,
+        "artifacts": out.artifacts,
     })
     return code
 
 
 def _apply_overrides(cfg: ConfigDoc, args: argparse.Namespace) -> ConfigDoc:
-    """Scalar flag overrides; re-validates the parameter block."""
-    params = dict(cfg.parameters)
-    for name in ("horizon", "replicas", "tolerance"):
-        v = getattr(args, name, None)
-        if v is not None:
-            params[name] = v
-    doc = config_to_dict(cfg)
-    doc["parameters"] = params
-    if getattr(args, "output_dir", None):
-        doc["output_dir"] = args.output_dir
-    return config_from_dict(doc)
+    """Flag overrides of the output dir and the scalar parameters; only
+    the parameter block needs validating again."""
+    flags = {name: getattr(args, name, None) for name in _OVERRIDES}
+    params = {**cfg.parameters,
+              **{name: v for name, v in flags.items() if v is not None}}
+    return dataclasses.replace(
+        cfg, output_dir=args.output_dir or cfg.output_dir,
+        parameters=_validate_parameters(cfg.command, params,
+                                        cfg.environment.dimension))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -844,15 +813,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", help="override config.output_dir")
         p.add_argument("--seed", type=int,
                        help="override the master seed (beats BRWRE_SEED)")
-        if cmd in ("solve", "shape", "beta", "simulate"):
-            p.add_argument("--horizon", type=int,
-                           help="override parameters.horizon")
-        if cmd == "simulate":
-            p.add_argument("--replicas", type=int,
-                           help="override parameters.replicas")
-        if cmd == "classify":
-            p.add_argument("--tolerance", type=float,
-                           help="override parameters.tolerance")
+        for name, kind in _OVERRIDES.items():
+            if name in PARAMETERS[cmd]:
+                p.add_argument(f"--{name}", type=kind,
+                               help=f"override parameters.{name}")
     pr = sub.add_parser("report",
                         help="consolidate artifacts into one summary")
     pr.add_argument("output_dir", help="directory holding the artifacts")

@@ -232,9 +232,11 @@ class EnvironmentField:
     The map is deterministic, but the object is not immutable: `law_index`
     memoizes the sites it is asked about in `_index_memo`, at most
     `_INDEX_MEMO_SIZE` of them, evicting the oldest first.  Its callers are
-    per-site ones (the induced walk, tests); the DP, the BFS and population
-    steps use `law_index_grid`, the vectorized evaluation over a box, which
-    agrees bitwise with per-site calls and fills no memo.
+    per-site ones (the induced walk, tests).  The vectorized evaluations
+    agree bitwise with per-site calls and fill no memo: the BFS, the
+    population steps and `check_anderson_equation` use `law_index_grid` over
+    a box, and the DP's slabs use `law_index_sites` on the sublattice sites
+    the walk can reach.
     """
 
     spec: EnvironmentSpec

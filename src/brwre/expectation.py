@@ -415,16 +415,29 @@ def write_layer_binary(fld: LogMassField, path: str) -> None:
         fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
 
 
+def _read_header(fh, fmt: str) -> tuple:
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) < struct.calcsize(fmt):
+        raise SolverError("truncated layer header")
+    return struct.unpack(fmt, raw)
+
+
 def read_layer_binary(path: str) -> LogMassField:
+    """Read a `write_layer_binary` dump; a malformed file is a SolverError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _BINARY_MAGIC:
             raise SolverError(f"not a layer file: bad magic {magic!r}")
-        version, d, n = struct.unpack("<HHq", fh.read(12))
+        version, d, n = _read_header(fh, "<HHq")
         if version != _BINARY_VERSION:
             raise SolverError(f"unsupported layer format version {version}")
-        lo = struct.unpack(f"<{d}q", fh.read(8 * d))
-        shape = struct.unpack(f"<{d}Q", fh.read(8 * d))
-        count = int(np.prod(shape))
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
+        if not 1 <= d <= 3:
+            raise SolverError(f"layer dimension {d} is not 1, 2 or 3")
+        lo = _read_header(fh, f"<{d}q")
+        shape = _read_header(fh, f"<{d}Q")
+        payload = fh.read()
+    if len(payload) != 8 * math.prod(shape):
+        raise SolverError(f"layer payload of {len(payload)} bytes does not "
+                          f"hold a box of shape {shape}")
+    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return LogMassField.from_box(n, lo, data.reshape(shape))

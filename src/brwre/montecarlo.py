@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import weakref
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -62,11 +62,7 @@ class SamplerStats:
     poisson_draws: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "exact_draws": self.exact_draws,
-            "normal_draws": self.normal_draws,
-            "poisson_draws": self.poisson_draws,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=1024)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,15 @@ class TestMultiLaw:
         # opposite drifts force t toward 0 where both exceed 1
         assert res.verdict == "recurrent"
 
+    def test_kinked_minimum_reports_zero_subgradient(self):
+        # the mirrored drifts tie at t = 0 with gradients +0.6 and -0.6: the
+        # minimum is a kink whose subdifferential [-0.6, 0.6] holds 0
+        mirrored = law_of(({(-1,): 1}, 0.74), ({(-1,): 2}, 0.05),
+                          ({(1,): 1}, 0.21))
+        res = transience_criterion([drift_law(), mirrored])
+        assert res.t_star == (0.0,)
+        assert res.gradient_norm <= 1e-9
+
     def test_identical_laws_match_single(self):
         single = transience_criterion([drift_law()])
         double = transience_criterion([drift_law(), drift_law()])
@@ -118,6 +128,26 @@ class TestDiagnostics:
         assert res.gradient_norm < 1e-4
         assert not res.on_boundary
 
+    @pytest.mark.parametrize("law", [drift_law(), symmetric06_law(),
+                                     borderline_law(), _planar_law()],
+                             ids=["drift", "symmetric", "borderline", "planar"])
+    def test_single_law_gradient_norm_is_its_gradient(self, law):
+        res = transience_criterion([law])
+        grad = classify._Phi([law]).at(np.array(res.t_star))[2]
+        assert res.gradient_norm == float(np.linalg.norm(grad))
+
+    def test_min_norm_in_hull(self):
+        # the triangle (1, 1), (-1, 1), (0, 2) is nearest 0 at (0, 1) on an
+        # edge; adding (0, -1) puts 0 inside the hull
+        tri = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, 2.0]])
+        assert classify._min_norm_in_hull(tri) == pytest.approx(1.0, abs=1e-15)
+        quad = np.vstack([tri, [[0.0, -1.0]]])
+        assert classify._min_norm_in_hull(quad) <= 1e-15
+        assert classify._min_norm_in_hull(tri[2:]) == 2.0
+        # three collinear rows: the rank-deficient triple changes nothing
+        line = np.array([[-1.0, 1.0], [0.5, 1.0], [2.0, 1.0]])
+        assert classify._min_norm_in_hull(line) == pytest.approx(1.0, abs=1e-15)
+
     def test_value_at_matches_reported_minimum(self):
         res = transience_criterion([drift_law()])
         at_min = criterion_value_at([drift_law()], res.t_star)
@@ -147,6 +177,7 @@ class TestDiagnostics:
         assert doc["verdict"] == "transient"
         assert doc["value"] == res.value
         assert doc["lambda_one"] is False
+        assert set(doc) == {f.name for f in dataclasses.fields(res)}
 
     def test_empty_support_rejected(self):
         with pytest.raises((CriterionError, ValueError)):

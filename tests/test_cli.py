@@ -404,6 +404,55 @@ class TestReport:
         assert "stray.txt" in err["error"]["message"]
 
 
+BETA_FILES = ["profile.csv", "b_hull.csv", "total_growth.json", "b_hull.svg",
+              "profile.svg"]
+
+
+class TestManifestEntry:
+    @pytest.mark.parametrize("command, params, dimension, artifacts, warnings", [
+        ("check", {}, 1, ["condition_report.json"], []),
+        ("classify", {}, 1, ["classify.json"], []),
+        ("solve", {"horizon": 2, "save": "all"}, 1,
+         ["layer_0000.csv", "layer_0001.csv", "layer_0002.csv",
+          "layer_final.csv", "layer_final.bin", "growth_trace.csv"], []),
+        ("beta", {"horizon": 20, "grid": [["-1/2"], ["0"], ["1/2"]]}, 1,
+         BETA_FILES + ["beta_classifier.json"], []),
+        ("beta", {"horizon": 20, "grid": [["1/2"], ["1"]]}, 1, BETA_FILES, []),
+        ("shape", {"horizon": 2, "delta_grid": [0.1]}, 3,
+         ["shape_hull_00.csv", "passage_summary.json"],
+         ["no hull plot for dimension 3"]),
+        ("simulate", {"horizon": 4, "replicas": 2,
+                      "return_probability": {"horizon": 3, "replicas": 5}}, 1,
+         ["trajectory.csv", "realized_exponent.csv",
+          "return_probability.json", "sampler_stats.json"], []),
+        ("report", {}, 1, ["summary.txt", "growth_trace.svg"], []),
+    ], ids=["check", "classify", "solve-save-all", "beta-origin",
+            "beta-no-origin", "shape-d3", "simulate-return", "report"])
+    def test_lists_created_files_in_write_order(
+            self, tmp_path, command, params, dimension, artifacts, warnings):
+        out = tmp_path / "out"
+        if command == "report":
+            cfgp = write_config(tmp_path, "c.json",
+                                base_config("solve", out, horizon=4))
+            assert main(["solve", cfgp]) == 0
+            argv = ["report", str(out)]
+        else:
+            doc = base_config(command, out, **params)
+            if dimension == 3:
+                doc["environment"] = spec_to_dict(
+                    homogeneous_env(cube_law(), dimension=3).spec)
+            argv = [command, write_config(tmp_path, "c.json", doc)]
+        before = set(out.iterdir()) if out.exists() else set()
+        assert main(argv) == 0
+        created = {f.name for f in set(out.iterdir()) - before}
+        entry = manifest(out)["runs"][command]
+        assert entry["artifacts"] == artifacts
+        assert created - {"manifest.json"} == set(artifacts)
+        assert entry["warnings"] == warnings
+        mtimes = [(out / name).stat().st_mtime_ns for name in artifacts]
+        assert mtimes == sorted(mtimes)
+
+
 def _corrupted(path, value):
     """A simulate config with the field at `path` set to `value`."""
     doc = base_config("simulate", "unused", horizon=3, replicas=1,

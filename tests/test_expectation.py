@@ -403,6 +403,19 @@ class TestLayerDumps:
         assert int.from_bytes(raw[8:16], "little", signed=True) == 2  # layer
         assert len(raw) == 4 + 12 + 8 + 8 + 5 * 8
 
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw[:-8],
+        lambda raw: raw + bytes(8),
+        lambda raw: raw[:6] + (0).to_bytes(2, "little") + raw[8:],
+    ], ids=["truncated-payload", "trailing-bytes", "dimension-0"])
+    def test_malformed_dump_rejected(self, tmp_path, edit):
+        fld = last(homogeneous_env(doubling_law()), (0,), 2)
+        p = tmp_path / "layer.bin"
+        write_layer_binary(fld, str(p))
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(SolverError):
+            read_layer_binary(str(p))
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOPE" + bytes(60))
