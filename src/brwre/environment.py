@@ -229,14 +229,14 @@ class ConditionReport:
 class EnvironmentField:
     """Lazily evaluated environment: pure map Site -> SiteLaw.
 
-    The map is deterministic, but the object is not immutable: `law_index`
-    memoizes the sites it is asked about in `_index_memo`, at most
-    `_INDEX_MEMO_SIZE` of them, evicting the oldest first.  Its callers are
-    per-site ones (the induced walk, tests).  The vectorized evaluations
-    agree bitwise with per-site calls and fill no memo: the BFS, the
+    The map is deterministic, but the object is not immutable: `law_index`,
+    whose callers are per-site ones (the induced walk, tests), memoizes the
+    sites it is asked about in `_index_memo`, at most `_INDEX_MEMO_SIZE` of
+    them, evicting the oldest first.  The vectorized evaluations agree
+    bitwise with per-site calls and fill no site memo: the BFS, the
     population steps and `check_anderson_equation` use `law_index_grid` over
-    a box, and the DP's slabs use `law_index_sites` on the sublattice sites
-    the walk can reach.
+    a box, which keeps the last box in `_grid_memo`, and the DP's slabs use
+    `law_index_sites` on the sublattice sites the walk can reach.
     """
 
     spec: EnvironmentSpec
@@ -267,6 +267,10 @@ class EnvironmentField:
     def _index_memo(self) -> dict[Site, int]:
         return {}
 
+    @cached_property
+    def _grid_memo(self) -> dict[tuple[Site, Site], np.ndarray]:
+        return {}
+
     def law_index(self, x: Site) -> int:
         x = tuple(x)
         if self._override is not None:
@@ -289,9 +293,21 @@ class EnvironmentField:
     def law_index_grid(self, lo: Site, hi: Site) -> np.ndarray:
         """Law indices over the inclusive box [lo, hi], vectorized.
 
-        Returns an int array of shape hi-lo+1 whose entry at (x-lo) is
-        law_index(x).
+        Returns a read-only int array of shape hi-lo+1 whose entry at
+        (x-lo) is law_index(x).  The last box is memoized: `brwre shape`
+        asks for the same BFS box once per delta.
         """
+        key = (tuple(lo), tuple(hi))
+        hit = self._grid_memo.get(key)
+        if hit is not None:
+            return hit
+        idx = self._law_index_box(lo, hi)
+        idx.flags.writeable = False
+        self._grid_memo.clear()
+        self._grid_memo[key] = idx
+        return idx
+
+    def _law_index_box(self, lo: Site, hi: Site) -> np.ndarray:
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         if any(s <= 0 for s in shape):
             raise EnvironmentError_(f"empty box {lo}..{hi}")

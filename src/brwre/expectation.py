@@ -382,12 +382,15 @@ def check_anderson_equation(env: EnvironmentField, layers: list[LogMassField]) -
 
 def write_layer_csv(fld: LogMassField, path: str) -> None:
     """CSV dump: one row per finite-mass site, coordinates then log mass."""
+    d = fld.dimension
+    sites, values = fld._finite()
+    # the csv module's dialect: comma-separated, CRLF line ends, and no
+    # field here needs quoting
+    row = ",".join(["{}"] * d + ["{!r}"]) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i + 1}" for i in range(fld.dimension)] + ["log_mass"])
-        sites, values = fld._finite()
-        w.writerows(site + [repr(v)]
-                    for site, v in zip(sites.tolist(), values.tolist()))
+        fh.write(",".join([f"x{i + 1}" for i in range(d)] + ["log_mass"])
+                 + "\r\n")
+        fh.write("".join(map(row.format, *sites.T.tolist(), values.tolist())))
 
 
 def read_layer_csv(path: str) -> dict[Site, float]:

@@ -28,6 +28,7 @@ is convex for exactly this reason).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from .classify import SEARCH_RADIUS
 from .environment import EnvironmentField
 from .expectation import NEG_INF
 from .lattice import RationalVector
-from .shape import _row_ends, convex_hull
+from .shape import _row_ends, convex_hull, hull_inequalities
 
 NEWTON_STEPS = 100  # damped Newton iterations, at most
 NEWTON_TOL = 1e-15  # stop once the Newton decrement predicts less decrease
@@ -88,40 +89,47 @@ def beta_estimate(env: EnvironmentField, a: RationalVector, n: int) -> BetaEstim
 def _b_hull(
     directions: list[RationalVector], estimates: list[BetaEstimate]
 ) -> tuple[tuple[float, ...], ...]:
-    """Hull of {a : beta >= 0} with interpolated zero crossings (1-D grids)."""
-    pts = [
-        a.as_floats()
+    """Hull of {a : beta >= 0}: grid points, and on 1-D grids the
+    interpolated zero crossings."""
+    kept = [a for a, est in zip(directions, estimates)
+            if not est.minus_infinity and est.value >= 0.0]
+    if directions[0].dimension > 1:
+        if not kept:
+            return ()
+        # the numerators over a common denominator: an exact integer hull
+        den = math.lcm(*(a.denominator for a in kept))
+        back = {tuple(c * (den // a.denominator) for c in a.numerators):
+                a.as_floats() for a in kept}
+        return tuple(back[v] for v in convex_hull(sorted(back)))
+    pts = [a.as_floats() for a in kept]
+    order = sorted(
+        (a.as_floats()[0], est.value)
         for a, est in zip(directions, estimates)
-        if not est.minus_infinity and est.value >= 0.0
-    ]
-    d = directions[0].dimension
-    if d == 1:
-        order = sorted(
-            (a.as_floats()[0], est.value)
-            for a, est in zip(directions, estimates)
-            if not est.minus_infinity
-        )
-        cross: list[tuple[float, ...]] = []
-        for (x0, v0), (x1, v1) in zip(order, order[1:]):
-            if (v0 < 0.0 <= v1) or (v1 < 0.0 <= v0):
-                root = x0 + (x1 - x0) * (0.0 - v0) / (v1 - v0)
-                cross.append((root,))
-        pts = pts + cross
+        if not est.minus_infinity
+    )
+    for (x0, v0), (x1, v1) in zip(order, order[1:]):
+        if (v0 < 0.0 <= v1) or (v1 < 0.0 <= v0):
+            pts.append((x0 + (x1 - x0) * (0.0 - v0) / (v1 - v0),))
     if not pts:
         return ()
     return tuple(convex_hull(sorted(set(pts))))
 
 
-def _outside_hull(sites: np.ndarray, a: RationalVector, n: int) -> bool:
-    """Whether n*a lies outside the hull of lexicographic integer sites.
+def _outside_hull(sites: np.ndarray, dirs: list[RationalVector],
+                  n: int) -> np.ndarray:
+    """Whether each n*a lies outside the hull of lexicographic integer sites.
 
-    Scaled by a's denominator everything is an integer; n*a is outside
-    exactly when adding it to the row ends makes it a hull vertex that is
-    not one of the sites.
+    The row ends of the sites are hulled once, as integer inequalities
+    A @ x <= b (a flat set's affine hull enters as pairs of opposite
+    rows); n*a, scaled by a's denominator, is outside exactly when some
+    row has A @ (n * numerators) > denominator * b.  The products are
+    exact Python integers.
     """
-    ends = list(map(tuple, (a.denominator * sites[_row_ends(sites)]).tolist()))
-    p = tuple(n * c for c in a.numerators)
-    return p in convex_hull(ends + [p]) and p not in ends
+    rows, bounds = (x.astype(object) for x in hull_inequalities(
+        sites[_row_ends(sites)]))
+    points = n * np.array([a.numerators for a in dirs], dtype=object)
+    scale = np.array([a.denominator for a in dirs], dtype=object)
+    return ((points @ rows.T) > scale[:, None] * bounds).any(axis=1)
 
 
 def _legendre(sites: np.ndarray, log_mass: np.ndarray, n: int,
@@ -191,7 +199,7 @@ def beta_profile(
     for layer in expectation.iter_layers(env, (0,) * d, n):
         pass
     sites, log_mass = layer._finite()
-    outside = np.array([_outside_hull(sites, a, n) for a in dirs])
+    outside = _outside_hull(sites, dirs, n)
     values = np.full(len(dirs), NEG_INF)
     if not outside.all():
         values[~outside] = _legendre(sites, log_mass, n, np.array(

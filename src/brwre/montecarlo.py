@@ -271,7 +271,8 @@ class _Tables:
     Atom rows are padded with leading zeros to the largest atom count A:
     `chain` holds the `_chain_tables` of the (laws, A) atom probabilities
     and `children` (laws, A, offsets) the child count of each atom at each
-    offset of the sorted step set.  `walk_rows` holds the induced-walk
+    offset of the sorted step set, as int64 and, for counts beyond int64,
+    as Python ints in `children_wide`.  `walk_rows` holds the induced-walk
     tables of each law index the walk has stood on.  `law_box` holds the
     law indices of a box from `law_lo` on, which `law_indices` grows when
     a population leaves it.
@@ -295,6 +296,7 @@ class _Tables:
             for a, (cfg, _) in enumerate(law.atoms):
                 for y, c in cfg.counts:
                     self.children[i, pad + a, column[y]] = c
+        self.children_wide = self.children.astype(object)
         self.max_children = int(self.children.sum(axis=2).max())
         self.chain = _chain_tables(probs)
         d = spec.dimension
@@ -383,7 +385,8 @@ def step_population(env: EnvironmentField, state: PopulationState,
     if not exact.all():
         draws[~exact] = _conditional_chain(
             rng, n[~exact], [t[laws[~exact]] for t in tables.chain], stats)
-    children = (draws[:, :, None] * tables.children[laws]).sum(axis=1)
+    table = tables.children_wide if dtype is object else tables.children
+    children = np.matmul(draws[:, None, :], table[laws])[:, 0]
 
     new_shape = new_hi - new_lo + 1
     box = np.zeros(int(new_shape.prod()), dtype=dtype)

@@ -29,22 +29,19 @@ class ShapeError(ValueError):
     pass
 
 
-def _shift(mask: np.ndarray, y: Site) -> np.ndarray:
-    """mask translated by +y, zero-filled (out[i+y] = mask[i])."""
-    out = np.zeros_like(mask)
-    src = []
-    dst = []
-    for s, yi in zip(mask.shape, y):
-        if abs(yi) >= s:
-            return out
-        if yi >= 0:
-            src.append(slice(0, s - yi))
-            dst.append(slice(yi, s))
-        else:
-            src.append(slice(-yi, s))
-            dst.append(slice(0, s + yi))
-    out[tuple(dst)] = mask[tuple(src)]
-    return out
+def _moves(shape: tuple[int, ...], offsets: Sequence[Site]
+           ) -> list[tuple[int, tuple[slice, ...], tuple[slice, ...]]]:
+    """(j, src, dst) per offset y_j that fits the box: box[dst] is box[src]
+    moved by +y_j."""
+    moves = []
+    for j, y in enumerate(offsets):
+        if all(abs(yi) < s for s, yi in zip(shape, y)):
+            moves.append((
+                j,
+                tuple(slice(max(0, -c), s - max(0, c)) for s, c in zip(shape, y)),
+                tuple(slice(max(0, c), s - max(0, -c)) for s, c in zip(shape, y)),
+            ))
+    return moves
 
 
 def _ball_mask(shape: tuple[int, ...], center: Sequence[int], radius: int) -> np.ndarray:
@@ -136,11 +133,12 @@ def passage_times(
     frontier[center] = True
     times[center] = 0
     t = 0
+    moves = _moves(ball.shape, offsets)
     while frontier.any():
         t += 1
         nxt = np.zeros_like(frontier)
-        for j, y in enumerate(offsets):
-            nxt |= _shift(frontier & open_m[j], y)
+        for j, src, dst in moves:
+            nxt[dst] |= frontier[src] & open_m[j][src]
         nxt &= ball & (times < 0)
         times[nxt] = t
         frontier = nxt
@@ -171,10 +169,11 @@ def iter_reachable(
         }
 
     yield to_sites(cur)
+    moves = _moves(cur.shape, offsets)
     for _ in range(n):
         nxt = np.zeros_like(cur)
-        for j, y in enumerate(offsets):
-            nxt |= _shift(cur & open_m[j], y)
+        for j, src, dst in moves:
+            nxt[dst] |= cur[src] & open_m[j][src]
         cur = nxt
         yield to_sites(cur)
 
@@ -256,39 +255,226 @@ def _hull_2d(points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
     return lower[:-1] + upper[:-1]
 
 
-def _hull_3d(points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
+HULL_COORD_MAX = 2 ** 18  # int64 orientation tests stay exact: 48 R^3 < 2^63
+
+
+def _int_coords(points) -> np.ndarray:
+    """Points as an int64 array; ShapeError unless integers within the bound."""
+    arr = np.asarray(points)
+    if arr.size and np.abs(arr).max() > HULL_COORD_MAX:
+        raise ShapeError(f"hull coordinates beyond +-{HULL_COORD_MAX}")
+    ints = arr.astype(np.int64)
+    if not np.array_equal(ints, arr):
+        raise ShapeError("exact hulls need integer coordinates")
+    return ints
+
+
+def _cross(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Row-wise cross product, without `np.cross`'s per-call set-up."""
+    return (e[..., [1, 2, 0]] * f[..., [2, 0, 1]]
+            - e[..., [2, 0, 1]] * f[..., [1, 2, 0]])
+
+
+def _affine_frame(pts: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Affine hull of distinct sorted integer points, d <= 3.
+
+    Returns (eq, keep): x lies in the affine hull iff eq @ (x - pts[0]) is
+    zero, and the projection onto the coordinates `keep` is one-to-one on
+    it (a dropped coordinate is one along which a normal is nonzero).
+    """
+    d = pts.shape[1]
+    eye = np.eye(d, dtype=np.int64)
+    if len(pts) == 1:
+        return eye, []
+    diffs = pts[1:] - pts[0]
+    u = diffs[0]
+    along = [int(np.flatnonzero(u)[0])]
+    if d == 1:
+        return eye[:0], [0]
+    if d == 2:
+        w = np.array([-u[1], u[0]])
+        return (eye[:0], [0, 1]) if (diffs @ w).any() else (w[None], along)
+    crosses = _cross(u, diffs)
+    independent = np.flatnonzero(crosses.any(axis=1))
+    if not len(independent):
+        return _cross(u, eye), along
+    w = crosses[independent[0]]
+    if (diffs @ w).any():
+        return eye[:0], [0, 1, 2]
+    return w[None], [i for i in range(3) if i != int(np.flatnonzero(w)[0])]
+
+
+def _quickhull(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Facets of the hull of full-dimensional int64 points in R^3.
+
+    Quickhull (Barber, Dobkin & Huhdanpaa 1996) with exact predicates:
+    each step adds the point farthest above its facet, replaces the facets
+    it sees strictly (a coplanar point sees nothing) by a cone over their
+    horizon, and hands their outside points to the new facets.  Facets
+    live in arrays with an alive mask, so a step is vectorized over the
+    facets.  Returns (tri, normals, offsets) of the final facets: point
+    indices counter-clockwise seen from outside, and primitive integer
+    normals with normals @ x <= offsets on the hull, equality on the facet.
+    """
+    m = len(pts)
+    base = pts[0]
+    i1 = int(np.abs(pts - base).sum(axis=1).argmax())
+    cross = _cross(pts[i1] - base, pts - base)
+    i2 = int(np.abs(cross).sum(axis=1).argmax())
+    i3 = int(np.abs((pts - base) @ cross[i2]).argmax())
+    if _cross(pts[i1] - base, pts[i2] - base) @ (pts[i3] - base) < 0:
+        i1, i2 = i2, i1
+    # the positively oriented simplex 0, i1, i2, i3: its four facets,
+    # counter-clockwise seen from outside, and the facet across each edge
+    # (edge j of a facet runs from its corner j to corner j + 1)
+    s0, s1, s2, s3 = simplex = [0, i1, i2, i3]
+    # facet arrays with spare rows, doubled when full
+    tri, nbr, normals = (np.zeros((64, 3), dtype=np.int64) for _ in range(3))
+    offsets = np.zeros(64, dtype=np.int64)
+    alive = np.zeros(64, dtype=bool)
+    tri[:4] = [[s0, s2, s1], [s0, s1, s3], [s1, s2, s3], [s0, s3, s2]]
+    nbr[:4] = [[3, 2, 1], [0, 2, 3], [0, 3, 1], [1, 2, 0]]
+    count = live = 4
+
+    def plane(new):
+        corner = pts[tri[new]]
+        normals[new] = _cross(corner[:, 1] - corner[:, 0],
+                              corner[:, 2] - corner[:, 0])
+        offsets[new] = (normals[new] * corner[:, 0]).sum(axis=1)
+        alive[new] = True
+
+    # owner[i] is a facet point i lies strictly above, by height[i] > 0;
+    # owner -1 and height 0 once the point is inside or on the hull
+    owner = np.full(m, -1, dtype=np.int64)
+    height = np.zeros(m, dtype=np.int64)
+
+    def assign(cand, facets):
+        above = pts[cand] @ normals[facets].T - offsets[facets]
+        best = above.argmax(axis=1)
+        top = above[np.arange(len(cand)), best]
+        owner[cand] = np.where(top > 0, facets[best], -1)
+        height[cand] = np.maximum(top, 0)
+
+    plane(np.arange(4))
+    rest = np.ones(m, dtype=bool)
+    rest[simplex] = False
+    assign(np.flatnonzero(rest), np.arange(4))
+    start = np.zeros(m, dtype=np.int64)
+    while True:
+        p = int(height.argmax())  # the farthest point above its own facet
+        if height[p] == 0:
+            break
+        height[p] = 0
+        if count > 64 + 2 * live:
+            # drop the dead facets, renumbering neighbours and owners
+            keep = np.flatnonzero(alive[:count])
+            renum = np.zeros(count, dtype=np.int64)
+            renum[keep] = np.arange(live)
+            nbr[:live] = renum[nbr[keep]]
+            for x in (tri, normals, offsets, alive):
+                x[:live] = x[keep]
+            alive[live:] = False
+            owner = np.where(height > 0, renum[owner], -1)
+            count = live
+        seen = alive[:count] & (normals[:count] @ pts[p] > offsets[:count])
+        vis = np.flatnonzero(seen)
+        # horizon: the edges of seen facets whose neighbour is not seen
+        fi, ei = np.nonzero(~seen[nbr[vis]])
+        old = vis[fi]
+        a, b = tri[old, ei], tri[old, (ei + 1) % 3]
+        across = nbr[old, ei]
+        new = np.arange(count, count + len(a))
+        while count + len(a) > len(alive):
+            tri, nbr, normals, offsets, alive = (
+                np.concatenate([x, np.zeros_like(x)])
+                for x in (tri, nbr, normals, offsets, alive))
+        tri[new, 0], tri[new, 1], tri[new, 2] = a, b, p
+        # new facet (a, b, p) borders `across` on ab, the new facet that
+        # starts at b on bp, and the one that ends at a on pa
+        start[a] = new
+        nbr[new, 0] = across
+        nbr[new, 1] = start[b]
+        nbr[start[b], 2] = new
+        nbr[across, (nbr[across] == old[:, None]).argmax(axis=1)] = new
+        alive[vis] = False
+        plane(new)
+        count += len(new)
+        live += len(new) - len(vis)
+        assign(np.flatnonzero(seen[owner] & (height > 0)), new)
+    keep = np.flatnonzero(alive[:count])
+    g = np.gcd.reduce(np.abs(normals[keep]), axis=1)
+    return tri[keep], normals[keep] // g[:, None], offsets[keep] // g
+
+
+def _hull_3d(points) -> list[tuple[float, ...]]:
     """Hull vertices in lexicographic order, flat sets included.
 
-    A coplanar set is hulled in 2-D after dropping a coordinate along
-    which the plane's normal is nonzero (an affine map, injective on the
+    Coordinates must be integers of absolute value at most HULL_COORD_MAX
+    (ShapeError otherwise).  A full-dimensional set is hulled by
+    `_quickhull`; its vertices are the points whose incident facet planes
+    span R^3, which leaves out points inside a face or on an edge, as
+    Qhull's vertices do.  A coplanar set is hulled in 2-D on the
+    coordinates `_affine_frame` keeps (an affine map, injective on the
     plane); a collinear set has its two lexicographic extremes.
     """
-    pts = sorted(set(points))
-    arr = np.asarray(pts)
-    diffs = arr[1:] - arr[0]
-    if not len(diffs):
-        return pts
-    normals = np.cross(diffs[0], diffs)
-    independent = np.flatnonzero(normals.any(axis=1))
-    if not len(independent):
-        return [pts[0], pts[-1]]
-    normal = normals[independent[0]]
-    if not (diffs @ normal).any():
-        keep = [i for i in range(3) if i != int(np.flatnonzero(normal)[0])]
-        back = {tuple(p[i] for i in keep): p for p in pts}
-        return sorted(back[v] for v in _hull_2d(list(back)))
-    if len(pts) <= 4:
-        return pts
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(arr.astype(np.float64))
-    return [tuple(float(c) for c in hull.points[v]) for v in sorted(hull.vertices)]
+    pts = np.unique(np.asarray(points), axis=0)
+    ints = _int_coords(pts)
+    _, keep = _affine_frame(ints)
+    if len(keep) < 2:
+        ids = [0, len(pts) - 1] if len(pts) > 1 else [0]
+    elif len(keep) == 2:
+        back = {p: i for i, p in enumerate(map(tuple, ints[:, keep].tolist()))}
+        ids = sorted(back[v] for v in _hull_2d(list(back)))
+    else:
+        tri, normals, _ = _quickhull(ints)
+        # distinct primitive normals of the facets at each point: a vertex
+        # has three or more, a point on an edge two, inside a face one
+        incidence = np.unique(np.column_stack(
+            [tri.ravel(), np.repeat(normals, 3, axis=0)]), axis=0)
+        at, planes = np.unique(incidence[:, 0], return_counts=True)
+        ids = at[planes >= 3]
+    return list(map(tuple, pts[ids].tolist()))
 
 
-def convex_hull(points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    if not points:
+def hull_inequalities(points) -> tuple[np.ndarray, np.ndarray]:
+    """Integer (A, b) with hull(points) = {x : A @ x <= b}, for d <= 3.
+
+    Integer points as for `_hull_3d`.  A flat set contributes each
+    equation of its affine hull as two opposite rows, and bounds its hull
+    inside that plane or line on the coordinates `_affine_frame` keeps.
+    """
+    pts = np.unique(_int_coords(points), axis=0)
+    d = pts.shape[1]
+    eq, keep = _affine_frame(pts)
+    if len(keep) == 3:
+        _, rows, bounds = _quickhull(pts)
+    else:
+        flat = pts[:, keep]
+        if len(keep) == 2:
+            # outward edge normals of the counter-clockwise polygon
+            ring = np.array(_hull_2d(list(map(tuple, flat.tolist()))))
+            edge = np.roll(ring, -1, axis=0) - ring
+            sub = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+            bounds = (sub * ring).sum(axis=1)
+        elif len(keep) == 1:
+            sub = np.array([[1], [-1]])
+            bounds = np.array([flat.max(), -flat.min()])
+        else:
+            sub = np.zeros((0, 0), dtype=np.int64)
+            bounds = np.zeros(0, dtype=np.int64)
+        rows = np.zeros((len(sub), d), dtype=np.int64)
+        rows[:, keep] = sub
+    at = eq @ pts[0]
+    return np.concatenate([eq, -eq, rows]), np.concatenate([at, -at, bounds])
+
+
+def convex_hull(points) -> list[tuple[float, ...]]:
+    """Hull vertices of d-tuples or of an (m, d) array, d <= 3."""
+    if not len(points):
         raise ShapeError("empty point set")
     d = len(points[0])
+    if d < 3 and isinstance(points, np.ndarray):
+        points = list(map(tuple, points.tolist()))
     if d == 1:
         return _hull_1d(points)
     if d == 2:
@@ -309,8 +495,8 @@ def shape_polytope(ptm: PassageTimeMap, n: int) -> ShapeEstimate:
         return ShapeEstimate(ptm.delta, 0, np.zeros((1, len(pt))), (pt,))
     sites = np.argwhere((ptm.grid >= 0) & (ptm.grid <= n)) - ptm.radius
     # hull on the integer sites: exact arithmetic, no float-collinearity noise
-    ends = list(map(tuple, sites[_row_ends(sites)].tolist()))
-    hull = tuple(tuple(c / n for c in v) for v in convex_hull(ends))
+    hull = tuple(tuple(c / n for c in v)
+                 for v in convex_hull(sites[_row_ends(sites)]))
     return ShapeEstimate(ptm.delta, n, sites / n, hull)
 
 

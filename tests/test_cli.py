@@ -33,16 +33,33 @@ from _support import (
 )
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy's import costs more than the CLI's own; only the d = 3 hull
-    # (Qhull) loads it, on first use
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: neither the import nor a d = 3
+    # `shape` run, whose hulls are the package's own exact integer ones,
+    # may load it
+    doc = {
+        "command": "shape",
+        "output_dir": str(tmp_path / "out"),
+        "environment": spec_to_dict(
+            homogeneous_env(cube_law(), dimension=3).spec),
+        "parameters": {"horizon": 6, "delta_grid": [0.1, 0.3]},
+    }
+    cfgp = write_config(tmp_path, "c.json", doc)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, brwre.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+            "loaded = lambda: sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'); "
+            "print(loaded()); "
+            "assert brwre.cli.main(['shape', sys.argv[1]]) == 0; "
+            "print(loaded())")
+    out = subprocess.run([sys.executable, "-c", code, cfgp], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=60)
+    assert out.stdout.split("\n")[0] == "[]"
+    assert out.stdout.strip().split("\n")[-1] == "[]"
+    hull = (tmp_path / "out" / "shape_hull_00.csv").read_text().splitlines()
+    assert len(hull) == 1 + 6  # the six vertices of the octahedron
 
 
 def env_doc(seed=2024):

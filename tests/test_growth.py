@@ -1,11 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from brwre import expectation
 from brwre.growth import (
     GrowthError,
+    _outside_hull,
     beta_estimate,
     beta_profile,
     classify_by_beta,
@@ -13,6 +16,7 @@ from brwre.growth import (
     total_growth,
 )
 from brwre.lattice import RationalVector, StepSet
+from brwre.shape import _row_ends, convex_hull
 
 from _support import (
     borderline_law,
@@ -213,6 +217,64 @@ class TestBHull:
         assert abs(prof.find(rv("2/5")).value) <= 1e-12
         assert all(e.value < -1e-3 for a, e in prof.grid if a != rv("2/5"))
         assert prof.b_hull in ((), ((0.4,),))
+
+
+def outside_hull_per_direction(sites, a, n):
+    """The per-direction test that `_outside_hull` replaced: n*a is outside
+    when adding it to the row ends makes it a hull vertex that is not one
+    of the sites."""
+    ends = list(map(tuple, (a.denominator * sites[_row_ends(sites)]).tolist()))
+    p = tuple(n * c for c in a.numerators)
+    return p in convex_hull(ends + [p]) and p not in ends
+
+
+def direction_grid(d, values):
+    return [rv(*c) for c in itertools.product(values, repeat=d)]
+
+
+class TestOutsideHull:
+    """The batched integer test against the per-direction hulls."""
+
+    @pytest.mark.parametrize("d, n", [(2, 7), (2, 8), (3, 5), (3, 6)])
+    def test_layers(self, d, n):
+        # octahedral layers: 1 and -1 hit vertices, 1/2 edges (and in
+        # d = 3 faces at 1/3), n-th fractions land on and next to facets
+        rng = np.random.default_rng(90 + d)
+        units = StepSet.nearest_neighbour(d).offsets
+        laws = [law_of(*[({y: int(rng.integers(1, 3))}, float(p)) for y, p in
+                         zip(units, rng.dirichlet(np.ones(len(units))))])
+                for _ in range(2)]
+        env = iid_env(laws, [0.5, 0.5], int(rng.integers(0, 2**31)),
+                      dimension=d)
+        for layer in expectation.iter_layers(env, (0,) * d, n):
+            pass
+        sites, _ = layer._finite()
+        values = ["-1", "-1/2", "-1/3", "0", f"1/{n}", "1/3", "1/2",
+                  f"{n - 1}/{n}", "1", f"{n + 1}/{n}"]
+        dirs = direction_grid(d, values)
+        want = [outside_hull_per_direction(sites, a, n) for a in dirs]
+        assert _outside_hull(sites, dirs, n).tolist() == want
+        assert 0 < sum(want) < len(dirs)
+
+    def test_walled_layer_with_oblique_facets(self):
+        # a cut cross-polytope: sites with x + 2y <= 3 in the l1 ball of 4
+        ball = np.array([x for x in itertools.product(range(-4, 5), repeat=3)
+                         if sum(map(abs, x)) <= 4 and x[0] + 2 * x[1] <= 3])
+        dirs = direction_grid(3, ["-1", "-1/2", "0", "1/4", "1/2", "3/4", "1"])
+        want = [outside_hull_per_direction(ball, a, 4) for a in dirs]
+        assert _outside_hull(ball, dirs, 4).tolist() == want
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_flat_site_sets(self, d):
+        rng = np.random.default_rng(70 + d)
+        dirs = direction_grid(d, ["-1", "-1/2", "0", "1/2", "1"])
+        for rank in range(d):
+            for _ in range(3):
+                span = rng.integers(-1, 2, size=(rank, d))
+                coef = rng.integers(-2, 3, size=(int(rng.integers(1, 9)), rank))
+                sites = np.unique(coef @ span, axis=0)
+                want = [outside_hull_per_direction(sites, a, 2) for a in dirs]
+                assert _outside_hull(sites, dirs, 2).tolist() == want
 
 
 class TestClassifier:

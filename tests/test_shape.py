@@ -3,14 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from brwre.environment import EnvironmentField
 from brwre.lattice import RationalVector, StepSet, l1_norm, sub, unit_vectors
 from brwre.shape import (
+    HULL_COORD_MAX,
     ShapeError,
     convex_hull,
     hausdorff_l1,
+    hull_inequalities,
     iter_reachable,
     norm_estimate,
     passage_times,
@@ -388,6 +391,16 @@ class TestHullAndDistance:
         with pytest.raises(ShapeError):
             convex_hull([])
 
+    def test_hull_3d_needs_bounded_integers(self):
+        big = HULL_COORD_MAX
+        cube = [(x, y, z) for x in (-big, big) for y in (-big, big)
+                for z in (-big, big)]
+        assert convex_hull(cube + [(0, 0, 0)]) == sorted(cube)
+        with pytest.raises(ShapeError, match="beyond"):
+            convex_hull(cube + [(big + 1, 0, 0)])
+        with pytest.raises(ShapeError, match="integer"):
+            convex_hull([(0.5, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+
     def test_hausdorff_known_values(self):
         assert hausdorff_l1([(0, 0)], [(3, 4)]) == 7.0
         assert hausdorff_l1([(0,), (1,)], [(0,), (1,)]) == 0.0
@@ -397,3 +410,111 @@ class TestHullAndDistance:
     def test_hausdorff_empty_rejected(self):
         with pytest.raises(ShapeError):
             hausdorff_l1([], [(0, 0)])
+
+
+def qhull_vertices(pts):
+    arr = np.array(sorted(set(map(tuple, np.asarray(pts).tolist()))))
+    keep = sorted(ConvexHull(arr.astype(np.float64)).vertices)
+    return list(map(tuple, arr[keep].tolist()))
+
+
+def integer_sets(rng, rounds):
+    """Seeded full-dimensional integer sets: uniform in a cube, subsets of a
+    cube grid, points on the faces of an octahedron and points on the edges
+    of a box (the last three put many points inside faces and on edges)."""
+    for _ in range(rounds):
+        yield rng.integers(-30, 31, size=(int(rng.integers(5, 150)), 3))
+        k = int(rng.integers(2, 6))
+        grid = np.stack(np.meshgrid(*[np.arange(k)] * 3, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        yield grid[rng.random(len(grid)) < 0.6]
+        r, m = int(rng.integers(2, 9)), int(rng.integers(8, 80))
+        a = rng.integers(0, r + 1, size=m)
+        b = rng.integers(0, r - a + 1)
+        signs = rng.choice([-1, 1], size=(m, 3))
+        yield signs * np.stack([a, b, r - a - b], axis=1)
+        size = rng.integers(1, 7, size=3)
+        axis = rng.integers(0, 3, size=m)
+        pts = rng.integers(0, 2, size=(m, 3)) * size
+        pts[np.arange(m), axis] = rng.integers(0, size[axis] + 1)
+        yield pts
+
+
+def full_dimensional(pts):
+    pts = np.asarray(pts)
+    return len(pts) > 3 and np.linalg.matrix_rank(pts - pts[0]) == 3
+
+
+def in_hull_lp(pts, q):
+    """q is a convex combination of the points: the LP oracle."""
+    pts = np.asarray(pts, dtype=np.float64)
+    a_eq = np.vstack([pts.T, np.ones(len(pts))])
+    res = linprog(np.zeros(len(pts)), A_eq=a_eq, b_eq=np.r_[q, 1.0],
+                  bounds=(0, None), method="highs")
+    return res.status == 0
+
+
+class TestExactHull:
+    """The integer Quickhull against Qhull, and its facet inequalities."""
+
+    def test_vertices_match_qhull(self):
+        rng = np.random.default_rng(2026)
+        checked = 0
+        for pts in integer_sets(rng, 30):
+            if not full_dimensional(pts):
+                continue
+            tuples = list(map(tuple, pts.tolist()))
+            assert convex_hull(tuples) == qhull_vertices(pts)
+            assert convex_hull(pts) == qhull_vertices(pts)
+            checked += 1
+        assert checked >= 100
+        wide = rng.integers(-HULL_COORD_MAX, HULL_COORD_MAX + 1, size=(300, 3))
+        assert convex_hull(wide) == qhull_vertices(wide)
+
+    def test_flat_sets_match_planar_qhull(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            u, v = rng.integers(-3, 4, size=(2, 3))
+            if not np.cross(u, v).any():
+                continue
+            coef = rng.integers(-4, 5, size=(int(rng.integers(3, 40)), 2))
+            pts = np.unique(rng.integers(-5, 6, size=3) + coef @ np.stack([u, v]),
+                            axis=0)
+            if np.linalg.matrix_rank(pts - pts[0]) < 2:
+                continue
+            assert set(convex_hull(pts)) == \
+                TestRowEndHull._flat_vertices(pts)
+        line = np.arange(-4, 6)[:, None] * np.array([[2, -1, 3]]) + 1
+        assert convex_hull(rng.permutation(line)) == [(-7, 5, -11), (11, -4, 16)]
+
+    def test_inequalities_match_qhull_equations(self):
+        rng = np.random.default_rng(11)
+        for pts in integer_sets(rng, 8):
+            if not full_dimensional(pts):
+                continue
+            rows, bounds = hull_inequalities(pts)
+            eq = ConvexHull(pts.astype(np.float64)).equations
+            probes = np.vstack([pts, rng.integers(
+                pts.min() - 2, pts.max() + 3, size=(300, 3))])
+            exact = (probes @ rows.T <= bounds).all(axis=1)
+            qhull = (probes @ eq[:, :3].T + eq[:, 3] <= 1e-9).all(axis=1)
+            assert np.array_equal(exact, qhull)
+            assert exact[:len(pts)].all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_inequalities_of_flat_sets(self, d):
+        # single points, segments and (in d = 3) planar polygons, against
+        # the LP oracle on probes in and beside their affine hulls
+        rng = np.random.default_rng(40 + d)
+        for rank in range(d):
+            for _ in range(3):
+                base = rng.integers(-3, 4, size=d)
+                span = rng.integers(-2, 3, size=(rank, d))
+                coef = rng.integers(-3, 4, size=(int(rng.integers(1, 12)), rank))
+                pts = base + coef @ span
+                probes = base + rng.integers(-4, 5, size=(25, rank)) @ span
+                probes = np.vstack([probes, probes[:5] + rng.integers(
+                    -1, 2, size=(5, d))])
+                rows, bounds = hull_inequalities(pts)
+                for q in probes:
+                    assert (rows @ q <= bounds).all() == in_hull_lp(pts, q)
