@@ -21,24 +21,25 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .lattice import Site, StepSet, l1_norm, unit_vectors
-from .seeding import cell_uniform
+from .seeding import axis_hash, hash_uniform
 
 PROB_TOL = 1e-12
 
 # Peak resident bytes per cell of a box whose law indices are evaluated and
 # then worked on by a DP solve, a reachability BFS or a population step.
-# Peak RSS above the interpreter's baseline, d = 3 nearest-neighbour steps:
-# a `brwre solve` (layers, `expected_total` of each, writers) took 101-108 B
-# per lattice cell at horizons 60, 90 and 120, i.i.d. and block window,
-# forward and adjoint; the slabs of log mean offspring are 48 of them.
-# `passage_times` at radius 30 and 50 took 91-95 B per box cell with a block
-# window and about 72 B i.i.d.
-BYTES_PER_BOX_CELL = 108
+# Peak RSS above the baseline of an interpreter that has imported the CLI and
+# built the environment, d = 3 nearest-neighbour steps: a `brwre solve`
+# (layers, `expected_total` of each, writers) took 21.6-33.5 B per lattice
+# cell at horizons 60, 90 and 120, i.i.d. and block window, forward and
+# adjoint (the law-index slabs are 1 of them); `passage_times` at radius 30
+# and 50 took 27.0-29.4 B per box cell, i.i.d. and block window.  A block
+# window's law-index box alone traces 18 B per cell.
+BYTES_PER_BOX_CELL = 34
 
 # Most sites `EnvironmentField.law_index` remembers; the oldest goes first.
 _INDEX_MEMO_SIZE = 1 << 14
@@ -236,7 +237,7 @@ class EnvironmentField:
     bitwise with per-site calls and fill no site memo: the BFS, the
     population steps and `check_anderson_equation` use `law_index_grid` over
     a box, which keeps the last box in `_grid_memo`, and the DP's slabs use
-    `law_index_sites` on the sublattice sites the walk can reach.
+    `law_index_axes` on the sublattice sites the walk can reach.
     """
 
     spec: EnvironmentSpec
@@ -308,46 +309,57 @@ class EnvironmentField:
         return idx
 
     def _law_index_box(self, lo: Site, hi: Site) -> np.ndarray:
-        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        if any(s <= 0 for s in shape):
+        if any(h < l for l, h in zip(lo, hi)):
             raise EnvironmentError_(f"empty box {lo}..{hi}")
         if self._override is not None or self.spec.dependence.mode == "iid":
-            axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-            return self.law_index_sites(
-                np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+            return self.law_index_axes(_box_axes(lo, hi))
         # a block window hashes each cell of the padded box once
         w = self.spec.dependence.window_radius
-        pad_axes = [np.arange(l - w, h + w + 1, dtype=np.int64)
-                    for l, h in zip(lo, hi)]
-        pad_mesh = np.stack(np.meshgrid(*pad_axes, indexing="ij"), axis=-1)
-        cell_u = cell_uniform(self.spec.master_seed, pad_mesh)
+        cell_u = hash_uniform(axis_hash(
+            self.spec.master_seed,
+            _box_axes([l - w for l in lo], [h + w for h in hi])))
+        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         acc = np.zeros(shape, dtype=np.float64)
         for c in self._window_cells:
             sl = tuple(slice(w + ci, w + ci + s) for ci, s in zip(c, shape))
             acc += cell_u[sl]
-        return self._select(np.mod(acc, 1.0))
+        del cell_u
+        return self._select(np.mod(acc, 1.0, out=acc))
 
     def law_index_sites(self, sites: np.ndarray) -> np.ndarray:
         """Law indices at an int array of sites of shape (..., d).
 
-        `law_index` computes its memo misses here.  A block window adds
-        its cell uniforms in window-cell order, as `law_index_grid` does.
+        `law_index` computes its memo misses here; it is `law_index_axes`
+        on the coordinates of the sites.
         """
         sites = np.asarray(sites, dtype=np.int64)
+        return self.law_index_axes(np.moveaxis(sites, -1, 0))
+
+    def law_index_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Law indices at the sites whose i-th coordinates are `axes[i]`.
+
+        The axes are integer arrays that broadcast together, such as the
+        open mesh of a box or affine expressions in lattice coordinates;
+        the result has their broadcast shape, and no (..., d) site array
+        is built.  A block window adds its cell uniforms in window-cell
+        order, as `law_index_grid` does.
+        """
+        axes = [np.asarray(a, dtype=np.int64) for a in axes]
         if self._override is not None:
-            flat = sites.reshape(-1, sites.shape[-1]).tolist()
-            return np.array([self._override(tuple(x)) for x in flat],
-                            dtype=np.int64).reshape(sites.shape[:-1])
+            flat = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*axes)))
+            return np.array([self._override(x) for x in flat], dtype=np.int64
+                            ).reshape(np.broadcast_shapes(*(a.shape for a in axes)))
         seed = self.spec.master_seed
         if self.spec.dependence.mode == "iid":
-            return self._select(cell_uniform(seed, sites))
-        acc = np.zeros(sites.shape[:-1], dtype=np.float64)
+            return self._select(hash_uniform(axis_hash(seed, axes)))
+        acc = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)))
         for c in self._window_cells:
-            acc += cell_uniform(seed, sites + np.array(c, dtype=np.int64))
-        return self._select(np.mod(acc, 1.0))
+            acc += hash_uniform(axis_hash(seed, [a + ci for a, ci in zip(axes, c)]))
+        return self._select(np.mod(acc, 1.0, out=acc))
 
     def _select(self, u: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._cum_weights, u, side="right").astype(np.int64)
+        return np.searchsorted(self._cum_weights, u, side="right").astype(
+            np.int64, copy=False)
 
     @classmethod
     def from_index_function(
@@ -355,6 +367,14 @@ class EnvironmentField:
     ) -> "EnvironmentField":
         """Hand-built field for oracles and tests; determinism is the caller's duty."""
         return cls(spec, law_index_fn)
+
+
+def _box_axes(lo: Site, hi: Site) -> list[np.ndarray]:
+    """The open mesh of the inclusive box [lo, hi]: axis i varies along i."""
+    d = len(lo)
+    return [np.arange(l, h + 1, dtype=np.int64).reshape(
+        [-1 if j == i else 1 for j in range(d)])
+        for i, (l, h) in enumerate(zip(lo, hi))]
 
 
 def check_box_memory(cells: int, error: type[Exception], what: str) -> None:

@@ -36,12 +36,17 @@ contributions of the offsets in sorted order, as on the bounding box, so
 every site sees the same sequence of finite `logaddexp` terms (the first
 is a plain sum, exact because logaddexp(-inf, v) = v) and a layer is
 bitwise the same as a dense-box evaluation: a deterministic function of
-the environment and the start.  The log mean offspring of the sites every
-layer reads are tabulated once per solve, one slab per offset and coset of
-L, and a layer reads them through shifted slices.
+the environment and the start.  The law index of every site the layers
+read is tabulated once per solve, one slab per coset of L in the smallest
+unsigned dtype that holds the law count; a layer reads it through shifted
+slices and takes each offset's log mean offspring from the per-law
+column, the same float64 values a per-offset float slab would hold.
 
-At its boundary a layer is the dense box of its sites (`LogMassField.lo`,
-`values`), which the writers, the Anderson check and `expected_total` read.
+A layer's public frame is the dense box of its sites (`LogMassField.lo`,
+`shape`).  The writers and `expected_total` read the finite cells in the
+box's row-major order through a gather, each cell's flat box position,
+sorted, and write the CSV rows and the binary box in fixed-size chunks;
+only `values` and the Anderson check build the dense box.
 """
 
 from __future__ import annotations
@@ -55,13 +60,17 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .environment import EnvironmentField, check_box_memory
+from .environment import EnvironmentField, _box_axes, check_box_memory
 from .lattice import Site, StepLattice, step_lattice
 
 NEG_INF = float("-inf")
 
 _BINARY_MAGIC = b"BRWL"
 _BINARY_VERSION = 1
+
+# Cells a layer reader gathers, and rows or box cells a writer writes, at a
+# time: the transient memory of reading a layer beyond its sorted positions.
+_CHUNK = 1 << 11
 
 
 class SolverError(ValueError):
@@ -73,11 +82,13 @@ class LogMassField:
     """One DP layer: log of the expected particle count per site.
 
     `cells[z]` is the log-mass at site `origin + B z`, with B the basis of
-    `lattice`.  Publicly the layer is a dense box: `values` is a float
-    array over the inclusive box [lo, lo + shape), built on each access
-    (and not kept, so a stepping solve holds no dense box), and sites
-    outside the box, and box entries without mass, are log(0) = -inf.
-    Cells whose sites fall outside the box are always -inf.
+    `lattice`.  Publicly the layer lives in the inclusive box
+    [lo, lo + shape): sites outside the box, and box entries without
+    mass, are log(0) = -inf, and cells whose sites fall outside the box
+    are always -inf.  `values` is that box as a float array, built on
+    each access and not kept; `items`, `expected_total` and the writers
+    gather the finite cells in its row-major order instead (`_positions`,
+    `_read`), so they hold memory in proportion to the cells, not the box.
     """
 
     n: int
@@ -144,10 +155,51 @@ class LogMassField:
     def _finite(self) -> tuple[np.ndarray, np.ndarray]:
         """The finite entries' sites (m, d) and log masses (m,), as `items`
         orders them: lexicographic in the site."""
-        values = self.values
-        mask = values > NEG_INF
-        sites = np.argwhere(mask) + np.array(self.lo, dtype=np.int64)
-        return sites, values[mask]
+        pos = self._positions()
+        coords = np.stack(np.unravel_index(pos, self.shape), axis=1)
+        return coords + np.array(self.lo, dtype=np.int64), self._read(pos)
+
+    def _positions(self) -> np.ndarray:
+        """Flat positions in the box of the finite cells, ascending.
+
+        A position is affine in the lattice coordinates, as in `values`.
+        Finite cells lie in the box at distinct sites, so their positions
+        are distinct, and ascending position is row-major site order.
+        """
+        cells = self.cells
+        strides = [math.prod(self.shape[i + 1:]) for i in range(len(self.shape))]
+        first = sum((o - l) * s for o, l, s in zip(self.origin, self.lo, strides))
+        pos = np.int64(first)
+        for i, col in enumerate(self.lattice.basis):
+            step = sum(b * s for b, s in zip(col, strides))
+            pos = pos + step * np.arange(cells.shape[i], dtype=np.int64).reshape(
+                [-1 if j == i else 1 for j in range(cells.ndim)])
+        finite = np.isfinite(cells)
+        pos = pos.ravel() if finite.all() else pos[finite]
+        pos.sort(kind="stable")
+        return pos
+
+    def _read(self, pos: np.ndarray) -> np.ndarray:
+        """Log masses of the finite cells at box positions `pos`.
+
+        The inverse of `_positions`, gathered without building the box.
+        With x the box coordinates of a position, the cell has lattice
+        coordinates z = dual (x + lo - origin) / 2 (each row's product is
+        even) and flat index sum_i cstride_i z_i, an affine form in x;
+        x_j = q_j - shape_j q_(j-1) with q_j = pos // bstride_j turns it
+        into one in the q_j.
+        """
+        d = self.dimension
+        cstrides = [math.prod(self.cells.shape[i + 1:]) for i in range(d)]
+        weight = [sum(s * row[j] for s, row in zip(cstrides, self.lattice.dual))
+                  for j in range(d)]
+        flat = np.int64(sum(w * (l - o) for w, l, o
+                            in zip(weight, self.lo, self.origin)))
+        for j in range(d):
+            c = weight[j] - (weight[j + 1] * self.shape[j + 1] if j + 1 < d else 0)
+            if c:
+                flat = flat + c * (pos // math.prod(self.shape[j + 1:]))
+        return self.cells.take(flat // 2)
 
     def support_size(self) -> int:
         return int(np.isfinite(self.cells).sum())
@@ -158,17 +210,22 @@ def expected_total(fld: LogMassField) -> float:
 
     The finite values are summed in the dense box's row-major order, in
     the form of scipy's `logsumexp`: the maxima are taken out of the sum,
-    log1p(sum / m) + log m + max with m the number of maxima.
+    log1p(sum / m) + log m + max with m the number of maxima.  They are
+    gathered `_CHUNK` at a time in that order, without the box.
     """
-    values = fld.values
-    flat = values[np.isfinite(values)]
-    if flat.size == 0:
+    pos = fld._positions()
+    if pos.size == 0:
         return NEG_INF
+    flat = np.empty(pos.size)
+    for i in range(0, pos.size, _CHUNK):
+        flat[i:i + _CHUNK] = fld._read(pos[i:i + _CHUNK])
+    del pos
     top = flat.max()
     at_top = flat == top
     m = np.float64(np.count_nonzero(at_top))
     flat[at_top] = NEG_INF
-    s = np.exp(flat - top).sum()
+    flat -= top
+    s = np.exp(flat, out=flat).sum()
     if s != 0:
         s = s / m
     return float(np.log1p(s) + np.log(m) + top)
@@ -180,10 +237,10 @@ class _Tables:
     Layer k has cells [0, k*width] at sites start + k*base + B z.  Layer
     k = c + q*m (q the lattice period) lies on coset c, and its cell z is
     cell z + m*kappa - lo of `slabs[c] = (lo, slab)`, where q*base =
-    B kappa.  The slab of coset c holds one contiguous array per offset,
-    over the sites of every layer of that coset that carries coefficients:
-    the sources (layers 0..n-1) forward, the destinations (layers 1..n)
-    adjoint.
+    B kappa.  The slab of coset c holds the law index of the sites of
+    every layer of that coset that carries coefficients: the sources
+    (layers 0..n-1) forward, the destinations (layers 1..n) adjoint.
+    `log_mu[j]` holds log mu_y of offset j per law.
     """
 
     def __init__(self, env: EnvironmentField, start: Site, n: int, adjoint: bool):
@@ -216,26 +273,23 @@ class _Tables:
         check_box_memory(sum(math.prod(h - l + 1 for l, h in zip(lo, hi))
                              for lo, hi in boxes.values()),
                          SolverError, f"horizon {n}")
+        laws = env.spec.law_support
         with np.errstate(divide="ignore"):
-            law_table = np.log(
-                np.array(
-                    [
-                        [law.mean_offspring.get(y, 0.0) for y in offsets]
-                        for law in env.spec.law_support
-                    ],
-                    dtype=np.float64,
-                )
-            )
-        basis = np.array(lat.basis, dtype=np.int64)  # rows are B's columns
+            # log mu_y per offset (rows) and law (columns)
+            self.log_mu = np.log(np.array(
+                [[law.mean_offspring.get(y, 0.0) for law in laws]
+                 for y in offsets], dtype=np.float64))
+        index_type = np.min_scalar_type(len(laws) - 1)
         self.slabs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for c, (lo, hi) in boxes.items():
-            axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-            u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            sites = u @ basis + np.array(self.origin(c))
-            del u
-            idx = env.law_index_sites(sites)
-            del sites
-            self.slabs[c] = (np.array(lo), law_table.T[:, idx])
+            # the slab's sites origin(c) + B u, one broadcast expression per
+            # coordinate over the open mesh of u
+            u = _box_axes(lo, hi)
+            axes = [o + sum(col[j] * ui for col, ui in zip(lat.basis, u)
+                            if col[j])
+                    for j, o in enumerate(self.origin(c))]
+            idx = env.law_index_axes(axes)
+            self.slabs[c] = (np.array(lo), idx.astype(index_type))
 
     def origin(self, k: int) -> Site:
         """Site of cell 0 of layer k."""
@@ -254,7 +308,7 @@ def _step_dense(fld: LogMassField, tables: _Tables) -> LogMassField:
     # the layer whose sites carry the coefficients mu_y
     k = fld.n + 1 if tables.adjoint else fld.n
     m, c = divmod(k, tables.lattice.period)
-    slab_lo, slabs = tables.slabs[c]
+    slab_lo, slab = tables.slabs[c]
     at = m * tables.kappa - slab_lo
     new = np.full(tuple(s + w for s, w in zip(old.shape, tables.width)),
                   NEG_INF, dtype=np.float64)
@@ -263,12 +317,14 @@ def _step_dense(fld: LogMassField, tables: _Tables) -> LogMassField:
         # the coefficient sits at the source, adjoint at the destination
         dst = tuple(slice(a, a + s) for a, s in zip(w, old.shape))
         src = at + w if tables.adjoint else at
-        coef = slabs[j][tuple(slice(a, a + s) for a, s in zip(src, old.shape))]
+        laws = slab[tuple(slice(a, a + s) for a, s in zip(src, old.shape))]
+        coef = tables.log_mu[j].take(laws)
+        coef += old
         if j == 0:
             # logaddexp(-inf, v) is exactly v: the first term is a plain sum
-            np.add(old, coef, out=new[dst])
+            new[dst] = coef
         else:
-            np.logaddexp(new[dst], old + coef, out=new[dst])
+            np.logaddexp(new[dst], coef, out=new[dst])
     return tables.layer(fld.n + 1, new)
 
 
@@ -381,16 +437,24 @@ def check_anderson_equation(env: EnvironmentField, layers: list[LogMassField]) -
 
 
 def write_layer_csv(fld: LogMassField, path: str) -> None:
-    """CSV dump: one row per finite-mass site, coordinates then log mass."""
+    """CSV dump: one row per finite-mass site, coordinates then log mass.
+
+    Rows are formatted and written `_CHUNK` at a time, in row-major site
+    order.
+    """
     d = fld.dimension
-    sites, values = fld._finite()
+    pos = fld._positions()
     # the csv module's dialect: comma-separated, CRLF line ends, and no
     # field here needs quoting
     row = ",".join(["{}"] * d + ["{!r}"]) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join([f"x{i + 1}" for i in range(d)] + ["log_mass"])
                  + "\r\n")
-        fh.write("".join(map(row.format, *sites.T.tolist(), values.tolist())))
+        for i in range(0, pos.size, _CHUNK):
+            part = pos[i:i + _CHUNK]
+            sites = [(x + l).tolist() for x, l
+                     in zip(np.unravel_index(part, fld.shape), fld.lo)]
+            fh.write("".join(map(row.format, *sites, fld._read(part).tolist())))
 
 
 def read_layer_csv(path: str) -> dict[Site, float]:
@@ -408,14 +472,26 @@ def write_layer_binary(fld: LogMassField, path: str) -> None:
 
     Header: magic "BRWL", u16 version, u16 dimension, i64 n, d x i64 lower
     box corner, d x u64 box shape; then the layer as little-endian float64
-    in row-major order (missing sites hold -inf).
+    in row-major order (missing sites hold -inf), written `_CHUNK` box
+    cells at a time.
     """
     with open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC)
         fh.write(struct.pack("<HHq", _BINARY_VERSION, fld.dimension, fld.n))
         fh.write(struct.pack(f"<{fld.dimension}q", *fld.lo))
         fh.write(struct.pack(f"<{fld.dimension}Q", *fld.shape))
-        fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
+        pos = fld._positions()
+        size = math.prod(fld.shape)
+        buf = np.empty(min(size, _CHUNK), dtype="<f8")
+        a = 0
+        for start in range(0, size, _CHUNK):
+            # the finite cells of this chunk are pos[a:b]
+            part = buf[:min(_CHUNK, size - start)]
+            part.fill(NEG_INF)
+            b = a + int(np.searchsorted(pos[a:], start + _CHUNK))
+            part[pos[a:b] - start] = fld._read(pos[a:b])
+            fh.write(part)
+            a = b
 
 
 def _read_header(fh, fmt: str) -> tuple:

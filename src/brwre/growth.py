@@ -39,7 +39,7 @@ from .classify import SEARCH_RADIUS
 from .environment import EnvironmentField
 from .expectation import NEG_INF
 from .lattice import RationalVector
-from .shape import _row_ends, convex_hull, hull_inequalities
+from .shape import _hull_3d, _row_ends, convex_hull, hull_inequalities
 
 NEWTON_STEPS = 100  # damped Newton iterations, at most
 NEWTON_TOL = 1e-15  # stop once the Newton decrement predicts less decrease
@@ -96,11 +96,15 @@ def _b_hull(
     if directions[0].dimension > 1:
         if not kept:
             return ()
-        # the numerators over a common denominator: an exact integer hull
+        # the numerators over a common denominator: an exact integer hull,
+        # in Python ints in d = 3, where that denominator can push the
+        # coordinates beyond the int64 kernel's bound
         den = math.lcm(*(a.denominator for a in kept))
         back = {tuple(c * (den // a.denominator) for c in a.numerators):
                 a.as_floats() for a in kept}
-        return tuple(back[v] for v in convex_hull(sorted(back)))
+        hull = _hull_3d(list(back), wide=True) if len(kept[0].numerators) == 3 \
+            else convex_hull(sorted(back))
+        return tuple(back[v] for v in hull)
     pts = [a.as_floats() for a in kept]
     order = sorted(
         (a.as_floats()[0], est.value)

@@ -29,33 +29,55 @@ PURPOSE_RETURN_PROBE = 3
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer of z + gamma, in place when z is an array."""
     # uint64 arithmetic wraps by design; silence numpy's scalar overflow note
     with np.errstate(over="ignore"):
-        z = (z + _GAMMA) & _MASK
-        z = ((z ^ (z >> np.uint64(30))) * _M1) & _MASK
-        z = ((z ^ (z >> np.uint64(27))) * _M2) & _MASK
-        return z ^ (z >> np.uint64(31))
+        z += _GAMMA
+        z ^= z >> np.uint64(30)
+        z *= _M1
+        z ^= z >> np.uint64(27)
+        z *= _M2
+        z ^= z >> np.uint64(31)
+        return z
+
+
+def axis_hash(seed: int, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """64-bit hash of (seed, TAG_ENVIRONMENT, coords), one axis at a time.
+
+    `axes[i]` holds the i-th coordinate of the cells, as integer arrays
+    that broadcast together; the result has their broadcast shape.  The
+    coordinates are mixed in in axis order, so the hash state after i
+    coordinates depends on the first i axes only: over a box whose axes
+    are open-mesh aranges it is an array of the first i axes' extent, and
+    no (..., d) mesh is built.
+    """
+    h = _mix(np.uint64((seed ^ TAG_ENVIRONMENT) & 0xFFFFFFFFFFFFFFFF))
+    for a in axes:
+        h = _mix(h ^ np.asarray(a, dtype=np.int64).view(np.uint64))
+    return h
 
 
 def cell_hash(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:
-    """64-bit hash of (seed, TAG_ENVIRONMENT, coords), vectorized over leading axes.
+    """`axis_hash` of one site (1-D, length d) or of an array (..., d).
 
-    `coords` is either one site (1-D, length d) or an array (..., d); the
-    result drops the last axis.  Scalar and vectorized evaluation agree
-    bitwise because both run through this function.
+    The result drops the last axis.  Scalar, stacked and axis-wise
+    evaluation agree bitwise because all run through `axis_hash`.
     """
-    arr = np.asarray(coords, dtype=np.int64).view(np.uint64)
-    h = _mix(np.uint64((seed ^ TAG_ENVIRONMENT) & 0xFFFFFFFFFFFFFFFF))
-    h = np.broadcast_to(h, arr.shape[:-1]).copy()
-    for i in range(arr.shape[-1]):
-        h = _mix(h ^ arr[..., i])
-    return h
+    arr = np.asarray(coords, dtype=np.int64)
+    return axis_hash(seed, np.moveaxis(arr, -1, 0))
+
+
+def hash_uniform(h: np.ndarray) -> np.ndarray:
+    """Uniform [0,1) variates from the top 53 bits of hashes `h` (consumed)."""
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 def cell_uniform(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:
     """Uniform [0,1) variate(s) attached to lattice cell(s)."""
-    h = cell_hash(seed, coords)
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return hash_uniform(cell_hash(seed, coords))
 
 
 def replica_rng(master_seed: int, replica: int, purpose: int = PURPOSE_DYNAMICS) -> np.random.Generator:

@@ -45,10 +45,9 @@ def _moves(shape: tuple[int, ...], offsets: Sequence[Site]
 
 
 def _ball_mask(shape: tuple[int, ...], center: Sequence[int], radius: int) -> np.ndarray:
-    grids = np.meshgrid(
-        *[np.abs(np.arange(s) - c) for s, c in zip(shape, center)], indexing="ij"
-    )
-    return sum(grids) <= radius
+    # the l1 distances as a sum of per-axis distances over an open mesh
+    return sum(np.ix_(*[np.abs(np.arange(s) - c)
+                        for s, c in zip(shape, center)])) <= radius
 
 
 def _open_masks(
@@ -305,7 +304,10 @@ def _affine_frame(pts: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _quickhull(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Facets of the hull of full-dimensional int64 points in R^3.
+    """Facets of the hull of full-dimensional integer points in R^3.
+
+    `pts` is int64 within HULL_COORD_MAX, or an object array of Python
+    ints, whose exact arithmetic has no bound.
 
     Quickhull (Barber, Dobkin & Huhdanpaa 1996) with exact predicates:
     each step adds the point farthest above its facet, replaces the facets
@@ -329,8 +331,9 @@ def _quickhull(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (edge j of a facet runs from its corner j to corner j + 1)
     s0, s1, s2, s3 = simplex = [0, i1, i2, i3]
     # facet arrays with spare rows, doubled when full
-    tri, nbr, normals = (np.zeros((64, 3), dtype=np.int64) for _ in range(3))
-    offsets = np.zeros(64, dtype=np.int64)
+    tri, nbr = (np.zeros((64, 3), dtype=np.int64) for _ in range(2))
+    normals = np.zeros((64, 3), dtype=pts.dtype)
+    offsets = np.zeros(64, dtype=pts.dtype)
     alive = np.zeros(64, dtype=bool)
     tri[:4] = [[s0, s2, s1], [s0, s1, s3], [s1, s2, s3], [s0, s3, s2]]
     nbr[:4] = [[3, 2, 1], [0, 2, 3], [0, 3, 1], [1, 2, 0]]
@@ -346,7 +349,7 @@ def _quickhull(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # owner[i] is a facet point i lies strictly above, by height[i] > 0;
     # owner -1 and height 0 once the point is inside or on the hull
     owner = np.full(m, -1, dtype=np.int64)
-    height = np.zeros(m, dtype=np.int64)
+    height = np.zeros(m, dtype=pts.dtype)
 
     def assign(cand, facets):
         above = pts[cand] @ normals[facets].T - offsets[facets]
@@ -406,19 +409,26 @@ def _quickhull(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tri[keep], normals[keep] // g[:, None], offsets[keep] // g
 
 
-def _hull_3d(points) -> list[tuple[float, ...]]:
+def _hull_3d(points, wide: bool = False) -> list[tuple[float, ...]]:
     """Hull vertices in lexicographic order, flat sets included.
 
     Coordinates must be integers of absolute value at most HULL_COORD_MAX
-    (ShapeError otherwise).  A full-dimensional set is hulled by
+    (ShapeError otherwise); with `wide`, beyond it too, hulled in Python
+    ints, which suits a few points.  A full-dimensional set is hulled by
     `_quickhull`; its vertices are the points whose incident facet planes
     span R^3, which leaves out points inside a face or on an edge, as
     Qhull's vertices do.  A coplanar set is hulled in 2-D on the
     coordinates `_affine_frame` keeps (an affine map, injective on the
     plane); a collinear set has its two lexicographic extremes.
     """
-    pts = np.unique(np.asarray(points), axis=0)
-    ints = _int_coords(pts)
+    if wide:
+        pts = np.array(sorted(set(map(tuple, points))), dtype=object)
+        if any(type(c) is not int for c in pts.ravel().tolist()):
+            raise ShapeError("exact hulls need integer coordinates")
+        ints = pts
+    else:
+        pts = np.unique(np.asarray(points), axis=0)
+        ints = _int_coords(pts)
     _, keep = _affine_frame(ints)
     if len(keep) < 2:
         ids = [0, len(pts) - 1] if len(pts) > 1 else [0]
@@ -429,10 +439,13 @@ def _hull_3d(points) -> list[tuple[float, ...]]:
         tri, normals, _ = _quickhull(ints)
         # distinct primitive normals of the facets at each point: a vertex
         # has three or more, a point on an edge two, inside a face one
+        planes: dict[tuple, int] = {}
+        plane = [planes.setdefault(v, len(planes))
+                 for v in map(tuple, normals.tolist())]
         incidence = np.unique(np.column_stack(
-            [tri.ravel(), np.repeat(normals, 3, axis=0)]), axis=0)
-        at, planes = np.unique(incidence[:, 0], return_counts=True)
-        ids = at[planes >= 3]
+            [tri.ravel(), np.repeat(plane, 3)]), axis=0)
+        at, count = np.unique(incidence[:, 0], return_counts=True)
+        ids = at[count >= 3]
     return list(map(tuple, pts[ids].tolist()))
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from brwre.environment import (
     spec_to_dict,
 )
 from brwre.lattice import StepSet
-from brwre.seeding import cell_uniform
+from brwre.seeding import axis_hash, cell_hash, cell_uniform
 
 from _support import doubling_law, drift_law, iid_env, law_of
 
@@ -278,3 +279,86 @@ class TestSpecValidation:
                 dimension=2, step_set=StepSet.nearest_neighbour(1),
                 law_support=(doubling_law(),), weights=(1.0,),
                 dependence=Dependence("iid"), master_seed=0)
+
+
+class TestAxisWiseHash:
+    """The box hash mixes one axis at a time over an open mesh; it equals
+    the per-site hash of an explicit (..., d) mesh bit for bit."""
+
+    @staticmethod
+    def mesh(lo, hi):
+        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+    @pytest.mark.parametrize("lo,hi", [((-7,), (5,)), ((-4, -9), (3, 2)),
+                                       ((-3, -5, -2), (2, 1, 4))])
+    def test_open_mesh_matches_stacked_mesh(self, lo, hi):
+        axes = environment._box_axes(lo, hi)
+        assert (axis_hash(2**63 + 5, axes).tobytes()
+                == cell_hash(2**63 + 5, self.mesh(lo, hi)).tobytes())
+        for x in (tuple(lo), tuple(hi)):
+            assert cell_hash(3, x) == cell_hash(3, np.array([x]))[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("dependence", ["iid", "block_window"])
+    def test_law_index_grid_matches_mesh_uniforms(self, d, dependence):
+        units = StepSet.nearest_neighbour(d).offsets
+        hop = law_of(*[({u: 1}, 1 / (2 * d)) for u in units])
+        dep = Dependence("iid") if dependence == "iid" else Dependence("block_window", 2)
+        spec = EnvironmentSpec(
+            dimension=d, step_set=StepSet.nearest_neighbour(d),
+            law_support=(hop, hop, hop), weights=(0.3, 0.5, 0.2),
+            dependence=dep, master_seed=29)
+        env = build_environment(spec)
+        lo, hi = (-6, -1, -8)[:d], (3, 5, -2)[:d]
+        mesh = self.mesh(lo, hi)
+        if dependence == "iid":
+            u = cell_uniform(29, mesh)
+        else:
+            u = np.zeros(mesh.shape[:-1])
+            for c in env._window_cells:
+                u += cell_uniform(29, mesh + np.array(c))
+            u = np.mod(u, 1.0)
+        want = np.searchsorted(np.cumsum([0.3, 0.5, 0.2]), u, side="right")
+        assert np.array_equal(env.law_index_grid(lo, hi), want)
+        assert np.array_equal(env.law_index_sites(mesh), want)
+        # a sheared lattice frame, as the DP's slabs pass it: site
+        # (z1 + z2, z1 - z2, ...) over an open mesh of z
+        z = [np.arange(-3, 4).reshape(-1, 1), np.arange(-2, 3).reshape(1, -1)]
+        if d >= 2:
+            axes = [z[0] + z[1], z[0] - z[1], 1 - z[0]][:d]
+            sites = np.stack(np.broadcast_arrays(*axes), axis=-1)
+            assert np.array_equal(env.law_index_axes(axes),
+                                  env.law_index_sites(sites))
+
+    def test_override_reads_axes(self):
+        hop = law_of(({(1, 0): 1, (0, 1): 1}, 0.5), ({(-1, 0): 1, (0, -1): 1}, 0.5))
+        env = EnvironmentField.from_index_function(
+            EnvironmentSpec(dimension=2, step_set=StepSet.nearest_neighbour(2),
+                            law_support=(hop,), weights=(1.0,)),
+            lambda x: (x[0] * 3 + x[1]) % 2)
+        got = env.law_index_grid((-2, 0), (1, 2))
+        assert got.tolist() == [[(x * 3 + y) % 2 for y in range(0, 3)]
+                                for x in range(-2, 2)]
+
+
+class TestGridMemory:
+    def test_block_window_box_builds_no_site_mesh(self):
+        # the d = 3 BFS box of `brwre shape` at radius 24, window 1: the
+        # hash of the padded box stays below its stacked int64 mesh
+        units = StepSet.nearest_neighbour(3).offsets
+        hop = law_of(*[({u: 1}, 1 / 6) for u in units])
+        spec = EnvironmentSpec(
+            dimension=3, step_set=StepSet.nearest_neighbour(3),
+            law_support=(hop, hop), weights=(0.3, 0.7),
+            dependence=Dependence("block_window", 1), master_seed=5)
+        env = build_environment(spec)
+        r = 24
+        mesh_bytes = 3 * 8 * (2 * r + 3) ** 3
+        tracemalloc.start()
+        try:
+            env.law_index_grid((-r,) * 3, (r,) * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mesh_bytes

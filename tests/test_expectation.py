@@ -1,12 +1,15 @@
+import csv
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from brwre import environment
+from brwre import environment, expectation
 from brwre.expectation import (
+    NEG_INF,
     LogMassField,
     SolverError,
     check_anderson_equation,
@@ -448,3 +451,172 @@ class TestFieldBasics:
         fld = last(env, (0,), 8)
         sites = [x for x, _ in fld.items()]
         assert sites == sorted(sites)
+
+
+# --- Row-major gather, law-index slabs and reader memory ----------------------
+
+
+def dense_total(values):
+    """`expected_total` on the dense box, as the readers computed it before
+    the gather: the finite values in row-major order."""
+    flat = values[np.isfinite(values)]
+    if flat.size == 0:
+        return NEG_INF
+    top = flat.max()
+    at_top = flat == top
+    m = np.float64(np.count_nonzero(at_top))
+    flat[at_top] = NEG_INF
+    s = np.exp(flat - top).sum()
+    if s != 0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + top)
+
+
+def dense_csv(fld, path):
+    """The CSV dump written row by row from the dense box."""
+    values = fld.values
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([f"x{i + 1}" for i in range(fld.dimension)] + ["log_mass"])
+        for idx in np.argwhere(np.isfinite(values)):
+            w.writerow([int(i) + l for i, l in zip(idx, fld.lo)]
+                       + [repr(float(values[tuple(idx)]))])
+
+
+def corner_env(d):
+    """Mass only moves up: most lattice cells of a layer stay -inf."""
+    ups = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return homogeneous_env(law_of(*[({y: 1}, 1.0 / d) for y in ups]),
+                           dimension=d)
+
+
+def gather_cases():
+    """(id, layers): every DP frame the readers meet, and a from_box layer
+    with -inf entries."""
+    for case in sorted(LATTICE_CASES):
+        steps, start, n = LATTICE_CASES[case]
+        env = _lattice_env(steps, Dependence("iid"), 5 + len(steps))
+        for adjoint in (False, True):
+            yield (f"{case}-{'adjoint' if adjoint else 'forward'}",
+                   lambda env=env, start=start, n=n, adjoint=adjoint:
+                   iter_layers(env, start, n, adjoint=adjoint))
+    for d in (1, 2, 3):
+        yield f"corner-d{d}", lambda d=d: iter_layers(corner_env(d), (0,) * d, 6)
+    box = np.random.default_rng(3).normal(size=(5, 4, 3))
+    box[box < -0.5] = NEG_INF
+    yield "from-box", lambda: [LogMassField.from_box(2, (-1, 4, 0), box)]
+
+
+GATHER_CASES = dict(gather_cases())
+
+
+class TestRowMajorGather:
+    """The readers' gather equals the dense box `values`, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(GATHER_CASES))
+    def test_gather_matches_dense_box(self, case, tmp_path):
+        holes = 0
+        for fld in GATHER_CASES[case]():
+            values = fld.values
+            finite = np.isfinite(values)
+            holes += int((~finite).sum())
+            sites, masses = fld._finite()
+            assert sites.tolist() == (np.argwhere(finite) + fld.lo).tolist()
+            assert masses.tobytes() == values[finite].tobytes()
+            assert expected_total(fld) == dense_total(values.copy())
+        # the last layer's dumps against the dense-box writers
+        write_layer_csv(fld, str(tmp_path / "a.csv"))
+        dense_csv(fld, str(tmp_path / "b.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        write_layer_binary(fld, str(tmp_path / "a.bin"))
+        raw = (tmp_path / "a.bin").read_bytes()
+        assert raw[-values.nbytes:] == values.astype("<f8").tobytes()
+        assert holes > 0
+
+    def test_binary_chunks_cover_the_box(self, tmp_path, monkeypatch):
+        # chunks that split rows, and a last chunk shorter than the rest
+        fld = last(corner_env(2), (0, 0), 9)
+        monkeypatch.setattr(expectation, "_CHUNK", 7)
+        write_layer_binary(fld, str(tmp_path / "a.bin"))
+        write_layer_csv(fld, str(tmp_path / "a.csv"))
+        assert expected_total(fld) == dense_total(fld.values)
+        assert np.array_equal(read_layer_binary(str(tmp_path / "a.bin")).values,
+                              fld.values)
+        assert read_layer_csv(str(tmp_path / "a.csv")) == dict(fld.items())
+
+
+def float_slab_layers(env, start, n, adjoint):
+    """Layers stepped with float64 log-mu slabs, one per offset, as the DP
+    held them before the law-index slabs."""
+    tables = expectation._Tables(env, start, n, adjoint)
+    slabs = {c: (lo, tables.log_mu[:, idx]) for c, (lo, idx) in tables.slabs.items()}
+    fld = LogMassField.delta(start)
+    yield fld
+    for _ in range(n):
+        old = fld.cells
+        k = fld.n + 1 if adjoint else fld.n
+        m, c = divmod(k, tables.lattice.period)
+        slab_lo, slab = slabs[c]
+        at = m * tables.kappa - slab_lo
+        new = np.full(tuple(s + w for s, w in zip(old.shape, tables.width)), NEG_INF)
+        for j, w in enumerate(tables.shifts):
+            dst = tuple(slice(a, a + s) for a, s in zip(w, old.shape))
+            src = at + w if adjoint else at
+            coef = slab[j][tuple(slice(a, a + s) for a, s in zip(src, old.shape))]
+            if j == 0:
+                np.add(old, coef, out=new[dst])
+            else:
+                np.logaddexp(new[dst], old + coef, out=new[dst])
+        fld = tables.layer(fld.n + 1, new)
+        yield fld
+
+
+class TestLawIndexSlabs:
+    @pytest.mark.parametrize("dependence", ["iid", "block_window"])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("case", ["nn-d2", "nn-d3", "parity-d2", "jump-d2"])
+    def test_compact_slabs_match_float_slabs(self, case, adjoint, dependence):
+        steps, start, n = LATTICE_CASES[case]
+        dep = Dependence("iid") if dependence == "iid" \
+            else Dependence("block_window", 1)
+        env = _lattice_env(steps, dep, 11 + len(steps))
+        tables = expectation._Tables(env, start, n, adjoint)
+        assert all(idx.dtype == np.uint8 for _, idx in tables.slabs.values())
+        for a, b in zip(iter_layers(env, start, 2 * n, adjoint=adjoint),
+                        float_slab_layers(env, start, 2 * n, adjoint)):
+            assert a.cells.tobytes() == b.cells.tobytes()
+
+    def test_slab_dtype_holds_the_law_count(self):
+        laws = [law_of(({(1,): 1}, 0.5), ({(-1,): 1}, 0.5))] * 300
+        env = iid_env(laws, [1 / 300] * 300, 4)
+        tables = expectation._Tables(env, (0,), 5, False)
+        assert all(idx.dtype == np.uint16 for _, idx in tables.slabs.values())
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    """Readers and writers hold the finite cells' positions and fixed-size
+    chunks, not the dense box or one object per row."""
+
+    def test_csv_writer_streams_rows(self, tmp_path):
+        split = law_of(({(1, 0): 1, (-1, 0): 1}, 0.5),
+                       ({(0, 1): 1, (0, -1): 1}, 0.5))
+        *_, fld = iter_layers(homogeneous_env(split, dimension=2), (0, 0), 200,
+                              adjoint=True)
+        assert fld.support_size() >= 40_000
+        assert traced_peak(write_layer_csv, fld, str(tmp_path / "l.csv")) < 1 << 20
+
+    def test_d3_readers_stay_below_the_dense_box(self, tmp_path):
+        *_, fld = iter_layers(cube_env(Dependence("block_window", 1)),
+                              (0, 0, 0), 40)
+        dense = 8 * math.prod(fld.shape)
+        assert traced_peak(expected_total, fld) < dense / 2
+        assert traced_peak(write_layer_binary, fld, str(tmp_path / "l.bin")) < dense / 2

@@ -1,0 +1,90 @@
+"""Byte-identity pins of the artifacts the layer readers and writers produce.
+
+Each case runs one CLI command on a fixed config and compares the sha256
+of its files with values recorded before the layer readers moved from the
+dense box to the row-major gather (and the law-index slabs, the axis-wise
+cell hash and the chunked writers came in).  A change to any of those
+paths that moves a byte of these files fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from brwre.cli import main
+
+
+def _units(d):
+    return [[(1 if j == i else 0) * s for j in range(d)]
+            for i in range(d) for s in (1, -1)]
+
+
+def _key(y):
+    return "(" + ",".join(map(str, y)) + ("," if len(y) == 1 else "") + ")"
+
+
+def _environment(d, dependence, seed):
+    units = _units(d)
+    # two children at +e_i and -e_i (mean total 2), and one child to a
+    # uniform neighbour (mean total 1)
+    split = {"atoms": [{"counts": {_key(units[2 * i]): 1,
+                                   _key(units[2 * i + 1]): 1}, "p": 1.0 / d}
+                       for i in range(d)]}
+    hop = {"atoms": [{"counts": {_key(y): 1}, "p": 1.0 / len(units)}
+                     for y in units]}
+    return {"dimension": d, "step_set": units, "laws": [split, hop],
+            "weights": [0.3, 0.7], "dependence": dependence, "seed": seed}
+
+
+IID = {"mode": "iid"}
+WINDOW = {"mode": "block_window", "window_radius": 1}
+
+# (command, dimension, dependence, parameters, {file: sha256})
+CASES = {
+    "solve-d2-adjoint": ("solve", 2, IID, {"horizon": 30, "adjoint": True}, {
+        "layer_final.csv":
+            "7eddcb6665c47fde16a2aee468473a8e8da4eeb3050dd1822a224e4ef5b68e88",
+        "layer_final.bin":
+            "7dfbe533e1159fc31f8f9e2235d9693af2ed83ba9fca99180eaa2d6e14a6e4b4",
+        "growth_trace.csv":
+            "637e42f456df8434c67fd2fbfaaba3c91eaff5a2a06a2279eee3c870b12f4780",
+    }),
+    "solve-d3-window": ("solve", 3, WINDOW, {"horizon": 12}, {
+        "layer_final.csv":
+            "f6d7e5f2cfbfa45191434abe42bb1eaff9f56c5dd92003624abeed8e7f56452e",
+        "layer_final.bin":
+            "24e9c654c3ccf3ad242f88384fdb7f055e440fd135e7aacdf8cbca1f24212a69",
+        "growth_trace.csv":
+            "27e384598859570fc7b5886858596abadfbad1d99fcf146364f5ac1bf497b898",
+    }),
+    "shape-d3-window": ("shape", 3, WINDOW,
+                        {"horizon": 10, "delta_grid": [0.1, 0.2]}, {
+        "passage_summary.json":
+            "2569d6c561233d28db2ca6a79ac7ad89d82a28eadbee08dd5b602b48a4cddc9e",
+        "shape_hull_00.csv":
+            "4a1bd2e72f21a034caf34d8313649c6d8b78af75ef12ff964b9726c459312116",
+        "shape_hull_01.csv":
+            "bee5b18fa06381213e785a8f1e67c67c11abc369ec2fe16d80170792711eecfc",
+    }),
+}
+
+
+def _run(tmp_path, case):
+    command, d, dependence, params, _ = CASES[case]
+    out = tmp_path / "out"
+    doc = {"command": command, "output_dir": str(out),
+           "environment": _environment(d, dependence, 7),
+           "parameters": params}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, str(cfg)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_are_byte_identical(tmp_path, capsys, case):
+    out = _run(tmp_path, case)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in CASES[case][4]}
+    assert got == CASES[case][4]

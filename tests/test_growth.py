@@ -16,7 +16,7 @@ from brwre.growth import (
     total_growth,
 )
 from brwre.lattice import RationalVector, StepSet
-from brwre.shape import _row_ends, convex_hull
+from brwre.shape import _hull_3d, _row_ends, convex_hull
 
 from _support import (
     borderline_law,
@@ -217,6 +217,29 @@ class TestBHull:
         assert abs(prof.find(rv("2/5")).value) <= 1e-12
         assert all(e.value < -1e-3 for a, e in prof.grid if a != rv("2/5"))
         assert prof.b_hull in ((), ((0.4,),))
+
+    def test_d3_grid_beyond_the_int64_hull_bound(self):
+        # kept directions (1/q, 0, 0) for q = 5 ... 17 with (0, 1/3, 0),
+        # (0, 0, 1/3) and 0: their common denominator 6,126,120 puts the
+        # numerators up to 1,225,224, beyond HULL_COORD_MAX, so the hull
+        # runs in Python ints; the points (1/q, 0, 0), q > 5, lie on an edge
+        cube = law_of(*[({u: 2}, 1 / 6) for u in StepSet.nearest_neighbour(3).offsets])
+        env = homogeneous_env(cube, dimension=3)
+        dirs = [rv(f"1/{q}", 0, 0) for q in (5, 7, 8, 9, 11, 13, 17)]
+        dirs += [rv(0, "1/3", 0), rv(0, 0, "1/3"), rv(0, 0, 0)]
+        prof = beta_profile(env, dirs, 6)
+        assert all(e.value >= 0.0 for _, e in prof.grid)
+        assert prof.b_hull == ((0.0, 0.0, 0.0), (0.0, 0.0, 1 / 3),
+                               (0.0, 1 / 3, 0.0), (0.2, 0.0, 0.0))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_wide_hull_matches_int64_hull(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            pts = rng.integers(-6, 7, size=(int(rng.integers(1, 30)), 3))
+            if rng.random() < 0.3:
+                pts[:, 2] = pts[:, 0] - 2 * pts[:, 1]
+            assert _hull_3d(pts.tolist(), wide=True) == convex_hull(pts)
 
 
 def outside_hull_per_direction(sites, a, n):
