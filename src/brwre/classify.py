@@ -15,8 +15,10 @@ gradient (the softmax-weighted mean offset) at many points at once:
   direction grid (2, 32 or 26 rays in d = 1, 2, 3), run in lockstep with
   one batched evaluation per iteration; the best ray point, or t = 0 if
   no ray point is lower, starts
-- a backtracking descent along the analytic gradient, whose halved trial
-  steps are evaluated in one batch.
+- a descent along least subgradients: minus the point nearest 0 of the
+  hull of the gradients of the top d + 1 laws, so it slides along a kink
+  where laws tie; the trial steps along every such direction are
+  evaluated in one batch.
 
 The excluded point t = 0 corresponds to lambda = 1, where the criterion
 degenerates to "every support law has mean total offspring <= 1"; that case
@@ -42,6 +44,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SEARCH_RADIUS = 64.0
 LINE_SEARCH_ITERS = 90  # golden-section steps per ray, at most
 DESCENT_ITERS = 300  # gradient steps of the polish, at most
+_STEPS = 16.0 * 0.5 ** np.arange(64)  # trial steps along a descent direction
 
 
 class CriterionError(ValueError):
@@ -141,15 +144,18 @@ def criterion_value_at(law_support: list[SiteLaw], t) -> float:
     return _Phi(list(law_support)).at(np.asarray(t, dtype=np.float64))[0]
 
 
-def _min_norm_in_hull(points: np.ndarray) -> float:
-    """Norm of the point of the convex hull of the rows of `points` nearest 0.
+def _nearest_in_hull(points: np.ndarray) -> np.ndarray:
+    """The point of the convex hull of the rows of `points` nearest 0.
 
     That point is the point nearest 0 of the affine hull of at most d + 1
     of the rows, where its weights are nonnegative; every such candidate
-    lies in the hull, so the smallest candidate norm is the exact minimum.
+    lies in the hull, so the candidate of least norm is the exact answer.
+    Repeated rows (laws listed twice) are tried once.
     """
+    points = np.unique(points, axis=0)
     m, d = points.shape
-    best = min(float(np.linalg.norm(g)) for g in points)
+    best = min(points, key=lambda g: float(np.linalg.norm(g)))
+    best_norm = float(np.linalg.norm(best))
     for size in range(2, min(m, d + 1) + 1):
         for subset in itertools.combinations(points, size):
             g0, diffs = subset[0], np.array(subset[1:]) - subset[0]
@@ -157,7 +163,10 @@ def _min_norm_in_hull(points: np.ndarray) -> float:
             # weighs 1 - sum(c)
             c = np.linalg.lstsq(diffs.T, -g0, rcond=None)[0]
             if c.min() >= -1e-12 and c.sum() <= 1.0 + 1e-12:
-                best = min(best, float(np.linalg.norm(g0 + c @ diffs)))
+                cand = g0 + c @ diffs
+                norm = float(np.linalg.norm(cand))
+                if norm < best_norm:
+                    best, best_norm = cand, norm
     return best
 
 
@@ -217,34 +226,43 @@ def _line_searches(phi: _Phi, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _descend(
     phi: _Phi, t: np.ndarray, at_t: tuple[float, int, np.ndarray]
 ) -> tuple[np.ndarray, tuple[float, int, np.ndarray]]:
-    """Backtracking descent along the analytic gradient of convex Phi.
+    """Descent of convex Phi along its least subgradients.
 
-    The halved steps 1, 1/2, ... (while step * |grad| > 1e-8) of one
-    iteration are evaluated in one batch and the first that lowers Phi is
-    taken.  Returns the final point and `phi.at` there.
+    With the laws sorted by their term at t, the top k laws of distinct
+    gradient, k = 1, ..., d + 1, each give a direction: minus the point of
+    the hull of their gradients nearest 0.  To first order it lowers every
+    law of the run, so the descent slides along a kink where laws tie
+    instead of stopping at it; k = 1 is the argmax law's own gradient.
+    d + 1 laws suffice: at a minimum 0 lies in the hull of at most d + 1
+    active gradients (Caratheodory), so an iteration costs at most
+    (d + 1) 2^(d + 1) small least-squares solves whatever the number of
+    laws.  The steps 2^4, 2^3, ... (while step * |direction| > 1e-13)
+    along every direction are evaluated in one batch and the lowest point
+    is taken, until no step lowers Phi or the argmax law's gradient
+    vanishes.  Returns the final point and `phi.at` there.
     """
-    f, _, grad = at_t
+    f = at_t[0]
     for _ in range(DESCENT_ITERS):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-12:
+        values, grads = phi.laws_at(t)
+        top = grads[np.argsort(-values, kind="stable")]
+        if float(np.linalg.norm(top[0])) < 1e-12:
+            break  # t minimizes a law attaining Phi(t), so it minimizes Phi
+        first = np.unique(top, axis=0, return_index=True)[1]
+        top = top[np.sort(first)[: len(t) + 1]]
+        cand = []
+        for k in range(1, len(top) + 1):
+            g = _nearest_in_hull(top[:k])
+            steps = _STEPS[_STEPS * float(np.linalg.norm(g)) > 1e-13]
+            cand.append(t - steps[:, None] * g)
+        cand = np.clip(np.concatenate(cand), -SEARCH_RADIUS, SEARCH_RADIUS)
+        if not len(cand):
             break
-        steps = []
-        step = 1.0
-        while step * gnorm > 1e-8:
-            steps.append(step)
-            step *= 0.5
-        if not steps:
-            break
-        cand = np.clip(
-            t - np.array(steps)[:, None] * grad, -SEARCH_RADIUS, SEARCH_RADIUS
-        )
         fc, lc, gc = phi.evaluate(cand)
-        better = np.flatnonzero(fc < f - 1e-15)
-        if not better.size:
+        j = int(np.argmin(fc))
+        if not fc[j] < f - 1e-15:
             break
-        j = better[0]
-        t, f, grad = cand[j], float(fc[j]), gc[j]
-        at_t = (f, int(lc[j]), grad)
+        t, f = cand[j], float(fc[j])
+        at_t = (f, int(lc[j]), gc[j])
     return t, at_t
 
 
@@ -291,7 +309,7 @@ def transience_criterion(
     # the subdifferential is the hull of their gradients
     values, grads = phi.laws_at(t_star)
     near = values >= values.max() - 1e-12 * max(1.0, abs(f_star))
-    gnorm = _min_norm_in_hull(grads[near])
+    gnorm = float(np.linalg.norm(_nearest_in_hull(grads[near])))
     on_boundary = bool(np.max(np.abs(t_star)) >= SEARCH_RADIUS * 0.999)
 
     if f_star < -tol:

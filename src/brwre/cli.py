@@ -7,6 +7,14 @@ shared manifest so that `report` can consolidate and audit them.
 
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 the executed
 classifier could not decide.
+
+Loading this module imports only the standard library and the core modules
+`environment`, `lattice` and `seeding`: what parsing a config and realizing
+its environment need.  Each command body imports the modules it calls
+(`expectation`, `shape`, `growth`, `classify`, `montecarlo`, `svgplot`)
+when it is dispatched, so a process pays the import of its own command
+only.  `SimulationError` is defined in `environment`, so catching a
+command's errors imports no command module either.
 """
 
 from __future__ import annotations
@@ -21,38 +29,25 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from . import __version__
-from .classify import transience_criterion
 from .environment import (
     EnvironmentError_,
     EnvironmentField,
     EnvironmentSpec,
+    SimulationError,
     build_environment,
     checked_int,
     reject_unknown,
     spec_from_dict,
     spec_to_dict,
 )
-from .expectation import (
-    expected_total,
-    iter_layers,
-    write_layer_binary,
-    write_layer_csv,
-)
-from .growth import BetaProfile, beta_profile, classify_by_beta
 from .lattice import RationalVector
-from .montecarlo import (
-    SamplerStats,
-    SimulationError,
-    estimate_return_probability,
-    realized_local_exponent,
-    run as mc_run,
-)
 from .seeding import PURPOSE_DYNAMICS, replica_rng
-from .shape import passage_times, shape_polytope
-from . import svgplot
+
+if TYPE_CHECKING:
+    from .growth import BetaProfile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -371,6 +366,13 @@ def _cmd_check(env: EnvironmentField, params: dict, out: _Outputs) -> int:
 
 
 def _cmd_solve(env, p, out):
+    from .expectation import (
+        expected_total,
+        iter_layers,
+        write_layer_binary,
+        write_layer_csv,
+    )
+
     rows = []
     for fld in iter_layers(env, tuple(p["start"]), p["horizon"],
                            adjoint=p["adjoint"]):
@@ -395,6 +397,8 @@ def _cmd_solve(env, p, out):
 
 
 def _cmd_shape(env, p, out):
+    from .shape import passage_times, shape_polytope
+
     d = env.spec.dimension
     n = p["horizon"]
     # paths of length <= n stay inside the n*L0 ball: the smallest radius
@@ -428,6 +432,8 @@ def _cmd_shape(env, p, out):
 
 def _shape_svg(d: int, polygons) -> str | None:
     """Hull overlay with the unit l1 ball for reference; d <= 2 only."""
+    from . import svgplot
+
     if d == 1:
         rows = [(name, [(min(v[0] for v in pts), max(v[0] for v in pts))])
                 for name, pts in polygons if pts]
@@ -444,6 +450,8 @@ def _shape_svg(d: int, polygons) -> str | None:
 
 
 def _profile_svgs(profile: BetaProfile, d: int) -> dict[str, str]:
+    from . import svgplot
+
     out: dict[str, str] = {}
     if d == 1:
         pts = [(float(Fraction(a.numerators[0], a.denominator)), est.value)
@@ -465,6 +473,8 @@ def _profile_svgs(profile: BetaProfile, d: int) -> dict[str, str]:
 
 
 def _cmd_beta(env, p, out):
+    from .growth import beta_profile, classify_by_beta
+
     d = env.spec.dimension
     n = p["horizon"]
     grid = [RationalVector.from_fractions([Fraction(c) for c in entry])
@@ -515,6 +525,8 @@ def _cmd_beta(env, p, out):
 
 
 def _cmd_classify(env, p, out):
+    from .classify import transience_criterion
+
     res = transience_criterion(list(env.spec.law_support),
                                tol=p["tolerance"])
     doc = res.as_dict()
@@ -524,6 +536,13 @@ def _cmd_classify(env, p, out):
 
 
 def _cmd_simulate(env, p, out):
+    from .montecarlo import (
+        SamplerStats,
+        estimate_return_probability,
+        realized_local_exponent,
+        run as mc_run,
+    )
+
     seed = env.spec.master_seed
     start = tuple(p["start"])
     track = [tuple(s) for s in p["track_sites"]]
@@ -717,6 +736,8 @@ def _cmd_report(env: None, params: dict, out: _Outputs) -> int:
                for r in _read_csv_rows(outdir / "growth_trace.csv")
                if int(r["n"]) > 0]
     if pts:
+        from . import svgplot
+
         out.text("growth_trace.svg", svgplot.render_curve(
             [("ln E Z_n / n", pts)], title="expected total growth",
             x_label="n", y_label="ln E Z_n / n"))

@@ -49,6 +49,16 @@ class EnvironmentError_(ValueError):
     """Invalid environment specification or query."""
 
 
+# The Monte Carlo errors live here so that the CLI can catch them without
+# importing `montecarlo`; `brwre.montecarlo` re-exports both.
+class SimulationError(RuntimeError):
+    pass
+
+
+class BitBudgetError(SimulationError):
+    """Raised when the total population exceeds the configured bit budget."""
+
+
 @dataclass(frozen=True)
 class OffspringConfig:
     """One offspring configuration v: children per offset, at least one child."""

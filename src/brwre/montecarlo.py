@@ -31,7 +31,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .environment import EnvironmentField, check_box_memory
+from .environment import (
+    BitBudgetError,
+    EnvironmentField,
+    SimulationError,
+    check_box_memory,
+)
 from .lattice import Site, add, unit_vectors
 from .seeding import PURPOSE_RETURN_PROBE, replica_rng
 
@@ -43,14 +48,6 @@ _EXACT_LIMIT = 1 << 62
 # The normal approximation to Binomial(n, q) is used only when the variance
 # n*q*(1-q) exceeds this; below it the small side is Poisson-approximated.
 _NORMAL_VARIANCE_GATE = 10**6
-
-
-class SimulationError(RuntimeError):
-    pass
-
-
-class BitBudgetError(SimulationError):
-    """Raised when the total population exceeds the configured bit budget."""
 
 
 @dataclass

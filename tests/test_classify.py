@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -137,16 +138,19 @@ class TestDiagnostics:
         assert res.gradient_norm == float(np.linalg.norm(grad))
 
     def test_min_norm_in_hull(self):
+        def _hull_norm(points):
+            return float(np.linalg.norm(classify._nearest_in_hull(points)))
+
         # the triangle (1, 1), (-1, 1), (0, 2) is nearest 0 at (0, 1) on an
         # edge; adding (0, -1) puts 0 inside the hull
         tri = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, 2.0]])
-        assert classify._min_norm_in_hull(tri) == pytest.approx(1.0, abs=1e-15)
+        assert _hull_norm(tri) == pytest.approx(1.0, abs=1e-15)
         quad = np.vstack([tri, [[0.0, -1.0]]])
-        assert classify._min_norm_in_hull(quad) <= 1e-15
-        assert classify._min_norm_in_hull(tri[2:]) == 2.0
+        assert _hull_norm(quad) <= 1e-15
+        assert _hull_norm(tri[2:]) == 2.0
         # three collinear rows: the rank-deficient triple changes nothing
         line = np.array([[-1.0, 1.0], [0.5, 1.0], [2.0, 1.0]])
-        assert classify._min_norm_in_hull(line) == pytest.approx(1.0, abs=1e-15)
+        assert _hull_norm(line) == pytest.approx(1.0, abs=1e-15)
 
     def test_value_at_matches_reported_minimum(self):
         res = transience_criterion([drift_law()])
@@ -182,6 +186,81 @@ class TestDiagnostics:
     def test_empty_support_rejected(self):
         with pytest.raises((CriterionError, ValueError)):
             transience_criterion([])
+
+
+def _units(d):
+    return [tuple(sign * (i == j) for j in range(d))
+            for i in range(d) for sign in (1, -1)]
+
+
+def _random_supports(count, laws_per_support=2, d=2, seed=1):
+    """Laws on the 2d unit steps plus one two-child configuration, with
+    Dirichlet weights.  With two laws in d = 2 the minima mostly sit on the
+    kink where the two laws tie."""
+    units = _units(d)
+    rng = np.random.default_rng(seed)
+    supports = []
+    for _ in range(count):
+        laws = []
+        for _ in range(laws_per_support):
+            w = rng.dirichlet(np.ones(2 * d + 1))
+            a, b = (units[i] for i in rng.integers(0, 2 * d, size=2))
+            pair = {a: 2} if a == b else {a: 1, b: 1}
+            laws.append(law_of(
+                *[({u: 1}, float(p)) for u, p in zip(units, w[:-1])],
+                (pair, float(w[-1]))))
+        supports.append(laws)
+    return supports
+
+
+def _nelder_mead_minimum(laws, starts):
+    from scipy.optimize import minimize
+
+    def phi(t):
+        return criterion_value_at(laws, t)
+
+    best = math.inf
+    for start in starts:
+        for _ in range(2):  # a restart rebuilds a collapsed simplex
+            fit = minimize(phi, start, method="Nelder-Mead",
+                           options={"xatol": 1e-12, "fatol": 1e-15,
+                                    "maxiter": 20000, "maxfev": 40000})
+            start = fit.x
+            best = min(best, fit.fun)
+    return best
+
+
+class TestKinkedMinima:
+    @pytest.mark.parametrize("index", range(40))
+    def test_minimum_matches_nelder_mead(self, index):
+        # the polish slides along the kink between the laws; stepping along
+        # the argmax law's gradient alone stopped at the first kink, up to
+        # 0.006 above the minimum on these supports
+        laws = _random_supports(40)[index]
+        res = transience_criterion(laws)
+        best = _nelder_mead_minimum(laws, (np.array(res.t_star), np.zeros(2)))
+        assert res.log_value <= best + 1e-9
+        assert res.log_value == criterion_value_at(laws, res.t_star)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_many_laws_stay_cheap(self, d):
+        # a descent step weighs at most d + 1 laws; a hull over every law
+        # near the maximum would cost about C(50, d + 1) solves per step
+        laws = _random_supports(1, laws_per_support=50, d=d, seed=d)[0]
+        start = time.perf_counter()
+        res = transience_criterion(laws)
+        assert time.perf_counter() - start < 5.0
+        best = _nelder_mead_minimum(laws, (np.array(res.t_star), np.zeros(d)))
+        assert res.log_value <= best + 1e-9
+
+    def test_repeated_laws_are_one_law(self):
+        law = _random_supports(1, laws_per_support=1, d=1)[0][0]
+        start = time.perf_counter()
+        many = transience_criterion([law] * 300)
+        assert time.perf_counter() - start < 5.0
+        one = transience_criterion([law])
+        assert (many.t_star, many.log_value, many.gradient_norm) == \
+            (one.t_star, one.log_value, one.gradient_norm)
 
 
 def _mixed_planar_laws():

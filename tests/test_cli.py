@@ -62,6 +62,68 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert len(hull) == 1 + 6  # the six vertices of the octahedron
 
 
+# What a fresh `brwre` process loads and which BLAS thread count it gets.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_CORE = ["brwre", "brwre.cli", "brwre.environment", "brwre.lattice",
+         "brwre.seeding"]
+_LOADED = ("__import__('json').dumps(sorted("
+           "m for m in sys.modules if m.split('.')[0] == 'brwre'))")
+
+
+def _fresh(code, *args, **env_vars):
+    """Run `code` in a new interpreter whose environment has no BLAS
+    thread setting except the ones given; returns the finished process."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestFreshProcess:
+    def test_cli_import_loads_only_the_core(self):
+        out = _fresh(f"import sys, brwre.cli; print({_LOADED})")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == _CORE
+
+    @pytest.mark.parametrize("command,extra", [("check", []),
+                                               ("classify", ["brwre.classify"])])
+    def test_command_loads_only_its_module(self, tmp_path, command, extra):
+        cfgp = write_config(tmp_path, "c.json",
+                            base_config(command, tmp_path / "out"))
+        out = _fresh("import sys; from brwre.cli import main; "
+                     f"assert main([{command!r}, sys.argv[1]]) == 0; "
+                     f"print({_LOADED}, file=sys.stderr)", cfgp)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stderr) == sorted(_CORE + extra)
+
+    def test_blas_defaults_to_one_thread(self):
+        out = _fresh("import os, brwre.cli; "
+                     "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert out.stdout.strip() == "1"
+
+    def test_preset_blas_threads_are_kept(self):
+        out = _fresh("import os, brwre.cli; "
+                     "print(os.environ['OPENBLAS_NUM_THREADS'])",
+                     OPENBLAS_NUM_THREADS="2")
+        assert out.stdout.strip() == "2"
+
+    def test_numpy_imported_first_leaves_blas_alone(self):
+        out = _fresh("import os, numpy, brwre.cli; "
+                     "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert out.stdout.strip() == "None"
+
+    def test_bit_budget_error_exits_3(self, tmp_path):
+        # the error class is caught without importing `montecarlo` first
+        cfgp = write_config(tmp_path, "c.json", base_config(
+            "simulate", tmp_path / "out", horizon=40, replicas=1,
+            bit_budget=16))
+        out = _fresh("import sys; from brwre.cli import main; "
+                     "sys.exit(main(['simulate', sys.argv[1]]))", cfgp)
+        assert out.returncode == 3
+        assert json.loads(out.stderr)["error"]["type"] == "BitBudgetError"
+
+
 def env_doc(seed=2024):
     spec = iid_env([doubling_law(), symmetric06_law()], [0.5, 0.5],
                    seed).spec
