@@ -343,6 +343,9 @@ def iter_layers(
     if n < 0:
         raise SolverError("negative horizon")
     start = tuple(start)
+    if len(start) != env.spec.dimension:
+        raise SolverError(f"start {start} has dimension {len(start)}, the "
+                          f"environment dimension {env.spec.dimension}")
     fld = LogMassField.delta(start)
     yield fld
     if n == 0:
@@ -458,13 +461,20 @@ def write_layer_csv(fld: LogMassField, path: str) -> None:
 
 
 def read_layer_csv(path: str) -> dict[Site, float]:
+    """Read a `write_layer_csv` dump; a malformed file is a SolverError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
-    head = rows[0]
-    d = len(head) - 1
-    return {
-        tuple(int(c) for c in row[:d]): float(row[d]) for row in rows[1:]
-    }
+    if not rows or not 2 <= len(rows[0]) <= 4:
+        raise SolverError("layer CSV needs a header of 1 to 3 coordinates "
+                          "and the log mass")
+    d = len(rows[0]) - 1
+    if any(len(row) != d + 1 for row in rows[1:]):
+        raise SolverError(f"layer CSV row without {d + 1} fields")
+    try:
+        return {tuple(int(c) for c in row[:d]): float(row[d])
+                for row in rows[1:]}
+    except ValueError as exc:
+        raise SolverError(f"malformed layer CSV row: {exc}") from None
 
 
 def write_layer_binary(fld: LogMassField, path: str) -> None:

@@ -39,7 +39,7 @@ from .classify import SEARCH_RADIUS
 from .environment import EnvironmentField
 from .expectation import NEG_INF
 from .lattice import RationalVector
-from .shape import _hull_3d, _row_ends, convex_hull, hull_inequalities
+from .shape import _row_ends, convex_hull, hull_inequalities
 
 NEWTON_STEPS = 100  # damped Newton iterations, at most
 NEWTON_TOL = 1e-15  # stop once the Newton decrement predicts less decrease
@@ -96,16 +96,12 @@ def _b_hull(
     if directions[0].dimension > 1:
         if not kept:
             return ()
-        # the numerators over a common denominator: an exact integer hull,
-        # in Python ints in d = 3, where that denominator can push the
-        # coordinates beyond the int64 kernel's bound
+        # the numerators over a common denominator: an exact integer hull
         den = math.lcm(*(a.denominator for a in kept))
         back = {tuple(c * (den // a.denominator) for c in a.numerators):
                 a.as_floats() for a in kept}
-        hull = _hull_3d(list(back), wide=True) if len(kept[0].numerators) == 3 \
-            else convex_hull(sorted(back))
-        return tuple(back[v] for v in hull)
-    pts = [a.as_floats() for a in kept]
+        return tuple(back[v] for v in convex_hull(list(back)))
+    xs = [a.as_floats()[0] for a in kept]
     order = sorted(
         (a.as_floats()[0], est.value)
         for a, est in zip(directions, estimates)
@@ -113,10 +109,11 @@ def _b_hull(
     )
     for (x0, v0), (x1, v1) in zip(order, order[1:]):
         if (v0 < 0.0 <= v1) or (v1 < 0.0 <= v0):
-            pts.append((x0 + (x1 - x0) * (0.0 - v0) / (v1 - v0),))
-    if not pts:
+            xs.append(x0 + (x1 - x0) * (0.0 - v0) / (v1 - v0))
+    if not xs:
         return ()
-    return tuple(convex_hull(sorted(set(pts))))
+    lo, hi = min(xs), max(xs)
+    return ((lo,),) if lo == hi else ((lo,), (hi,))
 
 
 def _outside_hull(sites: np.ndarray, dirs: list[RationalVector],
@@ -256,6 +253,8 @@ def total_growth(env: EnvironmentField, n: int) -> float:
 
 def grid_1d(lo: Fraction, hi: Fraction, step: Fraction) -> list[RationalVector]:
     """Evenly spaced rational 1-D direction grid, inclusive of both ends."""
+    if step <= 0:
+        raise GrowthError(f"grid step {step} must be positive")
     out = []
     x = Fraction(lo)
     while x <= hi:

@@ -29,37 +29,25 @@ class ShapeError(ValueError):
     pass
 
 
-def _moves(shape: tuple[int, ...], offsets: Sequence[Site]
-           ) -> list[tuple[int, tuple[slice, ...], tuple[slice, ...]]]:
-    """(j, src, dst) per offset y_j that fits the box: box[dst] is box[src]
-    moved by +y_j."""
-    moves = []
-    for j, y in enumerate(offsets):
-        if all(abs(yi) < s for s, yi in zip(shape, y)):
-            moves.append((
-                j,
-                tuple(slice(max(0, -c), s - max(0, c)) for s, c in zip(shape, y)),
-                tuple(slice(max(0, c), s - max(0, -c)) for s, c in zip(shape, y)),
-            ))
-    return moves
+def _open_moves(
+    env: EnvironmentField, delta: float, start: Site, radius: int
+) -> list[tuple[tuple[slice, ...], tuple[slice, ...], np.ndarray]]:
+    """One delta-open step on the box start +- radius: (dst, src, open) per
+    offset y that fits the box, where box[dst] is box[src] moved by +y and
+    `open` is True where the edge out of box[src] along y is open.
 
-
-def _ball_mask(shape: tuple[int, ...], center: Sequence[int], radius: int) -> np.ndarray:
-    # the l1 distances as a sum of per-axis distances over an open mesh
-    return sum(np.ix_(*[np.abs(np.arange(s) - c)
-                        for s, c in zip(shape, center)])) <= radius
-
-
-def _open_masks(
-    env: EnvironmentField, delta: float, lo: Site, hi: Site
-) -> tuple[tuple[Site, ...], list[np.ndarray]]:
-    """Per-offset boolean grids: True where the edge out of the site is open.
-
-    Raises ShapeError, before anything is allocated, if the BFS box would not
-    fit in physical memory.
+    Raises ShapeError if `start` does not have the environment's dimension
+    or, before anything is allocated, if the box would not fit in physical
+    memory.
     """
-    check_box_memory(math.prod(h - l + 1 for l, h in zip(lo, hi)), ShapeError,
-                     f"a reachability BFS over {lo}..{hi}")
+    d = env.spec.dimension
+    if len(start) != d:
+        raise ShapeError(f"start {start} has dimension {len(start)}, "
+                         f"the environment dimension {d}")
+    lo = tuple(c - radius for c in start)
+    hi = tuple(c + radius for c in start)
+    side = 2 * radius + 1
+    check_box_memory(side ** d, ShapeError, f"a reachability BFS over {lo}..{hi}")
     offsets = env.spec.step_set.sorted_offsets()
     idx = env.law_index_grid(lo, hi)
     law_open = np.array(
@@ -69,7 +57,21 @@ def _open_masks(
         ],
         dtype=bool,
     )
-    return offsets, [law_open[idx, j] for j in range(len(offsets))]
+    moves = []
+    for j, y in enumerate(offsets):
+        if all(abs(c) < side for c in y):
+            src = tuple(slice(max(0, -c), side - max(0, c)) for c in y)
+            dst = tuple(slice(max(0, c), side - max(0, -c)) for c in y)
+            moves.append((dst, src, law_open[idx[src], j]))
+    return moves
+
+
+def _advance(frontier: np.ndarray, moves) -> np.ndarray:
+    """The sites of the box one open step from `frontier`."""
+    nxt = np.zeros_like(frontier)
+    for dst, src, open_ in moves:
+        nxt[dst] |= frontier[src] & open_
+    return nxt
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,26 +123,21 @@ def passage_times(
         raise ShapeError("radius must be positive")
     d = env.spec.dimension
     origin = tuple(origin) if origin is not None else (0,) * d
-    lo = tuple(c - radius for c in origin)
-    hi = tuple(c + radius for c in origin)
-    offsets, open_m = _open_masks(env, delta, lo, hi)
-    center = tuple(radius for _ in range(d))
-    ball = _ball_mask(tuple(2 * radius + 1 for _ in range(d)), center, radius)
+    moves = _open_moves(env, delta, origin, radius)
+    center = (radius,) * d
+    # the l1 distances as a sum of per-axis distances over an open mesh
+    ball = sum(np.ix_(*[np.abs(np.arange(-radius, radius + 1))] * d)) <= radius
 
     times = np.full(ball.shape, -1, dtype=np.int64)
     frontier = np.zeros(ball.shape, dtype=bool)
     frontier[center] = True
     times[center] = 0
     t = 0
-    moves = _moves(ball.shape, offsets)
     while frontier.any():
         t += 1
-        nxt = np.zeros_like(frontier)
-        for j, src, dst in moves:
-            nxt[dst] |= frontier[src] & open_m[j][src]
-        nxt &= ball & (times < 0)
-        times[nxt] = t
-        frontier = nxt
+        frontier = _advance(frontier, moves)
+        frontier &= ball & (times < 0)
+        times[frontier] = t
     return PassageTimeMap(delta, origin, radius, times)
 
 
@@ -150,30 +147,19 @@ def iter_reachable(
     """R(0), R(1), ..., R(n): sites reachable in exactly k delta-open steps."""
     if n < 0:
         raise ShapeError("negative step count")
-    d = env.spec.dimension
     start = tuple(start)
-    l0 = env.spec.step_set.l0_max
-    radius = l0 * n
-    lo = tuple(c - radius for c in start)
-    hi = tuple(c + radius for c in start)
-    offsets, open_m = _open_masks(env, delta, lo, hi)
-    cur = np.zeros(tuple(2 * radius + 1 for _ in range(d)), dtype=bool)
-    center = tuple(radius for _ in range(d))
-    cur[center] = True
+    radius = env.spec.step_set.l0_max * n
+    moves = _open_moves(env, delta, start, radius)
+    lo = np.array(start) - radius
+    cur = np.zeros((2 * radius + 1,) * len(start), dtype=bool)
+    cur[(radius,) * len(start)] = True
 
     def to_sites(mask: np.ndarray) -> set[Site]:
-        return {
-            tuple(int(i) + l for i, l in zip(idx, lo))
-            for idx in zip(*np.nonzero(mask))
-        }
+        return set(map(tuple, (np.argwhere(mask) + lo).tolist()))
 
     yield to_sites(cur)
-    moves = _moves(cur.shape, offsets)
     for _ in range(n):
-        nxt = np.zeros_like(cur)
-        for j, src, dst in moves:
-            nxt[dst] |= cur[src] & open_m[j][src]
-        cur = nxt
+        cur = _advance(cur, moves)
         yield to_sites(cur)
 
 
@@ -225,18 +211,41 @@ class ShapeEstimate:
     hull: tuple[tuple[float, ...], ...]
 
 
-def _hull_1d(points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    xs = sorted(p[0] for p in points)
-    if xs[0] == xs[-1]:
-        return [(xs[0],)]
-    return [(xs[0],), (xs[-1],)]
+HULL_COORD_MAX = 2 ** 18  # int64 orientation tests stay exact: 48 R^3 < 2^63
 
 
-def _hull_2d(points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    """Andrew's monotone chain; vertices in counter-clockwise order."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return list(pts)
+def _exact_points(points) -> np.ndarray:
+    """The distinct points of an (m, d) array or of d-tuples, d <= 3, in
+    lexicographic order, as exact integers.
+
+    They are int64 when every |coordinate| is at most HULL_COORD_MAX, where
+    the int64 orientation tests stay exact, and an object array of Python
+    ints otherwise.  ShapeError on an empty set or a non-integer coordinate.
+    """
+    # a list goes through Python ints: numpy would turn ints beyond int64
+    # into floats
+    arr = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
+    if arr.ndim != 2 or not len(arr) or not 1 <= arr.shape[1] <= 3:
+        raise ShapeError("a hull needs a nonempty (m, d) point set, d <= 3")
+    if arr.dtype.kind not in "iu":
+        flat = arr.ravel().tolist()
+        try:
+            ints = [int(c) for c in flat]
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != flat:
+            raise ShapeError("exact hulls need integer coordinates")
+        arr = np.array(ints, dtype=object).reshape(arr.shape)
+    arr = arr.astype(np.int64 if np.abs(arr).max() <= HULL_COORD_MAX else object)
+    arr = arr[np.lexsort(arr.T[::-1])]
+    return arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]]
+
+
+def _hull_2d(pts: np.ndarray) -> list[int]:
+    """Andrew's monotone chain on distinct planar integer points that span
+    the plane: the ids of the hull's vertices in counter-clockwise order,
+    from the lexicographically least.  Python ints, exact at any size."""
+    pts = sorted(zip(*pts.T.tolist(), range(len(pts))))  # (x, y, id)
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -251,21 +260,7 @@ def _hull_2d(points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-HULL_COORD_MAX = 2 ** 18  # int64 orientation tests stay exact: 48 R^3 < 2^63
-
-
-def _int_coords(points) -> np.ndarray:
-    """Points as an int64 array; ShapeError unless integers within the bound."""
-    arr = np.asarray(points)
-    if arr.size and np.abs(arr).max() > HULL_COORD_MAX:
-        raise ShapeError(f"hull coordinates beyond +-{HULL_COORD_MAX}")
-    ints = arr.astype(np.int64)
-    if not np.array_equal(ints, arr):
-        raise ShapeError("exact hulls need integer coordinates")
-    return ints
+    return [p[2] for p in lower[:-1] + upper[:-1]]
 
 
 def _cross(e: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -306,8 +301,8 @@ def _affine_frame(pts: np.ndarray) -> tuple[np.ndarray, list[int]]:
 def _quickhull(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Facets of the hull of full-dimensional integer points in R^3.
 
-    `pts` is int64 within HULL_COORD_MAX, or an object array of Python
-    ints, whose exact arithmetic has no bound.
+    `pts` is as `_exact_points` returns it: int64 within HULL_COORD_MAX,
+    or an object array of Python ints, whose exact arithmetic has no bound.
 
     Quickhull (Barber, Dobkin & Huhdanpaa 1996) with exact predicates:
     each step adds the point farthest above its facet, replaces the facets
@@ -409,90 +404,77 @@ def _quickhull(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tri[keep], normals[keep] // g[:, None], offsets[keep] // g
 
 
-def _hull_3d(points, wide: bool = False) -> list[tuple[float, ...]]:
-    """Hull vertices in lexicographic order, flat sets included.
+def _hull(pts: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(ids, A, b) of the hull of `_exact_points` output: the ids of its
+    vertices, and integer A, b with hull = {x : A @ x <= b}.
 
-    Coordinates must be integers of absolute value at most HULL_COORD_MAX
-    (ShapeError otherwise); with `wide`, beyond it too, hulled in Python
-    ints, which suits a few points.  A full-dimensional set is hulled by
-    `_quickhull`; its vertices are the points whose incident facet planes
-    span R^3, which leaves out points inside a face or on an edge, as
-    Qhull's vertices do.  A coplanar set is hulled in 2-D on the
-    coordinates `_affine_frame` keeps (an affine map, injective on the
-    plane); a collinear set has its two lexicographic extremes.
+    A full-dimensional 3-D set is hulled by `_quickhull`; its vertices are
+    the points whose incident facet planes span R^3, which leaves out
+    points inside a face or on an edge, and their ids are lexicographic.
+    A polygon (a full 2-D set, or a coplanar 3-D one on the coordinates
+    `_affine_frame` keeps, an affine map injective on its plane) is hulled
+    by `_hull_2d`: counter-clockwise ids, one row per edge.  A segment has
+    its two lexicographic extremes, a point itself.  A flat set's affine
+    hull enters A as its equations, each as two opposite rows.
     """
-    if wide:
-        pts = np.array(sorted(set(map(tuple, points))), dtype=object)
-        if any(type(c) is not int for c in pts.ravel().tolist()):
-            raise ShapeError("exact hulls need integer coordinates")
-        ints = pts
-    else:
-        pts = np.unique(np.asarray(points), axis=0)
-        ints = _int_coords(pts)
-    _, keep = _affine_frame(ints)
-    if len(keep) < 2:
-        ids = [0, len(pts) - 1] if len(pts) > 1 else [0]
-    elif len(keep) == 2:
-        back = {p: i for i, p in enumerate(map(tuple, ints[:, keep].tolist()))}
-        ids = sorted(back[v] for v in _hull_2d(list(back)))
-    else:
-        tri, normals, _ = _quickhull(ints)
+    d = pts.shape[1]
+    eq, keep = _affine_frame(pts)
+    if len(keep) == 3:
+        tri, rows, bounds = _quickhull(pts)
         # distinct primitive normals of the facets at each point: a vertex
         # has three or more, a point on an edge two, inside a face one
         planes: dict[tuple, int] = {}
         plane = [planes.setdefault(v, len(planes))
-                 for v in map(tuple, normals.tolist())]
+                 for v in map(tuple, rows.tolist())]
         incidence = np.unique(np.column_stack(
             [tri.ravel(), np.repeat(plane, 3)]), axis=0)
-        at, count = np.unique(incidence[:, 0], return_counts=True)
-        ids = at[count >= 3]
+        point, count = np.unique(incidence[:, 0], return_counts=True)
+        ids = point[count >= 3].tolist()
+    else:
+        flat = pts[:, keep]
+        if len(keep) == 2:
+            ids = _hull_2d(flat)
+            # outward edge normals of the counter-clockwise polygon
+            edge = flat[np.roll(ids, -1)] - flat[ids]
+            sub = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+        elif keep:
+            ids = [0, len(pts) - 1]
+            sub = np.array([[-1], [1]])
+        else:
+            ids = [0]
+            sub = np.zeros((0, 0), dtype=np.int64)
+        rows = np.zeros((len(sub), d), dtype=pts.dtype)
+        rows[:, keep] = sub
+        bounds = (sub * flat[ids]).sum(axis=1)
+    at = eq @ pts[0]
+    return ids, np.concatenate([eq, -eq, rows]), np.concatenate([at, -at, bounds])
+
+
+def convex_hull(points) -> list[tuple[int, ...]]:
+    """Hull vertices of an (m, d) array or of d-tuples, d <= 3.
+
+    Coordinates are integers of any size (`_exact_points`).  The vertices
+    come as tuples of Python ints: counter-clockwise from the
+    lexicographically least for a polygon in d = 2, lexicographic
+    otherwise.  Points inside a face or on an edge are not vertices.
+    """
+    pts = _exact_points(points)
+    ids, _, _ = _hull(pts)
+    if pts.shape[1] == 3:
+        ids = sorted(ids)
     return list(map(tuple, pts[ids].tolist()))
 
 
 def hull_inequalities(points) -> tuple[np.ndarray, np.ndarray]:
     """Integer (A, b) with hull(points) = {x : A @ x <= b}, for d <= 3.
 
-    Integer points as for `_hull_3d`.  A flat set contributes each
-    equation of its affine hull as two opposite rows, and bounds its hull
-    inside that plane or line on the coordinates `_affine_frame` keeps.
+    Points as for `convex_hull`.  A and b are int64 within HULL_COORD_MAX
+    and Python ints beyond it.  A flat set contributes each equation of
+    its affine hull as two opposite rows, and bounds its hull inside that
+    plane or line on the coordinates `_affine_frame` keeps.
     """
-    pts = np.unique(_int_coords(points), axis=0)
-    d = pts.shape[1]
-    eq, keep = _affine_frame(pts)
-    if len(keep) == 3:
-        _, rows, bounds = _quickhull(pts)
-    else:
-        flat = pts[:, keep]
-        if len(keep) == 2:
-            # outward edge normals of the counter-clockwise polygon
-            ring = np.array(_hull_2d(list(map(tuple, flat.tolist()))))
-            edge = np.roll(ring, -1, axis=0) - ring
-            sub = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
-            bounds = (sub * ring).sum(axis=1)
-        elif len(keep) == 1:
-            sub = np.array([[1], [-1]])
-            bounds = np.array([flat.max(), -flat.min()])
-        else:
-            sub = np.zeros((0, 0), dtype=np.int64)
-            bounds = np.zeros(0, dtype=np.int64)
-        rows = np.zeros((len(sub), d), dtype=np.int64)
-        rows[:, keep] = sub
-    at = eq @ pts[0]
-    return np.concatenate([eq, -eq, rows]), np.concatenate([at, -at, bounds])
-
-
-def convex_hull(points) -> list[tuple[float, ...]]:
-    """Hull vertices of d-tuples or of an (m, d) array, d <= 3."""
-    if not len(points):
-        raise ShapeError("empty point set")
-    d = len(points[0])
-    if d < 3 and isinstance(points, np.ndarray):
-        points = list(map(tuple, points.tolist()))
-    if d == 1:
-        return _hull_1d(points)
-    if d == 2:
-        return _hull_2d(points)
-    return _hull_3d(points)
+    _, rows, bounds = _hull(_exact_points(points))
+    return rows, bounds
 
 
 def shape_polytope(ptm: PassageTimeMap, n: int) -> ShapeEstimate:
@@ -501,8 +483,8 @@ def shape_polytope(ptm: PassageTimeMap, n: int) -> ShapeEstimate:
     W(n) is read off `ptm.grid`; `np.argwhere` lists it in lexicographic
     order, relative to the origin once the radius is subtracted.
     """
-    if n > ptm.radius:
-        raise ShapeError(f"n={n} exceeds the map radius {ptm.radius}")
+    if not 0 <= n <= ptm.radius:
+        raise ShapeError(f"n={n} is outside 0..{ptm.radius}, the map radius")
     if n == 0:
         pt = tuple(0.0 for _ in ptm.origin)
         return ShapeEstimate(ptm.delta, 0, np.zeros((1, len(pt))), (pt,))

@@ -419,6 +419,17 @@ class TestLayerDumps:
         with pytest.raises(SolverError):
             read_layer_binary(str(p))
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "x1,log_mass\r\n0,-0.5\r\n1\r\n",
+        "x1,log_mass\r\n0,heavy\r\n",
+    ], ids=["empty", "missing-field", "bad-value"])
+    def test_malformed_csv_rejected(self, tmp_path, text):
+        p = tmp_path / "layer.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(SolverError):
+            read_layer_csv(str(p))
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOPE" + bytes(60))
@@ -445,6 +456,11 @@ class TestFieldBasics:
         env = homogeneous_env(doubling_law())
         with pytest.raises(SolverError):
             solve(env, (0,), -1)
+
+    def test_start_of_wrong_dimension_rejected(self):
+        env = homogeneous_env(doubling_law())
+        with pytest.raises(SolverError, match="dimension 2.*dimension 1"):
+            next(iter_layers(env, (0, 0), 2))
 
     def test_items_sorted(self):
         env = random_env(np.random.default_rng(61))

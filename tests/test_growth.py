@@ -16,7 +16,7 @@ from brwre.growth import (
     total_growth,
 )
 from brwre.lattice import RationalVector, StepSet
-from brwre.shape import _hull_3d, _row_ends, convex_hull
+from brwre.shape import _row_ends, convex_hull
 
 from _support import (
     borderline_law,
@@ -232,6 +232,17 @@ class TestBHull:
         assert prof.b_hull == ((0.0, 0.0, 0.0), (0.0, 0.0, 1 / 3),
                                (0.0, 1 / 3, 0.0), (0.2, 0.0, 0.0))
 
+    def test_d2_grid_beyond_the_int64_hull_bound(self):
+        # the common denominator of (1/q, 0), (0, 1/3), 0 and (-1/29, -1/31)
+        # puts the numerators beyond HULL_COORD_MAX; the polygon comes
+        # counter-clockwise from its lexicographically least vertex
+        split = law_of(*[({u: 2}, 1 / 4) for u in StepSet.nearest_neighbour(2).offsets])
+        env = homogeneous_env(split, dimension=2)
+        dirs = [rv(f"1/{q}", 0) for q in (5, 7, 8, 9, 11, 13, 17, 19, 23)]
+        dirs += [rv(0, "1/3"), rv(0, 0), rv("-1/29", "-1/31")]
+        prof = beta_profile(env, dirs, 6)
+        assert prof.b_hull == ((-1 / 29, -1 / 31), (0.2, 0.0), (0.0, 1 / 3))
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_wide_hull_matches_int64_hull(self, seed):
         rng = np.random.default_rng(seed)
@@ -239,7 +250,10 @@ class TestBHull:
             pts = rng.integers(-6, 7, size=(int(rng.integers(1, 30)), 3))
             if rng.random() < 0.3:
                 pts[:, 2] = pts[:, 0] - 2 * pts[:, 1]
-            assert _hull_3d(pts.tolist(), wide=True) == convex_hull(pts)
+            # scaled past the bound the hull runs in Python ints
+            scale = 2 ** 40
+            assert convex_hull(pts * scale) == [
+                tuple(c * scale for c in v) for v in convex_hull(pts)]
 
 
 def outside_hull_per_direction(sites, a, n):
@@ -361,6 +375,11 @@ class TestGrid:
     def test_inclusive_endpoints(self):
         g = grid_1d(Fraction(-1), Fraction(1), Fraction(1, 2))
         assert [a.as_floats()[0] for a in g] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+    def test_nonpositive_step_rejected(self):
+        for step in (Fraction(0), Fraction(-1, 5)):
+            with pytest.raises(GrowthError, match="step"):
+                grid_1d(Fraction(-1), Fraction(1), step)
 
     def test_fractional_steps_exact(self):
         g = grid_1d(Fraction(0), Fraction(1), Fraction(1, 10))

@@ -123,6 +123,13 @@ class TestPassageTimes:
         with pytest.raises(ShapeError):
             passage_times(env, 0.1, 0)
 
+    def test_origin_of_wrong_dimension_rejected(self):
+        env = homogeneous_env(open_law_1d())
+        with pytest.raises(ShapeError, match="dimension 2.*dimension 1"):
+            passage_times(env, 0.1, 3, origin=(0, 0))
+        with pytest.raises(ShapeError, match="dimension 2.*dimension 1"):
+            next(iter_reachable(env, 0.1, 2, (0, 0)))
+
 
 def open_law_3d():
     return law_of(*[({y: 1}, 1.0 / 6.0)
@@ -224,6 +231,13 @@ class TestShapePolytope:
         ptm = passage_times(env, 0.1, 5)
         with pytest.raises(ShapeError):
             shape_polytope(ptm, 6)
+
+    def test_negative_n_rejected(self):
+        env = homogeneous_env(open_law_1d())
+        ptm = passage_times(env, 0.1, 5)
+        for n in (-1, -5):
+            with pytest.raises(ShapeError):
+                shape_polytope(ptm, n)
 
     def test_normalized_sites_within_unit_ball(self):
         env = random_env(np.random.default_rng(27))
@@ -396,8 +410,8 @@ class TestHullAndDistance:
         cube = [(x, y, z) for x in (-big, big) for y in (-big, big)
                 for z in (-big, big)]
         assert convex_hull(cube + [(0, 0, 0)]) == sorted(cube)
-        with pytest.raises(ShapeError, match="beyond"):
-            convex_hull(cube + [(big + 1, 0, 0)])
+        apex = (big + 1, 0, 0)
+        assert convex_hull(cube + [apex]) == sorted(cube + [apex])
         with pytest.raises(ShapeError, match="integer"):
             convex_hull([(0.5, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 
@@ -518,3 +532,34 @@ class TestExactHull:
                 rows, bounds = hull_inequalities(pts)
                 for q in probes:
                     assert (rows @ q <= bounds).all() == in_hull_lp(pts, q)
+
+
+class TestHullContract:
+    """Exact integers of any size in, typed errors for anything else."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_inequalities_beyond_the_bound(self, d):
+        # {0, 2^19 e_i}: the coordinates exceed HULL_COORD_MAX, so the hull
+        # runs in Python ints; probes on and beside its faces
+        big = 2 * HULL_COORD_MAX
+        pts = np.vstack([np.zeros(d, dtype=np.int64),
+                         big * np.eye(d, dtype=np.int64)])
+        rows, bounds = hull_inequalities(pts)
+        rng = np.random.default_rng(70 + d)
+        probes = np.vstack([
+            pts,
+            rng.integers(-big // 4, big + big // 4, size=(40, d)),
+            rng.integers(-2, 3, size=(20, d)),
+            big // d + rng.integers(-2, 3, size=(20, d)),
+        ])
+        for q in probes:
+            assert (rows @ q <= bounds).all() == in_hull_lp(pts, q)
+        assert sorted(convex_hull(pts)) == sorted(map(tuple, pts.tolist()))
+
+    def test_non_integral_low_dimensions_rejected(self):
+        for pts in ([(0.5,), (2.0,)], [(0, 0), (1, 0.25), (0, 1)],
+                    np.array([[0.0, 0.0], [1.5, 1.0]])):
+            with pytest.raises(ShapeError, match="integer"):
+                convex_hull(pts)
+            with pytest.raises(ShapeError, match="integer"):
+                hull_inequalities(pts)
