@@ -539,34 +539,36 @@ def _cmd_simulate(env, p, out):
     from .montecarlo import (
         SamplerStats,
         estimate_return_probability,
+        iter_run,
         realized_local_exponent,
-        run as mc_run,
     )
 
     seed = env.spec.master_seed
     start = tuple(p["start"])
     track = [tuple(s) for s in p["track_sites"]]
     stats = SamplerStats()
-    first_run = None
-    finals = []
+    # each replica holds one generation: replica 0's trajectory rows are
+    # formatted as its generations come, and every replica keeps only its
+    # final counts at the tracked sites
+    rows, finals = [], []
     for r in range(p["replicas"]):
-        rng = replica_rng(seed, r, PURPOSE_DYNAMICS)
-        states = mc_run(env, start, p["horizon"], rng,
-                        bit_budget=p["bit_budget"], stats=stats)
+        for st in iter_run(env, start, p["horizon"],
+                           replica_rng(seed, r, PURPOSE_DYNAMICS),
+                           bit_budget=p["bit_budget"], stats=stats):
+            if r == 0:
+                ln_total = repr(math.log(st.total)) if st.total > 0 else ""
+                cells = ",".join(str(st.count(s)) for s in track)
+                rows.append(f"{st.n},{st.total},{ln_total},{st.occupied()},"
+                            f"{cells}")
         if r == 0:
-            first_run = states
-        finals.append(states[-1])
+            final_total = st.total
+        finals.append([st.count(s) for s in track])
 
     site_cols = ",".join(f"eta@{'|'.join(map(str, s))}" for s in track)
-    rows = []
-    for st in first_run:
-        ln_total = repr(math.log(st.total)) if st.total > 0 else ""
-        cells = ",".join(str(st.count(s)) for s in track)
-        rows.append(f"{st.n},{st.total},{ln_total},{st.occupied()},{cells}")
     out.csv("trajectory.csv", f"n,total,ln_total,occupied,{site_cols}", rows)
 
     rows = []
-    for st in realized_local_exponent(finals, track):
+    for st in realized_local_exponent(p["horizon"], track, finals):
         site = "|".join(map(str, st.site))
         if st.samples:
             rows.append(f"{site},{st.n},{st.mean!r},{st.ci_low!r},"
@@ -599,13 +601,12 @@ def _cmd_simulate(env, p, out):
             f"poisson fast path used for {stats.poisson_draws} draws")
 
     h = p["horizon"]
-    final = first_run[-1]
     print(json.dumps({
         "horizon": h,
         "replicas": p["replicas"],
-        "final_total_digits": len(str(final.total)),
-        "ln_total_over_n": (math.log(final.total) / h
-                            if final.total > 0 else None),
+        "final_total_digits": len(str(final_total)),
+        "ln_total_over_n": (math.log(final_total) / h
+                            if final_total > 0 else None),
         "return_probability": None if ret_doc is None
         else ret_doc["estimate"],
     }, sort_keys=True))

@@ -17,6 +17,7 @@ almost-sure properties of the field.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,12 +38,18 @@ PROB_TOL = 1e-12
 # (layers, `expected_total` of each, writers) took 21.6-33.5 B per lattice
 # cell at horizons 60, 90 and 120, i.i.d. and block window, forward and
 # adjoint (the law-index slabs are 1 of them); `passage_times` at radius 30
-# and 50 took 27.0-29.4 B per box cell, i.i.d. and block window.  A block
-# window's law-index box alone traces 18 B per cell.
+# and 50 took 13.2-15.0 B per box cell, i.i.d. and block window (int32
+# times, uint8 law indices, the box hashed in slabs).  The constant is the
+# DP's maximum, the larger of the two.
 BYTES_PER_BOX_CELL = 34
 
 # Most sites `EnvironmentField.law_index` remembers; the oldest goes first.
 _INDEX_MEMO_SIZE = 1 << 14
+
+# `law_index_grid` hashes its box in slabs of whole rows along axis 0 of
+# about this many cells, so the uint64 hashes and float64 sums of a slab,
+# not of the box, are the transient memory of a box evaluation.
+_SLAB_CELLS = 1 << 15
 
 
 class EnvironmentError_(ValueError):
@@ -304,9 +311,15 @@ class EnvironmentField:
     def law_index_grid(self, lo: Site, hi: Site) -> np.ndarray:
         """Law indices over the inclusive box [lo, hi], vectorized.
 
-        Returns a read-only int array of shape hi-lo+1 whose entry at
-        (x-lo) is law_index(x).  The last box is memoized: `brwre shape`
-        asks for the same BFS box once per delta.
+        Returns a read-only array of shape hi-lo+1 whose entry at (x-lo)
+        is law_index(x), in the smallest unsigned dtype that holds the law
+        count (uint8 up to 256 laws, uint16 up to 65,536).  The box is
+        hashed `_SLAB_CELLS` at a time in slabs of rows along axis 0; the
+        hash works cell by cell, so a slab's entries equal the whole box's.
+        The last box is memoized: `brwre shape` asks for the same BFS box
+        once per delta.  Callers only index tables with the indices; the
+        one arithmetic use, the differences of sorted indices in
+        `montecarlo.step_population`, cannot wrap.
         """
         key = (tuple(lo), tuple(hi))
         hit = self._grid_memo.get(key)
@@ -321,9 +334,19 @@ class EnvironmentField:
     def _law_index_box(self, lo: Site, hi: Site) -> np.ndarray:
         if any(h < l for l, h in zip(lo, hi)):
             raise EnvironmentError_(f"empty box {lo}..{hi}")
+        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+        out = np.empty(shape, dtype=self._index_dtype)
+        rows = max(1, _SLAB_CELLS // math.prod(shape[1:]))
+        for r in range(0, shape[0], rows):
+            r_hi = min(r + rows, shape[0])
+            out[r:r_hi] = self._law_index_slab(
+                (lo[0] + r, *lo[1:]), (lo[0] + r_hi - 1, *hi[1:]))
+        return out
+
+    def _law_index_slab(self, lo: Site, hi: Site) -> np.ndarray:
         if self._override is not None or self.spec.dependence.mode == "iid":
             return self.law_index_axes(_box_axes(lo, hi))
-        # a block window hashes each cell of the padded box once
+        # a block window hashes each cell of the padded slab once
         w = self.spec.dependence.window_radius
         cell_u = hash_uniform(axis_hash(
             self.spec.master_seed,
@@ -350,14 +373,15 @@ class EnvironmentField:
 
         The axes are integer arrays that broadcast together, such as the
         open mesh of a box or affine expressions in lattice coordinates;
-        the result has their broadcast shape, and no (..., d) site array
-        is built.  A block window adds its cell uniforms in window-cell
-        order, as `law_index_grid` does.
+        the result has their broadcast shape and `law_index_grid`'s
+        dtype, and no (..., d) site array is built.  A block window adds
+        its cell uniforms in window-cell order, as `law_index_grid` does.
         """
         axes = [np.asarray(a, dtype=np.int64) for a in axes]
         if self._override is not None:
             flat = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*axes)))
-            return np.array([self._override(x) for x in flat], dtype=np.int64
+            return np.array([self._override(x) for x in flat],
+                            dtype=self._index_dtype
                             ).reshape(np.broadcast_shapes(*(a.shape for a in axes)))
         seed = self.spec.master_seed
         if self.spec.dependence.mode == "iid":
@@ -367,9 +391,18 @@ class EnvironmentField:
             acc += hash_uniform(axis_hash(seed, [a + ci for a, ci in zip(axes, c)]))
         return self._select(np.mod(acc, 1.0, out=acc))
 
+    @cached_property
+    def _index_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds every law index."""
+        return np.min_scalar_type(len(self.spec.law_support) - 1)
+
     def _select(self, u: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._cum_weights, u, side="right").astype(
-            np.int64, copy=False)
+        # the inverse CDF over all but the last cumulative weight: below
+        # that weight it is the plain inverse CDF, and a u at or above it
+        # (weights whose sum rounds short of 1) takes the last law; an
+        # index past the end would wrap to 0 in the narrow dtype
+        return np.searchsorted(self._cum_weights[:-1], u, side="right").astype(
+            self._index_dtype)
 
     @classmethod
     def from_index_function(

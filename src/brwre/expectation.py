@@ -279,7 +279,6 @@ class _Tables:
             self.log_mu = np.log(np.array(
                 [[law.mean_offspring.get(y, 0.0) for law in laws]
                  for y in offsets], dtype=np.float64))
-        index_type = np.min_scalar_type(len(laws) - 1)
         self.slabs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for c, (lo, hi) in boxes.items():
             # the slab's sites origin(c) + B u, one broadcast expression per
@@ -288,8 +287,9 @@ class _Tables:
             axes = [o + sum(col[j] * ui for col, ui in zip(lat.basis, u)
                             if col[j])
                     for j, o in enumerate(self.origin(c))]
-            idx = env.law_index_axes(axes)
-            self.slabs[c] = (np.array(lo), idx.astype(index_type))
+            # law indices come in the smallest unsigned dtype that holds
+            # the law count
+            self.slabs[c] = (np.array(lo), env.law_index_axes(axes))
 
     def origin(self, k: int) -> Site:
         """Site of cell 0 of layer k."""
@@ -336,9 +336,11 @@ def iter_layers(
 ) -> Iterator[LogMassField]:
     """Yield layers 0..n one at a time (constant memory in the horizon).
 
-    The horizon alone sizes the solve: the slabs cover the lattice sites
-    of the layers' boxes.  Raises SolverError, before any step, if they
-    would not fit in physical memory.
+    The arguments are checked when the function is called: SolverError on
+    a negative horizon or a start of the wrong dimension.  The horizon
+    alone sizes the solve: the slabs cover the lattice sites of the
+    layers' boxes.  Raises SolverError, before any step, if they would not
+    fit in physical memory.
     """
     if n < 0:
         raise SolverError("negative horizon")
@@ -346,6 +348,11 @@ def iter_layers(
     if len(start) != env.spec.dimension:
         raise SolverError(f"start {start} has dimension {len(start)}, the "
                           f"environment dimension {env.spec.dimension}")
+    return _layers(env, start, n, adjoint)
+
+
+def _layers(env: EnvironmentField, start: Site, n: int,
+            adjoint: bool) -> Iterator[LogMassField]:
     fld = LogMassField.delta(start)
     yield fld
     if n == 0:

@@ -16,6 +16,11 @@ variance npq exceeds 1e6 (Berry-Esseen bounds the CDF error by
 C/sqrt(npq)), by a Poisson otherwise; means and standard deviations are
 exact integers.  `SamplerStats` counts the draws of each path: one per
 exact multinomial row, one per conditional binomial.
+
+A run is a stream: `iter_run` yields one generation at a time and keeps
+only the current one, whose counts reach about n bits at up to 2n + 1
+sites, so a caller that reads each state as it comes (the CLI's `simulate`)
+holds one generation per replica.  `run` lists every state of the stream.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -373,6 +378,8 @@ def step_population(env: EnvironmentField, state: PopulationState,
     draws = np.zeros((len(n), tables.atoms), dtype=dtype)
     exact = n < _EXACT_LIMIT
     by_law = np.argsort(laws, kind="stable")
+    # laws is unsigned (uint8 up to 256 laws); sorted, its differences are
+    # >= 0 and cannot wrap
     for rows in np.split(by_law, np.flatnonzero(np.diff(laws[by_law])) + 1):
         rows = rows[exact[rows]]
         if len(rows):
@@ -402,22 +409,48 @@ def step_population(env: EnvironmentField, state: PopulationState,
         sites=np.stack(np.unravel_index(nz, new_shape), axis=1) + new_lo)
 
 
+def iter_run(env: EnvironmentField, start: Site, n: int,
+             rng: np.random.Generator, *,
+             bit_budget: int = DEFAULT_BIT_BUDGET,
+             stats: SamplerStats | None = None) -> Iterator[PopulationState]:
+    """Evolve a single particle at `start`, yielding generations 0..n.
+
+    Only the current state is kept, so a caller that reads each state as
+    it comes holds one generation.  The arguments are checked here, when
+    the function is called: ValueError if n is negative or `start` does
+    not have the environment's dimension.  Because every offspring
+    configuration is nonempty the total never drops to zero.
+    """
+    start = tuple(start)
+    if n < 0:
+        raise ValueError(f"negative horizon {n}")
+    if len(start) != env.spec.dimension:
+        raise ValueError(f"start {start} has dimension {len(start)}, the "
+                         f"environment dimension {env.spec.dimension}")
+    return _generations(env, start, n, rng, bit_budget, stats)
+
+
+def _generations(env, start, n, rng, bit_budget, stats):
+    state = PopulationState.initial(start)
+    yield state
+    for _ in range(n):
+        state = step_population(env, state, rng,
+                                bit_budget=bit_budget, stats=stats)
+        yield state
+
+
 def run(env: EnvironmentField, start: Site, n: int,
         rng: np.random.Generator, *,
         bit_budget: int = DEFAULT_BIT_BUDGET,
         stats: SamplerStats | None = None) -> list[PopulationState]:
-    """Evolve a single particle at `start` for n generations.
+    """The n+1 states of `iter_run`, generation 0 through n, as a list.
 
-    Returns the n+1 states from generation 0 through n.  Because every
-    offspring configuration is nonempty the total never drops to zero.
+    Every state stays alive: in d = 1 generation k holds up to 2k + 1
+    sites with counts of about k bits, so the list grows with the cube of
+    n.  A caller that reads each state once streams `iter_run` instead.
     """
-    state = PopulationState.initial(start)
-    out = [state]
-    for _ in range(n):
-        state = step_population(env, state, rng,
-                                bit_budget=bit_budget, stats=stats)
-        out.append(state)
-    return out
+    return list(iter_run(env, start, n, rng,
+                         bit_budget=bit_budget, stats=stats))
 
 
 @dataclass(frozen=True)
@@ -433,26 +466,26 @@ class LocalExponentStat:
     samples: int
 
 
-def realized_local_exponent(finals: Sequence[PopulationState],
-                            sites: Iterable[Site],
+def realized_local_exponent(n: int, sites: Sequence[Site],
+                            counts: Sequence[Sequence[int]],
                             ) -> list[LocalExponentStat]:
     """Estimate the realized growth exponent ln eta_n(x) / n at each site.
 
-    `finals` holds one state per run, all at the same generation n.  Only
-    runs with at least one particle at the site contribute; the occupancy
-    field records the contributing fraction.  The interval is the normal
-    95% band around the sample mean (degenerate when fewer than two runs
-    contribute).
+    `counts[r][i]` is run r's particle count at `sites[i]` at generation
+    n, so a caller keeps the tracked counts of each run, not its state.
+    Only runs with at least one particle at the site contribute; the
+    occupancy field records the contributing fraction.  The interval is
+    the normal 95% band around the sample mean (degenerate when fewer than
+    two runs contribute).
     """
-    if not finals:
+    if not counts:
         raise ValueError("need at least one run")
-    n = finals[0].n
-    if any(st.n != n for st in finals):
-        raise ValueError("final states are at different generations")
+    if any(len(row) != len(sites) for row in counts):
+        raise ValueError("each run needs one count per site")
     out = []
-    for x in sites:
-        vals = [math.log(c) / n if n > 0 else 0.0
-                for c in (st.count(x) for st in finals) if c >= 1]
+    for i, x in enumerate(sites):
+        vals = [math.log(row[i]) / n if n > 0 else 0.0
+                for row in counts if row[i] >= 1]
         k = len(vals)
         if k == 0:
             out.append(LocalExponentStat(n, x, math.nan, math.nan,
@@ -465,7 +498,7 @@ def realized_local_exponent(finals: Sequence[PopulationState],
         else:
             half = 0.0
         out.append(LocalExponentStat(n, x, mean, mean - half, mean + half,
-                                     k / len(finals), k))
+                                     k / len(counts), k))
     return out
 
 
@@ -616,14 +649,12 @@ def estimate_return_probability(env: EnvironmentField, x: Site,
         raise ValueError("horizon and replicas must be positive")
     hits = 0
     for r in range(replicas):
-        rng = replica_rng(master_seed, r, PURPOSE_RETURN_PROBE)
-        state = PopulationState.initial(x)
-        for _ in range(horizon):
-            state = step_population(env, state, rng,
-                                    bit_budget=bit_budget, stats=stats)
-            if state.count(x) >= 1:
-                hits += 1
-                break
+        states = iter_run(env, x, horizon,
+                          replica_rng(master_seed, r, PURPOSE_RETURN_PROBE),
+                          bit_budget=bit_budget, stats=stats)
+        next(states)  # generation 0 stands on x
+        # `any` stops the replica at its first visit
+        hits += any(st.count(x) >= 1 for st in states)
     p_hat = hits / replicas
     half = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / replicas)
     return ReturnEstimate(site=x, horizon=horizon, replicas=replicas,

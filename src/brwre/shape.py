@@ -80,6 +80,8 @@ class PassageTimeMap:
 
     `grid[x - origin + radius]` is T(origin, x), and -1 where x was not
     reached (outside the l1 ball of `radius`, or not reached inside it).
+    It is int32, int64 only for a box of 2**31 cells or more (a time is
+    below the box's cell count).
     `times` is the same map as a dict from reached site to time, built
     on first access for per-site callers.
     """
@@ -125,10 +127,14 @@ def passage_times(
     origin = tuple(origin) if origin is not None else (0,) * d
     moves = _open_moves(env, delta, origin, radius)
     center = (radius,) * d
-    # the l1 distances as a sum of per-axis distances over an open mesh
-    ball = sum(np.ix_(*[np.abs(np.arange(-radius, radius + 1))] * d)) <= radius
+    # the l1 distances as a sum of per-axis distances over an open mesh, in
+    # the smallest unsigned dtype that holds d * radius
+    dist = np.abs(np.arange(-radius, radius + 1)).astype(
+        np.min_scalar_type(d * radius))
+    ball = sum(np.ix_(*[dist] * d)) <= radius
 
-    times = np.full(ball.shape, -1, dtype=np.int64)
+    times = np.full(ball.shape, -1, dtype=np.int32
+                    if ball.size <= np.iinfo(np.int32).max else np.int64)
     frontier = np.zeros(ball.shape, dtype=bool)
     frontier[center] = True
     times[center] = 0
@@ -144,12 +150,22 @@ def passage_times(
 def iter_reachable(
     env: EnvironmentField, delta: float, n: int, start: Site
 ) -> Iterator[set[Site]]:
-    """R(0), R(1), ..., R(n): sites reachable in exactly k delta-open steps."""
+    """R(0), R(1), ..., R(n): sites reachable in exactly k delta-open steps.
+
+    The arguments and the box's memory are checked here, when the function
+    is called: ShapeError on a negative step count, a start of the wrong
+    dimension or a box that would not fit.
+    """
     if n < 0:
         raise ShapeError("negative step count")
     start = tuple(start)
     radius = env.spec.step_set.l0_max * n
     moves = _open_moves(env, delta, start, radius)
+    return _reachable_sets(moves, start, radius, n)
+
+
+def _reachable_sets(moves, start: Site, radius: int,
+                    n: int) -> Iterator[set[Site]]:
     lo = np.array(start) - radius
     cur = np.zeros((2 * radius + 1,) * len(start), dtype=bool)
     cur[(radius,) * len(start)] = True

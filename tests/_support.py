@@ -44,6 +44,14 @@ def doubling_law() -> SiteLaw:
     return law_of(({(1,): 1, (-1,): 1}, 1.0))
 
 
+# the two mean-total-2 laws of the long-d1 benchmark workload
+def long_d1_laws() -> list[SiteLaw]:
+    return [law_of(({(1,): 1}, 0.25), ({(-1,): 1}, 0.25),
+                   ({(1,): 2, (-1,): 1}, 0.25), ({(-1,): 2, (1,): 1}, 0.25)),
+            law_of(({(1,): 1}, 0.3), ({(-1,): 1}, 0.2),
+                   ({(1,): 2, (-1,): 1}, 0.2), ({(-1,): 2, (1,): 1}, 0.3))]
+
+
 # mean offspring mu_+ = 0.84, mu_- = 0.21, mean total 1.05: the criterion
 # minimum is 2*sqrt(0.84*0.21) = 0.84 (transient)
 def drift_law() -> SiteLaw:

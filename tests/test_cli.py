@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,9 +20,18 @@ from brwre.cli import (
     load_config,
     main,
 )
-from brwre.environment import build_environment, spec_from_dict, spec_to_dict
+from brwre.environment import (
+    Dependence,
+    EnvironmentSpec,
+    build_environment,
+    spec_from_dict,
+    spec_to_dict,
+)
 from brwre.expectation import read_layer_binary, read_layer_csv
 from brwre.growth import total_growth
+from brwre.lattice import StepSet, unit_vectors
+from brwre.montecarlo import SamplerStats, realized_local_exponent, run
+from brwre.seeding import PURPOSE_DYNAMICS, replica_rng
 from brwre.shape import passage_times
 
 from _support import (
@@ -29,6 +40,7 @@ from _support import (
     homogeneous_env,
     iid_env,
     law_of,
+    long_d1_laws,
     symmetric06_law,
 )
 
@@ -361,6 +373,97 @@ class TestSimulate:
             assert main(["simulate", cfgp]) == 0
         assert (out_a / "trajectory.csv").read_text() == \
             (out_b / "trajectory.csv").read_text()
+
+
+def _simulate_from_run(env, horizon, replicas, track):
+    """`simulate`'s artifacts rebuilt from `montecarlo.run`, which keeps
+    every replica's whole list of states."""
+    seed, d = env.spec.master_seed, env.spec.dimension
+    stats = SamplerStats()
+    runs = [run(env, (0,) * d, horizon, replica_rng(seed, r, PURPOSE_DYNAMICS),
+                stats=stats) for r in range(replicas)]
+    cols = ",".join(f"eta@{'|'.join(map(str, s))}" for s in track)
+    traj = [f"n,total,ln_total,occupied,{cols}"]
+    for st in runs[0]:
+        cells = ",".join(str(st.count(s)) for s in track)
+        traj.append(f"{st.n},{st.total},{math.log(st.total)!r},"
+                    f"{st.occupied()},{cells}")
+    rex = ["site,n,mean,ci_low,ci_high,occupancy,samples"]
+    finals = [[states[-1].count(s) for s in track] for states in runs]
+    for e in realized_local_exponent(horizon, track, finals):
+        site = "|".join(map(str, e.site))
+        rex.append(f"{site},{e.n},{e.mean!r},{e.ci_low!r},{e.ci_high!r},"
+                   f"{e.occupancy!r},{e.samples}" if e.samples
+                   else f"{site},{e.n},,,,0.0,0")
+    return {
+        "trajectory.csv": "\n".join(traj) + "\n",
+        "realized_exponent.csv": "\n".join(rex) + "\n",
+        "sampler_stats.json": json.dumps(stats.as_dict(), sort_keys=True,
+                                         indent=2) + "\n",
+    }
+
+
+def _block_window_d2_env(seed):
+    # the environment of TestGoldenPins.test_d2_block_window_run
+    units = unit_vectors(2)
+    pair = law_of(({units[0]: 1, units[1]: 1}, 0.5),
+                  ({units[2]: 1, units[3]: 1}, 0.5))
+    single = law_of(*[({y: 1}, 0.25) for y in units])
+    return build_environment(EnvironmentSpec(
+        dimension=2, step_set=StepSet.nearest_neighbour(2),
+        law_support=(pair, single), weights=(0.3, 0.7),
+        dependence=Dependence("block_window", 1), master_seed=seed))
+
+
+class TestSimulateStreaming:
+    """`simulate` holds one generation per replica; its artifacts are the
+    ones a whole list of states per replica gives, byte for byte."""
+
+    @pytest.mark.parametrize("case", ["long-d1", "d2-block-window"])
+    def test_artifacts_match_listed_runs(self, tmp_path, case):
+        if case == "long-d1":
+            # counts pass 2**62 at generation 62: normal-path draws
+            env = iid_env(long_d1_laws(), [0.5, 0.5], 2718)
+            horizon, replicas, track = 120, 3, [(0,), (10,), (-7,)]
+        else:
+            # replica 1 is the pinned run
+            env = _block_window_d2_env(2718)
+            horizon, replicas, track = 40, 2, [(0, 0), (2, -4)]
+        out = tmp_path / "out"
+        cfgp = write_config(tmp_path, "c.json", {
+            "command": "simulate", "output_dir": str(out),
+            "environment": spec_to_dict(env.spec),
+            "parameters": {"horizon": horizon, "replicas": replicas,
+                           "track_sites": [list(s) for s in track]}})
+        assert main(["simulate", cfgp]) == 0
+        want = _simulate_from_run(env, horizon, replicas, track)
+        for name, text in want.items():
+            assert (out / name).read_bytes() == text.encode(), name
+        stats = json.loads(want["sampler_stats.json"])
+        if case == "long-d1":
+            assert stats["normal_draws"] > 0
+
+    def test_heap_holds_one_generation(self, tmp_path):
+        # horizon 400, 2 replicas: keeping replica 0's 401 states and the
+        # current replica's traces 11.3 MiB of heap, one generation per
+        # replica 0.3 MiB
+        env_doc = spec_to_dict(homogeneous_env(doubling_law()).spec)
+
+        def simulate(name, horizon, replicas):
+            cfgp = write_config(tmp_path, f"{name}.json", {
+                "command": "simulate", "output_dir": str(tmp_path / name),
+                "environment": env_doc,
+                "parameters": {"horizon": horizon, "replicas": replicas}})
+            assert main(["simulate", cfgp]) == 0
+
+        simulate("warm", 3, 1)  # first-use imports are not the run's heap
+        tracemalloc.start()
+        try:
+            simulate("long", 400, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestShape:

@@ -1,5 +1,7 @@
 import json
 import tracemalloc
+from bisect import bisect_right
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -362,3 +364,70 @@ class TestGridMemory:
         finally:
             tracemalloc.stop()
         assert peak < mesh_bytes
+
+
+class TestNarrowLawIndices:
+    """`law_index_grid` returns the smallest unsigned dtype that holds the
+    law count, hashing its box in slabs of rows along axis 0."""
+
+    @staticmethod
+    def env(d, dependence, laws=3, seed=31):
+        units = StepSet.nearest_neighbour(d).offsets
+        hop = law_of(*[({u: 1}, 1 / (2 * d)) for u in units])
+        dep = (Dependence("iid") if dependence == "iid"
+               else Dependence("block_window", 1))
+        return build_environment(EnvironmentSpec(
+            dimension=d, step_set=StepSet.nearest_neighbour(d),
+            law_support=(hop,) * laws, weights=(1 / laws,) * laws,
+            dependence=dep, master_seed=seed))
+
+    @staticmethod
+    def per_cell(env, lo, hi):
+        """Law indices from per-cell `cell_uniform` sums, one site at a time.
+
+        The window cells are added in sorted order from 0.0, as the box
+        does, and the last law takes every u at or above the others'
+        weight."""
+        spec = env.spec
+        w = spec.dependence.window_radius
+        window = sorted(c for c in product(range(-w, w + 1),
+                                           repeat=spec.dimension)
+                        if sum(map(abs, c)) <= w)
+        cum = list(accumulate(spec.weights))
+        out = np.empty([h - l + 1 for l, h in zip(lo, hi)], dtype=np.int64)
+        for idx in np.ndindex(out.shape):
+            x = [l + i for l, i in zip(lo, idx)]
+            u = 0.0
+            for c in window:
+                u += float(cell_uniform(spec.master_seed,
+                                        [a + b for a, b in zip(x, c)]))
+            out[idx] = min(bisect_right(cum, u % 1.0), len(cum) - 1)
+        return out
+
+    @pytest.mark.parametrize("laws,dtype", [(1, np.uint8), (256, np.uint8),
+                                            (257, np.uint16), (300, np.uint16)])
+    def test_dtype_holds_the_law_count(self, laws, dtype):
+        env = self.env(2, "iid", laws)
+        lo, hi = (-3, -2), (4, 3)
+        got = env.law_index_grid(lo, hi)
+        assert got.dtype == dtype
+        assert env.law_index_sites(np.array([[0, 0], [1, 2]])).dtype == dtype
+        assert np.array_equal(got, self.per_cell(env, lo, hi))
+        if laws == 300:
+            assert got.max() >= 256
+
+    # boxes of 13, 11 and 7 rows hashed in slabs of 5, 4 and 3 rows, so
+    # the last slab is short, and whole
+    @pytest.mark.parametrize("d,lo,hi,slab_cells", [
+        (1, (-6,), (6,), 5), (2, (-5, -2), (5, 3), 24),
+        (3, (-4, -2, -3), (2, 1, 0), 48)])
+    @pytest.mark.parametrize("dependence", ["iid", "block_window"])
+    @pytest.mark.parametrize("sliced", [True, False])
+    def test_slabs_equal_per_cell_sums(self, monkeypatch, d, lo, hi,
+                                       slab_cells, dependence, sliced):
+        if sliced:
+            monkeypatch.setattr(environment, "_SLAB_CELLS", slab_cells)
+        env = self.env(d, dependence)
+        got = env.law_index_grid(lo, hi)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, self.per_cell(env, lo, hi))

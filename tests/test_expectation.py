@@ -462,6 +462,14 @@ class TestFieldBasics:
         with pytest.raises(SolverError, match="dimension 2.*dimension 1"):
             next(iter_layers(env, (0, 0), 2))
 
+    def test_iter_layers_checks_arguments_when_called(self):
+        # the bare call raises, before anything is iterated
+        env = homogeneous_env(doubling_law())
+        with pytest.raises(SolverError, match="negative horizon"):
+            iter_layers(env, (0,), -1)
+        with pytest.raises(SolverError, match="dimension 2.*dimension 1"):
+            iter_layers(env, (0, 0), 2, adjoint=True)
+
     def test_items_sorted(self):
         env = random_env(np.random.default_rng(61))
         fld = last(env, (0,), 8)

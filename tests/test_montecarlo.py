@@ -24,6 +24,7 @@ from brwre.montecarlo import (
     estimate_return_probability,
     induced_kernel,
     induced_walk_step,
+    iter_run,
     realized_local_exponent,
     run,
     sample_binomial,
@@ -43,6 +44,7 @@ from _support import (
     homogeneous_env,
     iid_env,
     law_of,
+    long_d1_laws,
     random_env,
 )
 
@@ -50,14 +52,6 @@ from _support import (
 def _digest(states) -> str:
     return hashlib.sha256(repr([(st.n, sorted(st.counts.items()))
                                 for st in states]).encode()).hexdigest()
-
-
-def _long_d1_laws():
-    # the two mean-total-2 laws of the long-d1 benchmark workload
-    return [law_of(({(1,): 1}, 0.25), ({(-1,): 1}, 0.25),
-                   ({(1,): 2, (-1,): 1}, 0.25), ({(-1,): 2, (1,): 1}, 0.25)),
-            law_of(({(1,): 1}, 0.3), ({(-1,): 1}, 0.2),
-                   ({(1,): 2, (-1,): 1}, 0.2), ({(-1,): 2, (1,): 1}, 0.3))]
 
 
 class TestBinomialSampler:
@@ -214,6 +208,17 @@ class TestPopulationDynamics:
         env = homogeneous_env(doubling_law())
         with pytest.raises(BitBudgetError):
             run(env, (0,), 40, np.random.default_rng(0), bit_budget=16)
+
+    def test_iter_run_checks_arguments_when_called(self):
+        # no next(): the bare call raises, and draws nothing
+        env = homogeneous_env(doubling_law())
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="negative horizon"):
+            iter_run(env, (0,), -1, rng)
+        with pytest.raises(ValueError, match="dimension 2.*dimension 1"):
+            iter_run(env, (0, 0), 3, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestAgainstExpectation:
@@ -414,7 +419,7 @@ class TestGoldenPins:
 
     def test_long_d1_run(self):
         # counts pass 2**62 at generation 62, so half the run is normal-path
-        env = iid_env(_long_d1_laws(), [0.5, 0.5], 5)
+        env = iid_env(long_d1_laws(), [0.5, 0.5], 5)
         stats = SamplerStats()
         states = run(env, (0,), 120, replica_rng(2718, 0, PURPOSE_DYNAMICS),
                      stats=stats)
@@ -441,7 +446,7 @@ class TestGoldenPins:
                                    "067710a6d67693128a6243a83203545b")
 
     def test_return_probe_hits(self):
-        env = iid_env([drift_law(), _long_d1_laws()[0]], [0.7, 0.3], 9)
+        env = iid_env([drift_law(), long_d1_laws()[0]], [0.7, 0.3], 9)
         stats = SamplerStats()
         est = estimate_return_probability(env, (0,), 4, 60, 2718, stats=stats)
         assert est.hits == 33
@@ -577,11 +582,12 @@ class TestRealizedExponent:
         run_b = states([{(0,): 1}, {(-1,): 1}, {(2,): 2}])
         return [run_a, run_b]
 
-    def _finals(self, n):
-        return [states[n] for states in self._fake_runs()]
+    def _counts(self, n, sites):
+        return [[states[n].count(x) for x in sites]
+                for states in self._fake_runs()]
 
     def test_mean_and_occupancy(self):
-        [stat] = realized_local_exponent(self._finals(2), [(0,)])
+        [stat] = realized_local_exponent(2, [(0,)], self._counts(2, [(0,)]))
         assert stat.n == 2
         assert stat.samples == 1
         assert stat.occupancy == 0.5
@@ -589,28 +595,30 @@ class TestRealizedExponent:
         assert stat.ci_low == stat.ci_high == stat.mean
 
     def test_never_occupied_gives_nan(self):
-        [stat] = realized_local_exponent(self._finals(2), [(9,)])
+        [stat] = realized_local_exponent(2, [(9,)], self._counts(2, [(9,)]))
         assert math.isnan(stat.mean)
         assert stat.occupancy == 0.0
         assert stat.samples == 0
 
     def test_generation_zero_counts_as_zero_rate(self):
-        [stat] = realized_local_exponent(self._finals(0), [(0,)])
+        [stat] = realized_local_exponent(0, [(0,)], self._counts(0, [(0,)]))
         assert stat.mean == 0.0
         assert stat.occupancy == 1.0
 
     def test_two_contributors_yield_interval(self):
-        [stat] = realized_local_exponent(self._finals(1), [(1,)])
+        [stat] = realized_local_exponent(1, [(1,)], self._counts(1, [(1,)]))
         assert stat.samples == 1
-        both = [self._fake_runs()[0][2]] * 2
-        [stat2] = realized_local_exponent(both, [(0,)])
+        both = [self._counts(2, [(0,)])[0]] * 2
+        [stat2] = realized_local_exponent(2, [(0,)], both)
         assert stat2.samples == 2
         assert stat2.ci_low == stat2.ci_high == stat2.mean  # zero variance
 
-    def test_mixed_generations_rejected(self):
-        run_a, run_b = self._fake_runs()
-        with pytest.raises(ValueError):
-            realized_local_exponent([run_a[2], run_b[1]], [(0,)])
+    def test_counts_row_per_site_required(self):
+        # one generation n for every run; a run must give one count per site
+        with pytest.raises(ValueError, match="one count per site"):
+            realized_local_exponent(2, [(0,), (1,)], [[4, 0], [0]])
+        with pytest.raises(ValueError, match="at least one run"):
+            realized_local_exponent(2, [(0,)], [])
 
 
 class TestStreamSeparation:

@@ -6,7 +6,12 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from brwre.environment import EnvironmentField
+from brwre.environment import (
+    Dependence,
+    EnvironmentField,
+    EnvironmentSpec,
+    build_environment,
+)
 from brwre.lattice import RationalVector, StepSet, l1_norm, sub, unit_vectors
 from brwre.shape import (
     HULL_COORD_MAX,
@@ -130,6 +135,14 @@ class TestPassageTimes:
         with pytest.raises(ShapeError, match="dimension 2.*dimension 1"):
             next(iter_reachable(env, 0.1, 2, (0, 0)))
 
+    def test_iter_reachable_checks_arguments_when_called(self):
+        # the bare call raises, before anything is iterated
+        env = homogeneous_env(open_law_1d())
+        with pytest.raises(ShapeError, match="negative step count"):
+            iter_reachable(env, 0.1, -1, (0,))
+        with pytest.raises(ShapeError, match="dimension 2.*dimension 1"):
+            iter_reachable(env, 0.1, 2, (0, 0))
+
 
 def open_law_3d():
     return law_of(*[({y: 1}, 1.0 / 6.0)
@@ -151,6 +164,38 @@ class TestMemoryPreflight:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestBfsMemory:
+    def test_block_window_bfs_holds_narrow_grids(self):
+        # the d = 3 BFS of the benchmark's `shape` step (horizon 24, block
+        # window 1): int32 times, uint8 law indices and a box hashed in
+        # slabs trace about 15 B per box cell; int64 ones traced 26 B
+        units = StepSet.nearest_neighbour(3).offsets
+        pair = law_of(*[({u: 1, tuple(-c for c in u): 1}, 1 / 3)
+                        for u in units if sum(u) > 0])
+        hop = law_of(*[({u: 1}, 1 / 6) for u in units])
+        spec = EnvironmentSpec(
+            dimension=3, step_set=StepSet.nearest_neighbour(3),
+            law_support=(pair, hop), weights=(0.3, 0.7),
+            dependence=Dependence("block_window", 1), master_seed=5)
+        # a first small call pays the allocations of first use
+        passage_times(build_environment(spec), 0.05, 2)
+        env, r = build_environment(spec), 24
+        tracemalloc.start()
+        try:
+            ptm = passage_times(env, 0.05, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ptm.grid.dtype == np.int32
+        assert int((ptm.grid >= 0).sum()) == l1_ball_size(3, r)
+        assert peak < 20 * (2 * r + 1) ** 3
+
+
+def l1_ball_size(d, r):
+    """Number of sites of Z^d with l1 norm at most r."""
+    return sum(math.comb(d, k) * math.comb(r, k) * 2 ** k for k in range(d + 1))
 
 
 class TestReachableSets:
@@ -281,6 +326,7 @@ class TestPassageTimeGrid:
         ptm = self._map(d)
         r = ptm.radius
         assert ptm.grid.shape == (2 * r + 1,) * d
+        assert ptm.grid.dtype == np.int32
         want = self._grid_times(ptm)
         assert 1 < len(want) < (2 * r + 1) ** d
         assert ptm.times == want
