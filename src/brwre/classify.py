@@ -7,18 +7,12 @@ t = (ln lambda) s collapses the pair into one vector: transience holds iff
     Phi(t) = max_w ln sum_y mu_y^w exp(t.y)
 
 dips to 0 or below at some t != 0.  Phi is a maximum of log-sum-exp
-functions, hence convex, so a global minimum is found in two stages, both
-on one batched evaluator that returns Phi, the argmax law and its exact
-gradient (the softmax-weighted mean offset) at many points at once:
-
-- golden-section line searches on [0, SEARCH_RADIUS] along every ray of a
-  direction grid (2, 32 or 26 rays in d = 1, 2, 3), run in lockstep with
-  one batched evaluation per iteration; the best ray point, or t = 0 if
-  no ray point is lower, starts
-- a descent along least subgradients: minus the point nearest 0 of the
-  hull of the gradients of the top d + 1 laws, so it slides along a kink
-  where laws tie; the trial steps along every such direction are
-  evaluated in one batch.
+functions, hence convex, so its global minimum is found by one descent from
+t = 0 along least subgradients: minus the point nearest 0 of the hull of the
+gradients of the top d + 1 laws, so it slides along a kink where laws tie.
+A batched evaluator returns Phi, the argmax law and its exact gradient (the
+softmax-weighted mean offset) at many points at once, so the trial steps
+along every such direction are evaluated in one batch per iteration.
 
 The excluded point t = 0 corresponds to lambda = 1, where the criterion
 degenerates to "every support law has mean total offspring <= 1"; that case
@@ -40,11 +34,11 @@ import numpy as np
 
 from .environment import SiteLaw
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SEARCH_RADIUS = 64.0
-LINE_SEARCH_ITERS = 90  # golden-section steps per ray, at most
-DESCENT_ITERS = 300  # gradient steps of the polish, at most
-_STEPS = 16.0 * 0.5 ** np.arange(64)  # trial steps along a descent direction
+DESCENT_ITERS = 300  # descent steps, at most
+# trial step lengths along a unit direction; a first step as long as the
+# box (2 SEARCH_RADIUS) carries numerically flat minima to its edge
+_STEPS = 16.0 * 0.5 ** np.arange(51)
 
 
 class CriterionError(ValueError):
@@ -104,9 +98,9 @@ class _Phi:
         ties = at_top.sum(axis=2)
         weights = np.exp(expo - top)
         # ln(m + rest) as log1p(rest / m) + ln m, m the number of maximal
-        # terms: forming 1 + rest / m would lose a bit, enough for the line
-        # searches to find spurious minima one ulp below a symmetric law's
-        # value at t = 0
+        # terms: forming 1 + rest / m would lose a bit, enough for a search
+        # to find spurious minima one ulp below a symmetric law's value at
+        # t = 0
         rest = np.where(at_top, 0.0, weights).sum(axis=2)
         per_law = np.log1p(rest / ties) + np.log(ties) + top[:, :, 0]
         return per_law, weights, ties + rest
@@ -170,63 +164,10 @@ def _nearest_in_hull(points: np.ndarray) -> np.ndarray:
     return best
 
 
-def _direction_grid(d: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        return np.array(
-            [[math.cos(k * math.pi / 16), math.sin(k * math.pi / 16)]
-             for k in range(32)]
-        )
-    dirs = []
-    for v in itertools.product((-1.0, 0.0, 1.0), repeat=3):
-        a = np.array(v)
-        n = np.linalg.norm(a)
-        if n > 0:
-            dirs.append(a / n)
-    return np.array(dirs)
-
-
-def _line_searches(phi: _Phi, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section minima of Phi along the rays r*u, r in [0, SEARCH_RADIUS].
-
-    All rays advance in lockstep, one batched evaluation per iteration; each
-    ray keeps its own bracket and stops once the bracket is below 1e-13
-    relative.  Returns the minimizing r and Phi there, per ray.
-    """
-    a = np.zeros(len(dirs))
-    b = np.full(len(dirs), SEARCH_RADIUS)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f = phi.evaluate(np.concatenate([x1[:, None] * dirs, x2[:, None] * dirs]))[0]
-    f1, f2 = f[: len(dirs)], f[len(dirs) :]
-    active = np.ones(len(dirs), dtype=bool)
-    for _ in range(LINE_SEARCH_ITERS):
-        active &= ~(b - a < 1e-13 * np.maximum(1.0, np.abs(a) + np.abs(b)))
-        if not active.any():
-            break
-        left = active & (f1 <= f2)  # keep [a, x2]: x2 <- x1, new x1
-        right = active & ~(f1 <= f2)  # keep [x1, b]: x1 <- x2, new x2
-        b = np.where(left, x2, b)
-        x2 = np.where(left, x1, x2)
-        f2 = np.where(left, f1, f2)
-        a = np.where(right, x1, a)
-        x1 = np.where(right, x2, x1)
-        f1 = np.where(right, f2, f1)
-        x1 = np.where(left, b - GOLDEN * (b - a), x1)
-        x2 = np.where(right, a + GOLDEN * (b - a), x2)
-        r = np.where(left, x1, x2)[active]
-        fr = phi.evaluate(r[:, None] * dirs[active])[0]
-        f1[left] = fr[left[active]]
-        f2[right] = fr[right[active]]
-    first = f1 <= f2
-    return np.where(first, x1, x2), np.where(first, f1, f2)
-
-
 def _descend(
-    phi: _Phi, t: np.ndarray, at_t: tuple[float, int, np.ndarray]
+    phi: _Phi, t: np.ndarray
 ) -> tuple[np.ndarray, tuple[float, int, np.ndarray]]:
-    """Descent of convex Phi along its least subgradients.
+    """Descent of convex Phi along its least subgradients, from t.
 
     With the laws sorted by their term at t, the top k laws of distinct
     gradient, k = 1, ..., d + 1, each give a direction: minus the point of
@@ -236,11 +177,15 @@ def _descend(
     d + 1 laws suffice: at a minimum 0 lies in the hull of at most d + 1
     active gradients (Caratheodory), so an iteration costs at most
     (d + 1) 2^(d + 1) small least-squares solves whatever the number of
-    laws.  The steps 2^4, 2^3, ... (while step * |direction| > 1e-13)
-    along every direction are evaluated in one batch and the lowest point
-    is taken, until no step lowers Phi or the argmax law's gradient
-    vanishes.  Returns the final point and `phi.at` there.
+    laws.  Each direction is scaled to unit length and tried with the
+    step lengths 2^4, 2^3, ..., 2^-46; every trial point of every direction
+    is evaluated in one batch and the lowest is taken, until no trial
+    lowers Phi or the argmax law's gradient vanishes.  Unit directions
+    matter: steps proportional to the gradient shrink with it and stall
+    along flat transient directions.  Returns the final point and `phi.at`
+    there.
     """
+    at_t = phi.at(t)
     f = at_t[0]
     for _ in range(DESCENT_ITERS):
         values, grads = phi.laws_at(t)
@@ -252,11 +197,10 @@ def _descend(
         cand = []
         for k in range(1, len(top) + 1):
             g = _nearest_in_hull(top[:k])
-            steps = _STEPS[_STEPS * float(np.linalg.norm(g)) > 1e-13]
-            cand.append(t - steps[:, None] * g)
+            norm = float(np.linalg.norm(g))
+            if norm > 0.0:
+                cand.append(t - _STEPS[:, None] * (g / norm))
         cand = np.clip(np.concatenate(cand), -SEARCH_RADIUS, SEARCH_RADIUS)
-        if not len(cand):
-            break
         fc, lc, gc = phi.evaluate(cand)
         j = int(np.argmin(fc))
         if not fc[j] < f - 1e-15:
@@ -294,17 +238,7 @@ def transience_criterion(
             lambda_one=True,
         )
 
-    dirs = _direction_grid(d)
-    r, fr = _line_searches(phi, dirs)
-    best_t = np.zeros(d)
-    best = phi.at(best_t)
-    k = int(np.argmin(fr))  # the first ray attaining the grid minimum
-    if fr[k] < best[0]:
-        best_t = r[k] * dirs[k]
-        best = phi.at(best_t)
-    t_star, (f_star, law, _) = _descend(phi, best_t, best)
-    if f_star > best[0]:
-        t_star, (f_star, law, _) = best_t, best
+    t_star, (f_star, law, _) = _descend(phi, np.zeros(d))
     # at a kink the laws within rounding of the maximum all attain it, and
     # the subdifferential is the hull of their gradients
     values, grads = phi.laws_at(t_star)

@@ -119,17 +119,6 @@ class SiteLaw:
         if abs(total_p - 1.0) > PROB_TOL:
             raise EnvironmentError_(f"atom probabilities sum to {total_p}, not 1")
 
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[Mapping[Site, int] | OffspringConfig, float]]
-    ) -> "SiteLaw":
-        atoms = []
-        for cfg, p in pairs:
-            if not isinstance(cfg, OffspringConfig):
-                cfg = OffspringConfig.from_dict(cfg)
-            atoms.append((cfg, float(p)))
-        return cls(tuple(atoms))
-
     @cached_property
     def mean_offspring(self) -> dict[Site, float]:
         """mu_y = sum_v w(v) v_y, the mean number of children sent to offset y."""

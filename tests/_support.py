@@ -18,8 +18,8 @@ from brwre.lattice import StepSet
 
 
 def law_of(*pairs: tuple[dict, float]) -> SiteLaw:
-    return SiteLaw.from_pairs(
-        [(OffspringConfig.from_dict(counts), p) for counts, p in pairs])
+    return SiteLaw(tuple((OffspringConfig.from_dict(counts), float(p))
+                         for counts, p in pairs))
 
 
 def iid_env(laws, weights, seed, dimension=1, step_set=None) -> EnvironmentField:

@@ -193,6 +193,13 @@ def _units(d):
             for i in range(d) for sign in (1, -1)]
 
 
+def _pair_split_law(d):
+    # two children, at +e_i and -e_i, with the axis i uniform
+    units = _units(d)
+    return law_of(*[({units[2 * i]: 1, units[2 * i + 1]: 1}, 1.0 / d)
+                    for i in range(d)])
+
+
 def _random_supports(count, laws_per_support=2, d=2, seed=1):
     """Laws on the 2d unit steps plus one two-child configuration, with
     Dirichlet weights.  With two laws in d = 2 the minima mostly sit on the
@@ -315,13 +322,38 @@ class TestBatchedEvaluator:
             checked += 1
         assert checked >= 40
 
-    def test_symmetric_minimum_stays_at_origin(self):
-        # Phi(t) >= Phi(0) for a symmetric law; a log-sum-exp that rounds
-        # 1 + rest lets the line searches find points an ulp below Phi(0)
-        res = transience_criterion([mean2_law()])
-        assert res.t_star == (0.0,)
-        assert res.log_value == criterion_value_at([mean2_law()], (0.0,))
+    @pytest.mark.parametrize("with_hop", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_symmetric_minimum_stays_at_origin(self, d, with_hop):
+        # Phi(t) >= Phi(0) for symmetric laws, and the gradient at 0 is
+        # exactly 0; a log-sum-exp that rounds 1 + rest, or a search that
+        # does not start at 0, can end at points an ulp below Phi(0)
+        units = _units(d)
+        laws = [_pair_split_law(d)]
+        if with_hop:
+            laws.append(law_of(*[({u: 1}, 1.0 / len(units)) for u in units]))
+        res = transience_criterion(laws)
+        assert res.t_star == (0.0,) * d
+        assert res.log_value == criterion_value_at(laws, (0.0,) * d)
         assert res.gradient_norm == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-20, 1e-50])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_flat_transient_direction_reaches_minimum(self, d, eps):
+        # means 2r at +e1, eps at -e1 and r at every other unit step: Phi
+        # falls ever more slowly towards its minimum at t1 = ln(eps/2r)/2,
+        # where a step proportional to the gradient stalls about 1e-5 short;
+        # at eps = 1e-50 Phi is flat to rounding well inside the box, and a
+        # first step as long as the box carries t to its edge
+        r = (1.0 - eps) / (2 * d - 1)
+        units = _units(d)
+        law = law_of(({units[0]: 2}, r), ({units[1]: 1}, eps),
+                     *[({u: 1}, r) for u in units[2:]])
+        res = transience_criterion([law])
+        want = math.log(2 * math.sqrt(2 * r * eps) + (2 * d - 2) * r)
+        assert abs(res.log_value - want) <= 1e-12
+        assert res.gradient_norm < 1e-6
+        assert not res.on_boundary
 
     def test_batched_evaluation_count(self, monkeypatch):
         calls = []
@@ -334,10 +366,10 @@ class TestBatchedEvaluator:
         monkeypatch.setattr(classify._Phi, "evaluate", counting)
         res = transience_criterion([_planar_law()])
         assert res.verdict == "transient"
-        # at most 91 line-search batches over the 32 rays (the two start
-        # points, then 90 iterations), then one batch per descent step:
-        # a few hundred calls, not thousands of scalar ones
-        assert len(calls) <= 400
+        # one batch for the start point, then one per descent step holding
+        # the trial steps of every direction: a few dozen calls, inside the
+        # descent's cap, not thousands of scalar ones
+        assert len(calls) <= classify.DESCENT_ITERS
         assert max(calls) >= 32
 
 
