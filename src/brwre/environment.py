@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -236,18 +236,22 @@ class ConditionReport:
 class EnvironmentField:
     """Lazily evaluated environment: pure map Site -> SiteLaw.
 
-    The map is deterministic, but the object is not immutable: `law_index`,
-    whose callers are per-site ones (the induced walk, tests), memoizes the
-    sites it is asked about in `_index_memo`, at most `_INDEX_MEMO_SIZE` of
-    them, evicting the oldest first.  The vectorized evaluations agree
-    bitwise with per-site calls and fill no site memo: the BFS, the
-    population steps and `check_anderson_equation` use `law_index_grid` over
-    a box, which keeps the last box in `_grid_memo`, and the DP's slabs use
-    `law_index_axes` on the sublattice sites the walk can reach.
+    The map is deterministic, but the object is not immutable; it keeps two
+    caches.  `law_index`, whose callers are per-site ones (the induced
+    walk, tests), memoizes the sites it is asked about in `_index_memo`, at
+    most `_INDEX_MEMO_SIZE` of them, evicting the oldest first: such sites
+    may lie far apart, and a box spanning them could be arbitrarily large.
+    `law_index_grid`, which the BFS, the population steps and
+    `check_anderson_equation` call, cuts its boxes from the one box kept in
+    `_box` and grows that box when a request leaves it.  The DP's slabs use
+    `law_index_axes` on the sublattice sites the walk can reach.  The
+    vectorized evaluations agree bitwise with per-site calls.
     """
 
     spec: EnvironmentSpec
     _override: Callable[[Site], int] | None = field(default=None, repr=False)
+    # (lo, hi, law indices) of the box `law_index_grid` keeps
+    _box: ClassVar[tuple[Site, Site, np.ndarray] | None] = None
 
     @cached_property
     def _cum_weights(self) -> np.ndarray:
@@ -274,10 +278,6 @@ class EnvironmentField:
     def _index_memo(self) -> dict[Site, int]:
         return {}
 
-    @cached_property
-    def _grid_memo(self) -> dict[tuple[Site, Site], np.ndarray]:
-        return {}
-
     def law_index(self, x: Site) -> int:
         x = tuple(x)
         if self._override is not None:
@@ -288,7 +288,7 @@ class EnvironmentField:
         hit = memo.get(x)
         if hit is not None:
             return hit
-        idx = int(self.law_index_sites(np.array(x)))
+        idx = int(self.law_index_axes(x))
         if len(memo) >= _INDEX_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[x] = idx
@@ -300,29 +300,47 @@ class EnvironmentField:
     def law_index_grid(self, lo: Site, hi: Site) -> np.ndarray:
         """Law indices over the inclusive box [lo, hi], vectorized.
 
-        Returns a read-only array of shape hi-lo+1 whose entry at (x-lo)
+        Returns a read-only view of shape hi-lo+1 whose entry at (x-lo)
         is law_index(x), in the smallest unsigned dtype that holds the law
-        count (uint8 up to 256 laws, uint16 up to 65,536).  The box is
-        hashed `_SLAB_CELLS` at a time in slabs of rows along axis 0; the
-        hash works cell by cell, so a slab's entries equal the whole box's.
-        The last box is memoized: `brwre shape` asks for the same BFS box
-        once per delta.  Callers only index tables with the indices; the
-        one arithmetic use, the differences of sorted indices in
+        count (uint8 up to 256 laws, uint16 up to 65,536).  The view is
+        cut from the box the environment keeps.  A request that leaves
+        that box hashes a new one: the union of the two, widened by half
+        the union's width on each side the request left, so requests that
+        spread (a population, the layers of an adjoint solve) hash a
+        logarithmic number of boxes.  The first request is hashed exactly,
+        so the box of a BFS is hashed once for all of its deltas.  A new
+        box is checked against physical memory before it is hashed.
+        Callers only index tables with the indices; the one arithmetic
+        use, the differences of sorted indices in
         `montecarlo.step_population`, cannot wrap.
         """
-        key = (tuple(lo), tuple(hi))
-        hit = self._grid_memo.get(key)
-        if hit is not None:
-            return hit
-        idx = self._law_index_box(lo, hi)
-        idx.flags.writeable = False
-        self._grid_memo.clear()
-        self._grid_memo[key] = idx
-        return idx
-
-    def _law_index_box(self, lo: Site, hi: Site) -> np.ndarray:
+        lo, hi = tuple(lo), tuple(hi)
         if any(h < l for l, h in zip(lo, hi)):
             raise EnvironmentError_(f"empty box {lo}..{hi}")
+        kept = self._box
+        if kept is None or any(l < b for l, b in zip(lo, kept[0])) \
+                or any(h > b for h, b in zip(hi, kept[1])):
+            box_lo, box_hi = lo, hi
+            if kept is not None:
+                u_lo = [min(a, b) for a, b in zip(lo, kept[0])]
+                u_hi = [max(a, b) for a, b in zip(hi, kept[1])]
+                pad = [(h - l + 1) // 2 for l, h in zip(u_lo, u_hi)]
+                box_lo = tuple(u - p if a < b else u
+                               for u, p, a, b in zip(u_lo, pad, lo, kept[0]))
+                box_hi = tuple(u + p if a > b else u
+                               for u, p, a, b in zip(u_hi, pad, hi, kept[1]))
+            check_box_memory(
+                math.prod(h - l + 1 for l, h in zip(box_lo, box_hi)),
+                EnvironmentError_, f"a law-index box over {box_lo}..{box_hi}")
+            idx = self._law_index_box(box_lo, box_hi)
+            idx.flags.writeable = False
+            kept = (box_lo, box_hi, idx)
+            object.__setattr__(self, "_box", kept)
+        box_lo, _, idx = kept
+        return idx[tuple(slice(l - b, h - b + 1)
+                         for l, h, b in zip(lo, hi, box_lo))]
+
+    def _law_index_box(self, lo: Site, hi: Site) -> np.ndarray:
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         out = np.empty(shape, dtype=self._index_dtype)
         rows = max(1, _SLAB_CELLS // math.prod(shape[1:]))
@@ -348,15 +366,6 @@ class EnvironmentField:
         del cell_u
         return self._select(np.mod(acc, 1.0, out=acc))
 
-    def law_index_sites(self, sites: np.ndarray) -> np.ndarray:
-        """Law indices at an int array of sites of shape (..., d).
-
-        `law_index` computes its memo misses here; it is `law_index_axes`
-        on the coordinates of the sites.
-        """
-        sites = np.asarray(sites, dtype=np.int64)
-        return self.law_index_axes(np.moveaxis(sites, -1, 0))
-
     def law_index_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Law indices at the sites whose i-th coordinates are `axes[i]`.
 
@@ -365,6 +374,7 @@ class EnvironmentField:
         the result has their broadcast shape and `law_index_grid`'s
         dtype, and no (..., d) site array is built.  A block window adds
         its cell uniforms in window-cell order, as `law_index_grid` does.
+        `law_index` computes its memo misses here, on a site's coordinates.
         """
         axes = [np.asarray(a, dtype=np.int64) for a in axes]
         if self._override is not None:

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .environment import EnvironmentField, _box_axes, check_box_memory
 from .lattice import Site, StepLattice, step_lattice
@@ -122,24 +121,13 @@ class LogMassField:
         """The dense box, row-major; cells outside it are dropped.
 
         Always a new array, so writing into it leaves the layer as it was.
-        The box's flat index is affine in the lattice coordinates, so one
-        strided view of a padded buffer holds every cell, and the finite
-        cells are copied through it.  A cell whose site lies outside the
-        box lands in the padding or on another cell's position; it is -inf
-        and is not copied.
+        The finite cells are gathered at their box positions as the
+        readers and writers gather them (`_positions`, `_read`).
         """
-        cells = self.cells
-        strides = [int(np.prod(self.shape[i + 1:])) for i in range(len(self.shape))]
-        step = [sum(b * s for b, s in zip(col, strides)) for col in self.lattice.basis]
-        first = sum((o - l) * s for o, l, s in zip(self.origin, self.lo, strides))
-        reach = [(c - 1) * s for c, s in zip(cells.shape, step)]
-        below = max(0, -(first + sum(min(0, r) for r in reach)))
-        size = max(int(np.prod(self.shape)), first + sum(max(0, r) for r in reach) + 1)
-        buf = np.full(below + size, NEG_INF)
-        view = as_strided(buf[below + first:], cells.shape,
-                          [s * buf.itemsize for s in step])
-        np.copyto(view, cells, where=np.isfinite(cells))
-        return buf[below:below + int(np.prod(self.shape))].reshape(self.shape)
+        box = np.full(math.prod(self.shape), NEG_INF)
+        pos = self._positions()
+        box[pos] = self._read(pos)
+        return box.reshape(self.shape)
 
     def get(self, x: Site) -> float:
         z = self.lattice.coords([c - o for c, o in zip(x, self.origin)])
@@ -162,7 +150,7 @@ class LogMassField:
     def _positions(self) -> np.ndarray:
         """Flat positions in the box of the finite cells, ascending.
 
-        A position is affine in the lattice coordinates, as in `values`.
+        A position is affine in the lattice coordinates.
         Finite cells lie in the box at distinct sites, so their positions
         are distinct, and ascending position is row-major site order.
         """

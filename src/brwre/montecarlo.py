@@ -5,9 +5,9 @@ sorted, and their particle counts, int64 while they fit and Python integers
 after, and each site resolves all of its particles with one multinomial
 draw over its offspring law, so the cost per step follows the number of
 occupied sites, not of particles.  A generation stays in array form: the
-laws of the sites are read from a law-index box cached per environment
-(grown geometrically as the population spreads), each law draws its sites
-below 2**62 with one exact `rng.multinomial` call, and the sites at or
+laws of the sites are read from the law-index box the environment keeps
+(and grows geometrically as the population spreads), each law draws its
+sites below 2**62 with one exact `rng.multinomial` call, and the sites at or
 above 2**62, of all laws together, split into conditional binomials, one
 batched draw per atom, with probabilities tabulated per law.  Draws with a
 count below 2**62 are exact in distribution with respect to per-particle
@@ -275,9 +275,8 @@ class _Tables:
     and `children` (laws, A, offsets) the child count of each atom at each
     offset of the sorted step set, as int64 and, for counts beyond int64,
     as Python ints in `children_wide`.  `walk_rows` holds the induced-walk
-    tables of each law index the walk has stood on.  `law_box` holds the
-    law indices of a box from `law_lo` on, which `law_indices` grows when
-    a population leaves it.
+    tables of each law index the walk has stood on.  The law indices
+    themselves come from the environment's `law_index_grid`.
     """
 
     def __init__(self, env: EnvironmentField):
@@ -306,34 +305,6 @@ class _Tables:
         self.eps_hat = env.conditions.epsilon0 / len(offsets)
         self.forced_mass = 2 * d * self.eps_hat
         self.walk_rows: dict[int, _WalkRow] = {}
-        self.law_lo = np.zeros(d, dtype=np.int64)
-        self.law_box = np.zeros((0,) * d, dtype=np.int64)
-
-    def law_indices(self, env: EnvironmentField, coords: np.ndarray,
-                    lo: np.ndarray, hi: np.ndarray, what: str) -> np.ndarray:
-        """Law indices at the sites `coords` (an (N, d) array in [lo, hi]).
-
-        The environment is fixed, so they are read from `law_box`.  When
-        the sites leave it, the box is re-evaluated over the union with
-        their bounding box, widened by half the union's width on each side
-        they left, so a spreading population re-hashes it a logarithmic
-        number of times.
-        """
-        box_lo = self.law_lo
-        box_hi = box_lo + np.array(self.law_box.shape) - 1
-        if (lo < box_lo).any() or (hi > box_hi).any():
-            if self.law_box.size == 0:
-                box_lo, box_hi = lo, hi
-            u_lo, u_hi = np.minimum(lo, box_lo), np.maximum(hi, box_hi)
-            pad = (u_hi - u_lo + 1) // 2
-            box_lo = np.where(lo < box_lo, u_lo - pad, u_lo)
-            box_hi = np.where(hi > box_hi, u_hi + pad, u_hi)
-            check_box_memory(math.prod((box_hi - box_lo + 1).tolist()),
-                             SimulationError, what)
-            self.law_lo = box_lo
-            self.law_box = env.law_index_grid(tuple(box_lo.tolist()),
-                                              tuple(box_hi.tolist()))
-        return self.law_box[tuple((coords - self.law_lo).T)]
 
 
 _TABLES: "weakref.WeakKeyDictionary[EnvironmentField, _Tables]" = \
@@ -353,8 +324,8 @@ def step_population(env: EnvironmentField, state: PopulationState,
                     stats: SamplerStats | None = None) -> PopulationState:
     """Advance the population one generation under the quenched environment.
 
-    The laws of the state's sites are read from the environment's cached
-    law-index box.  Each law draws its sites below 2**62 with one
+    The laws of the state's sites are read from `env.law_index_grid` over
+    the state's bounding box.  Each law draws its sites below 2**62 with one
     `rng.multinomial` call; the sites at or above 2**62, of every law
     together, run one conditional-binomial chain over `_Tables.chain`.
     Children are added into a box over the next generation's bounding box,
@@ -370,10 +341,10 @@ def step_population(env: EnvironmentField, state: PopulationState,
     coords, n = state.sites, state.values.astype(dtype, copy=False)
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     new_lo, new_hi = lo + tables.step_lo, hi + tables.step_hi
-    what = f"generation {state.n + 1}"
     check_box_memory(math.prod((new_hi - new_lo + 1).tolist()),
-                     SimulationError, what)
-    laws = tables.law_indices(env, coords, lo, hi, what)
+                     SimulationError, f"generation {state.n + 1}")
+    laws = env.law_index_grid(tuple(lo.tolist()), tuple(hi.tolist()))[
+        tuple((coords - lo).T)]
 
     draws = np.zeros((len(n), tables.atoms), dtype=dtype)
     exact = n < _EXACT_LIMIT

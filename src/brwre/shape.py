@@ -31,10 +31,12 @@ class ShapeError(ValueError):
 
 def _open_moves(
     env: EnvironmentField, delta: float, start: Site, radius: int
-) -> list[tuple[tuple[slice, ...], tuple[slice, ...], np.ndarray]]:
+) -> list[tuple[tuple[slice, ...], tuple[slice, ...], np.ndarray | None]]:
     """One delta-open step on the box start +- radius: (dst, src, open) per
     offset y that fits the box, where box[dst] is box[src] moved by +y and
-    `open` is True where the edge out of box[src] along y is open.
+    `open` is True where the edge out of box[src] along y is open, or None
+    when every law opens y.  The law indices of the box are read only if
+    some law closes some offset.
 
     Raises ShapeError if `start` does not have the environment's dimension
     or, before anything is allocated, if the box would not fit in physical
@@ -49,7 +51,6 @@ def _open_moves(
     side = 2 * radius + 1
     check_box_memory(side ** d, ShapeError, f"a reachability BFS over {lo}..{hi}")
     offsets = env.spec.step_set.sorted_offsets()
-    idx = env.law_index_grid(lo, hi)
     law_open = np.array(
         [
             [law.step_mass(y) > delta for y in offsets]
@@ -57,12 +58,14 @@ def _open_moves(
         ],
         dtype=bool,
     )
+    idx = None if law_open.all() else env.law_index_grid(lo, hi)
     moves = []
     for j, y in enumerate(offsets):
         if all(abs(c) < side for c in y):
             src = tuple(slice(max(0, -c), side - max(0, c)) for c in y)
             dst = tuple(slice(max(0, c), side - max(0, -c)) for c in y)
-            moves.append((dst, src, law_open[idx[src], j]))
+            moves.append((dst, src, None if law_open[:, j].all()
+                          else law_open[idx[src], j]))
     return moves
 
 
@@ -70,7 +73,7 @@ def _advance(frontier: np.ndarray, moves) -> np.ndarray:
     """The sites of the box one open step from `frontier`."""
     nxt = np.zeros_like(frontier)
     for dst, src, open_ in moves:
-        nxt[dst] |= frontier[src] & open_
+        nxt[dst] |= frontier[src] if open_ is None else frontier[src] & open_
     return nxt
 
 

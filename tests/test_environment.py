@@ -323,7 +323,8 @@ class TestAxisWiseHash:
             u = np.mod(u, 1.0)
         want = np.searchsorted(np.cumsum([0.3, 0.5, 0.2]), u, side="right")
         assert np.array_equal(env.law_index_grid(lo, hi), want)
-        assert np.array_equal(env.law_index_sites(mesh), want)
+        assert np.array_equal(env.law_index_axes(np.moveaxis(mesh, -1, 0)),
+                              want)
         # a sheared lattice frame, as the DP's slabs pass it: site
         # (z1 + z2, z1 - z2, ...) over an open mesh of z
         z = [np.arange(-3, 4).reshape(-1, 1), np.arange(-2, 3).reshape(1, -1)]
@@ -331,7 +332,7 @@ class TestAxisWiseHash:
             axes = [z[0] + z[1], z[0] - z[1], 1 - z[0]][:d]
             sites = np.stack(np.broadcast_arrays(*axes), axis=-1)
             assert np.array_equal(env.law_index_axes(axes),
-                                  env.law_index_sites(sites))
+                                  env.law_index_axes(np.moveaxis(sites, -1, 0)))
 
     def test_override_reads_axes(self):
         hop = law_of(({(1, 0): 1, (0, 1): 1}, 0.5), ({(-1, 0): 1, (0, -1): 1}, 0.5))
@@ -411,7 +412,8 @@ class TestNarrowLawIndices:
         lo, hi = (-3, -2), (4, 3)
         got = env.law_index_grid(lo, hi)
         assert got.dtype == dtype
-        assert env.law_index_sites(np.array([[0, 0], [1, 2]])).dtype == dtype
+        assert env.law_index_axes([np.array([0, 1]), np.array([0, 2])]).dtype \
+            == dtype
         assert np.array_equal(got, self.per_cell(env, lo, hi))
         if laws == 300:
             assert got.max() >= 256
@@ -431,3 +433,66 @@ class TestNarrowLawIndices:
         got = env.law_index_grid(lo, hi)
         assert got.dtype == np.uint8
         assert np.array_equal(got, self.per_cell(env, lo, hi))
+
+
+class TestKeptBox:
+    """`law_index_grid` cuts read-only views from one box per environment,
+    which it grows when a request leaves it."""
+
+    @staticmethod
+    def env(d, kind):
+        units = StepSet.nearest_neighbour(d).offsets
+        hop = law_of(*[({u: 1}, 1 / (2 * d)) for u in units])
+        spec = EnvironmentSpec(
+            dimension=d, step_set=StepSet.nearest_neighbour(d),
+            law_support=(hop,) * 3, weights=(0.3, 0.5, 0.2),
+            dependence=(Dependence("block_window", 1) if kind == "window"
+                        else Dependence("iid")),
+            master_seed=17)
+        if kind == "function":
+            return EnvironmentField.from_index_function(
+                spec, lambda x: sum((i + 2) * c for i, c in enumerate(x)) % 3)
+        return build_environment(spec)
+
+    # the first box, one nested in it, one overlapping it, one disjoint
+    # from every box before, one spanning them all, and the first again
+    SEQUENCE = [((-3, -2, 0), (2, 3, 4)), ((-1, 0, 1), (1, 2, 3)),
+                ((0, -4, 2), (5, 1, 6)), ((20, 15, -30), (22, 18, -27)),
+                ((-10, -12, -31), (25, 20, 10)), ((-3, -2, 0), (2, 3, 4))]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["iid", "window", "function"])
+    def test_views_equal_fresh_boxes(self, d, kind):
+        env, fresh = self.env(d, kind), self.env(d, kind)
+        for lo, hi in self.SEQUENCE:
+            lo, hi = lo[:d], hi[:d]
+            got = env.law_index_grid(lo, hi)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, fresh._law_index_box(lo, hi))
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[(0,) * d] = 1
+
+    def test_growth_rule(self, monkeypatch):
+        env = self.env(2, "iid")
+        hashed = []
+        orig = EnvironmentField._law_index_box
+
+        def counting(self, lo, hi):
+            hashed.append((lo, hi))
+            return orig(self, lo, hi)
+
+        monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
+        env.law_index_grid((0, 0), (9, 9))
+        env.law_index_grid((2, 3), (9, 4))
+        # the union (0, 0)..(14, 9) widened by half its width, 7, on the
+        # one side the request left
+        env.law_index_grid((5, 2), (14, 7))
+        assert hashed == [((0, 0), (9, 9)), ((0, 0), (21, 9))]
+
+    @pytest.mark.parametrize("kind", ["iid", "window", "function"])
+    def test_empty_box_raises_inside_the_kept_box(self, kind):
+        env = self.env(2, kind)
+        env.law_index_grid((-5, -5), (5, 5))
+        with pytest.raises(EnvironmentError_, match="empty box"):
+            env.law_index_grid((0, 0), (1, -1))

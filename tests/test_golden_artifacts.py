@@ -4,7 +4,9 @@ Each case runs one CLI command on a fixed config and compares the sha256
 of its files with values recorded before the layer readers moved from the
 dense box to the row-major gather (and the law-index slabs, the axis-wise
 cell hash and the chunked writers came in).  A change to any of those
-paths that moves a byte of these files fails here.
+paths that moves a byte of these files fails here.  The `simulate` case
+was recorded before the population's law-index box moved into the
+environment.
 """
 
 import hashlib
@@ -66,6 +68,18 @@ CASES = {
             "4a1bd2e72f21a034caf34d8313649c6d8b78af75ef12ff964b9726c459312116",
         "shape_hull_01.csv":
             "bee5b18fa06381213e785a8f1e67c67c11abc369ec2fe16d80170792711eecfc",
+    }),
+    "simulate-d1": ("simulate", 1, IID,
+                    {"horizon": 40, "replicas": 3, "track_sites": [[0], [4]],
+                     "return_probability": {"horizon": 12, "replicas": 30}}, {
+        "trajectory.csv":
+            "3930bd2a0a79e27dcc82dde3160bd70a7352402a15f751717338fdba50a1dd50",
+        "realized_exponent.csv":
+            "7d5d7095dc3cb11e49ee48317a60f31eb26d3a6e36616a5c1206c82b6c6ae13f",
+        "return_probability.json":
+            "b8d51c4ef66daa9373e874f2026080ebdb8a4c41368c36d162a7b69257599275",
+        "sampler_stats.json":
+            "d94eaa265329bb7a1e618b24e72460a859957f892708867ee27c5f60e9df4f58",
     }),
 }
 

@@ -376,7 +376,7 @@ class TestBatchedStep:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_law_box_is_hashed_a_logarithmic_number_of_times(self, d, monkeypatch):
-        # against a law_index_grid call over each generation's occupied box
+        # against a run whose law_index_grid hashes each requested box exactly
         def make_env():
             law = law_of(*[({y: 1}, 0.2) for y in unit_vectors(d)],
                          ({unit_vectors(d)[0]: 1, unit_vectors(d)[1]: 1},
@@ -390,24 +390,21 @@ class TestBatchedStep:
             return build_environment(spec)
 
         n, start = 40, (3,) * d
+        with monkeypatch.context() as m:
+            m.setattr(EnvironmentField, "law_index_grid",
+                      lambda env, lo, hi: env._law_index_box(lo, hi))
+            want = run(make_env(), start, n, np.random.default_rng(5))
         calls = []
-        orig = EnvironmentField.law_index_grid
+        orig = EnvironmentField._law_index_box
 
         def counting(self, lo, hi):
             calls.append((lo, hi))
             return orig(self, lo, hi)
 
-        def per_generation(tables, env, coords, lo, hi, what):
-            box = env.law_index_grid(tuple(lo.tolist()), tuple(hi.tolist()))
-            return box[tuple((coords - lo).T)]
-
-        with monkeypatch.context() as m:
-            m.setattr(montecarlo._Tables, "law_indices", per_generation)
-            want = run(make_env(), start, n, np.random.default_rng(5))
-        monkeypatch.setattr(EnvironmentField, "law_index_grid", counting)
+        monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
         got = run(make_env(), start, n, np.random.default_rng(5))
         assert [s.counts for s in got] == [s.counts for s in want]
-        assert len(calls) <= 2 * math.log2(2 * n) + 1
+        assert 1 <= len(calls) <= 2 * math.log2(2 * n) + 1
 
 
 class TestGoldenPins:

@@ -609,3 +609,27 @@ class TestHullContract:
                 convex_hull(pts)
             with pytest.raises(ShapeError, match="integer"):
                 hull_inequalities(pts)
+
+
+class TestOpenMoves:
+    def test_all_open_laws_read_no_law_indices(self, monkeypatch):
+        units = StepSet.nearest_neighbour(2).offsets
+        pair = law_of(*[({u: 1, tuple(-c for c in u): 1}, 0.5)
+                        for u in units[::2]])
+        env = iid_env([pair, open_law_2d()], [0.4, 0.6], 3, dimension=2)
+        calls = []
+        orig = EnvironmentField.law_index_grid
+
+        def counting(self, lo, hi):
+            calls.append((lo, hi))
+            return orig(self, lo, hi)
+
+        monkeypatch.setattr(EnvironmentField, "law_index_grid", counting)
+        ptm = passage_times(env, 0.2, 10)
+        assert calls == []
+        assert np.array_equal(ptm.grid, np.where(
+            np.add.outer(*[np.abs(np.arange(-10, 11))] * 2) <= 10,
+            np.add.outer(*[np.abs(np.arange(-10, 11))] * 2), -1))
+        # at delta 0.3 the uniform hop closes every unit step
+        passage_times(env, 0.3, 10)
+        assert len(calls) == 1
