@@ -10,9 +10,10 @@ dips to 0 or below at some t != 0.  Phi is a maximum of log-sum-exp
 functions, hence convex, so its global minimum is found by one descent from
 t = 0 along least subgradients: minus the point nearest 0 of the hull of the
 gradients of the top d + 1 laws, so it slides along a kink where laws tie.
-A batched evaluator returns Phi, the argmax law and its exact gradient (the
-softmax-weighted mean offset) at many points at once, so the trial steps
-along every such direction are evaluated in one batch per iteration.
+One primitive gives every law's term on a batch of points.  At its iterate
+the descent reads each law's term and gradient (the softmax-weighted mean
+offset); at the trial steps along every such direction it reads only Phi,
+the largest term, with all the trials of an iteration in one batch.
 
 The excluded point t = 0 corresponds to lambda = 1, where the criterion
 degenerates to "every support law has mean total offspring <= 1"; that case
@@ -105,37 +106,18 @@ class _Phi:
         per_law = np.log1p(rest / ties) + np.log(ties) + top[:, :, 0]
         return per_law, weights, ties + rest
 
-    def evaluate(
-        self, points: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Phi, the argmax law and the gradient at each row of a (P, d) batch.
-
-        The gradient is that of the argmax law's term, the softmax-weighted
-        mean offset: the exact gradient where one law attains the maximum,
-        a subgradient where several tie.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        per_law, weights, total = self._per_law(pts)
-        law = per_law.argmax(axis=1)
-        rows = np.arange(len(pts))
-        grad = (weights[rows, law, :, None] * self.offsets[law]).sum(axis=1)
-        return per_law[rows, law], law, grad / total[rows, law][:, None]
-
     def laws_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every law's term and its gradient at the single point t."""
+        """Every law's term and its gradient at the single point t; Phi(t)
+        is the largest term."""
         per_law, weights, total = self._per_law(t[None, :])
         grads = (weights[0, :, :, None] * self.offsets).sum(axis=1)
         return per_law[0], grads / total[0, :, None]
 
-    def at(self, t: np.ndarray) -> tuple[float, int, np.ndarray]:
-        """`evaluate` at the single point t."""
-        f, law, grad = self.evaluate(t[None, :])
-        return float(f[0]), int(law[0]), grad[0]
-
 
 def criterion_value_at(law_support: list[SiteLaw], t) -> float:
     """Phi(t): the worst-case log criterion value at parameter t."""
-    return _Phi(list(law_support)).at(np.asarray(t, dtype=np.float64))[0]
+    t = np.asarray(t, dtype=np.float64)
+    return float(_Phi(list(law_support)).laws_at(t)[0].max())
 
 
 def _nearest_in_hull(points: np.ndarray) -> np.ndarray:
@@ -164,9 +146,7 @@ def _nearest_in_hull(points: np.ndarray) -> np.ndarray:
     return best
 
 
-def _descend(
-    phi: _Phi, t: np.ndarray
-) -> tuple[np.ndarray, tuple[float, int, np.ndarray]]:
+def _descend(phi: _Phi, t: np.ndarray) -> np.ndarray:
     """Descent of convex Phi along its least subgradients, from t.
 
     With the laws sorted by their term at t, the top k laws of distinct
@@ -178,15 +158,12 @@ def _descend(
     active gradients (Caratheodory), so an iteration costs at most
     (d + 1) 2^(d + 1) small least-squares solves whatever the number of
     laws.  Each direction is scaled to unit length and tried with the
-    step lengths 2^4, 2^3, ..., 2^-46; every trial point of every direction
-    is evaluated in one batch and the lowest is taken, until no trial
-    lowers Phi or the argmax law's gradient vanishes.  Unit directions
-    matter: steps proportional to the gradient shrink with it and stall
-    along flat transient directions.  Returns the final point and `phi.at`
-    there.
+    step lengths 2^4, 2^3, ..., 2^-46; Phi at every trial point of every
+    direction is evaluated in one batch and the lowest is taken, until no
+    trial lowers Phi or the argmax law's gradient vanishes.  Unit
+    directions matter: steps proportional to the gradient shrink with it
+    and stall along flat transient directions.  Returns the final point.
     """
-    at_t = phi.at(t)
-    f = at_t[0]
     for _ in range(DESCENT_ITERS):
         values, grads = phi.laws_at(t)
         top = grads[np.argsort(-values, kind="stable")]
@@ -201,13 +178,12 @@ def _descend(
             if norm > 0.0:
                 cand.append(t - _STEPS[:, None] * (g / norm))
         cand = np.clip(np.concatenate(cand), -SEARCH_RADIUS, SEARCH_RADIUS)
-        fc, lc, gc = phi.evaluate(cand)
+        fc = phi._per_law(cand)[0].max(axis=1)
         j = int(np.argmin(fc))
-        if not fc[j] < f - 1e-15:
+        if not fc[j] < values.max() - 1e-15:
             break
-        t, f = cand[j], float(fc[j])
-        at_t = (f, int(lc[j]), gc[j])
-    return t, at_t
+        t = cand[j]
+    return t
 
 
 def transience_criterion(
@@ -232,17 +208,18 @@ def transience_criterion(
             value=float(max_total),
             log_value=math.log(max_total),
             verdict="transient",
-            argmax_law=phi.at(t0)[1],
+            argmax_law=int(phi.laws_at(t0)[0].argmax()),
             gradient_norm=0.0,
             on_boundary=False,
             lambda_one=True,
         )
 
-    t_star, (f_star, law, _) = _descend(phi, np.zeros(d))
+    t_star = _descend(phi, np.zeros(d))
     # at a kink the laws within rounding of the maximum all attain it, and
     # the subdifferential is the hull of their gradients
     values, grads = phi.laws_at(t_star)
-    near = values >= values.max() - 1e-12 * max(1.0, abs(f_star))
+    f_star = float(values.max())
+    near = values >= f_star - 1e-12 * max(1.0, abs(f_star))
     gnorm = float(np.linalg.norm(_nearest_in_hull(grads[near])))
     on_boundary = bool(np.max(np.abs(t_star)) >= SEARCH_RADIUS * 0.999)
 
@@ -254,10 +231,10 @@ def transience_criterion(
         verdict = "boundary"
     return CriterionResult(
         t_star=tuple(float(c) for c in t_star),
-        value=float(math.exp(f_star)),
-        log_value=float(f_star),
+        value=math.exp(f_star),
+        log_value=f_star,
         verdict=verdict,
-        argmax_law=law,
+        argmax_law=int(values.argmax()),
         gradient_norm=gnorm,
         on_boundary=on_boundary,
         lambda_one=False,

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from . import __version__
 from .environment import (
+    DEFAULT_BIT_BUDGET,
     EnvironmentError_,
     EnvironmentField,
     EnvironmentSpec,
@@ -231,7 +232,7 @@ def _validate_parameters(command: str, params: Mapping,
         "horizon": horizon,
         "replicas": replicas,
         "bit_budget": _as_int(params, "bit_budget", w, lo=16,
-                              default=4096),
+                              default=DEFAULT_BIT_BUDGET),
         "start": start,
         "track_sites": track,
         "return_probability": ret,

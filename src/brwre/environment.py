@@ -66,6 +66,9 @@ class BitBudgetError(SimulationError):
     """Raised when the total population exceeds the configured bit budget."""
 
 
+DEFAULT_BIT_BUDGET = 4096
+
+
 @dataclass(frozen=True)
 class OffspringConfig:
     """One offspring configuration v: children per offset, at least one child."""
@@ -243,9 +246,9 @@ class EnvironmentField:
     may lie far apart, and a box spanning them could be arbitrarily large.
     `law_index_grid`, which the BFS, the population steps and
     `check_anderson_equation` call, cuts its boxes from the one box kept in
-    `_box` and grows that box when a request leaves it.  The DP's slabs use
-    `law_index_axes` on the sublattice sites the walk can reach.  The
-    vectorized evaluations agree bitwise with per-site calls.
+    `_box`, which it grows or replaces when a request leaves it.  The DP's
+    slabs use `law_index_axes` on the sublattice sites the walk can reach.
+    The vectorized evaluations agree bitwise with per-site calls.
     """
 
     spec: EnvironmentSpec
@@ -304,12 +307,15 @@ class EnvironmentField:
         is law_index(x), in the smallest unsigned dtype that holds the law
         count (uint8 up to 256 laws, uint16 up to 65,536).  The view is
         cut from the box the environment keeps.  A request that leaves
-        that box hashes a new one: the union of the two, widened by half
-        the union's width on each side the request left, so requests that
-        spread (a population, the layers of an adjoint solve) hash a
-        logarithmic number of boxes.  The first request is hashed exactly,
-        so the box of a BFS is hashed once for all of its deltas.  A new
-        box is checked against physical memory before it is hashed.
+        that box hashes a new one.  If on every axis the gap between the
+        two is at most the kept box's width, the new box is their union,
+        widened by half the union's width on each side the request left,
+        so requests that spread (a population, the layers of an adjoint
+        solve) hash a logarithmic number of boxes.  A request farther
+        away, and the first one, is hashed exactly and replaces the kept
+        box, so a box is never hashed over the space between two distant
+        ones, and the box of a BFS is hashed once for all of its deltas.
+        A new box is checked against physical memory before it is hashed.
         Callers only index tables with the indices; the one arithmetic
         use, the differences of sorted indices in
         `montecarlo.step_population`, cannot wrap.
@@ -321,7 +327,11 @@ class EnvironmentField:
         if kept is None or any(l < b for l, b in zip(lo, kept[0])) \
                 or any(h > b for h, b in zip(hi, kept[1])):
             box_lo, box_hi = lo, hi
-            if kept is not None:
+            # grow when on every axis the cells strictly between the
+            # request and the kept box are at most the kept box's width
+            if kept is not None and all(
+                    max(l - b_hi, b_lo - h, 1) - 1 <= b_hi - b_lo + 1
+                    for l, h, b_lo, b_hi in zip(lo, hi, kept[0], kept[1])):
                 u_lo = [min(a, b) for a, b in zip(lo, kept[0])]
                 u_hi = [max(a, b) for a, b in zip(hi, kept[1])]
                 pad = [(h - l + 1) // 2 for l, h in zip(u_lo, u_hi)]

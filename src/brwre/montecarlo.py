@@ -37,6 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .environment import (
+    DEFAULT_BIT_BUDGET,
     BitBudgetError,
     EnvironmentField,
     SimulationError,
@@ -44,8 +45,6 @@ from .environment import (
 )
 from .lattice import Site, add, unit_vectors
 from .seeding import PURPOSE_RETURN_PROBE, replica_rng
-
-DEFAULT_BIT_BUDGET = 4096
 
 # Counts below this fit comfortably in the int64 range numpy samplers accept.
 _EXACT_LIMIT = 1 << 62

@@ -134,8 +134,8 @@ class TestDiagnostics:
                              ids=["drift", "symmetric", "borderline", "planar"])
     def test_single_law_gradient_norm_is_its_gradient(self, law):
         res = transience_criterion([law])
-        grad = classify._Phi([law]).at(np.array(res.t_star))[2]
-        assert res.gradient_norm == float(np.linalg.norm(grad))
+        grads = classify._Phi([law]).laws_at(np.array(res.t_star))[1]
+        assert res.gradient_norm == float(np.linalg.norm(grads[0]))
 
     def test_min_norm_in_hull(self):
         def _hull_norm(points):
@@ -296,8 +296,8 @@ class TestBatchedEvaluator:
         assert phi.log_mu.shape == (3, 4)
         assert np.isneginf(phi.log_mu).sum() == 3
         pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2))
-        values, argmax, _ = phi.evaluate(pts)
-        for t, v, w in zip(pts, values, argmax):
+        per_law = phi._per_law(pts)[0]
+        for t, v, w in zip(pts, per_law.max(axis=1), per_law.argmax(axis=1)):
             want, want_law = _reference_phi(laws, t)
             assert abs(v - want) <= 1e-12
             assert criterion_value_at(laws, t) == v
@@ -314,11 +314,11 @@ class TestBatchedEvaluator:
             per_law = sorted(_reference_phi([law], t)[0] for law in laws)
             if per_law[-1] - per_law[-2] < 1e-3:
                 continue  # near a kink the gradient is only a subgradient
-            _, _, grad = phi.evaluate(t[None, :])
+            values, grads = phi.laws_at(t)
             fd = [(criterion_value_at(laws, t + h * e)
                    - criterion_value_at(laws, t - h * e)) / (2 * h)
                   for e in np.eye(2)]
-            assert np.max(np.abs(grad[0] - fd)) <= 1e-6
+            assert np.max(np.abs(grads[values.argmax()] - fd)) <= 1e-6
             checked += 1
         assert checked >= 40
 
@@ -357,20 +357,25 @@ class TestBatchedEvaluator:
 
     def test_batched_evaluation_count(self, monkeypatch):
         calls = []
-        orig = classify._Phi.evaluate
+        orig = classify._Phi._per_law
 
         def counting(self, points):
             calls.append(len(points))
             return orig(self, points)
 
-        monkeypatch.setattr(classify._Phi, "evaluate", counting)
+        monkeypatch.setattr(classify._Phi, "_per_law", counting)
         res = transience_criterion([_planar_law()])
         assert res.verdict == "transient"
-        # one batch for the start point, then one per descent step holding
-        # the trial steps of every direction: a few dozen calls, inside the
-        # descent's cap, not thousands of scalar ones
-        assert len(calls) <= classify.DESCENT_ITERS
-        assert max(calls) >= 32
+        # one batch per descent step holding the trial steps of every
+        # direction: a few dozen batches, inside the descent's cap, not
+        # thousands of scalar calls; the reads at the iterates and at the
+        # minimizer are single points, one per step and one more at most
+        batches = [c for c in calls if c > 1]
+        assert len(batches) <= classify.DESCENT_ITERS
+        assert max(batches) >= 32
+        singles = [c for c in calls if c <= 1]
+        assert set(singles) == {1}
+        assert len(singles) <= len(batches) + 2
 
 
 class TestSpatialClosedForm:

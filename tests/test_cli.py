@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from brwre import expectation
+from brwre import expectation, montecarlo
 from brwre.cli import (
     COMMANDS,
     PARAMETERS,
@@ -780,7 +780,7 @@ class TestConfigRoundTrip:
         doc["parameters"]["bit_budget"] = None
         cfg = config_from_dict(doc)
         assert cfg.seed is None
-        assert cfg.parameters["bit_budget"] == 4096
+        assert cfg.parameters["bit_budget"] == montecarlo.DEFAULT_BIT_BUDGET
 
     # fields that existed once and are gone: a config still setting one
     # must fail rather than be silently ignored

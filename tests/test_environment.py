@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate, product
@@ -489,6 +490,32 @@ class TestKeptBox:
         # one side the request left
         env.law_index_grid((5, 2), (14, 7))
         assert hashed == [((0, 0), (9, 9)), ((0, 0), (21, 9))]
+
+    def test_distant_request_replaces_the_box(self, monkeypatch):
+        env = self.env(2, "iid")
+        far = ((19900, -100), (20100, 100))
+        want = self.env(2, "iid")._law_index_box(*far)
+        hashed = []
+        orig = EnvironmentField._law_index_box
+
+        def counting(self, lo, hi):
+            hashed.append((lo, hi))
+            return orig(self, lo, hi)
+
+        monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
+        env.law_index_grid((-100, -100), (100, 100))
+        # 19,799 cells from the kept box along axis 0, which is 201 wide:
+        # the request is hashed on its own, not over a 30,301 x 201 union
+        assert np.array_equal(env.law_index_grid(*far), want)
+        assert hashed[1] == far
+        assert math.prod(h - l + 1 for l, h in zip(*far)) == 40_401
+        # a gap of 201 cells, the kept box's width, still grows the box:
+        # the union up to x = 20310, widened by 411 // 2 on the right
+        env.law_index_grid((20302, 0), (20310, 0))
+        assert hashed[2] == ((19900, -100), (20515, 100))
+        # a gap of 617 cells to the 616-wide box is hashed exactly
+        env.law_index_grid((21133, 0), (21133, 0))
+        assert hashed[3] == ((21133, 0), (21133, 0))
 
     @pytest.mark.parametrize("kind", ["iid", "window", "function"])
     def test_empty_box_raises_inside_the_kept_box(self, kind):

@@ -6,7 +6,8 @@ dense box to the row-major gather (and the law-index slabs, the axis-wise
 cell hash and the chunked writers came in).  A change to any of those
 paths that moves a byte of these files fails here.  The `simulate` case
 was recorded before the population's law-index box moved into the
-environment.
+environment, and the `classify` case before the descent stopped carrying
+the argmax law's gradient.
 """
 
 import hashlib
@@ -42,9 +43,38 @@ def _environment(d, dependence, seed):
 IID = {"mode": "iid"}
 WINDOW = {"mode": "block_window", "window_radius": 1}
 
-# (command, dimension, dependence, parameters, {file: sha256})
+
+def _unit_steps_law(p, pair):
+    # one child to each unit step with the probabilities p, or two children
+    # at (-1, 0) with the rest
+    units = ["(1,0)", "(-1,0)", "(0,1)", "(0,-1)"]
+    return {"atoms": [{"counts": {y: 1}, "p": q} for y, q in zip(units, p)]
+            + [{"counts": {"(-1,0)": 2}, "p": pair}]}
+
+
+# a two-law d = 2 support (Dirichlet weights) whose criterion minimum lies
+# on the kink where the laws tie, at t* about (0.915, 0.845), with the
+# second law reported as the argmax
+KINKED = {
+    "dimension": 2, "step_set": _units(2),
+    "laws": [
+        _unit_steps_law([0.08954797038534737, 0.043583794461693505,
+              0.06482979251576601, 0.7998049661915124],
+             0.002233476445680648),
+        _unit_steps_law([0.038690226891869316, 0.7070950031002937,
+              0.11360532890126221, 0.05293006040816588],
+             0.08767938069840896),
+    ],
+    "weights": [0.5, 0.5], "dependence": IID, "seed": 7}
+
+# (command, environment, parameters, {file: sha256})
 CASES = {
-    "solve-d2-adjoint": ("solve", 2, IID, {"horizon": 30, "adjoint": True}, {
+    "classify-d2-kink": ("classify", KINKED, {}, {
+        "classify.json":
+            "38b163f3e88138f61e17a8abb59987e1e9964b65b7dc873d8dfd9418218dacf8",
+    }),
+    "solve-d2-adjoint": ("solve", _environment(2, IID, 7),
+                         {"horizon": 30, "adjoint": True}, {
         "layer_final.csv":
             "7eddcb6665c47fde16a2aee468473a8e8da4eeb3050dd1822a224e4ef5b68e88",
         "layer_final.bin":
@@ -52,7 +82,7 @@ CASES = {
         "growth_trace.csv":
             "637e42f456df8434c67fd2fbfaaba3c91eaff5a2a06a2279eee3c870b12f4780",
     }),
-    "solve-d3-window": ("solve", 3, WINDOW, {"horizon": 12}, {
+    "solve-d3-window": ("solve", _environment(3, WINDOW, 7), {"horizon": 12}, {
         "layer_final.csv":
             "f6d7e5f2cfbfa45191434abe42bb1eaff9f56c5dd92003624abeed8e7f56452e",
         "layer_final.bin":
@@ -60,7 +90,7 @@ CASES = {
         "growth_trace.csv":
             "27e384598859570fc7b5886858596abadfbad1d99fcf146364f5ac1bf497b898",
     }),
-    "shape-d3-window": ("shape", 3, WINDOW,
+    "shape-d3-window": ("shape", _environment(3, WINDOW, 7),
                         {"horizon": 10, "delta_grid": [0.1, 0.2]}, {
         "passage_summary.json":
             "2569d6c561233d28db2ca6a79ac7ad89d82a28eadbee08dd5b602b48a4cddc9e",
@@ -69,7 +99,7 @@ CASES = {
         "shape_hull_01.csv":
             "bee5b18fa06381213e785a8f1e67c67c11abc369ec2fe16d80170792711eecfc",
     }),
-    "simulate-d1": ("simulate", 1, IID,
+    "simulate-d1": ("simulate", _environment(1, IID, 7),
                     {"horizon": 40, "replicas": 3, "track_sites": [[0], [4]],
                      "return_probability": {"horizon": 12, "replicas": 30}}, {
         "trajectory.csv":
@@ -85,11 +115,10 @@ CASES = {
 
 
 def _run(tmp_path, case):
-    command, d, dependence, params, _ = CASES[case]
+    command, environment, params, _ = CASES[case]
     out = tmp_path / "out"
     doc = {"command": command, "output_dir": str(out),
-           "environment": _environment(d, dependence, 7),
-           "parameters": params}
+           "environment": environment, "parameters": params}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert main([command, str(cfg)]) == 0
@@ -100,5 +129,5 @@ def _run(tmp_path, case):
 def test_artifacts_are_byte_identical(tmp_path, capsys, case):
     out = _run(tmp_path, case)
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in CASES[case][4]}
-    assert got == CASES[case][4]
+           for name in CASES[case][3]}
+    assert got == CASES[case][3]

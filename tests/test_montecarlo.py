@@ -406,6 +406,24 @@ class TestBatchedStep:
         assert [s.counts for s in got] == [s.counts for s in want]
         assert 1 <= len(calls) <= 2 * math.log2(2 * n) + 1
 
+    def test_jumping_site_grows_the_law_box(self, monkeypatch):
+        # one particle stepping +2 leaves a one-cell gap to the kept box:
+        # growing only on overlap would hash a box every generation
+        env = iid_env([law_of(({(2,): 1}, 1.0))], [1.0], 3,
+                      step_set=StepSet(((-1,), (1,), (2,))))
+        calls = []
+        orig = EnvironmentField._law_index_box
+
+        def counting(self, lo, hi):
+            calls.append((lo, hi))
+            return orig(self, lo, hi)
+
+        monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
+        n = 200
+        final = run(env, (0,), n, np.random.default_rng(6))[-1]
+        assert final.counts == {(2 * n,): 1}
+        assert 1 <= len(calls) <= 2 * math.log2(2 * n) + 1
+
 
 class TestGoldenPins:
     """Draws pinned to their values before the array-resident state.

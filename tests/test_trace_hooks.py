@@ -1,10 +1,29 @@
-"""Names the benchmark's span tracer (perfbench/spans.py) wraps by string.
+"""What the benchmark's span tracer (perfbench/spans.py) and its runner
+(perfbench/run.py) read of the package.
 
 The tracer skips a name it cannot find without an error, so renaming or
-deleting one of these would silently drop its per-layer metrics.
+deleting one of these would silently drop its per-layer metrics.  Its
+hooks then read attributes and argument positions of what the wrapped
+calls take and return, and the runner's set-up probe calls two functions;
+losing one of those would crash every traced run instead.
 """
 
-from brwre import classify, environment, expectation, growth, montecarlo, shape, svgplot
+import inspect
+
+import numpy as np
+
+from brwre import (
+    classify,
+    cli,
+    environment,
+    expectation,
+    growth,
+    montecarlo,
+    shape,
+    svgplot,
+)
+
+from _support import doubling_law, iid_env
 
 TRACED = [
     (expectation, "iter_layers"),
@@ -41,3 +60,35 @@ def test_traced_names_exist():
     missing = [f"{mod.__name__}.{name}" for mod, name in TRACED
                if not _defined(mod, name)]
     assert missing == []
+
+
+def _params(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_hooks_read_what_the_calls_return():
+    env = iid_env([doubling_law()], [1.0], 3)
+    fld = list(expectation.iter_layers(env, (0,), 2))[-1]
+    assert fld.values.size >= 1
+    assert (fld.lo, fld.hi, fld.n) == ((-2,), (2,), 2)
+    assert fld.support_size() >= 1
+
+    ptm = shape.passage_times(env, 0.1, 3)
+    assert ptm.origin == (0,) and ptm.radius == 3
+    assert max(ptm.times.values()) >= 1
+    assert len(shape.shape_polytope(ptm, 2).hull) >= 1
+
+    states = montecarlo.run(env, (0,), 2, np.random.default_rng(1))
+    assert len(states[-1].counts) >= 1
+    assert isinstance(env.law_index_grid((0,), (1,)), np.ndarray)
+
+
+def test_hooks_read_arguments_by_position():
+    assert _params(montecarlo.step_population)[1] == "state"
+    assert _params(expectation.write_layer_csv)[1] == "path"
+    assert _params(expectation.write_layer_binary)[1] == "path"
+
+
+def test_runner_setup_probe_functions_exist():
+    assert callable(cli.load_config)
+    assert callable(environment.build_environment)
