@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .environment import SiteLaw
+from .lattice import unit_vectors
 
 SEARCH_RADIUS = 64.0
 DESCENT_ITERS = 300  # descent steps, at most
@@ -146,7 +147,22 @@ def _nearest_in_hull(points: np.ndarray) -> np.ndarray:
     return best
 
 
-def _descend(phi: _Phi, t: np.ndarray) -> np.ndarray:
+def _search_radius(law_support: list[SiteLaw], d: int, phi0: float) -> float:
+    """R such that every t with Phi(t) <= Phi(0) has |t_i| <= R.
+
+    Phi(t) >= ln mu^w_{s e_i} + s t_i for every law w, sign s and axis i,
+    so such t have s t_i <= Phi(0) - ln m, where m is the least over the
+    unit steps s e_i of the largest mean mu^w_{s e_i}.  At least
+    SEARCH_RADIUS, and SEARCH_RADIUS where some unit step has no mass in
+    any law.
+    """
+    m = min(max(law.mean_offspring.get(u, 0.0) for law in law_support)
+            for u in unit_vectors(d))
+    return max(SEARCH_RADIUS, phi0 - math.log(m)) if m > 0.0 \
+        else SEARCH_RADIUS
+
+
+def _descend(phi: _Phi, t: np.ndarray, radius: float) -> np.ndarray:
     """Descent of convex Phi along its least subgradients, from t.
 
     With the laws sorted by their term at t, the top k laws of distinct
@@ -158,11 +174,12 @@ def _descend(phi: _Phi, t: np.ndarray) -> np.ndarray:
     active gradients (Caratheodory), so an iteration costs at most
     (d + 1) 2^(d + 1) small least-squares solves whatever the number of
     laws.  Each direction is scaled to unit length and tried with the
-    step lengths 2^4, 2^3, ..., 2^-46; Phi at every trial point of every
-    direction is evaluated in one batch and the lowest is taken, until no
-    trial lowers Phi or the argmax law's gradient vanishes.  Unit
-    directions matter: steps proportional to the gradient shrink with it
-    and stall along flat transient directions.  Returns the final point.
+    step lengths 2^4, 2^3, ..., 2^-46, clipped to the box |t_i| <= radius;
+    Phi at every trial point of every direction is evaluated in one batch
+    and the lowest is taken, until no trial lowers Phi or the argmax law's
+    gradient vanishes.  Unit directions matter: steps proportional to the
+    gradient shrink with it and stall along flat transient directions.
+    Returns the final point.
     """
     for _ in range(DESCENT_ITERS):
         values, grads = phi.laws_at(t)
@@ -177,7 +194,7 @@ def _descend(phi: _Phi, t: np.ndarray) -> np.ndarray:
             norm = float(np.linalg.norm(g))
             if norm > 0.0:
                 cand.append(t - _STEPS[:, None] * (g / norm))
-        cand = np.clip(np.concatenate(cand), -SEARCH_RADIUS, SEARCH_RADIUS)
+        cand = np.clip(np.concatenate(cand), -radius, radius)
         fc = phi._per_law(cand)[0].max(axis=1)
         j = int(np.argmin(fc))
         if not fc[j] < values.max() - 1e-15:
@@ -214,14 +231,16 @@ def transience_criterion(
             lambda_one=True,
         )
 
-    t_star = _descend(phi, np.zeros(d))
+    phi0 = float(phi.laws_at(np.zeros(d))[0].max())
+    radius = _search_radius(support, d, phi0)
+    t_star = _descend(phi, np.zeros(d), radius)
     # at a kink the laws within rounding of the maximum all attain it, and
     # the subdifferential is the hull of their gradients
     values, grads = phi.laws_at(t_star)
     f_star = float(values.max())
     near = values >= f_star - 1e-12 * max(1.0, abs(f_star))
     gnorm = float(np.linalg.norm(_nearest_in_hull(grads[near])))
-    on_boundary = bool(np.max(np.abs(t_star)) >= SEARCH_RADIUS * 0.999)
+    on_boundary = bool(np.max(np.abs(t_star)) >= radius * 0.999)
 
     if f_star < -tol:
         verdict = "transient"

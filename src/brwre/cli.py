@@ -540,30 +540,34 @@ def _cmd_simulate(env, p, out):
     from .montecarlo import (
         SamplerStats,
         estimate_return_probability,
-        iter_run,
+        iter_batch,
         realized_local_exponent,
+        replica_batches,
     )
 
     seed = env.spec.master_seed
     start = tuple(p["start"])
     track = [tuple(s) for s in p["track_sites"]]
     stats = SamplerStats()
-    # each replica holds one generation: replica 0's trajectory rows are
-    # formatted as its generations come, and every replica keeps only its
-    # final counts at the tracked sites
+    # the replicas of a batch are stepped together and hold one generation
+    # each: replica 0's trajectory rows are formatted as its generations
+    # come, and every replica keeps only its final counts at the tracked
+    # sites
     rows, finals = [], []
-    for r in range(p["replicas"]):
-        for st in iter_run(env, start, p["horizon"],
-                           replica_rng(seed, r, PURPOSE_DYNAMICS),
-                           bit_budget=p["bit_budget"], stats=stats):
-            if r == 0:
+    for replicas in replica_batches(env, p["horizon"], p["replicas"]):
+        rngs = [replica_rng(seed, r, PURPOSE_DYNAMICS) for r in replicas]
+        for batch in iter_batch(env, start, p["horizon"], rngs,
+                                bit_budget=p["bit_budget"], stats=stats):
+            if replicas.start == 0:
+                st = batch.state(0)
                 ln_total = repr(math.log(st.total)) if st.total > 0 else ""
                 cells = ",".join(str(st.count(s)) for s in track)
                 rows.append(f"{st.n},{st.total},{ln_total},{st.occupied()},"
                             f"{cells}")
-        if r == 0:
-            final_total = st.total
-        finals.append([st.count(s) for s in track])
+        if replicas.start == 0:
+            final_total = batch.totals[0]
+        finals += ([st.count(s) for s in track]
+                   for st in map(batch.state, range(len(rngs))))
 
     site_cols = ",".join(f"eta@{'|'.join(map(str, s))}" for s in track)
     out.csv("trajectory.csv", f"n,total,ln_total,occupied,{site_cols}", rows)

@@ -318,7 +318,7 @@ class EnvironmentField:
         A new box is checked against physical memory before it is hashed.
         Callers only index tables with the indices; the one arithmetic
         use, the differences of sorted indices in
-        `montecarlo.step_population`, cannot wrap.
+        `montecarlo.step_batch`, cannot wrap.
         """
         lo, hi = tuple(lo), tuple(hi)
         if any(h < l for l, h in zip(lo, hi)):

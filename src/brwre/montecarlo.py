@@ -17,10 +17,22 @@ C/sqrt(npq)), by a Poisson otherwise; means and standard deviations are
 exact integers.  `SamplerStats` counts the draws of each path: one per
 exact multinomial row, one per conditional binomial.
 
-A run is a stream: `iter_run` yields one generation at a time and keeps
-only the current one, whose counts reach about n bits at up to 2n + 1
-sites, so a caller that reads each state as it comes (the CLI's `simulate`)
-holds one generation per replica.  `run` lists every state of the stream.
+Independent replicas are stepped together: `step_batch` advances a
+`PopulationBatch`, the states of several replicas in one set of arrays,
+and runs the law lookup, the big-integer arithmetic, the children and
+their scatter once over all of them, while each replica's generator makes
+the calls, of the same sizes and in the same order, that it makes when
+the replica is stepped alone.  A batched replica's states are therefore
+bitwise those of the replica alone; `step_population` is the one-replica
+case.  `replica_batches` caps a batch at `_BATCH_CELLS` scatter cells over
+the box at the horizon, so a batch's memory is bounded whatever the
+replica count.
+
+A run is a stream: `iter_batch` yields one generation of its replicas at a
+time and keeps only the current one, whose counts reach about n bits at up
+to 2n + 1 sites per replica, so a caller that reads each generation as it
+comes (the CLI's `simulate`) holds one generation per replica of a batch.
+`iter_run` is the one-replica stream and `run` lists every state of it.
 """
 
 from __future__ import annotations
@@ -108,17 +120,41 @@ def _chain_tables(probs: np.ndarray) -> tuple[np.ndarray, ...]:
     return cond, flipped, dec
 
 
-def _binomials(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
-               flipped: np.ndarray, dec: np.ndarray,
-               stats: SamplerStats) -> np.ndarray:
+def _runs(keys: np.ndarray) -> list[slice]:
+    """The runs of equal entries of the sorted, nonempty `keys`."""
+    if keys[0] == keys[-1]:
+        return [slice(0, len(keys))]
+    edges = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(keys)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _per_replica(rngs: Sequence[np.random.Generator], rep: np.ndarray,
+                 draw) -> np.ndarray:
+    """`draw(rng, rows)` for each replica's run of rows, concatenated.
+
+    `rep` is the nondecreasing replica index of the rows and `rows` a slice
+    of them; each replica's generator draws for its own rows only, in row
+    order, so the draws are those of the replica stepped alone.
+    """
+    return np.concatenate([draw(rngs[rep[s.start]], s) for s in _runs(rep)])
+
+
+def _binomials(rngs: Sequence[np.random.Generator], rep: np.ndarray,
+               n: np.ndarray, p: np.ndarray, flipped: np.ndarray,
+               dec: np.ndarray, stats: SamplerStats) -> np.ndarray:
     """Binomial(n_i, p_i) for an object array n of Python ints, p in [0, 1].
 
-    Entries with 0 < n < 2**62 and 0 < p < 1 share one exact
+    Row i draws from `rngs[rep[i]]`, `rep` nondecreasing.  The entries of
+    a replica with 0 < n < 2**62 and 0 < p < 1 share one exact
     `rng.binomial` call.  Above 2**62 the small side q = min(p, 1-p) takes
     one normal variate per entry when the variance n*q*(1-q), computed as
     an exact integer, exceeds the gate, and one Poisson variate otherwise;
     `flipped` and `dec` come from `_chain_tables`.  Means, variances and
-    their square roots stay exact; floats enter only through q and the variate.
+    their square roots stay exact; floats enter only through q and the
+    variate.  The draws are clipped to [0, n] unless every |z| < 999 and
+    every Poisson variate is below 2**62, which keeps them there: q <= 1/2
+    gives var <= mean + 2, so mean + delta >= sqrt(var)(sqrt(var) - |z|)
+    - 3 > 0 with var > 1e6, and mean + delta <= n/2 + 500 sqrt(n) <= n.
     """
     out = np.zeros(len(n), dtype=object)
     sure = p == 1.0
@@ -126,50 +162,63 @@ def _binomials(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
     draw = (p > 0.0) & ~sure
     small = draw & (n < _EXACT_LIMIT)
     if small.any():
-        ns = n[small].astype(np.int64)
-        out[small] = rng.binomial(ns, p[small])
+        ns, ps = n[small].astype(np.int64), p[small]
+        out[small] = _per_replica(rngs, rep[small],
+                                  lambda rng, s: rng.binomial(ns[s], ps[s]))
         stats.exact_draws += int(np.count_nonzero(ns))
     big = draw & ~small
     if not big.any():
         return out
-    nb, flipped = n[big], flipped[big]
+    nb, flipped, rb = n[big], flipped[big], rep[big]
     num, k, c, shift = dec[big].T
     var = (nb * c) >> shift
     normal = var > _NORMAL_VARIANCE_GATE
     kb = np.empty(len(nb), dtype=object)
+    in_range = True
     if normal.any():
         mean = (nb[normal] * num[normal]) >> k[normal]
-        z = rng.standard_normal(len(mean)) * float(1 << 53)
-        delta = (z.astype(np.int64).astype(object) * _isqrt(var[normal])) >> 53
-        kb[normal] = mean + delta
+        z = _per_replica(rngs, rb[normal],
+                         lambda rng, s: rng.standard_normal(s.stop - s.start))
+        in_range = np.abs(z).max() < 999.0
+        z = (z * float(1 << 53)).astype(np.int64).astype(object)
+        kb[normal] = mean + ((z * _isqrt(var[normal])) >> 53)
         stats.normal_draws += len(mean)
     if not normal.all():
         # small-variance side: n*q is at most ~2e6 here, safe as a float
         poisson = ~normal
-        lam = [float(Fraction(x * a, 1 << b)) for x, a, b in
-               zip(nb[poisson], num[poisson], k[poisson])]
-        kb[poisson] = rng.poisson(lam)
+        lam = np.array([float(Fraction(x * a, 1 << b)) for x, a, b in
+                        zip(nb[poisson], num[poisson], k[poisson])])
+        draws = _per_replica(rngs, rb[poisson],
+                             lambda rng, s: rng.poisson(lam[s]))
+        in_range = in_range and draws.max() < _EXACT_LIMIT
+        kb[poisson] = draws
         stats.poisson_draws += len(lam)
-    kb = np.minimum(np.maximum(kb, 0), nb)
+    if not in_range:
+        kb = np.minimum(np.maximum(kb, 0), nb)
     kb[flipped] = nb[flipped] - kb[flipped]
     out[big] = kb
     return out
 
 
-def _exact_multinomials(rng: np.random.Generator, n: np.ndarray,
-                        probs: np.ndarray, stats: SamplerStats) -> np.ndarray:
+def _exact_multinomials(rngs: Sequence[np.random.Generator], rep: np.ndarray,
+                        n: np.ndarray, probs: np.ndarray,
+                        stats: SamplerStats) -> np.ndarray:
     """Multinomial(n_i, probs) for counts below 2**62: (rows, atoms) int64.
 
-    One `rng.multinomial` call; a one-atom law draws nothing.
+    One `rng.multinomial` call per replica, `rep` as in `_binomials`; a
+    one-atom law draws nothing.
     """
     if len(probs) == 1:
         return n[:, None].astype(np.int64)
     stats.exact_draws += len(n)
-    return rng.multinomial(n.astype(np.int64), probs)
+    ns = n.astype(np.int64)
+    return _per_replica(rngs, rep,
+                        lambda rng, s: rng.multinomial(ns[s], probs))
 
 
-def _conditional_chain(rng: np.random.Generator, n: np.ndarray,
-                       chain: tuple, stats: SamplerStats) -> np.ndarray:
+def _conditional_chain(rngs: Sequence[np.random.Generator], rep: np.ndarray,
+                       n: np.ndarray, chain: tuple,
+                       stats: SamplerStats) -> np.ndarray:
     """Multinomial(n_i, probs_i) for any counts, by conditional binomials.
 
     `chain` holds the `_chain_tables` rows of each count's atom
@@ -182,11 +231,15 @@ def _conditional_chain(rng: np.random.Generator, n: np.ndarray,
     out = np.zeros((len(n), cond.shape[1] + 1), dtype=object)
     remaining = n.astype(object)
     for j in range(cond.shape[1]):
-        out[:, j] = _binomials(rng, remaining, cond[:, j], flipped[:, j],
-                               dec[:, j], stats)
+        out[:, j] = _binomials(rngs, rep, remaining, cond[:, j],
+                               flipped[:, j], dec[:, j], stats)
         remaining = remaining - out[:, j]
     out[:, -1] = remaining
     return out
+
+
+# the replica index of a lone row
+_ONE = np.zeros(1, dtype=np.int64)
 
 
 def sample_binomial(rng: np.random.Generator, n: int, p: float,
@@ -202,7 +255,7 @@ def sample_binomial(rng: np.random.Generator, n: int, p: float,
         raise ValueError("binomial count must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binomial probability {p} outside [0, 1]")
-    k = _conditional_chain(rng, np.array([n], dtype=object),
+    k = _conditional_chain([rng], _ONE, np.array([n], dtype=object),
                            _chain_tables(np.array([[p, 1.0 - p]])),
                            stats if stats is not None else SamplerStats())
     return int(k[0, 0])
@@ -214,13 +267,13 @@ def sample_multinomial(rng: np.random.Generator, n: int,
     """Draw from Multinomial(n, probs), exact for n below 2**62.
 
     Larger counts are decomposed into conditional binomials.  This is the
-    one-row case of the batched samplers `step_population` uses.
+    one-row case of the batched samplers `step_batch` uses.
     """
     stats = stats if stats is not None else SamplerStats()
     if n < _EXACT_LIMIT:
-        row = _exact_multinomials(rng, np.array([n]), probs, stats)[0]
+        row = _exact_multinomials([rng], _ONE, np.array([n]), probs, stats)[0]
     else:
-        row = _conditional_chain(rng, np.array([n], dtype=object),
+        row = _conditional_chain([rng], _ONE, np.array([n], dtype=object),
                                  _chain_tables(np.asarray(probs)[None, :]),
                                  stats)[0]
     return [int(c) for c in row]
@@ -266,16 +319,71 @@ class PopulationState:
         return len(self.values)
 
 
+@dataclass(frozen=True, eq=False)
+class PopulationBatch:
+    """The states of R replicas at one generation, in one set of arrays.
+
+    The rows of `sites` and `values` are in (replica, site) order:
+    `replica` holds each row's replica index, nondecreasing, and replica
+    r's rows are `bounds[r]:bounds[r + 1]`, its sites in lexicographic
+    order.  `values` is int64, or an object array of Python ints once any
+    replica needs them.
+    """
+
+    n: int
+    totals: tuple[int, ...]
+    sites: np.ndarray
+    values: np.ndarray
+    replica: np.ndarray
+    bounds: list[int]
+
+    @classmethod
+    def of(cls, states: Sequence[PopulationState]) -> "PopulationBatch":
+        """The batch of these states, all at the generation of the first."""
+        sizes = [st.occupied() for st in states]
+        return cls(states[0].n, tuple(st.total for st in states),
+                   np.concatenate([st.sites for st in states]),
+                   np.concatenate([st.values for st in states]),
+                   np.repeat(np.arange(len(states)), sizes),
+                   [0, *accumulate(sizes)])
+
+    def __len__(self) -> int:
+        return len(self.totals)
+
+    def state(self, r: int) -> PopulationState:
+        rows = slice(self.bounds[r], self.bounds[r + 1])
+        return PopulationState(self.n, self.totals[r], self.sites[rows],
+                               self.values[rows])
+
+    def count(self, x: Site) -> list[int]:
+        """Each replica's particle count at x."""
+        at = np.flatnonzero((self.sites == np.asarray(x)).all(axis=1))
+        out = [0] * len(self)
+        for r, c in zip(self.replica[at].tolist(), self.values[at].tolist()):
+            out[r] = c
+        return out
+
+    def select(self, keep: Sequence[bool]) -> "PopulationBatch":
+        """The batch of the replicas r with keep[r], renumbered in order."""
+        keep = np.asarray(keep, dtype=bool)
+        rows = keep[self.replica]
+        sizes = np.diff(self.bounds)[keep].tolist()
+        return PopulationBatch(
+            self.n, tuple(t for t, k in zip(self.totals, keep) if k),
+            self.sites[rows], self.values[rows],
+            (np.cumsum(keep) - 1)[self.replica[rows]], [0, *accumulate(sizes)])
+
+
 class _Tables:
     """Per-environment sampler tables, built on first use.
 
     Atom rows are padded with leading zeros to the largest atom count A:
-    `chain` holds the `_chain_tables` of the (laws, A) atom probabilities
-    and `children` (laws, A, offsets) the child count of each atom at each
-    offset of the sorted step set, as int64 and, for counts beyond int64,
-    as Python ints in `children_wide`.  `walk_rows` holds the induced-walk
-    tables of each law index the walk has stood on.  The law indices
-    themselves come from the environment's `law_index_grid`.
+    `chain` holds the `_chain_tables` of the (laws, A) atom probabilities,
+    and `terms[law]` the law's nonzero child counts, as (offset column,
+    ((atom column, count), ...)) over the sorted step set.  `walk_rows`
+    holds the induced-walk tables of each law index the walk has stood
+    on.  The law indices themselves come from the environment's
+    `law_index_grid`.
     """
 
     def __init__(self, env: EnvironmentField):
@@ -288,16 +396,18 @@ class _Tables:
         laws = spec.law_support
         self.atoms = max(len(law.atoms) for law in laws)
         probs = np.zeros((len(laws), self.atoms))
-        self.children = np.zeros((len(laws), self.atoms, len(offsets)),
-                                 dtype=np.int64)
+        children = np.zeros((len(laws), self.atoms, len(offsets)),
+                            dtype=np.int64)
         for i, law in enumerate(laws):
             pad = self.atoms - len(law.atoms)
             probs[i, pad:] = law.atom_probs
             for a, (cfg, _) in enumerate(law.atoms):
                 for y, c in cfg.counts:
-                    self.children[i, pad + a, column[y]] = c
-        self.children_wide = self.children.astype(object)
-        self.max_children = int(self.children.sum(axis=2).max())
+                    children[i, pad + a, column[y]] = c
+        self.terms = [[(j, tuple((a, int(c)) for a, c in enumerate(col) if c))
+                       for j, col in enumerate(table.T) if col.any()]
+                      for table in children]
+        self.max_children = int(children.sum(axis=2).max())
         self.chain = _chain_tables(probs)
         d = spec.dimension
         self.units = unit_vectors(d)
@@ -317,31 +427,58 @@ def _tables(env: EnvironmentField) -> _Tables:
     return t
 
 
-def step_population(env: EnvironmentField, state: PopulationState,
-                    rng: np.random.Generator, *,
-                    bit_budget: int = DEFAULT_BIT_BUDGET,
-                    stats: SamplerStats | None = None) -> PopulationState:
-    """Advance the population one generation under the quenched environment.
+# Most cells the scatter box of one batch of replicas may span: replicas
+# times the box of one run at the horizon.  A run whose box alone is larger
+# steps one replica per batch.
+_BATCH_CELLS = 1 << 18
 
-    The laws of the state's sites are read from `env.law_index_grid` over
-    the state's bounding box.  Each law draws its sites below 2**62 with one
-    `rng.multinomial` call; the sites at or above 2**62, of every law
-    together, run one conditional-binomial chain over `_Tables.chain`.
-    Children are added into a box over the next generation's bounding box,
-    one shifted add per step offset; its nonzero cells, row-major and so
-    lexicographic, are the next state.  The arithmetic runs in int64 while
-    `state.total` times the largest offspring count is below 2**63.  Laws
-    draw in index order and sites in lexicographic order, so a fixed
-    generator state yields a fixed next state.
+
+def replica_batches(env: EnvironmentField, horizon: int,
+                    replicas: int) -> list[range]:
+    """Consecutive ranges of replica indices to step together up to the
+    horizon, each as many as `_BATCH_CELLS` allows, at least one."""
+    t = _tables(env)
+    box = math.prod((horizon * (t.step_hi - t.step_lo) + 1).tolist())
+    size = max(1, _BATCH_CELLS // box)
+    return [range(r, min(r + size, replicas))
+            for r in range(0, replicas, size)]
+
+
+def step_batch(env: EnvironmentField, batch: PopulationBatch,
+               rngs: Sequence[np.random.Generator], *,
+               bit_budget: int = DEFAULT_BIT_BUDGET,
+               stats: SamplerStats | None = None) -> PopulationBatch:
+    """Advance every replica of the batch one generation, replica r
+    drawing from `rngs[r]`.
+
+    The laws of the sites are read from one `env.law_index_grid` box over
+    all replicas.  Each law draws its sites below 2**62 with one
+    `rng.multinomial` call per replica; the sites at or above 2**62, of
+    every law together, run one conditional-binomial chain over
+    `_Tables.chain`, each pass one call per replica and sampling path.
+    Each law adds its atoms' draws into children, multiplying only the
+    counts above one.  Children are added into a box of (replica, site)
+    cells over the next generation's bounding box, one shifted add per
+    step offset; its nonzero cells, row-major, are the next batch in
+    (replica, site) order.  The arithmetic runs in int64 while every
+    total times the largest offspring count is below 2**63.  A replica's
+    generator draws the same calls, in the same order and with the same
+    sizes, as when it is stepped alone (laws in index order, sites in
+    lexicographic order), so a fixed generator state yields a fixed next
+    state whatever the batch.  BitBudgetError names the first generation
+    at which any replica exceeds the budget.
     """
     stats = stats if stats is not None else SamplerStats()
     tables = _tables(env)
-    dtype = object if state.total * tables.max_children >> 63 else np.int64
-    coords, n = state.sites, state.values.astype(dtype, copy=False)
+    dtype = object if any(t * tables.max_children >> 63
+                          for t in batch.totals) else np.int64
+    coords, rep = batch.sites, batch.replica
+    n = batch.values.astype(dtype, copy=False)
     lo, hi = coords.min(axis=0), coords.max(axis=0)
-    new_lo, new_hi = lo + tables.step_lo, hi + tables.step_hi
-    check_box_memory(math.prod((new_hi - new_lo + 1).tolist()),
-                     SimulationError, f"generation {state.n + 1}")
+    shape = (len(batch), *(hi - lo + 1 + tables.step_hi - tables.step_lo
+                           ).tolist())
+    check_box_memory(math.prod(shape), SimulationError,
+                     f"generation {batch.n + 1}")
     laws = env.law_index_grid(tuple(lo.tolist()), tuple(hi.tolist()))[
         tuple((coords - lo).T)]
 
@@ -350,63 +487,106 @@ def step_population(env: EnvironmentField, state: PopulationState,
     by_law = np.argsort(laws, kind="stable")
     # laws is unsigned (uint8 up to 256 laws); sorted, its differences are
     # >= 0 and cannot wrap
-    for rows in np.split(by_law, np.flatnonzero(np.diff(laws[by_law])) + 1):
+    groups = [by_law[s] for s in _runs(laws[by_law])]
+    for rows in groups:
         rows = rows[exact[rows]]
         if len(rows):
             law = env.spec.law_support[laws[rows[0]]]
             draws[rows, tables.atoms - len(law.atoms):] = _exact_multinomials(
-                rng, n[rows], law.atom_probs, stats)
+                rngs, rep[rows], n[rows], law.atom_probs, stats)
     if not exact.all():
-        draws[~exact] = _conditional_chain(
-            rng, n[~exact], [t[laws[~exact]] for t in tables.chain], stats)
-    table = tables.children_wide if dtype is object else tables.children
-    children = np.matmul(draws[:, None, :], table[laws])[:, 0]
+        big = np.flatnonzero(~exact)
+        draws[big] = _conditional_chain(
+            rngs, rep[big], n[big], [t[laws[big]] for t in tables.chain],
+            stats)
 
-    new_shape = new_hi - new_lo + 1
-    box = np.zeros(int(new_shape.prod()), dtype=dtype)
-    for j, y in enumerate(tables.offsets):
-        box[np.ravel_multi_index((coords + y - new_lo).T, new_shape)] += \
-            children[:, j]
+    children = np.zeros((len(n), len(tables.offsets)), dtype=dtype)
+    for rows in groups:
+        own = draws if len(groups) == 1 else draws[rows]
+        for j, terms in tables.terms[laws[rows[0]]]:
+            col = None
+            for a, c in terms:
+                term = own[:, a] if c == 1 else own[:, a] * c
+                col = term if col is None else col + term
+            children[rows, j] = col
+
+    # a site's cell plus an offset's shift is the cell of site + offset
+    base = np.ravel_multi_index((rep, *(coords - lo).T), shape)
+    shifts = np.ravel_multi_index((0, *(tables.offsets - tables.step_lo).T),
+                                  shape)
+    box = np.zeros(math.prod(shape), dtype=dtype)
+    for j, shift in enumerate(shifts):
+        box[base + shift] += children[:, j]
     nz = np.flatnonzero(box)
     values = box[nz]
-    total = int(values.sum())
-    if total.bit_length() > bit_budget:
+    replica, *axes = np.unravel_index(nz, shape)
+    bounds = np.searchsorted(replica, np.arange(len(batch) + 1)).tolist()
+    totals = tuple(np.add.reduceat(values, bounds[:-1]).tolist())
+    top = max(totals)
+    if top.bit_length() > bit_budget:
         raise BitBudgetError(
-            f"population needs {total.bit_length()} bits at generation "
-            f"{state.n + 1}, budget is {bit_budget}")
-    return PopulationState(
-        n=state.n + 1, total=total, values=values,
-        sites=np.stack(np.unravel_index(nz, new_shape), axis=1) + new_lo)
+            f"population needs {top.bit_length()} bits at generation "
+            f"{batch.n + 1}, budget is {bit_budget}")
+    return PopulationBatch(
+        batch.n + 1, totals, np.stack(axes, axis=1) + (lo + tables.step_lo),
+        values, replica, bounds)
 
 
-def iter_run(env: EnvironmentField, start: Site, n: int,
-             rng: np.random.Generator, *,
-             bit_budget: int = DEFAULT_BIT_BUDGET,
-             stats: SamplerStats | None = None) -> Iterator[PopulationState]:
-    """Evolve a single particle at `start`, yielding generations 0..n.
+def step_population(env: EnvironmentField, state: PopulationState,
+                    rng: np.random.Generator, *,
+                    bit_budget: int = DEFAULT_BIT_BUDGET,
+                    stats: SamplerStats | None = None) -> PopulationState:
+    """Advance the population one generation under the quenched
+    environment: `step_batch` on a batch of this one state."""
+    return step_batch(env, PopulationBatch.of([state]), [rng],
+                      bit_budget=bit_budget, stats=stats).state(0)
 
-    Only the current state is kept, so a caller that reads each state as
-    it comes holds one generation.  The arguments are checked here, when
-    the function is called: ValueError if n is negative or `start` does
-    not have the environment's dimension.  Because every offspring
-    configuration is nonempty the total never drops to zero.
+
+def iter_batch(env: EnvironmentField, start: Site, n: int,
+               rngs: Sequence[np.random.Generator], *,
+               bit_budget: int = DEFAULT_BIT_BUDGET,
+               stats: SamplerStats | None = None,
+               ) -> Iterator[PopulationBatch]:
+    """Evolve one particle at `start` per generator in lockstep, yielding
+    the batches of generations 0..n.
+
+    Only the current batch is kept, so a caller that reads each batch as
+    it comes holds one generation per replica.  The arguments are checked
+    here, when the function is called: ValueError if n is negative or
+    `start` does not have the environment's dimension.  Because every
+    offspring configuration is nonempty no total ever drops to zero.
     """
+    return _generations(env, _checked_start(env, start, n), n, list(rngs),
+                        bit_budget, stats)
+
+
+def _checked_start(env: EnvironmentField, start: Site, n: int) -> Site:
     start = tuple(start)
     if n < 0:
         raise ValueError(f"negative horizon {n}")
     if len(start) != env.spec.dimension:
         raise ValueError(f"start {start} has dimension {len(start)}, the "
                          f"environment dimension {env.spec.dimension}")
-    return _generations(env, start, n, rng, bit_budget, stats)
+    return start
 
 
-def _generations(env, start, n, rng, bit_budget, stats):
-    state = PopulationState.initial(start)
-    yield state
+def _generations(env, start, n, rngs, bit_budget, stats):
+    batch = PopulationBatch.of([PopulationState.initial(start)] * len(rngs))
+    yield batch
     for _ in range(n):
-        state = step_population(env, state, rng,
-                                bit_budget=bit_budget, stats=stats)
-        yield state
+        batch = step_batch(env, batch, rngs,
+                           bit_budget=bit_budget, stats=stats)
+        yield batch
+
+
+def iter_run(env: EnvironmentField, start: Site, n: int,
+             rng: np.random.Generator, *,
+             bit_budget: int = DEFAULT_BIT_BUDGET,
+             stats: SamplerStats | None = None) -> Iterator[PopulationState]:
+    """The one-replica case of `iter_batch`: generations 0..n as states."""
+    batches = iter_batch(env, start, n, [rng],
+                         bit_budget=bit_budget, stats=stats)
+    return (batch.state(0) for batch in batches)
 
 
 def run(env: EnvironmentField, start: Site, n: int,
@@ -610,21 +790,29 @@ def estimate_return_probability(env: EnvironmentField, x: Site,
 
     Each replica runs on its own generator stream derived from the master
     seed, so raising the horizon extends trajectories without resampling
-    them and the estimate is monotone in the horizon.  A replica stops at
-    its first visit.  The estimate is a lower bound for the true return
-    probability (it ignores returns after the horizon); the interval is
-    the normal 95% band.
+    them and the estimate is monotone in the horizon.  The replicas of a
+    `replica_batches` batch are stepped together, and a replica leaves its
+    batch at its first visit, so it draws what it would alone.  The
+    estimate is a lower bound for the true return probability (it ignores
+    returns after the horizon); the interval is the normal 95% band.
     """
     if horizon < 1 or replicas < 1:
         raise ValueError("horizon and replicas must be positive")
+    x = _checked_start(env, x, horizon)
     hits = 0
-    for r in range(replicas):
-        states = iter_run(env, x, horizon,
-                          replica_rng(master_seed, r, PURPOSE_RETURN_PROBE),
-                          bit_budget=bit_budget, stats=stats)
-        next(states)  # generation 0 stands on x
-        # `any` stops the replica at its first visit
-        hits += any(st.count(x) >= 1 for st in states)
+    for batch_replicas in replica_batches(env, horizon, replicas):
+        rngs = [replica_rng(master_seed, r, PURPOSE_RETURN_PROBE)
+                for r in batch_replicas]
+        batch = PopulationBatch.of([PopulationState.initial(x)] * len(rngs))
+        for _ in range(horizon):  # generation 0 stands on x
+            batch = step_batch(env, batch, rngs,
+                               bit_budget=bit_budget, stats=stats)
+            away = [c == 0 for c in batch.count(x)]
+            hits += away.count(False)
+            if not any(away):
+                break
+            batch = batch.select(away)
+            rngs = [rng for rng, keep in zip(rngs, away) if keep]
     p_hat = hits / replicas
     half = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / replicas)
     return ReturnEstimate(site=x, horizon=horizon, replicas=replicas,

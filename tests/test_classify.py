@@ -355,6 +355,22 @@ class TestBatchedEvaluator:
         assert res.gradient_norm < 1e-6
         assert not res.on_boundary
 
+    def test_minimum_beyond_the_default_box(self):
+        # means 2 at +1 and 1e-100 at -1: Phi(t) = ln(2 e^t + 1e-100 e^-t)
+        # has its minimum ln(2 sqrt(2e-100)) = -114.0895 at t = ln(5e-101)/2
+        # = -115.48, past |t| <= 64; min over +-e1 of the largest mean is
+        # 1e-100, so the box widens to Phi(0) - ln 1e-100 = 230.95
+        law = law_of(({(1,): 2}, 1.0 - 1e-100), ({(1,): 2, (-1,): 1}, 1e-100))
+        res = transience_criterion([law])
+        assert res.log_value == pytest.approx(-114.0895, abs=1e-4)
+        assert res.log_value == pytest.approx(
+            math.log(2 * math.sqrt(2e-100)), abs=1e-9)
+        assert res.t_star[0] == pytest.approx(0.5 * math.log(5e-101),
+                                              abs=1e-3)
+        assert res.t_star[0] == pytest.approx(-115.48, abs=0.01)
+        assert not res.on_boundary
+        assert res.verdict == "transient"
+
     def test_batched_evaluation_count(self, monkeypatch):
         calls = []
         orig = classify._Phi._per_law

@@ -364,6 +364,12 @@ class TestSimulate:
         assert ret["replicas"] == 20
         assert 0.0 <= ret["estimate"] <= 1.0
 
+    def test_bit_budget_error_in_a_batch_exits_3(self, tmp_path):
+        cfgp = write_config(tmp_path, "c.json", base_config(
+            "simulate", tmp_path / "out", horizon=40, replicas=4,
+            bit_budget=16))
+        assert main(["simulate", cfgp]) == 3
+
     def test_deterministic_given_seed(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -417,10 +423,23 @@ def _block_window_d2_env(seed):
 
 class TestSimulateStreaming:
     """`simulate` holds one generation per replica; its artifacts are the
-    ones a whole list of states per replica gives, byte for byte."""
+    ones a whole list of states per replica gives, byte for byte, however
+    its replicas are split into batches."""
 
     @pytest.mark.parametrize("case", ["long-d1", "d2-block-window"])
     def test_artifacts_match_listed_runs(self, tmp_path, case):
+        self._check_against_listed_runs(tmp_path, case)
+
+    @pytest.mark.parametrize("case", ["long-d1", "d2-block-window"])
+    def test_artifacts_match_listed_runs_in_small_batches(self, tmp_path,
+                                                          case, monkeypatch):
+        # a 500-cell cap steps the long-d1 replicas two at a time (241
+        # cells each at horizon 120) and the d2 ones one at a time
+        monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 500)
+        self._check_against_listed_runs(tmp_path, case)
+
+    @staticmethod
+    def _check_against_listed_runs(tmp_path, case):
         if case == "long-d1":
             # counts pass 2**62 at generation 62: normal-path draws
             env = iid_env(long_d1_laws(), [0.5, 0.5], 2718)

@@ -18,18 +18,22 @@ from brwre.lattice import StepSet, unit_vectors
 from brwre.montecarlo import (
     BitBudgetError,
     InducedWalkState,
+    PopulationBatch,
     PopulationState,
     SamplerStats,
     SimulationError,
     estimate_return_probability,
     induced_kernel,
     induced_walk_step,
+    iter_batch,
     iter_run,
     realized_local_exponent,
+    replica_batches,
     run,
     sample_binomial,
     sample_induced_direct,
     sample_multinomial,
+    step_batch,
     step_population,
 )
 from brwre.seeding import (
@@ -139,6 +143,51 @@ class TestBinomialSampler:
         assert stats.poisson_draws == 1
         assert stats.as_dict() == {"exact_draws": 1, "normal_draws": 1,
                                    "poisson_draws": 1}
+
+
+class _Fixed:
+    """A stand-in generator whose normal and Poisson variates are fixed."""
+
+    def __init__(self, z=0.0, poisson=0):
+        self.z, self.k = z, poisson
+
+    def standard_normal(self, size):
+        return np.full(size, self.z)
+
+    def poisson(self, lam):
+        return np.full(len(lam), self.k, dtype=np.int64)
+
+
+class TestOutOfRangeVariates:
+    """The clip to [0, n] is skipped only where it provably does nothing."""
+
+    # mean n q and variance n q (1 - q) both about 1.01e6, just above the
+    # normal gate: 1020 standard deviations (about 1.03e6) reach below 0,
+    # 998 do not; z * 2**53 fits int64 only for |z| < 1024
+    N, Q = 2**62, 1.01e6 / 2**62
+
+    @pytest.mark.parametrize("z, want", [(-1020.0, 0), (-998.0, None)])
+    def test_normal_below_zero_is_clipped(self, z, want):
+        stats = SamplerStats()
+        k = sample_binomial(_Fixed(z=z), self.N, self.Q, stats)
+        assert stats.normal_draws == 1
+        if want is None:
+            # inside the proven range: mean + delta, no clip needed
+            sd = math.isqrt(int(self.N * self.Q * (1 - self.Q)))
+            assert 0 < k < self.N
+            assert abs(k - (self.N * self.Q + z * sd)) <= 2
+        else:
+            assert k == want
+
+    def test_flipped_normal_is_clipped_to_n(self):
+        assert sample_binomial(_Fixed(z=-1020.0), self.N, 1.0 - self.Q) \
+            == self.N
+
+    def test_poisson_above_n_is_clipped(self):
+        stats = SamplerStats()
+        k = sample_binomial(_Fixed(poisson=2**63 - 1), self.N, 1e-17, stats)
+        assert stats.poisson_draws == 1
+        assert k == self.N
 
 
 class TestMultinomialSampler:
@@ -425,6 +474,145 @@ class TestBatchedStep:
         assert 1 <= len(calls) <= 2 * math.log2(2 * n) + 1
 
 
+def _block_window_d2_env():
+    units = unit_vectors(2)
+    pair = law_of(({units[0]: 1, units[1]: 1}, 0.5),
+                  ({units[2]: 1, units[3]: 1}, 0.5))
+    single = law_of(*[({y: 1}, 0.25) for y in units])
+    return build_environment(EnvironmentSpec(
+        dimension=2, step_set=StepSet.nearest_neighbour(2),
+        law_support=(pair, single), weights=(0.3, 0.7),
+        dependence=Dependence("block_window", 1), master_seed=2718))
+
+
+def _same_state(a: PopulationState, b: PopulationState) -> bool:
+    return (a.n == b.n and a.total == b.total
+            and np.array_equal(a.sites, b.sites)
+            and a.values.tolist() == b.values.tolist())
+
+
+def _d3_env():
+    units = unit_vectors(3)
+    pair = law_of(({units[0]: 1, units[3]: 1}, 0.5),
+                  ({units[2]: 1, units[5]: 1}, 0.5))
+    single = law_of(*[({y: 1}, 1.0 / 6) for y in units])
+    return iid_env([pair, single], [0.4, 0.6], 2718, dimension=3)
+
+
+class TestLockstep:
+    """Replicas stepped together draw bitwise what each draws alone."""
+
+    ENVS = {
+        # counts pass 2**62 around generation 62, per replica
+        "d1-iid": (lambda: iid_env(long_d1_laws(), [0.5, 0.5], 5), 90),
+        "d2-block-window": (_block_window_d2_env, 25),
+        "d3-iid": (_d3_env, 8),
+    }
+
+    @pytest.mark.parametrize("replicas", [1, 3, 10])
+    @pytest.mark.parametrize("case", sorted(ENVS))
+    def test_batch_equals_replicas_alone(self, case, replicas):
+        make_env, n = self.ENVS[case]
+        env = make_env()
+        start = (0,) * env.spec.dimension
+        rngs = [replica_rng(2718, r, PURPOSE_DYNAMICS)
+                for r in range(replicas)]
+        stats = SamplerStats()
+        first = []
+        for batch in iter_batch(env, start, n, rngs, stats=stats):
+            first.append(batch.state(0))
+        alone_stats = SamplerStats()
+        alone = [run(env, start, n, replica_rng(2718, r, PURPOSE_DYNAMICS),
+                     stats=alone_stats) for r in range(replicas)]
+        assert len(first) == n + 1
+        assert all(map(_same_state, first, alone[0]))
+        assert all(_same_state(batch.state(r), states[-1])
+                   for r, states in enumerate(alone))
+        assert stats == alone_stats
+        if case == "d1-iid" and replicas == 10:
+            # the batch mixes int64 and Python-int replicas for a while
+            crossings = {next(st.n for st in states if st.total >= 2**62)
+                         for states in alone}
+            assert len(crossings) > 1
+            assert stats.normal_draws > 0
+
+    def test_poisson_and_flipped_branches(self):
+        # the setup of TestBatchedStep's Poisson and flipped-branch test
+        rare = law_of(({(1,): 2}, 0.5), ({(1,): 1, (-1,): 1}, 0.5 - 1e-15),
+                      ({(-1,): 2}, 1e-15))
+        triple = law_of(({(-1,): 2, (1,): 1}, 1.0))
+        spec = iid_env([rare, triple], [0.5, 0.5], 0).spec
+        env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
+        counts = [2**62 - 1, 2**62, 2**64, 5, 10**30, 3 * 2**70, 1, 2**64]
+        states = [PopulationState.from_counts(
+            0, {(x + r,): c for x, c in enumerate(counts)}) for r in range(3)]
+        stats, alone_stats = SamplerStats(), SamplerStats()
+        nxt = step_batch(env, PopulationBatch.of(states),
+                         [np.random.default_rng(46 + r) for r in range(3)],
+                         stats=stats)
+        for r, st in enumerate(states):
+            want = step_population(env, st, np.random.default_rng(46 + r),
+                                   stats=alone_stats)
+            assert _same_state(nxt.state(r), want)
+        assert stats == alone_stats
+        assert stats.poisson_draws > 0 and stats.normal_draws > 0
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_return_probe_draws_what_replicas_draw_alone(self, cap,
+                                                         monkeypatch):
+        # hits from generation 1 on: replicas leave their batch early
+        if cap is not None:
+            monkeypatch.setattr(montecarlo, "_BATCH_CELLS", cap)
+        env = iid_env([drift_law(), long_d1_laws()[0]], [0.7, 0.3], 9)
+        horizon, replicas = 6, 40
+        stats = SamplerStats()
+        est = estimate_return_probability(env, (0,), horizon, replicas, 2718,
+                                          stats=stats)
+        alone_stats, hits, first_visits = SamplerStats(), 0, set()
+        for r in range(replicas):
+            rng = replica_rng(2718, r, PURPOSE_RETURN_PROBE)
+            for st in iter_run(env, (0,), horizon, rng, stats=alone_stats):
+                if st.n and st.count((0,)):
+                    hits += 1
+                    first_visits.add(st.n)
+                    break
+        assert est.hits == hits
+        assert stats == alone_stats
+        # replicas leave at several generations, and some run to the end
+        assert len(first_visits) > 1 and min(first_visits) < horizon
+        assert 0 < hits < replicas
+
+    def test_batches_respect_the_cell_cap(self, monkeypatch):
+        env = iid_env(long_d1_laws(), [0.5, 0.5], 5)
+        # one run's box at horizon 20 spans 41 cells
+        assert replica_batches(env, 20, 10) == [range(10)]
+        monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 3 * 41 + 40)
+        assert replica_batches(env, 20, 10) == [
+            range(0, 3), range(3, 6), range(6, 9), range(9, 10)]
+        monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 40)
+        assert replica_batches(env, 20, 3) == [range(0, 1), range(1, 2),
+                                               range(2, 3)]
+
+    def test_bit_budget_names_the_first_generation_to_exceed_it(self):
+        # mean 2 with a rare burst of 11 children: totals spread widely
+        env = homogeneous_env(law_of(({(1,): 1}, 0.5), ({(-1,): 1}, 0.4),
+                                     ({(1,): 5, (-1,): 6}, 0.1)))
+        first = []
+        for r in range(6):
+            with pytest.raises(BitBudgetError) as alone:
+                run(env, (0,), 60, replica_rng(2718, r, PURPOSE_DYNAMICS),
+                    bit_budget=20)
+            first.append(int(str(alone.value).split("generation ")[1]
+                             .split(",")[0]))
+        # one replica after another, replica 0 would raise first
+        assert first[0] > min(first)
+        rngs = [replica_rng(2718, r, PURPOSE_DYNAMICS) for r in range(6)]
+        with pytest.raises(BitBudgetError,
+                           match=f"at generation {min(first)}, budget is 20"):
+            for _ in iter_batch(env, (0,), 60, rngs, bit_budget=20):
+                pass
+
+
 class TestGoldenPins:
     """Draws pinned to their values before the array-resident state.
 
@@ -444,16 +632,8 @@ class TestGoldenPins:
                                    "e55178c50dc96bb995f720e0fcbc1f1a")
 
     def test_d2_block_window_run(self):
-        units = unit_vectors(2)
-        pair = law_of(({units[0]: 1, units[1]: 1}, 0.5),
-                      ({units[2]: 1, units[3]: 1}, 0.5))
-        single = law_of(*[({y: 1}, 0.25) for y in units])
-        spec = EnvironmentSpec(
-            dimension=2, step_set=StepSet.nearest_neighbour(2),
-            law_support=(pair, single), weights=(0.3, 0.7),
-            dependence=Dependence("block_window", 1), master_seed=2718)
         stats = SamplerStats()
-        states = run(build_environment(spec), (0, 0), 40,
+        states = run(_block_window_d2_env(), (0, 0), 40,
                      replica_rng(2718, 1, PURPOSE_DYNAMICS), stats=stats)
         assert stats.as_dict() == {"exact_draws": 4244, "normal_draws": 0,
                                    "poisson_draws": 0}
@@ -585,6 +765,8 @@ class TestReturnProbability:
             estimate_return_probability(env, (0,), 0, 10, 7)
         with pytest.raises(ValueError):
             estimate_return_probability(env, (0,), 5, 0, 7)
+        with pytest.raises(ValueError, match="dimension 2.*dimension 1"):
+            estimate_return_probability(env, (0, 0), 5, 10, 7)
 
 
 class TestRealizedExponent:
