@@ -115,12 +115,6 @@ class _Phi:
         return per_law[0], grads / total[0, :, None]
 
 
-def criterion_value_at(law_support: list[SiteLaw], t) -> float:
-    """Phi(t): the worst-case log criterion value at parameter t."""
-    t = np.asarray(t, dtype=np.float64)
-    return float(_Phi(list(law_support)).laws_at(t)[0].max())
-
-
 def _nearest_in_hull(points: np.ndarray) -> np.ndarray:
     """The point of the convex hull of the rows of `points` nearest 0.
 

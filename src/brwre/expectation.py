@@ -324,6 +324,10 @@ def iter_layers(
 ) -> Iterator[LogMassField]:
     """Yield layers 0..n one at a time (constant memory in the horizon).
 
+    Forward (default): layer k at site x is log E_w eta_k^start(x).
+    Adjoint: layer k at site x is log E_w eta_k^x(start), the fixed-target
+    object evolved by the Anderson-equation dynamics.
+
     The arguments are checked when the function is called: SolverError on
     a negative horizon or a start of the wrong dimension.  The horizon
     alone sizes the solve: the slabs cover the lattice sites of the
@@ -349,21 +353,6 @@ def _layers(env: EnvironmentField, start: Site, n: int,
     for _ in range(n):
         fld = _step_dense(fld, tables)
         yield fld
-
-
-def solve(
-    env: EnvironmentField,
-    start: Site,
-    n: int,
-    adjoint: bool = False,
-) -> list[LogMassField]:
-    """All layers 0..n.
-
-    Forward (default): layer k at site x is log E_w eta_k^start(x).
-    Adjoint: layer k at site x is log E_w eta_k^x(start), the fixed-target
-    object evolved by the Anderson-equation dynamics.
-    """
-    return list(iter_layers(env, start, n, adjoint))
 
 
 # --- Anderson-equation check -------------------------------------------------

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -249,15 +248,3 @@ def total_growth(env: EnvironmentField, n: int) -> float:
     for last in expectation.iter_layers(env, (0,) * env.spec.dimension, n):
         pass
     return expectation.expected_total(last) / n
-
-
-def grid_1d(lo: Fraction, hi: Fraction, step: Fraction) -> list[RationalVector]:
-    """Evenly spaced rational 1-D direction grid, inclusive of both ends."""
-    if step <= 0:
-        raise GrowthError(f"grid step {step} must be positive")
-    out = []
-    x = Fraction(lo)
-    while x <= hi:
-        out.append(RationalVector.from_fractions([x]))
-        x += Fraction(step)
-    return out

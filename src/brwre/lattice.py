@@ -84,10 +84,6 @@ class StepSet:
         """Offsets in the fixed lexicographic order used by every summation."""
         return tuple(sorted(self.offsets))
 
-    @classmethod
-    def nearest_neighbour(cls, dimension: int) -> "StepSet":
-        return cls(tuple(unit_vectors(dimension)))
-
 
 @dataclass(frozen=True)
 class StepLattice:

@@ -180,7 +180,11 @@ def _binomials(rngs: Sequence[np.random.Generator], rep: np.ndarray,
         z = _per_replica(rngs, rb[normal],
                          lambda rng, s: rng.standard_normal(s.stop - s.start))
         in_range = np.abs(z).max() < 999.0
-        z = (z * float(1 << 53)).astype(np.int64).astype(object)
+        # z * 2**53 truncated toward zero: the int64 cast holds it only
+        # while |z| < 1024, so a larger z goes through Python ints
+        z = z * float(1 << 53)
+        z = (z.astype(np.int64).astype(object) if in_range
+             else np.array([int(v) for v in z.tolist()], dtype=object))
         kb[normal] = mean + ((z * _isqrt(var[normal])) >> 53)
         stats.normal_draws += len(mean)
     if not normal.all():
@@ -240,25 +244,6 @@ def _conditional_chain(rngs: Sequence[np.random.Generator], rep: np.ndarray,
 
 # the replica index of a lone row
 _ONE = np.zeros(1, dtype=np.int64)
-
-
-def sample_binomial(rng: np.random.Generator, n: int, p: float,
-                    stats: SamplerStats | None = None) -> int:
-    """Draw from Binomial(n, p) for arbitrarily large integer n.
-
-    Below 2**62 the draw is numpy's exact sampler.  Above it, the small
-    side q = min(p, 1-p) is approximated: by a normal when the variance
-    n*q*(1-q) is large, by a Poisson of mean n*q otherwise.  This is the
-    first pass of the batched conditional chain over (p, 1-p).
-    """
-    if n < 0:
-        raise ValueError("binomial count must be nonnegative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binomial probability {p} outside [0, 1]")
-    k = _conditional_chain([rng], _ONE, np.array([n], dtype=object),
-                           _chain_tables(np.array([[p, 1.0 - p]])),
-                           stats if stats is not None else SamplerStats())
-    return int(k[0, 0])
 
 
 def sample_multinomial(rng: np.random.Generator, n: int,

@@ -57,27 +57,12 @@ def axis_hash(seed: int, axes: Sequence[np.ndarray]) -> np.ndarray:
     return h
 
 
-def cell_hash(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:
-    """`axis_hash` of one site (1-D, length d) or of an array (..., d).
-
-    The result drops the last axis.  Scalar, stacked and axis-wise
-    evaluation agree bitwise because all run through `axis_hash`.
-    """
-    arr = np.asarray(coords, dtype=np.int64)
-    return axis_hash(seed, np.moveaxis(arr, -1, 0))
-
-
 def hash_uniform(h: np.ndarray) -> np.ndarray:
     """Uniform [0,1) variates from the top 53 bits of hashes `h` (consumed)."""
     h >>= np.uint64(11)
     u = h.astype(np.float64)
     u *= 2.0 ** -53
     return u
-
-
-def cell_uniform(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Uniform [0,1) variate(s) attached to lattice cell(s)."""
-    return hash_uniform(cell_hash(seed, coords))
 
 
 def replica_rng(master_seed: int, replica: int, purpose: int = PURPOSE_DYNAMICS) -> np.random.Generator:

@@ -5,9 +5,8 @@ offset y with probability strictly greater than delta.  T(origin, x) is the
 minimal number of steps along delta-open edges, computed by BFS truncated to
 the l1 ball of a caller-chosen radius; a time t with t * L0 <= radius is
 exact, since every path of t steps stays inside that ball.  W(n) =
-{x : T <= n} scaled by 1/n approximates the limit shape; R(n) is the set
-reached in exactly n steps (parity matters: without an aperiodic site on
-the path, R alternates between the even and odd sublattices).
+{x : T <= n}, which `PassageTimeMap.reached(n)` lists, scaled by 1/n
+approximates the limit shape; `shape_polytope` gives the hull of W(n)/n.
 """
 
 from __future__ import annotations
@@ -15,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .environment import EnvironmentField, check_box_memory
-from .lattice import RationalVector, Site, l1_norm
+from .lattice import Site
 
 INF = math.inf
 
@@ -150,83 +149,12 @@ def passage_times(
     return PassageTimeMap(delta, origin, radius, times)
 
 
-def iter_reachable(
-    env: EnvironmentField, delta: float, n: int, start: Site
-) -> Iterator[set[Site]]:
-    """R(0), R(1), ..., R(n): sites reachable in exactly k delta-open steps.
-
-    The arguments and the box's memory are checked here, when the function
-    is called: ShapeError on a negative step count, a start of the wrong
-    dimension or a box that would not fit.
-    """
-    if n < 0:
-        raise ShapeError("negative step count")
-    start = tuple(start)
-    radius = env.spec.step_set.l0_max * n
-    moves = _open_moves(env, delta, start, radius)
-    return _reachable_sets(moves, start, radius, n)
-
-
-def _reachable_sets(moves, start: Site, radius: int,
-                    n: int) -> Iterator[set[Site]]:
-    lo = np.array(start) - radius
-    cur = np.zeros((2 * radius + 1,) * len(start), dtype=bool)
-    cur[(radius,) * len(start)] = True
-
-    def to_sites(mask: np.ndarray) -> set[Site]:
-        return set(map(tuple, (np.argwhere(mask) + lo).tolist()))
-
-    yield to_sites(cur)
-    for _ in range(n):
-        cur = _advance(cur, moves)
-        yield to_sites(cur)
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    a: RationalVector
-    k0: int
-    samples: tuple[tuple[int, float], ...]
-    value: float
-
-
-def norm_estimate(
-    env: EnvironmentField,
-    delta: float,
-    a: RationalVector,
-    n_max: int,
-) -> NormEstimate:
-    """Finite-n proxy for the passage-time norm along the rational ray a.
-
-    Samples T(0, k0*a*n) / (k0*n) for n = 1..n_max, with k0 the smallest
-    positive integer making k0*a integral, from one BFS over the l1 ball
-    reaching the ray's last sample point; `value` is the largest-n finite
-    sample (math.inf if the ray is never reached inside the ball).
-    """
-    if a.is_zero():
-        raise ShapeError("direction must be nonzero")
-    if n_max < 1:
-        raise ShapeError("need n_max >= 1")
-    k0 = a.denominator
-    ptm = passage_times(env, delta, int(math.ceil(float(k0 * n_max * a.l1()))))
-    samples: list[tuple[int, float]] = []
-    value = INF
-    for j in range(1, n_max + 1):
-        target = a.site_at(k0 * j)
-        t = ptm.t(target)
-        if t < INF:
-            samples.append((j, t / (k0 * j)))
-            value = t / (k0 * j)
-    return NormEstimate(a, k0, tuple(samples), value)
-
-
 @dataclass(frozen=True, eq=False)
 class ShapeEstimate:
-    """W(n)/n as an (m, d) array in lexicographic order, and its hull."""
+    """The vertices of the convex hull of W(n)/n."""
 
     delta: float
     n: int
-    normalized_sites: np.ndarray
     hull: tuple[tuple[float, ...], ...]
 
 
@@ -423,13 +351,13 @@ def _quickhull(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tri[keep], normals[keep] // g[:, None], offsets[keep] // g
 
 
-def _hull(pts: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _hull(pts: np.ndarray, *, with_ids: bool
+          ) -> tuple[list[int] | None, np.ndarray, np.ndarray]:
     """(ids, A, b) of the hull of `_exact_points` output: the ids of its
     vertices, and integer A, b with hull = {x : A @ x <= b}.
 
-    A full-dimensional 3-D set is hulled by `_quickhull`; its vertices are
-    the points whose incident facet planes span R^3, which leaves out
-    points inside a face or on an edge, and their ids are lexicographic.
+    A full-dimensional 3-D set is hulled by `_quickhull`, and its vertex
+    ids come from `_facet_vertices` only `with_ids` (None otherwise).
     A polygon (a full 2-D set, or a coplanar 3-D one on the coordinates
     `_affine_frame` keeps, an affine map injective on its plane) is hulled
     by `_hull_2d`: counter-clockwise ids, one row per edge.  A segment has
@@ -440,15 +368,7 @@ def _hull(pts: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     eq, keep = _affine_frame(pts)
     if len(keep) == 3:
         tri, rows, bounds = _quickhull(pts)
-        # distinct primitive normals of the facets at each point: a vertex
-        # has three or more, a point on an edge two, inside a face one
-        planes: dict[tuple, int] = {}
-        plane = [planes.setdefault(v, len(planes))
-                 for v in map(tuple, rows.tolist())]
-        incidence = np.unique(np.column_stack(
-            [tri.ravel(), np.repeat(plane, 3)]), axis=0)
-        point, count = np.unique(incidence[:, 0], return_counts=True)
-        ids = point[count >= 3].tolist()
+        ids = _facet_vertices(tri, rows) if with_ids else None
     else:
         flat = pts[:, keep]
         if len(keep) == 2:
@@ -469,6 +389,22 @@ def _hull(pts: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     return ids, np.concatenate([eq, -eq, rows]), np.concatenate([at, -at, bounds])
 
 
+def _facet_vertices(tri: np.ndarray, rows: np.ndarray) -> list[int]:
+    """The ids of the vertices of `_quickhull`'s facets, lexicographic.
+
+    They are the points whose incident facet planes span R^3: the facets
+    at a vertex have three or more distinct primitive normals, at a point
+    on an edge two, at a point inside a face one.
+    """
+    planes: dict[tuple, int] = {}
+    plane = [planes.setdefault(v, len(planes))
+             for v in map(tuple, rows.tolist())]
+    incidence = np.unique(np.column_stack(
+        [tri.ravel(), np.repeat(plane, 3)]), axis=0)
+    point, count = np.unique(incidence[:, 0], return_counts=True)
+    return point[count >= 3].tolist()
+
+
 def convex_hull(points) -> list[tuple[int, ...]]:
     """Hull vertices of an (m, d) array or of d-tuples, d <= 3.
 
@@ -478,7 +414,7 @@ def convex_hull(points) -> list[tuple[int, ...]]:
     otherwise.  Points inside a face or on an edge are not vertices.
     """
     pts = _exact_points(points)
-    ids, _, _ = _hull(pts)
+    ids, _, _ = _hull(pts, with_ids=True)
     if pts.shape[1] == 3:
         ids = sorted(ids)
     return list(map(tuple, pts[ids].tolist()))
@@ -492,12 +428,12 @@ def hull_inequalities(points) -> tuple[np.ndarray, np.ndarray]:
     its affine hull as two opposite rows, and bounds its hull inside that
     plane or line on the coordinates `_affine_frame` keeps.
     """
-    _, rows, bounds = _hull(_exact_points(points))
+    _, rows, bounds = _hull(_exact_points(points), with_ids=False)
     return rows, bounds
 
 
 def shape_polytope(ptm: PassageTimeMap, n: int) -> ShapeEstimate:
-    """Normalized reachable set W(n)/n with its convex hull.
+    """The convex hull of the normalized reachable set W(n)/n.
 
     W(n) is read off `ptm.grid`; `np.argwhere` lists it in lexicographic
     order, relative to the origin once the radius is subtracted.
@@ -505,13 +441,12 @@ def shape_polytope(ptm: PassageTimeMap, n: int) -> ShapeEstimate:
     if not 0 <= n <= ptm.radius:
         raise ShapeError(f"n={n} is outside 0..{ptm.radius}, the map radius")
     if n == 0:
-        pt = tuple(0.0 for _ in ptm.origin)
-        return ShapeEstimate(ptm.delta, 0, np.zeros((1, len(pt))), (pt,))
+        return ShapeEstimate(ptm.delta, 0, (tuple(0.0 for _ in ptm.origin),))
     sites = np.argwhere((ptm.grid >= 0) & (ptm.grid <= n)) - ptm.radius
     # hull on the integer sites: exact arithmetic, no float-collinearity noise
     hull = tuple(tuple(c / n for c in v)
                  for v in convex_hull(sites[_row_ends(sites)]))
-    return ShapeEstimate(ptm.delta, n, sites / n, hull)
+    return ShapeEstimate(ptm.delta, n, hull)
 
 
 def _row_ends(sites: np.ndarray) -> np.ndarray:

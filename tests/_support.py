@@ -1,11 +1,31 @@
-"""Shared environment builders and reference solvers for the test suite."""
+"""Shared environment builders and reference solvers for the test suite.
+
+Besides the law and environment builders, this module holds the oracles
+that only tests use, each built from package internals:
+- `nearest_neighbour`: the unit step set of Z^d;
+- `cell_hash` and `cell_uniform`: the environment hash of single sites or
+  stacked site arrays, against which the box hashing is checked;
+- `grid_1d`: an evenly spaced grid of 1-D rational directions;
+- `criterion_value_at`: Phi(t) of the transience criterion at one point;
+- `sample_binomial`: one Binomial(n, p) draw for any integer n, the first
+  pass of the population sampler's conditional chain;
+- `iter_reachable`: the sets R(k) reached in exactly k delta-open steps;
+- `norm_estimate`: the passage-time norm along a rational ray, sampled
+  from one BFS;
+- `reference_layers`: a per-site scalar DP.
+"""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from brwre.classify import _Phi
 from brwre.environment import (
     Dependence,
     EnvironmentField,
@@ -14,7 +34,15 @@ from brwre.environment import (
     SiteLaw,
     build_environment,
 )
-from brwre.lattice import StepSet
+from brwre.growth import GrowthError
+from brwre.lattice import RationalVector, Site, StepSet, unit_vectors
+from brwre.montecarlo import _ONE, SamplerStats, _chain_tables, _conditional_chain
+from brwre.seeding import axis_hash, hash_uniform
+from brwre.shape import INF, ShapeError, _advance, _open_moves, passage_times
+
+
+def nearest_neighbour(dimension: int) -> StepSet:
+    return StepSet(tuple(unit_vectors(dimension)))
 
 
 def law_of(*pairs: tuple[dict, float]) -> SiteLaw:
@@ -25,7 +53,7 @@ def law_of(*pairs: tuple[dict, float]) -> SiteLaw:
 def iid_env(laws, weights, seed, dimension=1, step_set=None) -> EnvironmentField:
     spec = EnvironmentSpec(
         dimension=dimension,
-        step_set=step_set or StepSet.nearest_neighbour(dimension),
+        step_set=step_set or nearest_neighbour(dimension),
         law_support=tuple(laws),
         weights=tuple(weights),
         dependence=Dependence("iid"),
@@ -154,3 +182,125 @@ def reference_layers(env: EnvironmentField, start, n: int, adjoint: bool = False
             new[idx] = acc
         lo, old = new_lo, new
         yield lo, old
+
+
+def cell_hash(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:
+    """`axis_hash` of one site (1-D, length d) or of an array (..., d).
+
+    The result drops the last axis.  Scalar, stacked and axis-wise
+    evaluation agree bitwise because all run through `axis_hash`.
+    """
+    arr = np.asarray(coords, dtype=np.int64)
+    return axis_hash(seed, np.moveaxis(arr, -1, 0))
+
+
+def cell_uniform(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Uniform [0,1) variate(s) attached to lattice cell(s)."""
+    return hash_uniform(cell_hash(seed, coords))
+
+
+def grid_1d(lo: Fraction, hi: Fraction, step: Fraction) -> list[RationalVector]:
+    """Evenly spaced rational 1-D direction grid, inclusive of both ends."""
+    if step <= 0:
+        raise GrowthError(f"grid step {step} must be positive")
+    out = []
+    x = Fraction(lo)
+    while x <= hi:
+        out.append(RationalVector.from_fractions([x]))
+        x += Fraction(step)
+    return out
+
+
+def criterion_value_at(law_support: list[SiteLaw], t) -> float:
+    """Phi(t): the worst-case log criterion value at parameter t."""
+    t = np.asarray(t, dtype=np.float64)
+    return float(_Phi(list(law_support)).laws_at(t)[0].max())
+
+
+def sample_binomial(rng: np.random.Generator, n: int, p: float,
+                    stats: SamplerStats | None = None) -> int:
+    """Draw from Binomial(n, p) for arbitrarily large integer n.
+
+    Below 2**62 the draw is numpy's exact sampler.  Above it, the small
+    side q = min(p, 1-p) is approximated: by a normal when the variance
+    n*q*(1-q) is large, by a Poisson of mean n*q otherwise.  This is the
+    first pass of the batched conditional chain over (p, 1-p).
+    """
+    if n < 0:
+        raise ValueError("binomial count must be nonnegative")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"binomial probability {p} outside [0, 1]")
+    k = _conditional_chain([rng], _ONE, np.array([n], dtype=object),
+                           _chain_tables(np.array([[p, 1.0 - p]])),
+                           stats if stats is not None else SamplerStats())
+    return int(k[0, 0])
+
+
+def iter_reachable(
+    env: EnvironmentField, delta: float, n: int, start: Site
+) -> Iterator[set[Site]]:
+    """R(0), R(1), ..., R(n): sites reachable in exactly k delta-open steps.
+
+    The arguments and the box's memory are checked here, when the function
+    is called: ShapeError on a negative step count, a start of the wrong
+    dimension or a box that would not fit.
+    """
+    if n < 0:
+        raise ShapeError("negative step count")
+    start = tuple(start)
+    radius = env.spec.step_set.l0_max * n
+    moves = _open_moves(env, delta, start, radius)
+    return _reachable_sets(moves, start, radius, n)
+
+
+def _reachable_sets(moves, start: Site, radius: int,
+                    n: int) -> Iterator[set[Site]]:
+    lo = np.array(start) - radius
+    cur = np.zeros((2 * radius + 1,) * len(start), dtype=bool)
+    cur[(radius,) * len(start)] = True
+
+    def to_sites(mask: np.ndarray) -> set[Site]:
+        return set(map(tuple, (np.argwhere(mask) + lo).tolist()))
+
+    yield to_sites(cur)
+    for _ in range(n):
+        cur = _advance(cur, moves)
+        yield to_sites(cur)
+
+
+@dataclass(frozen=True)
+class NormEstimate:
+    a: RationalVector
+    k0: int
+    samples: tuple[tuple[int, float], ...]
+    value: float
+
+
+def norm_estimate(
+    env: EnvironmentField,
+    delta: float,
+    a: RationalVector,
+    n_max: int,
+) -> NormEstimate:
+    """Finite-n proxy for the passage-time norm along the rational ray a.
+
+    Samples T(0, k0*a*n) / (k0*n) for n = 1..n_max, with k0 the smallest
+    positive integer making k0*a integral, from one BFS over the l1 ball
+    reaching the ray's last sample point; `value` is the largest-n finite
+    sample (math.inf if the ray is never reached inside the ball).
+    """
+    if a.is_zero():
+        raise ShapeError("direction must be nonzero")
+    if n_max < 1:
+        raise ShapeError("need n_max >= 1")
+    k0 = a.denominator
+    ptm = passage_times(env, delta, int(math.ceil(float(k0 * n_max * a.l1()))))
+    samples: list[tuple[int, float]] = []
+    value = INF
+    for j in range(1, n_max + 1):
+        target = a.site_at(k0 * j)
+        t = ptm.t(target)
+        if t < INF:
+            samples.append((j, t / (k0 * j)))
+            value = t / (k0 * j)
+    return NormEstimate(a, k0, tuple(samples), value)

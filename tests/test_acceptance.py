@@ -24,6 +24,7 @@ from scipy.stats import chi2_contingency
 from _support import (
     capped_mean_law,
     drift_law,
+    grid_1d,
     homogeneous_env,
     iid_env,
     law_of,
@@ -31,12 +32,11 @@ from _support import (
     symmetric06_law,
 )
 from brwre.classify import transience_criterion
-from brwre.expectation import check_anderson_equation, solve
+from brwre.expectation import check_anderson_equation, iter_layers
 from brwre.growth import (
     beta_estimate,
     beta_profile,
     classify_by_beta,
-    grid_1d,
     total_growth,
 )
 from brwre.lattice import RationalVector, StepSet
@@ -46,7 +46,8 @@ from brwre.montecarlo import (
     SamplerStats,
     induced_kernel,
     induced_walk_step,
-    run,
+    iter_batch,
+    replica_batches,
     sample_induced_direct,
     step_population,
 )
@@ -194,7 +195,7 @@ def test_criterion_05_mc_dp_agreement():
     assert all(law.mean_total <= 1.1 for law in env.spec.law_support)
     n, n_batches, batch = 10, 100, 1000
     t0 = time.perf_counter()
-    layer = solve(env, (0,), n)[-1]
+    layer = list(iter_layers(env, (0,), n))[-1]
     per_site = {x: [] for x, v in layer.items() if math.exp(v) >= 1e-3}
     for b in range(n_batches):
         rng_b = replica_rng(550, b, PURPOSE_DYNAMICS)
@@ -228,13 +229,13 @@ def test_criterion_06_supermultiplicativity():
         for _ in range(50):
             n1 = int(rng.integers(1, 7))
             n2 = int(rng.integers(1, 7))
-            lay1 = solve(env, (0,), n1)[-1]
+            lay1 = list(iter_layers(env, (0,), n1))[-1]
             mids = [x for x, _ in lay1.items()]
             z = mids[int(rng.integers(0, len(mids)))]
-            lay2 = solve(env, z, n2)[-1]
+            lay2 = list(iter_layers(env, z, n2))[-1]
             ys = [y for y, _ in lay2.items()]
             y = ys[int(rng.integers(0, len(ys)))]
-            lhs = solve(env, (0,), n1 + n2)[-1].get(y)
+            lhs = list(iter_layers(env, (0,), n1 + n2))[-1].get(y)
             if lhs < lay1.get(z) + lay2.get(y) - 1e-9:
                 violations += 1
     dt = time.perf_counter() - t0
@@ -354,7 +355,7 @@ def test_criterion_09_anderson_residual():
     worst = 0.0
     for env in (homogeneous_env(drift_law()),
                 random_env(np.random.default_rng(909))):
-        layers = solve(env, (0,), 20, adjoint=True)
+        layers = list(iter_layers(env, (0,), 20, adjoint=True))
         worst = max(worst, check_anderson_equation(env, layers))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10 and dt <= 10.0
@@ -376,11 +377,13 @@ def test_criterion_10_total_growth():
     t0 = time.perf_counter()
     dp_err = abs(total_growth(env, n) - LN2)
     hits = 0
-    for i in range(replicas):
-        states = run(env, (0,), n, replica_rng(4242, i, PURPOSE_DYNAMICS),
-                     stats=stats)
-        if abs(math.log(states[-1].total) / n - LN2) <= 0.05:
-            hits += 1
+    # each replica draws from its own generator, as it would stepped alone
+    for batch in replica_batches(env, n, replicas):
+        rngs = [replica_rng(4242, i, PURPOSE_DYNAMICS) for i in batch]
+        for last in iter_batch(env, (0,), n, rngs, stats=stats):
+            pass
+        hits += sum(abs(math.log(total) / n - LN2) <= 0.05
+                    for total in last.totals)
     dt = time.perf_counter() - t0
     ok = dp_err <= 1e-9 and hits >= 190 and dt <= 180.0
     _report(10, "total growth", ok,

@@ -9,12 +9,12 @@ from brwre import classify
 from brwre.classify import (
     CriterionError,
     CriterionResult,
-    criterion_value_at,
     transience_criterion,
 )
 
 from _support import (
     borderline_law,
+    criterion_value_at,
     doubling_law,
     drift_law,
     law_of,

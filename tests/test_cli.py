@@ -29,7 +29,7 @@ from brwre.environment import (
 )
 from brwre.expectation import read_layer_binary, read_layer_csv
 from brwre.growth import total_growth
-from brwre.lattice import StepSet, unit_vectors
+from brwre.lattice import unit_vectors
 from brwre.montecarlo import SamplerStats, realized_local_exponent, run
 from brwre.seeding import PURPOSE_DYNAMICS, replica_rng
 from brwre.shape import passage_times
@@ -41,6 +41,7 @@ from _support import (
     iid_env,
     law_of,
     long_d1_laws,
+    nearest_neighbour,
     symmetric06_law,
 )
 
@@ -416,7 +417,7 @@ def _block_window_d2_env(seed):
                   ({units[2]: 1, units[3]: 1}, 0.5))
     single = law_of(*[({y: 1}, 0.25) for y in units])
     return build_environment(EnvironmentSpec(
-        dimension=2, step_set=StepSet.nearest_neighbour(2),
+        dimension=2, step_set=nearest_neighbour(2),
         law_support=(pair, single), weights=(0.3, 0.7),
         dependence=Dependence("block_window", 1), master_seed=seed))
 

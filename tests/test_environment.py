@@ -22,9 +22,17 @@ from brwre.environment import (
     spec_to_dict,
 )
 from brwre.lattice import StepSet
-from brwre.seeding import axis_hash, cell_hash, cell_uniform
+from brwre.seeding import axis_hash
 
-from _support import doubling_law, drift_law, iid_env, law_of
+from _support import (
+    cell_hash,
+    cell_uniform,
+    doubling_law,
+    drift_law,
+    iid_env,
+    law_of,
+    nearest_neighbour,
+)
 
 
 class TestOffspringConfig:
@@ -122,7 +130,7 @@ class TestConditions:
 
     def test_block_window_rho(self):
         spec = EnvironmentSpec(
-            dimension=1, step_set=StepSet.nearest_neighbour(1),
+            dimension=1, step_set=nearest_neighbour(1),
             law_support=(doubling_law(), drift_law()), weights=(0.5, 0.5),
             dependence=Dependence("block_window", 3), master_seed=5)
         assert check_conditions(spec).rho == 7
@@ -163,7 +171,7 @@ class TestFieldRealization:
         lazy = law_of(({(1, 0): 1}, 0.25), ({(-1, 0): 1}, 0.25),
                       ({(0, 1): 1}, 0.25), ({(0, -1): 1}, 0.25))
         spec = EnvironmentSpec(
-            dimension=2, step_set=StepSet.nearest_neighbour(2),
+            dimension=2, step_set=nearest_neighbour(2),
             law_support=(planar, lazy), weights=(0.5, 0.5),
             dependence=Dependence("block_window", 1), master_seed=9)
         env = build_environment(spec)
@@ -179,10 +187,10 @@ class TestFieldRealization:
     ])
     def test_law_index_golden_block_d3(self, site, want):
         # pinned values of the per-site lookup on a d = 3 block window
-        units = StepSet.nearest_neighbour(3).offsets
+        units = nearest_neighbour(3).offsets
         hop = law_of(*[({u: 1}, 1 / 6) for u in units])
         spec = EnvironmentSpec(
-            dimension=3, step_set=StepSet.nearest_neighbour(3),
+            dimension=3, step_set=nearest_neighbour(3),
             law_support=(hop, hop, hop), weights=(0.3, 0.5, 0.2),
             dependence=Dependence("block_window", 1), master_seed=53)
         assert build_environment(spec).law_index(site) == want
@@ -231,7 +239,7 @@ class TestAperiodicity:
 class TestSpecSerialization:
     def _spec(self):
         return EnvironmentSpec(
-            dimension=2, step_set=StepSet.nearest_neighbour(2),
+            dimension=2, step_set=nearest_neighbour(2),
             law_support=(
                 law_of(({(1, 0): 1, (0, -1): 2}, 0.5), ({(-1, 0): 1}, 0.5)),
                 law_of(({(0, 1): 1}, 1.0)),
@@ -279,7 +287,7 @@ class TestSpecValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(EnvironmentError_):
             EnvironmentSpec(
-                dimension=2, step_set=StepSet.nearest_neighbour(1),
+                dimension=2, step_set=nearest_neighbour(1),
                 law_support=(doubling_law(),), weights=(1.0,),
                 dependence=Dependence("iid"), master_seed=0)
 
@@ -305,11 +313,11 @@ class TestAxisWiseHash:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("dependence", ["iid", "block_window"])
     def test_law_index_grid_matches_mesh_uniforms(self, d, dependence):
-        units = StepSet.nearest_neighbour(d).offsets
+        units = nearest_neighbour(d).offsets
         hop = law_of(*[({u: 1}, 1 / (2 * d)) for u in units])
         dep = Dependence("iid") if dependence == "iid" else Dependence("block_window", 2)
         spec = EnvironmentSpec(
-            dimension=d, step_set=StepSet.nearest_neighbour(d),
+            dimension=d, step_set=nearest_neighbour(d),
             law_support=(hop, hop, hop), weights=(0.3, 0.5, 0.2),
             dependence=dep, master_seed=29)
         env = build_environment(spec)
@@ -338,7 +346,7 @@ class TestAxisWiseHash:
     def test_override_reads_axes(self):
         hop = law_of(({(1, 0): 1, (0, 1): 1}, 0.5), ({(-1, 0): 1, (0, -1): 1}, 0.5))
         env = EnvironmentField.from_index_function(
-            EnvironmentSpec(dimension=2, step_set=StepSet.nearest_neighbour(2),
+            EnvironmentSpec(dimension=2, step_set=nearest_neighbour(2),
                             law_support=(hop,), weights=(1.0,)),
             lambda x: (x[0] * 3 + x[1]) % 2)
         got = env.law_index_grid((-2, 0), (1, 2))
@@ -350,10 +358,10 @@ class TestGridMemory:
     def test_block_window_box_builds_no_site_mesh(self):
         # the d = 3 BFS box of `brwre shape` at radius 24, window 1: the
         # hash of the padded box stays below its stacked int64 mesh
-        units = StepSet.nearest_neighbour(3).offsets
+        units = nearest_neighbour(3).offsets
         hop = law_of(*[({u: 1}, 1 / 6) for u in units])
         spec = EnvironmentSpec(
-            dimension=3, step_set=StepSet.nearest_neighbour(3),
+            dimension=3, step_set=nearest_neighbour(3),
             law_support=(hop, hop), weights=(0.3, 0.7),
             dependence=Dependence("block_window", 1), master_seed=5)
         env = build_environment(spec)
@@ -374,12 +382,12 @@ class TestNarrowLawIndices:
 
     @staticmethod
     def env(d, dependence, laws=3, seed=31):
-        units = StepSet.nearest_neighbour(d).offsets
+        units = nearest_neighbour(d).offsets
         hop = law_of(*[({u: 1}, 1 / (2 * d)) for u in units])
         dep = (Dependence("iid") if dependence == "iid"
                else Dependence("block_window", 1))
         return build_environment(EnvironmentSpec(
-            dimension=d, step_set=StepSet.nearest_neighbour(d),
+            dimension=d, step_set=nearest_neighbour(d),
             law_support=(hop,) * laws, weights=(1 / laws,) * laws,
             dependence=dep, master_seed=seed))
 
@@ -442,10 +450,10 @@ class TestKeptBox:
 
     @staticmethod
     def env(d, kind):
-        units = StepSet.nearest_neighbour(d).offsets
+        units = nearest_neighbour(d).offsets
         hop = law_of(*[({u: 1}, 1 / (2 * d)) for u in units])
         spec = EnvironmentSpec(
-            dimension=d, step_set=StepSet.nearest_neighbour(d),
+            dimension=d, step_set=nearest_neighbour(d),
             law_support=(hop,) * 3, weights=(0.3, 0.5, 0.2),
             dependence=(Dependence("block_window", 1) if kind == "window"
                         else Dependence("iid")),

@@ -17,7 +17,6 @@ from brwre.expectation import (
     iter_layers,
     read_layer_binary,
     read_layer_csv,
-    solve,
     write_layer_binary,
     write_layer_csv,
 )
@@ -38,6 +37,7 @@ from _support import (
     iid_env,
     law_of,
     mean2_law,
+    nearest_neighbour,
     random_env,
     reference_layers,
 )
@@ -102,7 +102,7 @@ def cube_env(dependence=Dependence("iid")):
         ({(0, -1, 0): 1}, 0.2), ({(0, 0, 1): 1}, 0.15),
         ({(0, 0, -1): 1}, 0.15))
     spec = EnvironmentSpec(
-        dimension=3, step_set=StepSet.nearest_neighbour(3),
+        dimension=3, step_set=nearest_neighbour(3),
         law_support=(up, east), weights=(0.5, 0.5),
         dependence=dependence, master_seed=17)
     return build_environment(spec)
@@ -113,7 +113,7 @@ def layer_masses(fld):
 
 
 def last(env, start, n, **kw):
-    return solve(env, start, n, **kw)[-1]
+    return list(iter_layers(env, start, n, **kw))[-1]
 
 
 class TestAgainstEnumeration:
@@ -477,7 +477,7 @@ class TestFieldBasics:
     def test_negative_horizon_rejected(self):
         env = homogeneous_env(doubling_law())
         with pytest.raises(SolverError):
-            solve(env, (0,), -1)
+            list(iter_layers(env, (0,), -1))
 
     def test_start_of_wrong_dimension_rejected(self):
         env = homogeneous_env(doubling_law())

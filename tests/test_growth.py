@@ -12,7 +12,6 @@ from brwre.growth import (
     beta_estimate,
     beta_profile,
     classify_by_beta,
-    grid_1d,
     total_growth,
 )
 from brwre.lattice import RationalVector, StepSet
@@ -22,9 +21,11 @@ from _support import (
     borderline_law,
     doubling_law,
     drift_law,
+    grid_1d,
     homogeneous_env,
     iid_env,
     law_of,
+    nearest_neighbour,
     random_env,
 )
 
@@ -52,7 +53,7 @@ def two_point_rate(a, p):
 
 def random_law_d2(rng):
     """Random d = 2 law: one or two children on each unit vector."""
-    units = StepSet.nearest_neighbour(2).offsets
+    units = nearest_neighbour(2).offsets
     probs = rng.dirichlet(np.ones(len(units)))
     return law_of(*[({y: int(rng.integers(1, 3))}, float(p))
                     for y, p in zip(units, probs)])
@@ -77,7 +78,7 @@ class TestBetaEstimate:
         diag = [(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
         law = law_of(*[({y: 2}, (p if y[0] > 0 else 1 - p)
                         * (q if y[1] > 0 else 1 - q)) for y in diag])
-        steps = StepSet(StepSet.nearest_neighbour(2).offsets + tuple(diag))
+        steps = StepSet(nearest_neighbour(2).offsets + tuple(diag))
         env = homogeneous_env(law, dimension=2, step_set=steps)
         dirs = [rv(Fraction(i, 4), Fraction(j, 3))
                 for i in range(-4, 5) for j in range(-3, 4)]
@@ -223,7 +224,7 @@ class TestBHull:
         # (0, 0, 1/3) and 0: their common denominator 6,126,120 puts the
         # numerators up to 1,225,224, beyond HULL_COORD_MAX, so the hull
         # runs in Python ints; the points (1/q, 0, 0), q > 5, lie on an edge
-        cube = law_of(*[({u: 2}, 1 / 6) for u in StepSet.nearest_neighbour(3).offsets])
+        cube = law_of(*[({u: 2}, 1 / 6) for u in nearest_neighbour(3).offsets])
         env = homogeneous_env(cube, dimension=3)
         dirs = [rv(f"1/{q}", 0, 0) for q in (5, 7, 8, 9, 11, 13, 17)]
         dirs += [rv(0, "1/3", 0), rv(0, 0, "1/3"), rv(0, 0, 0)]
@@ -236,7 +237,7 @@ class TestBHull:
         # the common denominator of (1/q, 0), (0, 1/3), 0 and (-1/29, -1/31)
         # puts the numerators beyond HULL_COORD_MAX; the polygon comes
         # counter-clockwise from its lexicographically least vertex
-        split = law_of(*[({u: 2}, 1 / 4) for u in StepSet.nearest_neighbour(2).offsets])
+        split = law_of(*[({u: 2}, 1 / 4) for u in nearest_neighbour(2).offsets])
         env = homogeneous_env(split, dimension=2)
         dirs = [rv(f"1/{q}", 0) for q in (5, 7, 8, 9, 11, 13, 17, 19, 23)]
         dirs += [rv(0, "1/3"), rv(0, 0), rv("-1/29", "-1/31")]
@@ -277,7 +278,7 @@ class TestOutsideHull:
         # octahedral layers: 1 and -1 hit vertices, 1/2 edges (and in
         # d = 3 faces at 1/3), n-th fractions land on and next to facets
         rng = np.random.default_rng(90 + d)
-        units = StepSet.nearest_neighbour(d).offsets
+        units = nearest_neighbour(d).offsets
         laws = [law_of(*[({y: int(rng.integers(1, 3))}, float(p)) for y, p in
                          zip(units, rng.dirichlet(np.ones(len(units))))])
                 for _ in range(2)]

@@ -16,6 +16,8 @@ from brwre.lattice import (
     unit_vectors,
 )
 
+from _support import nearest_neighbour
+
 
 def test_l1_helpers():
     assert l1_norm((3, -4)) == 7
@@ -31,7 +33,7 @@ def test_unit_vector_ordering():
 
 class TestStepSet:
     def test_nearest_neighbour(self):
-        ss = StepSet.nearest_neighbour(2)
+        ss = nearest_neighbour(2)
         assert set(ss.offsets) == set(unit_vectors(2))
         assert ss.l0_max == 1
         assert ss.dimension == 2

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from brwre.environment import (
     EnvironmentSpec,
     build_environment,
 )
-from brwre.expectation import solve
+from brwre.expectation import iter_layers
 from brwre.lattice import StepSet, unit_vectors
 from brwre.montecarlo import (
     BitBudgetError,
@@ -30,7 +31,6 @@ from brwre.montecarlo import (
     realized_local_exponent,
     replica_batches,
     run,
-    sample_binomial,
     sample_induced_direct,
     sample_multinomial,
     step_batch,
@@ -49,7 +49,9 @@ from _support import (
     iid_env,
     law_of,
     long_d1_laws,
+    nearest_neighbour,
     random_env,
+    sample_binomial,
 )
 
 
@@ -189,6 +191,19 @@ class TestOutOfRangeVariates:
         assert stats.poisson_draws == 1
         assert k == self.N
 
+    def test_far_normal_variates_convert_exactly(self):
+        # |z| >= 1024 puts z * 2**53 beyond int64: the two tails must still
+        # land on opposite sides of the mean floor(n q), q = 0.3 exactly as
+        # the float holds it
+        n, p = 2**100, 0.3
+        up, down = (sample_binomial(_Fixed(z=z), n, p) for z in (5000.0, -5000.0))
+        assert up != down
+        assert 0 <= down <= n and 0 <= up <= n
+        mean = n * Fraction(p).numerator // Fraction(p).denominator
+        assert up + down in (2 * mean, 2 * mean - 1)
+        # 5000 standard deviations below a mean of about 2.3e7: clipped
+        assert sample_binomial(_Fixed(z=-5000.0), self.N, 5e-12) == 0
+
 
 class TestMultinomialSampler:
     def test_single_category_shortcut(self):
@@ -281,7 +296,7 @@ class TestAgainstExpectation:
             for x, c in last.counts.items():
                 sums[x] += c
                 sqs[x] += c * c
-        layer = solve(env, (0,), n)[-1]
+        layer = list(iter_layers(env, (0,), n))[-1]
         for x, lv in layer.items():
             m = math.exp(lv)
             if m < 5e-3:
@@ -386,12 +401,12 @@ class TestBatchedStep:
                           (pair, 0.05))
 
         spec = EnvironmentSpec(
-            dimension=2, step_set=StepSet.nearest_neighbour(2),
+            dimension=2, step_set=nearest_neighbour(2),
             law_support=(law(0), law(1)), weights=(0.5, 0.5),
             dependence=Dependence("block_window", 1), master_seed=2024)
         env = build_environment(spec)
         n, batches, batch = 6, 200, 1000
-        layer = solve(env, (0, 0), n)[-1]
+        layer = list(iter_layers(env, (0, 0), n))[-1]
         sites = [x for x, v in layer.items() if math.exp(v) >= 1e-3]
         means = {x: [] for x in sites}
         for b in range(batches):
@@ -431,7 +446,7 @@ class TestBatchedStep:
                          ({unit_vectors(d)[0]: 1, unit_vectors(d)[1]: 1},
                           1.0 - 0.2 * 2 * d))
             spec = EnvironmentSpec(
-                dimension=d, step_set=StepSet.nearest_neighbour(d),
+                dimension=d, step_set=nearest_neighbour(d),
                 law_support=(law, law_of(*[({y: 1}, 1.0 / (2 * d))
                                            for y in unit_vectors(d)])),
                 weights=(0.5, 0.5), dependence=Dependence("block_window", 1),
@@ -480,7 +495,7 @@ def _block_window_d2_env():
                   ({units[2]: 1, units[3]: 1}, 0.5))
     single = law_of(*[({y: 1}, 0.25) for y in units])
     return build_environment(EnvironmentSpec(
-        dimension=2, step_set=StepSet.nearest_neighbour(2),
+        dimension=2, step_set=nearest_neighbour(2),
         law_support=(pair, single), weights=(0.3, 0.7),
         dependence=Dependence("block_window", 1), master_seed=2718))
 

@@ -19,13 +19,19 @@ from brwre.shape import (
     convex_hull,
     hausdorff_l1,
     hull_inequalities,
-    iter_reachable,
-    norm_estimate,
     passage_times,
     shape_polytope,
 )
 
-from _support import homogeneous_env, iid_env, law_of, random_env
+from _support import (
+    homogeneous_env,
+    iid_env,
+    iter_reachable,
+    law_of,
+    nearest_neighbour,
+    norm_estimate,
+    random_env,
+)
 
 
 def unit_mass_law(rng, offsets):
@@ -171,12 +177,12 @@ class TestBfsMemory:
         # the d = 3 BFS of the benchmark's `shape` step (horizon 24, block
         # window 1): int32 times, uint8 law indices and a box hashed in
         # slabs trace about 15 B per box cell; int64 ones traced 26 B
-        units = StepSet.nearest_neighbour(3).offsets
+        units = nearest_neighbour(3).offsets
         pair = law_of(*[({u: 1, tuple(-c for c in u): 1}, 1 / 3)
                         for u in units if sum(u) > 0])
         hop = law_of(*[({u: 1}, 1 / 6) for u in units])
         spec = EnvironmentSpec(
-            dimension=3, step_set=StepSet.nearest_neighbour(3),
+            dimension=3, step_set=nearest_neighbour(3),
             law_support=(pair, hop), weights=(0.3, 0.7),
             dependence=Dependence("block_window", 1), master_seed=5)
         # a first small call pays the allocations of first use
@@ -284,17 +290,6 @@ class TestShapePolytope:
             with pytest.raises(ShapeError):
                 shape_polytope(ptm, n)
 
-    def test_normalized_sites_within_unit_ball(self):
-        env = random_env(np.random.default_rng(27))
-        delta = env.conditions.epsilon0 / 2
-        n = 10
-        ptm = passage_times(env, delta, n * env.spec.step_set.l0_max)
-        est = shape_polytope(ptm, n)
-        l0 = env.spec.step_set.l0_max
-        for p in est.normalized_sites:
-            assert sum(abs(c) for c in p) <= l0 + 1e-12
-
-
 
 class TestPassageTimeGrid:
     """`times`, `t`, `reached` and `shape_polytope` agree with `grid`."""
@@ -302,7 +297,7 @@ class TestPassageTimeGrid:
     @staticmethod
     def _map(d):
         rng = np.random.default_rng(70 + d)
-        step_set = StepSet.nearest_neighbour(d)
+        step_set = nearest_neighbour(d)
         laws = [unit_mass_law(rng, step_set.offsets) for _ in range(2)]
         env = iid_env(laws, [0.5, 0.5], int(rng.integers(0, 2**31)),
                       dimension=d)
@@ -348,9 +343,8 @@ class TestPassageTimeGrid:
         # the shape path builds no per-site dict
         assert "times" not in vars(ptm)
         for n, est in ests.items():
-            want = np.array(sorted(sub(x, ptm.origin) for x in ptm.reached(n)))
-            assert est.normalized_sites.shape == want.shape
-            assert np.array_equal(est.normalized_sites, want / n)
+            want = convex_hull([sub(x, ptm.origin) for x in ptm.reached(n)])
+            assert est.hull == tuple(tuple(c / n for c in v) for v in want)
         assert "times" in vars(ptm)
 
 class TestRowEndHull:
@@ -387,7 +381,7 @@ class TestRowEndHull:
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_reached_sets(self, d):
         rng = np.random.default_rng(60 + d)
-        step_set = StepSet.nearest_neighbour(d)
+        step_set = nearest_neighbour(d)
         for _ in range(6):
             laws = [unit_mass_law(rng, step_set.offsets) for _ in range(2)]
             env = iid_env(laws, [0.6, 0.4], int(rng.integers(0, 2**31)),
@@ -613,7 +607,7 @@ class TestHullContract:
 
 class TestOpenMoves:
     def test_all_open_laws_read_no_law_indices(self, monkeypatch):
-        units = StepSet.nearest_neighbour(2).offsets
+        units = nearest_neighbour(2).offsets
         pair = law_of(*[({u: 1, tuple(-c for c in u): 1}, 0.5)
                         for u in units[::2]])
         env = iid_env([pair, open_law_2d()], [0.4, 0.6], 3, dimension=2)
