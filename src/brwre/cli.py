@@ -80,8 +80,10 @@ class ReportError(RuntimeError):
     """The output directory does not hold a consistent set of artifacts."""
 
 
-# the package's other error classes are ValueErrors
-_MODULE_ERRORS = (SimulationError, ReportError, OSError, ValueError)
+# the package's other error classes are ValueErrors; a MemoryError that
+# the memory preflight did not foresee still exits with a typed error
+_MODULE_ERRORS = (SimulationError, ReportError, OSError, ValueError,
+                  MemoryError)
 
 
 # ---------------------------------------------------------------------------
@@ -559,15 +561,15 @@ def _cmd_simulate(env, p, out):
         for batch in iter_batch(env, start, p["horizon"], rngs,
                                 bit_budget=p["bit_budget"], stats=stats):
             if replicas.start == 0:
-                st = batch.state(0)
-                ln_total = repr(math.log(st.total)) if st.total > 0 else ""
-                cells = ",".join(str(st.count(s)) for s in track)
-                rows.append(f"{st.n},{st.total},{ln_total},{st.occupied()},"
+                total = batch.totals[0]
+                ln_total = repr(math.log(total)) if total > 0 else ""
+                cells = ",".join(str(batch.count(s)[0]) for s in track)
+                rows.append(f"{batch.n},{total},{ln_total},{batch.bounds[1]},"
                             f"{cells}")
         if replicas.start == 0:
             final_total = batch.totals[0]
-        finals += ([st.count(s) for s in track]
-                   for st in map(batch.state, range(len(rngs))))
+        # one row of tracked counts per replica (track is never empty)
+        finals += zip(*(batch.count(s) for s in track))
 
     site_cols = ",".join(f"eta@{'|'.join(map(str, s))}" for s in track)
     out.csv("trajectory.csv", f"n,total,ln_total,occupied,{site_cols}", rows)

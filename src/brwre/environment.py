@@ -434,17 +434,29 @@ def check_box_memory(cells: int, error: type[Exception], what: str) -> None:
 
     Call it before evaluating the cells' law indices, so an oversized
     request fails at once with a typed error instead of a MemoryError or
-    an out-of-memory kill.
+    an out-of-memory kill.  The budget is the least of physical memory
+    and the process's soft RLIMIT_AS and RLIMIT_DATA, where they are set.
     """
     need = cells * BYTES_PER_BOX_CELL
+    limits = []
     try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+                       "physical memory"))
     except (AttributeError, ValueError, OSError):
-        return
+        pass
+    try:
+        import resource  # here, not at the top: the CLI's start-up stays lean
+        for name in ("RLIMIT_AS", "RLIMIT_DATA"):
+            soft = resource.getrlimit(getattr(resource, name))[0]
+            if soft != resource.RLIM_INFINITY:
+                limits.append((soft, f"the soft {name}"))
+    except ImportError:  # no resource module on this platform
+        pass
+    have, limit = min(limits, default=(need, ""))
     if need > have:
         raise error(
             f"{what} needs a {cells}-cell box, about {need / 2**30:.1f} GiB "
-            f"at {BYTES_PER_BOX_CELL} B per cell; physical memory is "
+            f"at {BYTES_PER_BOX_CELL} B per cell; {limit} is "
             f"{have / 2**30:.1f} GiB"
         )
 

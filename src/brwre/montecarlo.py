@@ -23,16 +23,15 @@ and runs the law lookup, the big-integer arithmetic, the children and
 their scatter once over all of them, while each replica's generator makes
 the calls, of the same sizes and in the same order, that it makes when
 the replica is stepped alone.  A batched replica's states are therefore
-bitwise those of the replica alone; `step_population` is the one-replica
-case.  `replica_batches` caps a batch at `_BATCH_CELLS` scatter cells over
-the box at the horizon, so a batch's memory is bounded whatever the
-replica count.
+bitwise those of the replica alone, and a lone run is a batch of one.
+`replica_batches` caps a batch at `_BATCH_CELLS` scatter cells over the
+box at the horizon, so a batch's memory is bounded whatever the replica
+count.
 
 A run is a stream: `iter_batch` yields one generation of its replicas at a
 time and keeps only the current one, whose counts reach about n bits at up
 to 2n + 1 sites per replica, so a caller that reads each generation as it
 comes (the CLI's `simulate`) holds one generation per replica of a batch.
-`iter_run` is the one-replica stream and `run` lists every state of it.
 """
 
 from __future__ import annotations
@@ -242,68 +241,6 @@ def _conditional_chain(rngs: Sequence[np.random.Generator], rep: np.ndarray,
     return out
 
 
-# the replica index of a lone row
-_ONE = np.zeros(1, dtype=np.int64)
-
-
-def sample_multinomial(rng: np.random.Generator, n: int,
-                       probs: np.ndarray,
-                       stats: SamplerStats | None = None) -> list[int]:
-    """Draw from Multinomial(n, probs), exact for n below 2**62.
-
-    Larger counts are decomposed into conditional binomials.  This is the
-    one-row case of the batched samplers `step_batch` uses.
-    """
-    stats = stats if stats is not None else SamplerStats()
-    if n < _EXACT_LIMIT:
-        row = _exact_multinomials([rng], _ONE, np.array([n]), probs, stats)[0]
-    else:
-        row = _conditional_chain([rng], _ONE, np.array([n], dtype=object),
-                                 _chain_tables(np.asarray(probs)[None, :]),
-                                 stats)[0]
-    return [int(c) for c in row]
-
-
-@dataclass(frozen=True, eq=False)
-class PopulationState:
-    """Particle counts at a fixed time, in array form.
-
-    `sites` is an (N, d) int64 array of the occupied sites in lexicographic
-    order and `values` the (N,) positive counts there, int64 or an object
-    array of Python ints.  `counts` builds a site -> count dict per access.
-    """
-
-    n: int
-    total: int
-    sites: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def initial(cls, start: Site) -> "PopulationState":
-        return cls.from_counts(0, {start: 1})
-
-    @classmethod
-    def from_counts(cls, n: int, counts: dict[Site, int]) -> "PopulationState":
-        """The state at generation n with these positive counts."""
-        sites, total = sorted(counts), sum(counts.values())
-        values = [counts[x] for x in sites]
-        return cls(n, total, np.array(sites, dtype=np.int64),
-                   np.array(values, dtype=object if total >> 63 else np.int64))
-
-    @property
-    def counts(self) -> dict[Site, int]:
-        return dict(zip(map(tuple, self.sites.tolist()), self.values.tolist()))
-
-    def count(self, x: Site) -> int:
-        lo, hi = 0, len(self.values)
-        for j, c in enumerate(x):  # narrow the sorted rows coordinate-wise
-            lo, hi = lo + np.searchsorted(self.sites[lo:hi, j], (c, c + 1))
-        return int(self.values[lo]) if hi > lo else 0
-
-    def occupied(self) -> int:
-        return len(self.values)
-
-
 @dataclass(frozen=True, eq=False)
 class PopulationBatch:
     """The states of R replicas at one generation, in one set of arrays.
@@ -323,22 +260,28 @@ class PopulationBatch:
     bounds: list[int]
 
     @classmethod
-    def of(cls, states: Sequence[PopulationState]) -> "PopulationBatch":
-        """The batch of these states, all at the generation of the first."""
-        sizes = [st.occupied() for st in states]
-        return cls(states[0].n, tuple(st.total for st in states),
-                   np.concatenate([st.sites for st in states]),
-                   np.concatenate([st.values for st in states]),
-                   np.repeat(np.arange(len(states)), sizes),
+    def initial(cls, start: Site, replicas: int) -> "PopulationBatch":
+        """Generation 0 of `replicas` runs, one particle each at `start`."""
+        return cls.from_counts(0, [{start: 1}] * replicas)
+
+    @classmethod
+    def from_counts(cls, n: int,
+                    counts: Sequence[dict[Site, int]]) -> "PopulationBatch":
+        """The batch at generation n whose replica r has the positive
+        counts `counts[r]`."""
+        sites = [sorted(c) for c in counts]
+        totals = tuple(sum(c.values()) for c in counts)
+        sizes = [len(s) for s in sites]
+        return cls(n, totals,
+                   np.array([x for s in sites for x in s], dtype=np.int64),
+                   np.array([c[x] for c, s in zip(counts, sites) for x in s],
+                            dtype=object if any(t >> 63 for t in totals)
+                            else np.int64),
+                   np.repeat(np.arange(len(counts)), sizes),
                    [0, *accumulate(sizes)])
 
     def __len__(self) -> int:
         return len(self.totals)
-
-    def state(self, r: int) -> PopulationState:
-        rows = slice(self.bounds[r], self.bounds[r + 1])
-        return PopulationState(self.n, self.totals[r], self.sites[rows],
-                               self.values[rows])
 
     def count(self, x: Site) -> list[int]:
         """Each replica's particle count at x."""
@@ -517,16 +460,6 @@ def step_batch(env: EnvironmentField, batch: PopulationBatch,
         values, replica, bounds)
 
 
-def step_population(env: EnvironmentField, state: PopulationState,
-                    rng: np.random.Generator, *,
-                    bit_budget: int = DEFAULT_BIT_BUDGET,
-                    stats: SamplerStats | None = None) -> PopulationState:
-    """Advance the population one generation under the quenched
-    environment: `step_batch` on a batch of this one state."""
-    return step_batch(env, PopulationBatch.of([state]), [rng],
-                      bit_budget=bit_budget, stats=stats).state(0)
-
-
 def iter_batch(env: EnvironmentField, start: Site, n: int,
                rngs: Sequence[np.random.Generator], *,
                bit_budget: int = DEFAULT_BIT_BUDGET,
@@ -556,36 +489,12 @@ def _checked_start(env: EnvironmentField, start: Site, n: int) -> Site:
 
 
 def _generations(env, start, n, rngs, bit_budget, stats):
-    batch = PopulationBatch.of([PopulationState.initial(start)] * len(rngs))
+    batch = PopulationBatch.initial(start, len(rngs))
     yield batch
     for _ in range(n):
         batch = step_batch(env, batch, rngs,
                            bit_budget=bit_budget, stats=stats)
         yield batch
-
-
-def iter_run(env: EnvironmentField, start: Site, n: int,
-             rng: np.random.Generator, *,
-             bit_budget: int = DEFAULT_BIT_BUDGET,
-             stats: SamplerStats | None = None) -> Iterator[PopulationState]:
-    """The one-replica case of `iter_batch`: generations 0..n as states."""
-    batches = iter_batch(env, start, n, [rng],
-                         bit_budget=bit_budget, stats=stats)
-    return (batch.state(0) for batch in batches)
-
-
-def run(env: EnvironmentField, start: Site, n: int,
-        rng: np.random.Generator, *,
-        bit_budget: int = DEFAULT_BIT_BUDGET,
-        stats: SamplerStats | None = None) -> list[PopulationState]:
-    """The n+1 states of `iter_run`, generation 0 through n, as a list.
-
-    Every state stays alive: in d = 1 generation k holds up to 2k + 1
-    sites with counts of about k bits, so the list grows with the cube of
-    n.  A caller that reads each state once streams `iter_run` instead.
-    """
-    return list(iter_run(env, start, n, rng,
-                         bit_budget=bit_budget, stats=stats))
 
 
 @dataclass(frozen=True)
@@ -788,7 +697,7 @@ def estimate_return_probability(env: EnvironmentField, x: Site,
     for batch_replicas in replica_batches(env, horizon, replicas):
         rngs = [replica_rng(master_seed, r, PURPOSE_RETURN_PROBE)
                 for r in batch_replicas]
-        batch = PopulationBatch.of([PopulationState.initial(x)] * len(rngs))
+        batch = PopulationBatch.initial(x, len(rngs))
         for _ in range(horizon):  # generation 0 stands on x
             batch = step_batch(env, batch, rngs,
                                bit_budget=bit_budget, stats=stats)

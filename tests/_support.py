@@ -9,6 +9,9 @@ that only tests use, each built from package internals:
 - `criterion_value_at`: Phi(t) of the transience criterion at one point;
 - `sample_binomial`: one Binomial(n, p) draw for any integer n, the first
   pass of the population sampler's conditional chain;
+- `sample_multinomial`: one Multinomial(n, probs) draw for any integer n,
+  the one-row case of the population sampler;
+- `counts`: one replica's site -> count dict of a population batch;
 - `iter_reachable`: the sets R(k) reached in exactly k delta-open steps;
 - `norm_estimate`: the passage-time norm along a rational ray, sampled
   from one BFS;
@@ -36,7 +39,14 @@ from brwre.environment import (
 )
 from brwre.growth import GrowthError
 from brwre.lattice import RationalVector, Site, StepSet, unit_vectors
-from brwre.montecarlo import _ONE, SamplerStats, _chain_tables, _conditional_chain
+from brwre.montecarlo import (
+    _EXACT_LIMIT,
+    PopulationBatch,
+    SamplerStats,
+    _chain_tables,
+    _conditional_chain,
+    _exact_multinomials,
+)
 from brwre.seeding import axis_hash, hash_uniform
 from brwre.shape import INF, ShapeError, _advance, _open_moves, passage_times
 
@@ -217,6 +227,10 @@ def criterion_value_at(law_support: list[SiteLaw], t) -> float:
     return float(_Phi(list(law_support)).laws_at(t)[0].max())
 
 
+# the replica index of a lone row
+_ONE = np.zeros(1, dtype=np.int64)
+
+
 def sample_binomial(rng: np.random.Generator, n: int, p: float,
                     stats: SamplerStats | None = None) -> int:
     """Draw from Binomial(n, p) for arbitrarily large integer n.
@@ -234,6 +248,31 @@ def sample_binomial(rng: np.random.Generator, n: int, p: float,
                            _chain_tables(np.array([[p, 1.0 - p]])),
                            stats if stats is not None else SamplerStats())
     return int(k[0, 0])
+
+
+def sample_multinomial(rng: np.random.Generator, n: int,
+                       probs: np.ndarray,
+                       stats: SamplerStats | None = None) -> list[int]:
+    """Draw from Multinomial(n, probs), exact for n below 2**62.
+
+    Larger counts are decomposed into conditional binomials.  This is the
+    one-row case of the batched samplers `step_batch` uses.
+    """
+    stats = stats if stats is not None else SamplerStats()
+    if n < _EXACT_LIMIT:
+        row = _exact_multinomials([rng], _ONE, np.array([n]), probs, stats)[0]
+    else:
+        row = _conditional_chain([rng], _ONE, np.array([n], dtype=object),
+                                 _chain_tables(np.asarray(probs)[None, :]),
+                                 stats)[0]
+    return [int(c) for c in row]
+
+
+def counts(batch: PopulationBatch, r: int) -> dict[Site, int]:
+    """Replica r's particle counts, site -> count."""
+    rows = slice(batch.bounds[r], batch.bounds[r + 1])
+    return dict(zip(map(tuple, batch.sites[rows].tolist()),
+                    batch.values[rows].tolist()))
 
 
 def iter_reachable(

@@ -42,14 +42,14 @@ from brwre.growth import (
 from brwre.lattice import RationalVector, StepSet
 from brwre.montecarlo import (
     InducedWalkState,
-    PopulationState,
+    PopulationBatch,
     SamplerStats,
     induced_kernel,
     induced_walk_step,
     iter_batch,
     replica_batches,
     sample_induced_direct,
-    step_population,
+    step_batch,
 )
 from brwre.seeding import PURPOSE_DYNAMICS, replica_rng
 from brwre.shape import hausdorff_l1, passage_times, shape_polytope
@@ -196,14 +196,14 @@ def test_criterion_05_mc_dp_agreement():
     n, n_batches, batch = 10, 100, 1000
     t0 = time.perf_counter()
     layer = list(iter_layers(env, (0,), n))[-1]
-    per_site = {x: [] for x, v in layer.items() if math.exp(v) >= 1e-3}
-    for b in range(n_batches):
-        rng_b = replica_rng(550, b, PURPOSE_DYNAMICS)
-        state = PopulationState.from_counts(0, {(0,): batch})
-        for _ in range(n):
-            state = step_population(env, state, rng_b)
-        for x in per_site:
-            per_site[x].append(state.count(x) / batch)
+    # the batches are the replicas of one PopulationBatch, each drawing from
+    # its own generator as it would stepped alone
+    rngs = [replica_rng(550, b, PURPOSE_DYNAMICS) for b in range(n_batches)]
+    state = PopulationBatch.from_counts(0, [{(0,): batch}] * n_batches)
+    for _ in range(n):
+        state = step_batch(env, state, rngs)
+    per_site = {x: [c / batch for c in state.count(x)]
+                for x, v in layer.items() if math.exp(v) >= 1e-3}
     worst = 0.0
     for x, means in per_site.items():
         arr = np.asarray(means)

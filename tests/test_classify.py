@@ -8,14 +8,12 @@ import pytest
 from brwre import classify
 from brwre.classify import (
     CriterionError,
-    CriterionResult,
     transience_criterion,
 )
 
 from _support import (
     borderline_law,
     criterion_value_at,
-    doubling_law,
     drift_law,
     law_of,
     mean2_law,

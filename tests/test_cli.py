@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from brwre import expectation, montecarlo
+from brwre import expectation, montecarlo, shape
 from brwre.cli import (
     COMMANDS,
     PARAMETERS,
@@ -30,12 +30,13 @@ from brwre.environment import (
 from brwre.expectation import read_layer_binary, read_layer_csv
 from brwre.growth import total_growth
 from brwre.lattice import unit_vectors
-from brwre.montecarlo import SamplerStats, realized_local_exponent, run
+from brwre.montecarlo import SamplerStats, iter_batch, realized_local_exponent
 from brwre.seeding import PURPOSE_DYNAMICS, replica_rng
 from brwre.shape import passage_times
 
 from _support import (
     borderline_law,
+    counts,
     doubling_law,
     homogeneous_env,
     iid_env,
@@ -383,20 +384,22 @@ class TestSimulate:
 
 
 def _simulate_from_run(env, horizon, replicas, track):
-    """`simulate`'s artifacts rebuilt from `montecarlo.run`, which keeps
-    every replica's whole list of states."""
+    """`simulate`'s artifacts rebuilt from each replica run alone, as a
+    batch of one, keeping its whole list of generations."""
     seed, d = env.spec.master_seed, env.spec.dimension
     stats = SamplerStats()
-    runs = [run(env, (0,) * d, horizon, replica_rng(seed, r, PURPOSE_DYNAMICS),
-                stats=stats) for r in range(replicas)]
+    runs = [[counts(st, 0) for st in iter_batch(
+                env, (0,) * d, horizon,
+                [replica_rng(seed, r, PURPOSE_DYNAMICS)], stats=stats)]
+            for r in range(replicas)]
     cols = ",".join(f"eta@{'|'.join(map(str, s))}" for s in track)
     traj = [f"n,total,ln_total,occupied,{cols}"]
-    for st in runs[0]:
-        cells = ",".join(str(st.count(s)) for s in track)
-        traj.append(f"{st.n},{st.total},{math.log(st.total)!r},"
-                    f"{st.occupied()},{cells}")
+    for n, st in enumerate(runs[0]):
+        total = sum(st.values())
+        cells = ",".join(str(st.get(s, 0)) for s in track)
+        traj.append(f"{n},{total},{math.log(total)!r},{len(st)},{cells}")
     rex = ["site,n,mean,ci_low,ci_high,occupancy,samples"]
-    finals = [[states[-1].count(s) for s in track] for states in runs]
+    finals = [[states[-1].get(s, 0) for s in track] for states in runs]
     for e in realized_local_exponent(horizon, track, finals):
         site = "|".join(map(str, e.site))
         rex.append(f"{site},{e.n},{e.mean!r},{e.ci_low!r},{e.ci_high!r},"
@@ -531,6 +534,22 @@ class TestShape:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ShapeError"
         assert "cell box" in err["error"]["message"]
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # what the memory preflight does not foresee still ends in a typed
+        # error, not a traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(shape, "shape_polytope", exhausted)
+        cfgp = write_config(tmp_path, "c.json", base_config(
+            "shape", tmp_path / "out", horizon=4, delta_grid=[0.1]))
+        assert main(["shape", cfgp]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {"error": {
+            "code": 3, "type": "MemoryError",
+            "message": "Unable to allocate 8.00 GiB for an array"}}
 
 
 class TestReport:

@@ -14,7 +14,6 @@ from brwre.environment import (
     EnvironmentField,
     EnvironmentSpec,
     OffspringConfig,
-    SiteLaw,
     build_environment,
     check_conditions,
     is_delta_aperiodic,

@@ -1,7 +1,12 @@
 import csv
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +253,48 @@ class TestMemoryPreflight:
         # at twice the horizon even the lattice cells do not fit
         with pytest.raises(SolverError, match=f"horizon {2 * h}"):
             list(iter_layers(env, start, 2 * h))
+
+    def test_soft_address_space_limit_binds(self):
+        # a child process lowers its own soft RLIMIT_AS to half of physical
+        # memory before it imports the package; a box that fits physical
+        # memory but not the limit is refused, and the message names it
+        code = """if True:
+            import os, resource
+            phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            limit = phys // 2
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+            from brwre.environment import BYTES_PER_BOX_CELL, check_box_memory
+            check_box_memory(10**6, RuntimeError, "a small box")
+            try:
+                check_box_memory(limit // BYTES_PER_BOX_CELL + 1,
+                                 RuntimeError, "a large box")
+            except RuntimeError as exc:
+                print(exc)
+            """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("a large box needs")
+        assert "the soft RLIMIT_AS is" in out.stdout
+
+    def test_soft_data_limit_binds(self, monkeypatch):
+        # 1 GiB of RLIMIT_DATA, RLIMIT_AS unlimited and so ignored
+        def getrlimit(which):
+            soft = (2**30 if which == resource.RLIMIT_DATA
+                    else resource.RLIM_INFINITY)
+            return soft, resource.RLIM_INFINITY
+
+        monkeypatch.setattr(resource, "getrlimit", getrlimit)
+        fits = 2**30 // BYTES_PER_BOX_CELL
+        check_box_memory(fits, SolverError, "a fitting box")
+        with pytest.raises(SolverError,
+                           match="the soft RLIMIT_DATA is 1.0 GiB"):
+            check_box_memory(fits + 1, SolverError, "a larger box")
 
 
 def _lattice_env(steps, dependence, seed):

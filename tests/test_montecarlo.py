@@ -20,21 +20,16 @@ from brwre.montecarlo import (
     BitBudgetError,
     InducedWalkState,
     PopulationBatch,
-    PopulationState,
     SamplerStats,
     SimulationError,
     estimate_return_probability,
     induced_kernel,
     induced_walk_step,
     iter_batch,
-    iter_run,
     realized_local_exponent,
     replica_batches,
-    run,
     sample_induced_direct,
-    sample_multinomial,
     step_batch,
-    step_population,
 )
 from brwre.seeding import (
     PURPOSE_DYNAMICS,
@@ -43,6 +38,7 @@ from brwre.seeding import (
 )
 
 from _support import (
+    counts,
     doubling_law,
     drift_law,
     homogeneous_env,
@@ -52,11 +48,12 @@ from _support import (
     nearest_neighbour,
     random_env,
     sample_binomial,
+    sample_multinomial,
 )
 
 
 def _digest(states) -> str:
-    return hashlib.sha256(repr([(st.n, sorted(st.counts.items()))
+    return hashlib.sha256(repr([(st.n, sorted(counts(st, 0).items()))
                                 for st in states]).encode()).hexdigest()
 
 
@@ -234,54 +231,55 @@ class TestMultinomialSampler:
 class TestPopulationDynamics:
     def test_doubling_is_deterministic(self):
         env = homogeneous_env(doubling_law())
-        states = run(env, (0,), 30, np.random.default_rng(0))
+        states = iter_batch(env, (0,), 30, [np.random.default_rng(0)])
         for k, st in enumerate(states):
-            assert st.total == 2**k
+            assert st.totals[0] == 2**k
             for x in range(-k, k + 1):
                 want = math.comb(k, (k + x) // 2) if (k + x) % 2 == 0 else 0
-                assert st.count((x,)) == want
+                assert st.count((x,))[0] == want
 
     def test_totals_never_decrease(self):
         # every configuration has at least one child
         env = random_env(np.random.default_rng(11))
-        states = run(env, (0,), 40, np.random.default_rng(12))
-        totals = [st.total for st in states]
+        states = iter_batch(env, (0,), 40, [np.random.default_rng(12)])
+        totals = [st.totals[0] for st in states]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
         assert totals[0] == 1
 
     def test_counts_stay_python_ints(self):
         env = homogeneous_env(doubling_law())
-        last = run(env, (0,), 70, np.random.default_rng(0))[-1]
-        assert last.total == 2**70  # exceeds any fixed-width integer
-        assert type(last.total) is int
-        assert all(type(c) is int for c in last.counts.values())
+        *_, last = iter_batch(env, (0,), 70, [np.random.default_rng(0)])
+        assert last.totals[0] == 2**70  # exceeds any fixed-width integer
+        assert type(last.totals[0]) is int
+        assert all(type(c) is int for c in counts(last, 0).values())
 
     def test_generation_indices(self):
         env = random_env(np.random.default_rng(13))
-        states = run(env, (2,), 5, np.random.default_rng(14))
+        states = list(iter_batch(env, (2,), 5, [np.random.default_rng(14)]))
         assert [st.n for st in states] == [0, 1, 2, 3, 4, 5]
-        assert states[0].counts == {(2,): 1}
+        assert counts(states[0], 0) == {(2,): 1}
 
     def test_same_seed_same_trajectory(self):
         env = random_env(np.random.default_rng(15))
-        a = run(env, (0,), 25, np.random.default_rng(99))
-        b = run(env, (0,), 25, np.random.default_rng(99))
-        assert [st.counts for st in a] == [st.counts for st in b]
+        a = iter_batch(env, (0,), 25, [np.random.default_rng(99)])
+        b = iter_batch(env, (0,), 25, [np.random.default_rng(99)])
+        assert [counts(st, 0) for st in a] == [counts(st, 0) for st in b]
 
     def test_bit_budget_enforced(self):
         env = homogeneous_env(doubling_law())
         with pytest.raises(BitBudgetError):
-            run(env, (0,), 40, np.random.default_rng(0), bit_budget=16)
+            list(iter_batch(env, (0,), 40, [np.random.default_rng(0)],
+                            bit_budget=16))
 
-    def test_iter_run_checks_arguments_when_called(self):
+    def test_iter_batch_checks_arguments_when_called(self):
         # no next(): the bare call raises, and draws nothing
         env = homogeneous_env(doubling_law())
         rng = np.random.default_rng(4)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="negative horizon"):
-            iter_run(env, (0,), -1, rng)
+            iter_batch(env, (0,), -1, [rng])
         with pytest.raises(ValueError, match="dimension 2.*dimension 1"):
-            iter_run(env, (0, 0), 3, rng)
+            iter_batch(env, (0, 0), 3, [rng])
         assert rng.bit_generator.state == before
 
 
@@ -292,8 +290,9 @@ class TestAgainstExpectation:
         sums = Counter()
         sqs = Counter()
         for r in range(reps):
-            last = run(env, (0,), n, replica_rng(123, r, PURPOSE_DYNAMICS))[-1]
-            for x, c in last.counts.items():
+            *_, last = iter_batch(env, (0,), n,
+                                 [replica_rng(123, r, PURPOSE_DYNAMICS)])
+            for x, c in counts(last, 0).items():
                 sums[x] += c
                 sqs[x] += c * c
         layer = list(iter_layers(env, (0,), n))[-1]
@@ -312,11 +311,11 @@ class TestAgainstExpectation:
         env = homogeneous_env(walk)
         rng = np.random.default_rng(18)
         reps = 20000
-        state0 = PopulationState.from_counts(0, {(0,): 5})
+        state0 = PopulationBatch.from_counts(0, [{(0,): 5}])
         obs = Counter()
         for _ in range(reps):
-            nxt = step_population(env, state0, rng)
-            obs[nxt.count((1,))] += 1
+            nxt = step_batch(env, state0, [rng])
+            obs[nxt.count((1,))[0]] += 1
         expected = [reps * math.comb(5, k) * 0.3**k * 0.7 ** (5 - k)
                     for k in range(6)]
         chi2, pval = sstats.chisquare([obs.get(k, 0) for k in range(6)],
@@ -336,28 +335,28 @@ class TestBatchedStep:
         triple = law_of(({(-1,): 2, (1,): 1}, 1.0))
         spec = iid_env([pairs, triple], [0.5, 0.5], 0).spec
         env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
-        counts = [2**62 - 1, 2**62, 2**62 + 1, 5, 10**30, 3 * 2**70, 1, 2**64]
-        state = PopulationState.from_counts(
-            0, {(x,): c for x, c in enumerate(counts)})
+        sizes = [2**62 - 1, 2**62, 2**62 + 1, 5, 10**30, 3 * 2**70, 1, 2**64]
+        state = PopulationBatch.from_counts(
+            0, [{(x,): c for x, c in enumerate(sizes)}])
         return env, state
 
     def test_total_is_exact_across_the_exact_limit(self):
         env, state = self._straddling()
-        nxt = step_population(env, state, np.random.default_rng(40))
+        nxt = step_batch(env, state, [np.random.default_rng(40)])
         want = sum(c * (2 if x[0] % 2 == 0 else 3)
-                   for x, c in state.counts.items())
-        assert nxt.total == want
-        assert sum(nxt.counts.values()) == want
-        assert type(nxt.total) is int
-        assert all(type(c) is int and c > 0 for c in nxt.counts.values())
+                   for x, c in counts(state, 0).items())
+        assert nxt.totals[0] == want
+        assert sum(counts(nxt, 0).values()) == want
+        assert type(nxt.totals[0]) is int
+        assert all(type(c) is int and c > 0 for c in counts(nxt, 0).values())
 
     def test_stats_match_per_site_accounting(self):
         env, state = self._straddling()
         stats = SamplerStats()
-        step_population(env, state, np.random.default_rng(41), stats=stats)
+        step_batch(env, state, [np.random.default_rng(41)], stats=stats)
         ref = SamplerStats()
         rng = np.random.default_rng(42)
-        for x, c in sorted(state.counts.items()):
+        for x, c in sorted(counts(state, 0).items()):
             sample_multinomial(rng, c, env.law_at(x).atom_probs, ref)
         assert stats.as_dict() == ref.as_dict()
         # two exact rows of the three-atom law, and two conditionals for
@@ -374,14 +373,14 @@ class TestBatchedStep:
         triple = law_of(({(-1,): 2, (1,): 1}, 1.0))
         spec = iid_env([rare, triple], [0.5, 0.5], 0).spec
         env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
-        counts = [2**62 - 1, 2**62, 2**64, 5, 10**30, 3 * 2**70, 1, 2**64]
-        state = PopulationState.from_counts(
-            0, {(x,): c for x, c in enumerate(counts)})
+        sizes = [2**62 - 1, 2**62, 2**64, 5, 10**30, 3 * 2**70, 1, 2**64]
+        state = PopulationBatch.from_counts(
+            0, [{(x,): c for x, c in enumerate(sizes)}])
         stats = SamplerStats()
-        nxt = step_population(env, state, np.random.default_rng(46),
-                              stats=stats)
-        assert nxt.total == sum(c * (2 if x % 2 == 0 else 3)
-                                for x, c in enumerate(counts))
+        nxt = step_batch(env, state, [np.random.default_rng(46)],
+                         stats=stats)
+        assert nxt.totals[0] == sum(c * (2 if x % 2 == 0 else 3)
+                                    for x, c in enumerate(sizes))
         assert stats.poisson_draws > 0 and stats.normal_draws > 0
         assert stats.as_dict() == {"exact_draws": 2, "normal_draws": 3,
                                    "poisson_draws": 1}
@@ -411,11 +410,11 @@ class TestBatchedStep:
         means = {x: [] for x in sites}
         for b in range(batches):
             rng = replica_rng(77, b, PURPOSE_DYNAMICS)
-            state = PopulationState.from_counts(0, {(0, 0): batch})
+            state = PopulationBatch.from_counts(0, [{(0, 0): batch}])
             for _ in range(n):
-                state = step_population(env, state, rng)
+                state = step_batch(env, state, [rng])
             for x in sites:
-                means[x].append(state.count(x) / batch)
+                means[x].append(state.count(x)[0] / batch)
         assert len(sites) >= 20
         for x in sites:
             arr = np.asarray(means[x])
@@ -432,10 +431,10 @@ class TestBatchedStep:
             return orig(self, x)
 
         monkeypatch.setattr(EnvironmentField, "law_index", counting)
-        counts = {(x,): x + 30 for x in range(-25, 25)}
-        state = PopulationState.from_counts(0, counts)
-        nxt = step_population(env, state, np.random.default_rng(44))
-        assert nxt.n == 1 and len(state.counts) == 50
+        sizes = {(x,): x + 30 for x in range(-25, 25)}
+        state = PopulationBatch.from_counts(0, [sizes])
+        nxt = step_batch(env, state, [np.random.default_rng(44)])
+        assert nxt.n == 1 and len(counts(state, 0)) == 50
         assert calls == []
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -457,7 +456,8 @@ class TestBatchedStep:
         with monkeypatch.context() as m:
             m.setattr(EnvironmentField, "law_index_grid",
                       lambda env, lo, hi: env._law_index_box(lo, hi))
-            want = run(make_env(), start, n, np.random.default_rng(5))
+            want = list(iter_batch(make_env(), start, n,
+                                   [np.random.default_rng(5)]))
         calls = []
         orig = EnvironmentField._law_index_box
 
@@ -466,8 +466,8 @@ class TestBatchedStep:
             return orig(self, lo, hi)
 
         monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
-        got = run(make_env(), start, n, np.random.default_rng(5))
-        assert [s.counts for s in got] == [s.counts for s in want]
+        got = iter_batch(make_env(), start, n, [np.random.default_rng(5)])
+        assert [counts(s, 0) for s in got] == [counts(s, 0) for s in want]
         assert 1 <= len(calls) <= 2 * math.log2(2 * n) + 1
 
     def test_jumping_site_grows_the_law_box(self, monkeypatch):
@@ -484,8 +484,8 @@ class TestBatchedStep:
 
         monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
         n = 200
-        final = run(env, (0,), n, np.random.default_rng(6))[-1]
-        assert final.counts == {(2 * n,): 1}
+        *_, final = iter_batch(env, (0,), n, [np.random.default_rng(6)])
+        assert counts(final, 0) == {(2 * n,): 1}
         assert 1 <= len(calls) <= 2 * math.log2(2 * n) + 1
 
 
@@ -500,10 +500,12 @@ def _block_window_d2_env():
         dependence=Dependence("block_window", 1), master_seed=2718))
 
 
-def _same_state(a: PopulationState, b: PopulationState) -> bool:
-    return (a.n == b.n and a.total == b.total
-            and np.array_equal(a.sites, b.sites)
-            and a.values.tolist() == b.values.tolist())
+def _same_state(a: PopulationBatch, r: int, b: PopulationBatch) -> bool:
+    """Replica r of `a` is the lone replica of `b`."""
+    rows = slice(a.bounds[r], a.bounds[r + 1])
+    return (a.n == b.n and a.totals[r] == b.totals[0]
+            and np.array_equal(a.sites[rows], b.sites)
+            and a.values[rows].tolist() == b.values.tolist())
 
 
 def _d3_env():
@@ -533,20 +535,19 @@ class TestLockstep:
         rngs = [replica_rng(2718, r, PURPOSE_DYNAMICS)
                 for r in range(replicas)]
         stats = SamplerStats()
-        first = []
-        for batch in iter_batch(env, start, n, rngs, stats=stats):
-            first.append(batch.state(0))
+        batches = list(iter_batch(env, start, n, rngs, stats=stats))
         alone_stats = SamplerStats()
-        alone = [run(env, start, n, replica_rng(2718, r, PURPOSE_DYNAMICS),
-                     stats=alone_stats) for r in range(replicas)]
-        assert len(first) == n + 1
-        assert all(map(_same_state, first, alone[0]))
-        assert all(_same_state(batch.state(r), states[-1])
+        alone = [list(iter_batch(env, start, n,
+                                 [replica_rng(2718, r, PURPOSE_DYNAMICS)],
+                                 stats=alone_stats)) for r in range(replicas)]
+        assert len(batches) == n + 1
+        assert all(_same_state(a, 0, b) for a, b in zip(batches, alone[0]))
+        assert all(_same_state(batches[-1], r, states[-1])
                    for r, states in enumerate(alone))
         assert stats == alone_stats
         if case == "d1-iid" and replicas == 10:
             # the batch mixes int64 and Python-int replicas for a while
-            crossings = {next(st.n for st in states if st.total >= 2**62)
+            crossings = {next(st.n for st in states if st.totals[0] >= 2**62)
                          for states in alone}
             assert len(crossings) > 1
             assert stats.normal_draws > 0
@@ -558,17 +559,17 @@ class TestLockstep:
         triple = law_of(({(-1,): 2, (1,): 1}, 1.0))
         spec = iid_env([rare, triple], [0.5, 0.5], 0).spec
         env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
-        counts = [2**62 - 1, 2**62, 2**64, 5, 10**30, 3 * 2**70, 1, 2**64]
-        states = [PopulationState.from_counts(
-            0, {(x + r,): c for x, c in enumerate(counts)}) for r in range(3)]
+        sizes = [2**62 - 1, 2**62, 2**64, 5, 10**30, 3 * 2**70, 1, 2**64]
+        states = [{(x + r,): c for x, c in enumerate(sizes)} for r in range(3)]
         stats, alone_stats = SamplerStats(), SamplerStats()
-        nxt = step_batch(env, PopulationBatch.of(states),
+        nxt = step_batch(env, PopulationBatch.from_counts(0, states),
                          [np.random.default_rng(46 + r) for r in range(3)],
                          stats=stats)
         for r, st in enumerate(states):
-            want = step_population(env, st, np.random.default_rng(46 + r),
-                                   stats=alone_stats)
-            assert _same_state(nxt.state(r), want)
+            want = step_batch(env, PopulationBatch.from_counts(0, [st]),
+                              [np.random.default_rng(46 + r)],
+                              stats=alone_stats)
+            assert _same_state(nxt, r, want)
         assert stats == alone_stats
         assert stats.poisson_draws > 0 and stats.normal_draws > 0
 
@@ -586,8 +587,8 @@ class TestLockstep:
         alone_stats, hits, first_visits = SamplerStats(), 0, set()
         for r in range(replicas):
             rng = replica_rng(2718, r, PURPOSE_RETURN_PROBE)
-            for st in iter_run(env, (0,), horizon, rng, stats=alone_stats):
-                if st.n and st.count((0,)):
+            for st in iter_batch(env, (0,), horizon, [rng], stats=alone_stats):
+                if st.n and st.count((0,))[0]:
                     hits += 1
                     first_visits.add(st.n)
                     break
@@ -615,8 +616,9 @@ class TestLockstep:
         first = []
         for r in range(6):
             with pytest.raises(BitBudgetError) as alone:
-                run(env, (0,), 60, replica_rng(2718, r, PURPOSE_DYNAMICS),
-                    bit_budget=20)
+                list(iter_batch(env, (0,), 60,
+                                [replica_rng(2718, r, PURPOSE_DYNAMICS)],
+                                bit_budget=20))
             first.append(int(str(alone.value).split("generation ")[1]
                              .split(",")[0]))
         # one replica after another, replica 0 would raise first
@@ -639,8 +641,9 @@ class TestGoldenPins:
         # counts pass 2**62 at generation 62, so half the run is normal-path
         env = iid_env(long_d1_laws(), [0.5, 0.5], 5)
         stats = SamplerStats()
-        states = run(env, (0,), 120, replica_rng(2718, 0, PURPOSE_DYNAMICS),
-                     stats=stats)
+        states = list(iter_batch(env, (0,), 120,
+                                 [replica_rng(2718, 0, PURPOSE_DYNAMICS)],
+                                 stats=stats))
         assert stats.as_dict() == {"exact_draws": 4065, "normal_draws": 8809,
                                    "poisson_draws": 0}
         assert _digest(states) == ("3e360df3d1d78351b6c0045c9f176f5a"
@@ -648,8 +651,9 @@ class TestGoldenPins:
 
     def test_d2_block_window_run(self):
         stats = SamplerStats()
-        states = run(_block_window_d2_env(), (0, 0), 40,
-                     replica_rng(2718, 1, PURPOSE_DYNAMICS), stats=stats)
+        states = list(iter_batch(_block_window_d2_env(), (0, 0), 40,
+                                 [replica_rng(2718, 1, PURPOSE_DYNAMICS)],
+                                 stats=stats))
         assert stats.as_dict() == {"exact_draws": 4244, "normal_draws": 0,
                                    "poisson_draws": 0}
         assert _digest(states) == ("b22c09c62f8c6497434d4fc76f05b3d6"
@@ -787,7 +791,7 @@ class TestReturnProbability:
 class TestRealizedExponent:
     def _fake_runs(self):
         def states(counts_by_n):
-            return [PopulationState.from_counts(k, c)
+            return [PopulationBatch.from_counts(k, [c])
                     for k, c in enumerate(counts_by_n)]
 
         run_a = states([{(0,): 1}, {(1,): 2}, {(0,): 4}])
@@ -795,7 +799,7 @@ class TestRealizedExponent:
         return [run_a, run_b]
 
     def _counts(self, n, sites):
-        return [[states[n].count(x) for x in sites]
+        return [[states[n].count(x)[0] for x in sites]
                 for states in self._fake_runs()]
 
     def test_mean_and_occupancy(self):

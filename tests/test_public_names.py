@@ -30,10 +30,7 @@ KEPT = {
     "lattice.RationalVector.l1":
         "a direction's l1 norm; the tests' `norm_estimate` oracle reads it",
     "montecarlo.induced_walk_step": "acceptance criterion 12",
-    "montecarlo.run": "benchmark tracer",
     "montecarlo.sample_induced_direct": "acceptance criterion 12",
-    "montecarlo.sample_multinomial": "benchmark tracer",
-    "montecarlo.step_population": "benchmark tracer; acceptance criterion 05",
     "shape.PassageTimeMap.reached": "W(n) of the shape theorem",
     "shape.hausdorff_l1": "acceptance criterion 08",
 }

@@ -35,9 +35,6 @@ TRACED = [
     (shape, "passage_times"),
     (shape, "shape_polytope"),
     (classify, "transience_criterion"),
-    (montecarlo, "step_population"),
-    (montecarlo, "sample_multinomial"),
-    (montecarlo, "run"),
     (montecarlo, "estimate_return_probability"),
     (environment, "build_environment"),
     (environment, "EnvironmentField.law_index"),
@@ -78,13 +75,10 @@ def test_hooks_read_what_the_calls_return():
     assert max(ptm.times.values()) >= 1
     assert len(shape.shape_polytope(ptm, 2).hull) >= 1
 
-    states = montecarlo.run(env, (0,), 2, np.random.default_rng(1))
-    assert len(states[-1].counts) >= 1
     assert isinstance(env.law_index_grid((0,), (1,)), np.ndarray)
 
 
 def test_hooks_read_arguments_by_position():
-    assert _params(montecarlo.step_population)[1] == "state"
     assert _params(expectation.write_layer_csv)[1] == "path"
     assert _params(expectation.write_layer_binary)[1] == "path"
 
