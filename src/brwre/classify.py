@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .environment import SiteLaw
+from .environment import SiteLaw, _logsumexp
 from .lattice import unit_vectors
 
 SEARCH_RADIUS = 64.0
@@ -92,20 +92,10 @@ class _Phi:
         self, pts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every law's term at each point of a (P, d) batch: its value, its
-        softmax weights relative to the largest offset term and their sum,
-        of shapes (P, L), (P, L, K) and (P, L)."""
+        weights relative to the largest offset term and their sum, of shapes
+        (P, L), (P, L, K) and (P, L), as `_logsumexp` returns them."""
         expo = self.log_mu + (pts[:, None, None, :] * self.offsets).sum(axis=3)
-        top = expo.max(axis=2, keepdims=True)
-        at_top = expo == top
-        ties = at_top.sum(axis=2)
-        weights = np.exp(expo - top)
-        # ln(m + rest) as log1p(rest / m) + ln m, m the number of maximal
-        # terms: forming 1 + rest / m would lose a bit, enough for a search
-        # to find spurious minima one ulp below a symmetric law's value at
-        # t = 0
-        rest = np.where(at_top, 0.0, weights).sum(axis=2)
-        per_law = np.log1p(rest / ties) + np.log(ties) + top[:, :, 0]
-        return per_law, weights, ties + rest
+        return _logsumexp(expo, axis=2)
 
     def laws_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every law's term and its gradient at the single point t; Phi(t)

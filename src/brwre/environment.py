@@ -429,6 +429,32 @@ def _box_axes(lo: Site, hi: Site) -> list[np.ndarray]:
         for i, (l, h) in enumerate(zip(lo, hi))]
 
 
+def _logsumexp(expo: np.ndarray, axis: int = -1) -> tuple[np.ndarray, ...]:
+    """ln sum exp(expo) along `axis`: the tilted log-partition that
+    `expected_total`, `growth._legendre` and `classify._Phi` read.
+
+    In scipy's `logsumexp` form: with top the maximum and m the number of
+    terms equal to it, the other terms' weights exp(expo - top) sum to
+    rest, and the value is ln(1 + rest / m) + ln m + top.  Forming
+    1 + rest / m would lose a bit, enough for the criterion's search to
+    find spurious minima one ulp below a symmetric law's value at t = 0.
+    Returns (value, weights, total): the weights, 1 at the maxima, are
+    written into `expo`, and total = m + rest.  Each slice along the axis
+    needs a finite maximum.
+    """
+    top = expo.max(axis=axis, keepdims=True)
+    at_top = expo == top
+    m = at_top.sum(axis=axis)
+    expo -= top
+    weights = np.exp(expo, out=expo)
+    # masked writes: an np.where copy costs about 3x on a large layer
+    np.copyto(weights, 0.0, where=at_top)
+    rest = weights.sum(axis=axis)
+    np.copyto(weights, 1.0, where=at_top)
+    value = np.log1p(rest / m) + np.log(m) + top.squeeze(axis)
+    return value, weights, m + rest
+
+
 def check_box_memory(cells: int, error: type[Exception], what: str) -> None:
     """Raise `error` if a working set of `cells` box cells would not fit.
 

@@ -59,7 +59,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .environment import EnvironmentField, _box_axes, check_box_memory
+from .environment import (
+    EnvironmentField,
+    _box_axes,
+    _logsumexp,
+    check_box_memory,
+)
 from .lattice import Site, StepLattice, step_lattice
 
 NEG_INF = float("-inf")
@@ -196,10 +201,9 @@ class LogMassField:
 def expected_total(fld: LogMassField) -> float:
     """log sum_x exp(values): the log expected total population in the layer.
 
-    The finite values are summed in the dense box's row-major order, in
-    the form of scipy's `logsumexp`: the maxima are taken out of the sum,
-    log1p(sum / m) + log m + max with m the number of maxima.  They are
-    gathered `_CHUNK` at a time in that order, without the box.
+    The finite values are gathered `_CHUNK` at a time in the dense box's
+    row-major order, without the box, and summed in that order by
+    `environment._logsumexp`.
     """
     pos = fld._positions()
     if pos.size == 0:
@@ -208,15 +212,7 @@ def expected_total(fld: LogMassField) -> float:
     for i in range(0, pos.size, _CHUNK):
         flat[i:i + _CHUNK] = fld._read(pos[i:i + _CHUNK])
     del pos
-    top = flat.max()
-    at_top = flat == top
-    m = np.float64(np.count_nonzero(at_top))
-    flat[at_top] = NEG_INF
-    flat -= top
-    s = np.exp(flat, out=flat).sum()
-    if s != 0:
-        s = s / m
-    return float(np.log1p(s) + np.log(m) + top)
+    return float(_logsumexp(flat)[0])
 
 
 class _Tables:

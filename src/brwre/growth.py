@@ -35,7 +35,7 @@ import numpy as np
 
 from . import expectation
 from .classify import SEARCH_RADIUS
-from .environment import EnvironmentField
+from .environment import EnvironmentField, _logsumexp
 from .expectation import NEG_INF
 from .lattice import RationalVector
 from .shape import _row_ends, convex_hull, hull_inequalities
@@ -136,24 +136,23 @@ def _legendre(sites: np.ndarray, log_mass: np.ndarray, n: int,
               dirs: np.ndarray) -> np.ndarray:
     """inf over |t_i| <= SEARCH_RADIUS of Lambda_n(t) - t.a for each row a.
 
-    Damped Newton on all rows at once: the gradient is the tilted mean
-    site / n - a and the Hessian the tilted covariance / n; a step halves
-    until the value does not rise, and a row stops once its Newton
+    Damped Newton on all rows at once: Lambda_n(t) is `_logsumexp` over n,
+    the gradient the tilted mean site / n - a and the Hessian the tilted
+    covariance / n, with the weights normalised by their row sum (not by
+    `_logsumexp`'s total, which moves the profile's last bits).  A step
+    halves until the value does not rise, and a row stops once its Newton
     decrement, or its halving, runs out.  The pseudo-inverse takes
     singular Hessians (all weight on one face of the hull).
     """
     x = sites.astype(np.float64)
 
     def tilted(t):
-        w = log_mass + t @ x.T
-        top = w.max(axis=1, keepdims=True)
-        w = np.exp(w - top)
-        total = w.sum(axis=1)
-        w /= total[:, None]
+        value, w, _ = _logsumexp(log_mass + t @ x.T, axis=1)
+        w /= w.sum(axis=1)[:, None]
         mean = w @ x
         dev = x - mean[:, None, :]
         cov = np.einsum("km,kmi,kmj->kij", w, dev, dev)
-        f = (top[:, 0] + np.log(total)) / n - (t * dirs).sum(axis=1)
+        f = value / n - (t * dirs).sum(axis=1)
         return f, mean / n - dirs, cov / n
 
     t = np.zeros_like(dirs)
@@ -239,12 +238,3 @@ def classify_by_beta(profile: BetaProfile, tol: float = 0.01) -> str:
     if zero.value < -tol:
         return "transient"
     return "inconclusive"
-
-
-def total_growth(env: EnvironmentField, n: int) -> float:
-    """log E Z_n / n from a DP pass to n; `beta_profile` reports the same value."""
-    if n < 1:
-        raise GrowthError("need n >= 1")
-    for last in expectation.iter_layers(env, (0,) * env.spec.dimension, n):
-        pass
-    return expectation.expected_total(last) / n

@@ -268,9 +268,6 @@ class RationalVector:
     def as_floats(self) -> tuple[float, ...]:
         return tuple(n / self.denominator for n in self.numerators)
 
-    def l1(self) -> Fraction:
-        return Fraction(sum(abs(n) for n in self.numerators), self.denominator)
-
     def is_zero(self) -> bool:
         return all(n == 0 for n in self.numerators)
 

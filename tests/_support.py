@@ -13,8 +13,11 @@ that only tests use, each built from package internals:
   the one-row case of the population sampler;
 - `counts`: one replica's site -> count dict of a population batch;
 - `iter_reachable`: the sets R(k) reached in exactly k delta-open steps;
+- `l1`: the l1 norm of a rational direction, exact;
 - `norm_estimate`: the passage-time norm along a rational ray, sampled
   from one BFS;
+- `total_growth`: log E Z_n / n from its own DP pass, which `beta_profile`
+  and `solve`'s growth trace report from theirs;
 - `reference_layers`: a per-site scalar DP.
 """
 
@@ -28,6 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from brwre import expectation
 from brwre.classify import _Phi
 from brwre.environment import (
     Dependence,
@@ -194,6 +198,15 @@ def reference_layers(env: EnvironmentField, start, n: int, adjoint: bool = False
         yield lo, old
 
 
+def total_growth(env: EnvironmentField, n: int) -> float:
+    """log E Z_n / n from a DP pass to n; `beta_profile` reports the same value."""
+    if n < 1:
+        raise GrowthError("need n >= 1")
+    for last in expectation.iter_layers(env, (0,) * env.spec.dimension, n):
+        pass
+    return expectation.expected_total(last) / n
+
+
 def cell_hash(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:
     """`axis_hash` of one site (1-D, length d) or of an array (..., d).
 
@@ -307,6 +320,10 @@ def _reachable_sets(moves, start: Site, radius: int,
         yield to_sites(cur)
 
 
+def l1(a: RationalVector) -> Fraction:
+    return Fraction(sum(abs(n) for n in a.numerators), a.denominator)
+
+
 @dataclass(frozen=True)
 class NormEstimate:
     a: RationalVector
@@ -333,7 +350,7 @@ def norm_estimate(
     if n_max < 1:
         raise ShapeError("need n_max >= 1")
     k0 = a.denominator
-    ptm = passage_times(env, delta, int(math.ceil(float(k0 * n_max * a.l1()))))
+    ptm = passage_times(env, delta, int(math.ceil(float(k0 * n_max * l1(a)))))
     samples: list[tuple[int, float]] = []
     value = INF
     for j in range(1, n_max + 1):

@@ -30,6 +30,7 @@ from _support import (
     law_of,
     random_env,
     symmetric06_law,
+    total_growth,
 )
 from brwre.classify import transience_criterion
 from brwre.expectation import check_anderson_equation, iter_layers
@@ -37,7 +38,6 @@ from brwre.growth import (
     beta_estimate,
     beta_profile,
     classify_by_beta,
-    total_growth,
 )
 from brwre.lattice import RationalVector, StepSet
 from brwre.montecarlo import (

@@ -28,7 +28,6 @@ from brwre.environment import (
     spec_to_dict,
 )
 from brwre.expectation import read_layer_binary, read_layer_csv
-from brwre.growth import total_growth
 from brwre.lattice import unit_vectors
 from brwre.montecarlo import SamplerStats, iter_batch, realized_local_exponent
 from brwre.seeding import PURPOSE_DYNAMICS, replica_rng
@@ -44,6 +43,7 @@ from _support import (
     long_d1_laws,
     nearest_neighbour,
     symmetric06_law,
+    total_growth,
 )
 
 

@@ -6,6 +6,7 @@ from itertools import accumulate, product
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from brwre import environment
 from brwre.environment import (
@@ -14,6 +15,7 @@ from brwre.environment import (
     EnvironmentField,
     EnvironmentSpec,
     OffspringConfig,
+    _logsumexp,
     build_environment,
     check_conditions,
     is_delta_aperiodic,
@@ -530,3 +532,52 @@ class TestKeptBox:
         env.law_index_grid((-5, -5), (5, 5))
         with pytest.raises(EnvironmentError_, match="empty box"):
             env.law_index_grid((0, 0), (1, -1))
+
+
+class TestLogSumExp:
+    """The one log-sum-exp of `expected_total`, `_legendre` and `_Phi`."""
+
+    @pytest.mark.parametrize("shape, axis", [
+        ((1000,), -1), ((300, 41), 1), ((41, 300), 0), ((20, 3, 17), 2)])
+    def test_matches_scipy(self, shape, axis):
+        rng = np.random.default_rng(sum(shape))
+        expo = rng.normal(scale=50.0, size=shape)
+        want = logsumexp(expo, axis=axis)
+        got = _logsumexp(expo.copy(), axis=axis)[0]
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_tied_maxima(self):
+        value, weights, total = _logsumexp(np.array([1.0, 3.0, 3.0, 2.0]))
+        rest = math.exp(-2.0) + math.exp(-1.0)
+        assert value == math.log1p(rest / 2) + math.log(2) + 3.0
+        assert weights.tolist() == [math.exp(-2.0), 1.0, 1.0, math.exp(-1.0)]
+        assert total == 2 + rest
+
+    def test_neg_inf_padding_adds_nothing(self):
+        # a short law's row in `_Phi` is padded with -inf
+        row = np.random.default_rng(3).normal(size=4)
+        padded = np.concatenate([row, np.full(3, -np.inf)])
+        value, weights, total = _logsumexp(padded[None, :], axis=1)
+        want = _logsumexp(row)
+        assert (value[0], total[0]) == (want[0], want[2])
+        assert weights[0].tolist() == want[1].tolist() + [0.0] * 3
+
+    def test_one_finite_term(self):
+        value, weights, total = _logsumexp(np.array([-np.inf, -7.25, -np.inf]))
+        assert (value, total) == (-7.25, 1.0)
+        assert weights.tolist() == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 1000])
+    def test_equal_terms_give_log_m_plus_max(self, m):
+        value, weights, total = _logsumexp(np.full(m, 2.5))
+        assert value == math.log(m) + 2.5
+        assert total == m and weights.tolist() == [1.0] * m
+
+    def test_weights_overwrite_expo(self):
+        expo = np.array([[0.5, -1.0, 2.0], [4.0, 4.0, -3.0]])
+        want = np.exp(expo - expo.max(axis=1, keepdims=True))
+        _, weights, total = _logsumexp(expo, axis=1)
+        assert weights is expo
+        assert np.array_equal(expo, want)
+        assert np.allclose(total, want.sum(axis=1), rtol=1e-15)

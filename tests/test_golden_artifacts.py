@@ -1,4 +1,4 @@
-"""Byte-identity pins of the artifacts the layer readers and writers produce.
+"""Byte-identity pins of the artifacts the CLI writes.
 
 Each case runs one CLI command on a fixed config and compares the sha256
 of its files with values recorded before the layer readers moved from the
@@ -8,12 +8,26 @@ paths that moves a byte of these files fails here.  The `simulate` case
 was recorded before the population's law-index box moved into the
 environment, and the `classify` case before the descent stopped carrying
 the argmax law's gradient.
+
+The flow pins run the d1, d2 and d3 flows of the benchmark (copied here
+as data) at seeds 7 and 11, and compare the sha256 of every file and every
+stdout with `golden_flows.json`.  `manifest.json` is pinned without its
+time stamp, its wall-clock times and the hash of its config, which holds
+the temporary output directory.  Some of the `growth_trace.csv` digests
+hold only on the SIMD dispatch level they were recorded on (ROADMAP
+direction 5), so the table records that level and the pins fail on any
+other.  To record the table again, run this file as a script.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import shutil
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from brwre.cli import main
 
@@ -131,3 +145,144 @@ def test_artifacts_are_byte_identical(tmp_path, capsys, case):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in CASES[case][3]}
     assert got == CASES[case][3]
+
+
+# -- the benchmark's flows ----------------------------------------------------
+
+FLOW_TABLE = Path(__file__).with_name("golden_flows.json")
+SEEDS = (7, 11)
+
+
+def _d1_law(weights):
+    # one or three children: mean total 2, means symmetric for both weights
+    return {"atoms": [
+        {"counts": {"(1,)": 1}, "p": weights[0]},
+        {"counts": {"(-1,)": 1}, "p": weights[1]},
+        {"counts": {"(1,)": 2, "(-1,)": 1}, "p": weights[2]},
+        {"counts": {"(-1,)": 2, "(1,)": 1}, "p": weights[3]},
+    ]}
+
+
+D1_ENVIRONMENT = {"dimension": 1, "step_set": [[1], [-1]],
+                  "laws": [_d1_law([0.25] * 4), _d1_law([0.3, 0.2, 0.2, 0.3])],
+                  "weights": [0.5, 0.5], "dependence": IID}
+
+BETA_GRID_D2 = [["0", "0"], ["1/2", "0"], ["-1/2", "0"], ["0", "1/2"],
+                ["0", "-1/2"], ["1/2", "1/2"], ["-1/2", "-1/2"]]
+
+# flow -> (environment without its seed, [(command, parameters)])
+FLOWS = {
+    "d1": (D1_ENVIRONMENT, [
+        ("solve", {"horizon": 400}),
+        ("simulate", {"horizon": 200, "replicas": 10,
+                      "track_sites": [[0], [10]],
+                      "return_probability": {"horizon": 20,
+                                             "replicas": 200}}),
+    ]),
+    "d2": (_environment(2, IID, None), [
+        ("check", {}),
+        ("classify", {}),
+        ("solve", {"horizon": 200, "adjoint": True}),
+        ("beta", {"horizon": 60, "grid": BETA_GRID_D2}),
+        ("shape", {"horizon": 100, "delta_grid": [0.05, 0.2]}),
+        ("report", {}),
+    ]),
+    "d3": (_environment(3, WINDOW, None), [
+        ("check", {}),
+        ("classify", {}),
+        ("solve", {"horizon": 14}),
+        ("shape", {"horizon": 24, "delta_grid": [0.05, 0.1]}),
+    ]),
+}
+FLOW_RUNS = [f"{flow}-{seed}" for flow in FLOWS for seed in SEEDS]
+
+
+def _run_flow(base: Path, run: str) -> tuple[Path, dict[str, str]]:
+    """One flow at one seed: its output directory and each command's
+    stdout."""
+    flow, seed = run.split("-")
+    environment, steps = FLOWS[flow]
+    out = base / run
+    stdouts = {}
+    for command, params in steps:
+        argv = ["report", str(out)]
+        if command != "report":
+            cfg = base / f"{run}.{command}.json"
+            cfg.write_text(json.dumps({
+                "command": command, "output_dir": str(out),
+                "environment": dict(environment, seed=int(seed)),
+                "parameters": params}), encoding="utf-8")
+            argv = [command, str(cfg)]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0, f"{run}: {command} failed"
+        stdouts[command] = sink.getvalue()
+    return out, stdouts
+
+
+def _digests(out: Path, stdouts: dict[str, str]) -> dict[str, str]:
+    """sha256 of every file of a run and of every command's stdout."""
+    got = {f"{command}.stdout": hashlib.sha256(text.encode()).hexdigest()
+           for command, text in stdouts.items()}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            for entry in manifest["runs"].values():
+                for key in ("completed_utc", "wall_clock_s", "config_sha256"):
+                    del entry[key]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        got[path.name] = hashlib.sha256(data).hexdigest()
+    return got
+
+
+def _check_dispatch(recorded: bool) -> None:
+    if __cpu_features__["X86_V4"] != recorded:
+        pytest.fail(
+            f"numpy's X86_V4 (AVX512) dispatch reads "
+            f"{__cpu_features__['X86_V4']} here and {recorded} in the flow "
+            f"pins; their growth_trace.csv digests hold only on the recorded "
+            f"level until ROADMAP direction 5 makes the bytes independent "
+            f"of the SIMD path")
+
+
+@pytest.fixture(scope="module")
+def flow_outputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("flows")
+    return {run: _run_flow(base, run) for run in FLOW_RUNS}
+
+
+@pytest.mark.parametrize("run", FLOW_RUNS)
+def test_flows_are_byte_identical(flow_outputs, run):
+    table = json.loads(FLOW_TABLE.read_text(encoding="utf-8"))
+    _check_dispatch(table["x86_v4"])
+    assert _digests(*flow_outputs[run]) == table["flows"][run]
+
+
+def test_flow_pin_sees_one_changed_byte(flow_outputs, tmp_path):
+    out, stdouts = flow_outputs["d2-7"]
+    copy = Path(shutil.copytree(out, tmp_path / "copy"))
+    want = _digests(copy, stdouts)
+    profile = copy / "profile.csv"
+    data = bytearray(profile.read_bytes())
+    data[-2] ^= 1
+    profile.write_bytes(bytes(data))
+    got = _digests(copy, stdouts)
+    assert {k for k in want if got[k] != want[k]} == {"profile.csv"}
+
+
+def test_dispatch_mismatch_names_direction_5():
+    with pytest.raises(pytest.fail.Exception, match="direction 5"):
+        _check_dispatch(not __cpu_features__["X86_V4"])
+
+
+if __name__ == "__main__":
+    # record golden_flows.json from the code on the import path
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        flows = {run: _digests(*_run_flow(Path(tmp), run))
+                 for run in FLOW_RUNS}
+    FLOW_TABLE.write_text(json.dumps(
+        {"x86_v4": bool(__cpu_features__["X86_V4"]), "flows": flows},
+        indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -12,7 +12,6 @@ from brwre.growth import (
     beta_estimate,
     beta_profile,
     classify_by_beta,
-    total_growth,
 )
 from brwre.lattice import RationalVector, StepSet
 from brwre.shape import _row_ends, convex_hull
@@ -27,6 +26,7 @@ from _support import (
     law_of,
     nearest_neighbour,
     random_env,
+    total_growth,
 )
 
 

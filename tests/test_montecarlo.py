@@ -289,12 +289,14 @@ class TestAgainstExpectation:
         n, reps = 6, 8000
         sums = Counter()
         sqs = Counter()
-        for r in range(reps):
-            *_, last = iter_batch(env, (0,), n,
-                                 [replica_rng(123, r, PURPOSE_DYNAMICS)])
-            for x, c in counts(last, 0).items():
-                sums[x] += c
-                sqs[x] += c * c
+        # replica r draws from its own stream, alone or in a batch
+        for chunk in replica_batches(env, n, reps):
+            *_, last = iter_batch(env, (0,), n, [
+                replica_rng(123, r, PURPOSE_DYNAMICS) for r in chunk])
+            for r in range(len(chunk)):
+                for x, c in counts(last, r).items():
+                    sums[x] += c
+                    sqs[x] += c * c
         layer = list(iter_layers(env, (0,), n))[-1]
         for x, lv in layer.items():
             m = math.exp(lv)
@@ -311,11 +313,9 @@ class TestAgainstExpectation:
         env = homogeneous_env(walk)
         rng = np.random.default_rng(18)
         reps = 20000
-        state0 = PopulationBatch.from_counts(0, [{(0,): 5}])
-        obs = Counter()
-        for _ in range(reps):
-            nxt = step_batch(env, state0, [rng])
-            obs[nxt.count((1,))[0]] += 1
+        # one replica per draw, all from one stream in replica order
+        state0 = PopulationBatch.from_counts(0, [{(0,): 5}] * reps)
+        obs = Counter(step_batch(env, state0, [rng] * reps).count((1,)))
         expected = [reps * math.comb(5, k) * 0.3**k * 0.7 ** (5 - k)
                     for k in range(6)]
         chi2, pval = sstats.chisquare([obs.get(k, 0) for k in range(6)],

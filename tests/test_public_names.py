@@ -26,9 +26,6 @@ KEPT = {
     "expectation.read_layer_binary": "reads back the layer `solve` writes",
     "expectation.read_layer_csv": "reads back the layer `solve` writes",
     "growth.beta_estimate": "acceptance criteria 01 and 04",
-    "growth.total_growth": "benchmark tracer; acceptance criterion 10",
-    "lattice.RationalVector.l1":
-        "a direction's l1 norm; the tests' `norm_estimate` oracle reads it",
     "montecarlo.induced_walk_step": "acceptance criterion 12",
     "montecarlo.sample_induced_direct": "acceptance criterion 12",
     "shape.PassageTimeMap.reached": "W(n) of the shape theorem",

@@ -31,7 +31,6 @@ TRACED = [
     (expectation, "write_layer_csv"),
     (expectation, "write_layer_binary"),
     (growth, "beta_profile"),
-    (growth, "total_growth"),
     (shape, "passage_times"),
     (shape, "shape_polytope"),
     (classify, "transience_criterion"),
