@@ -43,10 +43,12 @@ slices and takes each offset's log mean offspring from the per-law
 column, the same float64 values a per-offset float slab would hold.
 
 A layer's public frame is the dense box of its sites (`LogMassField.lo`,
-`shape`).  The writers and `expected_total` read the finite cells in the
-box's row-major order through a gather, each cell's flat box position,
-sorted, and write the CSV rows and the binary box in fixed-size chunks;
-only `values` and the Anderson check build the dense box.
+`shape`).  A cell's flat position in the box is affine in its lattice
+coordinates, and every reader takes the finite cells through one
+permutation, their indices sorted by that position, which is the box's
+row-major order; the writers write the CSV rows and the binary box in
+fixed-size chunks, and only `values` and the Anderson check build the
+dense box.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import csv
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -72,8 +74,8 @@ NEG_INF = float("-inf")
 _BINARY_MAGIC = b"BRWL"
 _BINARY_VERSION = 1
 
-# Cells a layer reader gathers, and rows or box cells a writer writes, at a
-# time: the transient memory of reading a layer beyond its sorted positions.
+# Rows or box cells a writer writes at a time: its transient memory beyond
+# the permutation of the layer's finite cells.
 _CHUNK = 1 << 11
 
 
@@ -91,8 +93,8 @@ class LogMassField:
     mass, are log(0) = -inf, and cells whose sites fall outside the box
     are always -inf.  `values` is that box as a float array, built on
     each access and not kept; `items`, `expected_total` and the writers
-    gather the finite cells in its row-major order instead (`_positions`,
-    `_read`), so they hold memory in proportion to the cells, not the box.
+    take the finite cells in its row-major order instead (`_order`), so
+    they hold memory in proportion to the cells, not the box.
     """
 
     n: int
@@ -126,12 +128,12 @@ class LogMassField:
         """The dense box, row-major; cells outside it are dropped.
 
         Always a new array, so writing into it leaves the layer as it was.
-        The finite cells are gathered at their box positions as the
-        readers and writers gather them (`_positions`, `_read`).
+        The finite cells are taken in `_order` and written at their box
+        positions.
         """
         box = np.full(math.prod(self.shape), NEG_INF)
-        pos = self._positions()
-        box[pos] = self._read(pos)
+        idx = self._order()
+        box[self._box_positions(idx)] = self.cells.take(idx)
         return box.reshape(self.shape)
 
     def get(self, x: Site) -> float:
@@ -148,51 +150,51 @@ class LogMassField:
     def _finite(self) -> tuple[np.ndarray, np.ndarray]:
         """The finite entries' sites (m, d) and log masses (m,), as `items`
         orders them: lexicographic in the site."""
-        pos = self._positions()
-        coords = np.stack(np.unravel_index(pos, self.shape), axis=1)
-        return coords + np.array(self.lo, dtype=np.int64), self._read(pos)
+        idx = self._order()
+        return np.stack(self._sites(idx), axis=1), self.cells.take(idx)
 
-    def _positions(self) -> np.ndarray:
-        """Flat positions in the box of the finite cells, ascending.
-
-        A position is affine in the lattice coordinates.
-        Finite cells lie in the box at distinct sites, so their positions
-        are distinct, and ascending position is row-major site order.
-        """
-        cells = self.cells
+    def _affine(self, z: Iterable[np.ndarray]) -> np.ndarray:
+        """Flat box positions of the cells with lattice coordinates `z`,
+        one integer array per axis: first + sum_i step_i z_i."""
         strides = [math.prod(self.shape[i + 1:]) for i in range(len(self.shape))]
-        first = sum((o - l) * s for o, l, s in zip(self.origin, self.lo, strides))
-        pos = np.int64(first)
-        for i, col in enumerate(self.lattice.basis):
-            step = sum(b * s for b, s in zip(col, strides))
-            pos = pos + step * np.arange(cells.shape[i], dtype=np.int64).reshape(
-                [-1 if j == i else 1 for j in range(cells.ndim)])
-        finite = np.isfinite(cells)
-        pos = pos.ravel() if finite.all() else pos[finite]
-        pos.sort(kind="stable")
+        pos = np.int64(sum((o - l) * s for o, l, s
+                           in zip(self.origin, self.lo, strides)))
+        for col, zi in zip(self.lattice.basis, z):
+            pos = pos + sum(b * s for b, s in zip(col, strides)) * zi
         return pos
 
-    def _read(self, pos: np.ndarray) -> np.ndarray:
-        """Log masses of the finite cells at box positions `pos`.
+    def _order(self) -> np.ndarray:
+        """Flat indices into `cells` of the finite cells, in row-major box
+        order.
 
-        The inverse of `_positions`, gathered without building the box.
-        With x the box coordinates of a position, the cell has lattice
-        coordinates z = dual (x + lo - origin) / 2 (each row's product is
-        even) and flat index sum_i cstride_i z_i, an affine form in x;
-        x_j = q_j - shape_j q_(j-1) with q_j = pos // bstride_j turns it
-        into one in the q_j.
+        Finite cells lie in the box at distinct sites, so their box
+        positions are distinct, and ascending position is row-major site
+        order.  The positions come in long ascending runs, which the
+        stable sort takes in about half the time of the default one.
         """
-        d = self.dimension
-        cstrides = [math.prod(self.cells.shape[i + 1:]) for i in range(d)]
-        weight = [sum(s * row[j] for s, row in zip(cstrides, self.lattice.dual))
-                  for j in range(d)]
-        flat = np.int64(sum(w * (l - o) for w, l, o
-                            in zip(weight, self.lo, self.origin)))
-        for j in range(d):
-            c = weight[j] - (weight[j + 1] * self.shape[j + 1] if j + 1 < d else 0)
-            if c:
-                flat = flat + c * (pos // math.prod(self.shape[j + 1:]))
-        return self.cells.take(flat // 2)
+        cells = self.cells
+        pos = self._affine(_box_axes([0] * cells.ndim,
+                                     [s - 1 for s in cells.shape])).ravel()
+        finite = np.isfinite(cells).ravel()
+        if finite.all():
+            return pos.argsort(kind="stable")
+        idx = np.flatnonzero(finite)
+        # only the finite cells' positions are held through the sort
+        pos = pos.take(idx)
+        return idx.take(pos.argsort(kind="stable"))
+
+    def _box_positions(self, idx: np.ndarray) -> np.ndarray:
+        """Flat box positions of the cells at flat indices `idx`."""
+        shape = self.cells.shape
+        # one lattice axis at a time: a (d, m) unravel raises the binary
+        # writer's peak by a fifth
+        return self._affine(idx // math.prod(shape[i + 1:]) % n
+                            for i, n in enumerate(shape))
+
+    def _sites(self, idx: np.ndarray) -> list[np.ndarray]:
+        """The sites of the cells at flat indices `idx`, one array per axis."""
+        return [x + l for x, l in zip(
+            np.unravel_index(self._box_positions(idx), self.shape), self.lo)]
 
     def support_size(self) -> int:
         return int(np.isfinite(self.cells).sum())
@@ -201,18 +203,12 @@ class LogMassField:
 def expected_total(fld: LogMassField) -> float:
     """log sum_x exp(values): the log expected total population in the layer.
 
-    The finite values are gathered `_CHUNK` at a time in the dense box's
-    row-major order, without the box, and summed in that order by
+    The finite values are taken in `_order`, the dense box's row-major
+    order, without the box, and summed in that order by
     `environment._logsumexp`.
     """
-    pos = fld._positions()
-    if pos.size == 0:
-        return NEG_INF
-    flat = np.empty(pos.size)
-    for i in range(0, pos.size, _CHUNK):
-        flat[i:i + _CHUNK] = fld._read(pos[i:i + _CHUNK])
-    del pos
-    return float(_logsumexp(flat)[0])
+    flat = fld.cells.take(fld._order())
+    return float(_logsumexp(flat)[0]) if flat.size else NEG_INF
 
 
 class _Tables:
@@ -426,18 +422,18 @@ def write_layer_csv(fld: LogMassField, path: str) -> None:
     order.
     """
     d = fld.dimension
-    pos = fld._positions()
+    idx = fld._order()
     # the csv module's dialect: comma-separated, CRLF line ends, and no
     # field here needs quoting
     row = ",".join(["{}"] * d + ["{!r}"]) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join([f"x{i + 1}" for i in range(d)] + ["log_mass"])
                  + "\r\n")
-        for i in range(0, pos.size, _CHUNK):
-            part = pos[i:i + _CHUNK]
-            sites = [(x + l).tolist() for x, l
-                     in zip(np.unravel_index(part, fld.shape), fld.lo)]
-            fh.write("".join(map(row.format, *sites, fld._read(part).tolist())))
+        for i in range(0, idx.size, _CHUNK):
+            part = idx[i:i + _CHUNK]
+            sites = [x.tolist() for x in fld._sites(part)]
+            fh.write("".join(map(row.format, *sites,
+                                 fld.cells.take(part).tolist())))
 
 
 def read_layer_csv(path: str) -> dict[Site, float]:
@@ -470,7 +466,8 @@ def write_layer_binary(fld: LogMassField, path: str) -> None:
         fh.write(struct.pack("<HHq", _BINARY_VERSION, fld.dimension, fld.n))
         fh.write(struct.pack(f"<{fld.dimension}q", *fld.lo))
         fh.write(struct.pack(f"<{fld.dimension}Q", *fld.shape))
-        pos = fld._positions()
+        idx = fld._order()
+        pos = fld._box_positions(idx)
         size = math.prod(fld.shape)
         buf = np.empty(min(size, _CHUNK), dtype="<f8")
         a = 0
@@ -479,7 +476,7 @@ def write_layer_binary(fld: LogMassField, path: str) -> None:
             part = buf[:min(_CHUNK, size - start)]
             part.fill(NEG_INF)
             b = a + int(np.searchsorted(pos[a:], start + _CHUNK))
-            part[pos[a:b] - start] = fld._read(pos[a:b])
+            part[pos[a:b] - start] = fld.cells.take(idx[a:b])
             fh.write(part)
             a = b
 

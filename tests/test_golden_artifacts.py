@@ -7,7 +7,10 @@ cell hash and the chunked writers came in).  A change to any of those
 paths that moves a byte of these files fails here.  The `simulate` case
 was recorded before the population's law-index box moved into the
 environment, and the `classify` case before the descent stopped carrying
-the argmax law's gradient.
+the argmax law's gradient.  The d = 1 `beta` and `shape` cases were
+recorded before the layer readers took the finite cells through one
+permutation in box order (`_order`); they pin `_finite` on a d = 1
+layer and the d = 1 plots.
 
 The flow pins run the d1, d2 and d3 flows of the benchmark (copied here
 as data) at seeds 7 and 11, and compare the sha256 of every file and every
@@ -112,6 +115,29 @@ CASES = {
             "4a1bd2e72f21a034caf34d8313649c6d8b78af75ef12ff964b9726c459312116",
         "shape_hull_01.csv":
             "bee5b18fa06381213e785a8f1e67c67c11abc369ec2fe16d80170792711eecfc",
+    }),
+    "beta-d1": ("beta", _environment(1, IID, 7),
+                {"horizon": 30, "grid": [["-1"], ["-1/2"], ["-1/4"], ["0"],
+                                         ["1/4"], ["1/2"], ["1"]]}, {
+        "profile.csv":
+            "8ef8ff1e663b6921848255560753707c38b461845c3017586ef3f7067dec56dd",
+        "b_hull.csv":
+            "c95477bdd61ed51a9e46a8373f3c38d4616b8383e9d82cfb6a1b8c51bbc99c0c",
+        "total_growth.json":
+            "1050c226c42064640139f610da52a8f43b6adc46120d31a45e345daa912d9216",
+        "profile.svg":
+            "a8d376333e15d79c348959fb2167bcd4934e118b1240c2ab80197d4addb28cbd",
+        "b_hull.svg":
+            "71fc11d3c3afff08b9a929df93c249e6c56b925dfdeafe385f909f7ddc2ed6ed",
+    }),
+    "shape-d1": ("shape", _environment(1, IID, 7),
+                 {"horizon": 20, "delta_grid": [0.1, 0.6]}, {
+        "passage_summary.json":
+            "fa3b2026accc361e6d6b3bda642393b548967e38dd9176d4a5d0441e6cc13c1e",
+        "shape_hull_00.csv":
+            "9675f655e8a0afad1c1da34a8e09ef7100f219c26f9f426d58d40f38e9271e80",
+        "shape_hulls.svg":
+            "296b5a6d70f56f2084277161610cc06c677b6f7cc9db1c5eeca3a358aa6e02dc",
     }),
     "simulate-d1": ("simulate", _environment(1, IID, 7),
                     {"horizon": 40, "replicas": 3, "track_sites": [[0], [4]],
