@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .seeding import axis_hash, hash_uniform
 PROB_TOL = 1e-12
 
 # Peak resident bytes per cell of a box whose law indices are evaluated and
-# then worked on by a DP solve, a reachability BFS or a population step.
+# then worked on by a DP solve or a reachability BFS; a population step
+# checks its scatter box against it too.
 # Peak RSS above the baseline of an interpreter that has imported the CLI and
 # built the environment, d = 3 nearest-neighbour steps: a `brwre solve`
 # (layers, `expected_total` of each, writers) took 21.6-33.5 B per lattice
@@ -239,22 +240,18 @@ class ConditionReport:
 class EnvironmentField:
     """Lazily evaluated environment: pure map Site -> SiteLaw.
 
-    The map is deterministic, but the object is not immutable; it keeps two
-    caches.  `law_index`, whose callers are per-site ones (the induced
-    walk, tests), memoizes the sites it is asked about in `_index_memo`, at
-    most `_INDEX_MEMO_SIZE` of them, evicting the oldest first: such sites
-    may lie far apart, and a box spanning them could be arbitrarily large.
-    `law_index_grid`, which the BFS, the population steps and
-    `check_anderson_equation` call, cuts its boxes from the one box kept in
-    `_box`, which it grows or replaces when a request leaves it.  The DP's
-    slabs use `law_index_axes` on the sublattice sites the walk can reach.
-    The vectorized evaluations agree bitwise with per-site calls.
+    The map is deterministic; its one cache is `_index_memo`, in which
+    `law_index`, whose callers are per-site ones (the induced walk,
+    tests), memoizes the sites it is asked about, at most
+    `_INDEX_MEMO_SIZE` of them, evicting the oldest first.  The vectorized
+    evaluations keep nothing: `law_index_grid` hashes each box it is asked
+    for (the BFS, `check_anderson_equation`), and `law_index_axes` the
+    sites it is given (the DP's slabs, the population steps' rows).  They
+    agree bitwise with per-site calls.
     """
 
     spec: EnvironmentSpec
     _override: Callable[[Site], int] | None = field(default=None, repr=False)
-    # (lo, hi, law indices) of the box `law_index_grid` keeps
-    _box: ClassVar[tuple[Site, Site, np.ndarray] | None] = None
 
     @cached_property
     def _cum_weights(self) -> np.ndarray:
@@ -303,55 +300,19 @@ class EnvironmentField:
     def law_index_grid(self, lo: Site, hi: Site) -> np.ndarray:
         """Law indices over the inclusive box [lo, hi], vectorized.
 
-        Returns a read-only view of shape hi-lo+1 whose entry at (x-lo)
-        is law_index(x), in the smallest unsigned dtype that holds the law
-        count (uint8 up to 256 laws, uint16 up to 65,536).  The view is
-        cut from the box the environment keeps.  A request that leaves
-        that box hashes a new one.  If on every axis the gap between the
-        two is at most the kept box's width, the new box is their union,
-        widened by half the union's width on each side the request left,
-        so requests that spread (a population, the layers of an adjoint
-        solve) hash a logarithmic number of boxes.  A request farther
-        away, and the first one, is hashed exactly and replaces the kept
-        box, so a box is never hashed over the space between two distant
-        ones, and the box of a BFS is hashed once for all of its deltas.
-        A new box is checked against physical memory before it is hashed.
-        Callers only index tables with the indices; the one arithmetic
-        use, the differences of sorted indices in
-        `montecarlo.step_batch`, cannot wrap.
+        Returns a fresh array of shape hi-lo+1 whose entry at (x-lo) is
+        law_index(x), in the smallest unsigned dtype that holds the law
+        count (uint8 up to 256 laws, uint16 up to 65,536).  The box is
+        checked against physical memory, then hashed exactly, in slabs of
+        whole rows along axis 0; nothing is kept between calls.  Callers
+        only index tables with the indices.
         """
         lo, hi = tuple(lo), tuple(hi)
         if any(h < l for l, h in zip(lo, hi)):
             raise EnvironmentError_(f"empty box {lo}..{hi}")
-        kept = self._box
-        if kept is None or any(l < b for l, b in zip(lo, kept[0])) \
-                or any(h > b for h, b in zip(hi, kept[1])):
-            box_lo, box_hi = lo, hi
-            # grow when on every axis the cells strictly between the
-            # request and the kept box are at most the kept box's width
-            if kept is not None and all(
-                    max(l - b_hi, b_lo - h, 1) - 1 <= b_hi - b_lo + 1
-                    for l, h, b_lo, b_hi in zip(lo, hi, kept[0], kept[1])):
-                u_lo = [min(a, b) for a, b in zip(lo, kept[0])]
-                u_hi = [max(a, b) for a, b in zip(hi, kept[1])]
-                pad = [(h - l + 1) // 2 for l, h in zip(u_lo, u_hi)]
-                box_lo = tuple(u - p if a < b else u
-                               for u, p, a, b in zip(u_lo, pad, lo, kept[0]))
-                box_hi = tuple(u + p if a > b else u
-                               for u, p, a, b in zip(u_hi, pad, hi, kept[1]))
-            check_box_memory(
-                math.prod(h - l + 1 for l, h in zip(box_lo, box_hi)),
-                EnvironmentError_, f"a law-index box over {box_lo}..{box_hi}")
-            idx = self._law_index_box(box_lo, box_hi)
-            idx.flags.writeable = False
-            kept = (box_lo, box_hi, idx)
-            object.__setattr__(self, "_box", kept)
-        box_lo, _, idx = kept
-        return idx[tuple(slice(l - b, h - b + 1)
-                         for l, h, b in zip(lo, hi, box_lo))]
-
-    def _law_index_box(self, lo: Site, hi: Site) -> np.ndarray:
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+        check_box_memory(math.prod(shape), EnvironmentError_,
+                         f"a law-index box over {lo}..{hi}")
         out = np.empty(shape, dtype=self._index_dtype)
         rows = max(1, _SLAB_CELLS // math.prod(shape[1:]))
         for r in range(0, shape[0], rows):
@@ -383,8 +344,11 @@ class EnvironmentField:
         open mesh of a box or affine expressions in lattice coordinates;
         the result has their broadcast shape and `law_index_grid`'s
         dtype, and no (..., d) site array is built.  A block window adds
-        its cell uniforms in window-cell order, as `law_index_grid` does.
-        `law_index` computes its memo misses here, on a site's coordinates.
+        its cell uniforms in window-cell order, as `law_index_grid` does,
+        but hashes every window cell of every site, where the grid hashes
+        each cell of its padded box once.  `law_index` computes its memo
+        misses here, on a site's coordinates, and `montecarlo.step_batch`
+        its rows' laws, on the transposed (rows, d) sites.
         """
         axes = [np.asarray(a, dtype=np.int64) for a in axes]
         if self._override is not None:

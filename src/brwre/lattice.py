@@ -27,10 +27,6 @@ def add(x: Site, y: Site) -> Site:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def sub(x: Site, y: Site) -> Site:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def unit_vectors(dimension: int) -> list[Site]:
     """The 2d signed unit vectors, ordered +e1, -e1, +e2, -e2, ...
 

@@ -5,17 +5,17 @@ sorted, and their particle counts, int64 while they fit and Python integers
 after, and each site resolves all of its particles with one multinomial
 draw over its offspring law, so the cost per step follows the number of
 occupied sites, not of particles.  A generation stays in array form: the
-laws of the sites are read from the law-index box the environment keeps
-(and grows geometrically as the population spreads), each law draws its
-sites below 2**62 with one exact `rng.multinomial` call, and the sites at or
-above 2**62, of all laws together, split into conditional binomials, one
-batched draw per atom, with probabilities tabulated per law.  Draws with a
-count below 2**62 are exact in distribution with respect to per-particle
-sampling.  Above 2**62 a binomial is approximated: by a normal when its
-variance npq exceeds 1e6 (Berry-Esseen bounds the CDF error by
-C/sqrt(npq)), by a Poisson otherwise; means and standard deviations are
-exact integers.  `SamplerStats` counts the draws of each path: one per
-exact multinomial row, one per conditional binomial.
+laws of the occupied sites are hashed from their coordinates with
+`law_index_axes`, each law draws its sites below 2**62 with one exact
+`rng.multinomial` call, and the sites at or above 2**62, of all laws
+together, split into conditional binomials, one batched draw per atom, with
+probabilities tabulated per law.  Draws with a count below 2**62 are exact
+in distribution with respect to per-particle sampling.  Above 2**62 a
+binomial is approximated: by a normal when its variance npq exceeds 1e6
+(Berry-Esseen bounds the CDF error by C/sqrt(npq)), by a Poisson otherwise;
+means and standard deviations are exact integers.  `SamplerStats` counts
+the draws of each path: one per exact multinomial row, one per conditional
+binomial.
 
 Independent replicas are stepped together: `step_batch` advances a
 `PopulationBatch`, the states of several replicas in one set of arrays,
@@ -311,7 +311,7 @@ class _Tables:
     ((atom column, count), ...)) over the sorted step set.  `walk_rows`
     holds the induced-walk tables of each law index the walk has stood
     on.  The law indices themselves come from the environment's
-    `law_index_grid`.
+    `law_index_axes`.
     """
 
     def __init__(self, env: EnvironmentField):
@@ -379,9 +379,9 @@ def step_batch(env: EnvironmentField, batch: PopulationBatch,
     """Advance every replica of the batch one generation, replica r
     drawing from `rngs[r]`.
 
-    The laws of the sites are read from one `env.law_index_grid` box over
-    all replicas.  Each law draws its sites below 2**62 with one
-    `rng.multinomial` call per replica; the sites at or above 2**62, of
+    The laws of the rows' sites, over all replicas, are hashed with one
+    `env.law_index_axes` call.  Each law draws its sites below 2**62 with
+    one `rng.multinomial` call per replica; the sites at or above 2**62, of
     every law together, run one conditional-binomial chain over
     `_Tables.chain`, each pass one call per replica and sampling path.
     Each law adds its atoms' draws into children, multiplying only the
@@ -407,8 +407,7 @@ def step_batch(env: EnvironmentField, batch: PopulationBatch,
                            ).tolist())
     check_box_memory(math.prod(shape), SimulationError,
                      f"generation {batch.n + 1}")
-    laws = env.law_index_grid(tuple(lo.tolist()), tuple(hi.tolist()))[
-        tuple((coords - lo).T)]
+    laws = env.law_index_axes(coords.T)
 
     draws = np.zeros((len(n), tables.atoms), dtype=dtype)
     exact = n < _EXACT_LIMIT
@@ -610,10 +609,6 @@ class InducedWalkState:
     step_count: int = 0
     forced_flags: list[bool] = field(default_factory=list)
     forced_symbols: list[int] = field(default_factory=list)
-
-    @classmethod
-    def at(cls, start: Site) -> "InducedWalkState":
-        return cls(position=start)
 
 
 def induced_walk_step(env: EnvironmentField, state: InducedWalkState,

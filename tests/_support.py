@@ -13,6 +13,7 @@ that only tests use, each built from package internals:
   the one-row case of the population sampler;
 - `counts`: one replica's site -> count dict of a population batch;
 - `iter_reachable`: the sets R(k) reached in exactly k delta-open steps;
+- `sub`: the difference x - y of two sites;
 - `l1`: the l1 norm of a rational direction, exact;
 - `norm_estimate`: the passage-time norm along a rational ray, sampled
   from one BFS;
@@ -318,6 +319,10 @@ def _reachable_sets(moves, start: Site, radius: int,
     for _ in range(n):
         cur = _advance(cur, moves)
         yield to_sites(cur)
+
+
+def sub(x: Site, y: Site) -> Site:
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def l1(a: RationalVector) -> Fraction:

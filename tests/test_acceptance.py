@@ -433,7 +433,7 @@ def test_criterion_12_induced_walk_decomposition():
         direct[sample_induced_direct(env, (0,), rng_direct)] += 1
     decomp = {s: 0 for s in steps}
     for _ in range(n_steps):
-        state = induced_walk_step(env, InducedWalkState.at((0,)), rng_decomp)
+        state = induced_walk_step(env, InducedWalkState((0,)), rng_decomp)
         decomp[state.position] += 1
     table = np.asarray([[direct[s] for s in steps],
                         [decomp[s] for s in steps]])

@@ -312,26 +312,35 @@ class TestAxisWiseHash:
             assert cell_hash(3, x) == cell_hash(3, np.array([x]))[0]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("dependence", ["iid", "block_window"])
+    @pytest.mark.parametrize("dependence", ["iid", "block_window", "function"])
     def test_law_index_grid_matches_mesh_uniforms(self, d, dependence):
+        # "function": a hand-built field, read one site at a time
         units = nearest_neighbour(d).offsets
         hop = law_of(*[({u: 1}, 1 / (2 * d)) for u in units])
-        dep = Dependence("iid") if dependence == "iid" else Dependence("block_window", 2)
+        dep = Dependence("block_window", 2) if dependence == "block_window" \
+            else Dependence("iid")
         spec = EnvironmentSpec(
             dimension=d, step_set=nearest_neighbour(d),
             law_support=(hop, hop, hop), weights=(0.3, 0.5, 0.2),
             dependence=dep, master_seed=29)
-        env = build_environment(spec)
         lo, hi = (-6, -1, -8)[:d], (3, 5, -2)[:d]
         mesh = self.mesh(lo, hi)
-        if dependence == "iid":
-            u = cell_uniform(29, mesh)
+        if dependence == "function":
+            def fn(x):
+                return sum((i + 2) * c for i, c in enumerate(x)) % 3
+            env = EnvironmentField.from_index_function(spec, fn)
+            want = np.apply_along_axis(lambda x: fn(tuple(x)), -1, mesh)
         else:
-            u = np.zeros(mesh.shape[:-1])
-            for c in env._window_cells:
-                u += cell_uniform(29, mesh + np.array(c))
-            u = np.mod(u, 1.0)
-        want = np.searchsorted(np.cumsum([0.3, 0.5, 0.2]), u, side="right")
+            env = build_environment(spec)
+            if dependence == "iid":
+                u = cell_uniform(29, mesh)
+            else:
+                u = np.zeros(mesh.shape[:-1])
+                for c in env._window_cells:
+                    u += cell_uniform(29, mesh + np.array(c))
+                u = np.mod(u, 1.0)
+            want = np.searchsorted(np.cumsum([0.3, 0.5, 0.2]), u,
+                                   side="right")
         assert np.array_equal(env.law_index_grid(lo, hi), want)
         assert np.array_equal(env.law_index_axes(np.moveaxis(mesh, -1, 0)),
                               want)
@@ -446,8 +455,8 @@ class TestNarrowLawIndices:
 
 
 class TestKeptBox:
-    """`law_index_grid` cuts read-only views from one box per environment,
-    which it grows when a request leaves it."""
+    """`law_index_grid` keeps no box between requests: each call returns
+    a fresh array, and an empty box raises inside one asked for before."""
 
     @staticmethod
     def env(d, kind):
@@ -464,67 +473,16 @@ class TestKeptBox:
                 spec, lambda x: sum((i + 2) * c for i, c in enumerate(x)) % 3)
         return build_environment(spec)
 
-    # the first box, one nested in it, one overlapping it, one disjoint
-    # from every box before, one spanning them all, and the first again
-    SEQUENCE = [((-3, -2, 0), (2, 3, 4)), ((-1, 0, 1), (1, 2, 3)),
-                ((0, -4, 2), (5, 1, 6)), ((20, 15, -30), (22, 18, -27)),
-                ((-10, -12, -31), (25, 20, 10)), ((-3, -2, 0), (2, 3, 4))]
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["iid", "window", "function"])
-    def test_views_equal_fresh_boxes(self, d, kind):
-        env, fresh = self.env(d, kind), self.env(d, kind)
-        for lo, hi in self.SEQUENCE:
-            lo, hi = lo[:d], hi[:d]
-            got = env.law_index_grid(lo, hi)
-            assert got.dtype == np.uint8
-            assert np.array_equal(got, fresh._law_index_box(lo, hi))
-            assert not got.flags.writeable
-            with pytest.raises(ValueError):
-                got[(0,) * d] = 1
-
-    def test_growth_rule(self, monkeypatch):
-        env = self.env(2, "iid")
-        hashed = []
-        orig = EnvironmentField._law_index_box
-
-        def counting(self, lo, hi):
-            hashed.append((lo, hi))
-            return orig(self, lo, hi)
-
-        monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
-        env.law_index_grid((0, 0), (9, 9))
-        env.law_index_grid((2, 3), (9, 4))
-        # the union (0, 0)..(14, 9) widened by half its width, 7, on the
-        # one side the request left
-        env.law_index_grid((5, 2), (14, 7))
-        assert hashed == [((0, 0), (9, 9)), ((0, 0), (21, 9))]
-
-    def test_distant_request_replaces_the_box(self, monkeypatch):
-        env = self.env(2, "iid")
-        far = ((19900, -100), (20100, 100))
-        want = self.env(2, "iid")._law_index_box(*far)
-        hashed = []
-        orig = EnvironmentField._law_index_box
-
-        def counting(self, lo, hi):
-            hashed.append((lo, hi))
-            return orig(self, lo, hi)
-
-        monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
-        env.law_index_grid((-100, -100), (100, 100))
-        # 19,799 cells from the kept box along axis 0, which is 201 wide:
-        # the request is hashed on its own, not over a 30,301 x 201 union
-        assert np.array_equal(env.law_index_grid(*far), want)
-        assert hashed[1] == far
-        assert math.prod(h - l + 1 for l, h in zip(*far)) == 40_401
-        # a gap of 201 cells, the kept box's width, still grows the box:
-        # the union up to x = 20310, widened by 411 // 2 on the right
-        env.law_index_grid((20302, 0), (20310, 0))
-        assert hashed[2] == ((19900, -100), (20515, 100))
-        # a gap of 617 cells to the 616-wide box is hashed exactly
-        env.law_index_grid((21133, 0), (21133, 0))
-        assert hashed[3] == ((21133, 0), (21133, 0))
+    def test_each_request_returns_a_fresh_array(self, kind):
+        env = self.env(2, kind)
+        whole = env.law_index_grid((-5, -5), (5, 5))
+        part = env.law_index_grid((0, -2), (3, 4))
+        assert not np.shares_memory(whole, part)
+        assert np.array_equal(part, whole[5:9, 3:10])
+        part[...] = 0
+        assert np.array_equal(env.law_index_grid((0, -2), (3, 4)),
+                              whole[5:9, 3:10])
 
     @pytest.mark.parametrize("kind", ["iid", "window", "function"])
     def test_empty_box_raises_inside_the_kept_box(self, kind):

@@ -28,7 +28,6 @@ from brwre.expectation import (
 from brwre.environment import (
     BYTES_PER_BOX_CELL,
     Dependence,
-    EnvironmentField,
     EnvironmentSpec,
     build_environment,
     check_box_memory,
@@ -395,27 +394,6 @@ class TestAndersonIdentity:
         resid = check_anderson_equation(env, fwd)
         assert resid > 1e-3
         assert resid == pytest.approx(brute_anderson_residual(env, fwd), rel=1e-9)
-
-    def test_adjoint_solve_hashes_a_logarithmic_number_of_boxes(
-            self, monkeypatch):
-        # one law box per layer at T = 300 would hash 300 boxes; the
-        # residual equals that of a check hashing each layer's box exactly
-        env, n = random_env(np.random.default_rng(41)), 300
-        layers = list(iter_layers(env, (0,), n, adjoint=True))
-        with monkeypatch.context() as m:
-            m.setattr(EnvironmentField, "law_index_grid",
-                      lambda env, lo, hi: env._law_index_box(lo, hi))
-            want = check_anderson_equation(env, layers)
-        calls = []
-        orig = EnvironmentField._law_index_box
-
-        def counting(self, lo, hi):
-            calls.append((lo, hi))
-            return orig(self, lo, hi)
-
-        monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
-        assert check_anderson_equation(env, layers) == want <= 1e-10
-        assert 1 <= len(calls) <= 2 * math.log2(2 * n) + 1
 
 
 class TestLayerDumps:

@@ -12,11 +12,10 @@ from brwre.lattice import (
     add,
     l1_norm,
     step_lattice,
-    sub,
     unit_vectors,
 )
 
-from _support import nearest_neighbour
+from _support import nearest_neighbour, sub
 
 
 def test_l1_helpers():

@@ -15,7 +15,7 @@ from brwre.environment import (
     build_environment,
 )
 from brwre.expectation import iter_layers
-from brwre.lattice import StepSet, unit_vectors
+from brwre.lattice import unit_vectors
 from brwre.montecarlo import (
     BitBudgetError,
     InducedWalkState,
@@ -437,57 +437,6 @@ class TestBatchedStep:
         assert nxt.n == 1 and len(counts(state, 0)) == 50
         assert calls == []
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_law_box_is_hashed_a_logarithmic_number_of_times(self, d, monkeypatch):
-        # against a run whose law_index_grid hashes each requested box exactly
-        def make_env():
-            law = law_of(*[({y: 1}, 0.2) for y in unit_vectors(d)],
-                         ({unit_vectors(d)[0]: 1, unit_vectors(d)[1]: 1},
-                          1.0 - 0.2 * 2 * d))
-            spec = EnvironmentSpec(
-                dimension=d, step_set=nearest_neighbour(d),
-                law_support=(law, law_of(*[({y: 1}, 1.0 / (2 * d))
-                                           for y in unit_vectors(d)])),
-                weights=(0.5, 0.5), dependence=Dependence("block_window", 1),
-                master_seed=31)
-            return build_environment(spec)
-
-        n, start = 40, (3,) * d
-        with monkeypatch.context() as m:
-            m.setattr(EnvironmentField, "law_index_grid",
-                      lambda env, lo, hi: env._law_index_box(lo, hi))
-            want = list(iter_batch(make_env(), start, n,
-                                   [np.random.default_rng(5)]))
-        calls = []
-        orig = EnvironmentField._law_index_box
-
-        def counting(self, lo, hi):
-            calls.append((lo, hi))
-            return orig(self, lo, hi)
-
-        monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
-        got = iter_batch(make_env(), start, n, [np.random.default_rng(5)])
-        assert [counts(s, 0) for s in got] == [counts(s, 0) for s in want]
-        assert 1 <= len(calls) <= 2 * math.log2(2 * n) + 1
-
-    def test_jumping_site_grows_the_law_box(self, monkeypatch):
-        # one particle stepping +2 leaves a one-cell gap to the kept box:
-        # growing only on overlap would hash a box every generation
-        env = iid_env([law_of(({(2,): 1}, 1.0))], [1.0], 3,
-                      step_set=StepSet(((-1,), (1,), (2,))))
-        calls = []
-        orig = EnvironmentField._law_index_box
-
-        def counting(self, lo, hi):
-            calls.append((lo, hi))
-            return orig(self, lo, hi)
-
-        monkeypatch.setattr(EnvironmentField, "_law_index_box", counting)
-        n = 200
-        *_, final = iter_batch(env, (0,), n, [np.random.default_rng(6)])
-        assert counts(final, 0) == {(2 * n,): 1}
-        assert 1 <= len(calls) <= 2 * math.log2(2 * n) + 1
-
 
 def _block_window_d2_env():
     units = unit_vectors(2)
@@ -686,7 +635,7 @@ class TestInducedWalk:
         env = random_env(np.random.default_rng(20))
         units = unit_vectors(1)
         rng = np.random.default_rng(21)
-        state = InducedWalkState.at((0,))
+        state = InducedWalkState((0,))
         for _ in range(4000):
             before = state.position
             state = induced_walk_step(env, state, rng)
@@ -701,7 +650,7 @@ class TestInducedWalk:
         eps_hat = env.conditions.epsilon0 / len(env.spec.step_set.offsets)
         expect = 2 * eps_hat  # 2d * eps_hat with d = 1
         rng = np.random.default_rng(23)
-        state = InducedWalkState.at((0,))
+        state = InducedWalkState((0,))
         n = 20000
         for _ in range(n):
             state = induced_walk_step(env, state, rng)
@@ -719,7 +668,7 @@ class TestInducedWalk:
         rng_b = np.random.default_rng(26)
         decomposed = Counter()
         for _ in range(n):
-            state = InducedWalkState.at(x)
+            state = InducedWalkState(x)
             state = induced_walk_step(env, state, rng_b)
             step = tuple(b - a for a, b in zip(x, state.position))
             decomposed[step] += 1
@@ -734,13 +683,13 @@ class TestInducedWalk:
         one_way = law_of(({(1,): 1}, 1.0))
         env = homogeneous_env(one_way)
         with pytest.raises(SimulationError):
-            induced_walk_step(env, InducedWalkState.at((0,)),
+            induced_walk_step(env, InducedWalkState((0,)),
                               np.random.default_rng(0))
 
     def test_step_count_and_trace_lengths(self):
         env = random_env(np.random.default_rng(27))
         rng = np.random.default_rng(28)
-        state = InducedWalkState.at((3,))
+        state = InducedWalkState((3,))
         for _ in range(50):
             state = induced_walk_step(env, state, rng)
         assert state.step_count == 50

@@ -12,7 +12,7 @@ from brwre.environment import (
     EnvironmentSpec,
     build_environment,
 )
-from brwre.lattice import RationalVector, StepSet, l1_norm, sub, unit_vectors
+from brwre.lattice import RationalVector, StepSet, l1_norm, unit_vectors
 from brwre.shape import (
     HULL_COORD_MAX,
     ShapeError,
@@ -31,6 +31,7 @@ from _support import (
     nearest_neighbour,
     norm_estimate,
     random_env,
+    sub,
 )
 
 
