@@ -80,10 +80,8 @@ class ReportError(RuntimeError):
     """The output directory does not hold a consistent set of artifacts."""
 
 
-# the package's other error classes are ValueErrors; a MemoryError that
-# the memory preflight did not foresee still exits with a typed error
-_MODULE_ERRORS = (SimulationError, ReportError, OSError, ValueError,
-                  MemoryError)
+# the package's other error classes are ValueErrors
+_MODULE_ERRORS = (SimulationError, ReportError, OSError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +880,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_CONFIG, exc)
     except _MODULE_ERRORS as exc:
         return _fail(EXIT_RUNTIME, exc)
+    except MemoryError as exc:
+        # what the memory preflight did not foresee still exits with a
+        # typed error, which names the command that ran out
+        return _fail(EXIT_RUNTIME, MemoryError(f"{cfg.command}: {exc}"))
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ offspring configuration v (how many children go to each admissible offset),
 and every configuration carries at least one child, so populations never die
 out under the unrestricted dynamics.  An EnvironmentField assigns one law
 from a finite support to every lattice site through a counter-based hash of
-(master_seed, cell), which makes the field lazily evaluable over an infinite
-lattice, reproducible, and -- in block-window mode -- finitely dependent by
-construction: the law at x reads only the per-cell uniforms in the l1-window
-of radius w around x, so sites at l1 distance >= 2w+1 see disjoint cells.
+(master_seed, cell), which one method, `law_index_axes`, evaluates.  The
+field is lazily evaluable over an infinite lattice, reproducible, and -- in
+block-window mode -- finitely dependent by construction: the law at x reads
+only the per-cell uniforms in the l1-window of radius w around x, so sites
+at l1 distance >= 2w+1 see disjoint cells.
 
 Condition checks (branching, uniform ellipticity, bounded mean offspring,
 aperiodicity) are evaluated on the support, not on a realization: they are
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +44,11 @@ PROB_TOL = 1e-12
 # times, uint8 law indices, the box hashed in slabs).  The constant is the
 # DP's maximum, the larger of the two.
 BYTES_PER_BOX_CELL = 34
+
+# The cgroup memory limit files `check_box_memory` reads where they exist:
+# cgroup v2 ("max" when there is none), then v1.
+_CGROUP_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",
+                       "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 # Most sites `EnvironmentField.law_index` remembers; the oldest goes first.
 _INDEX_MEMO_SIZE = 1 << 14
@@ -240,18 +246,17 @@ class ConditionReport:
 class EnvironmentField:
     """Lazily evaluated environment: pure map Site -> SiteLaw.
 
-    The map is deterministic; its one cache is `_index_memo`, in which
-    `law_index`, whose callers are per-site ones (the induced walk,
-    tests), memoizes the sites it is asked about, at most
-    `_INDEX_MEMO_SIZE` of them, evicting the oldest first.  The vectorized
+    `law_index_axes` is the one evaluator of the map, which every other
+    query reads, and the one method a hand-built test field overrides.
+    The one cache is `_index_memo`, in which `law_index`, whose callers are
+    per-site ones (the induced walk, tests), keeps at most
+    `_INDEX_MEMO_SIZE` sites, evicting the oldest first.  The vectorized
     evaluations keep nothing: `law_index_grid` hashes each box it is asked
     for (the BFS, `check_anderson_equation`), and `law_index_axes` the
-    sites it is given (the DP's slabs, the population steps' rows).  They
-    agree bitwise with per-site calls.
+    sites it is given (the DP's slabs, the population steps' rows).
     """
 
     spec: EnvironmentSpec
-    _override: Callable[[Site], int] | None = field(default=None, repr=False)
 
     @cached_property
     def _cum_weights(self) -> np.ndarray:
@@ -280,8 +285,6 @@ class EnvironmentField:
 
     def law_index(self, x: Site) -> int:
         x = tuple(x)
-        if self._override is not None:
-            return self._override(x)
         # memoized: the field is a pure function of the site, and a walk
         # revisits the same sites
         memo = self._index_memo
@@ -303,9 +306,9 @@ class EnvironmentField:
         Returns a fresh array of shape hi-lo+1 whose entry at (x-lo) is
         law_index(x), in the smallest unsigned dtype that holds the law
         count (uint8 up to 256 laws, uint16 up to 65,536).  The box is
-        checked against physical memory, then hashed exactly, in slabs of
-        whole rows along axis 0; nothing is kept between calls.  Callers
-        only index tables with the indices.
+        checked against the memory budget, then filled by `law_index_axes`
+        in slabs of whole rows along axis 0; nothing is kept between
+        calls.  Callers only index tables with the indices.
         """
         lo, hi = tuple(lo), tuple(hi)
         if any(h < l for l, h in zip(lo, hi)):
@@ -317,45 +320,24 @@ class EnvironmentField:
         rows = max(1, _SLAB_CELLS // math.prod(shape[1:]))
         for r in range(0, shape[0], rows):
             r_hi = min(r + rows, shape[0])
-            out[r:r_hi] = self._law_index_slab(
-                (lo[0] + r, *lo[1:]), (lo[0] + r_hi - 1, *hi[1:]))
+            out[r:r_hi] = self.law_index_axes(_box_axes(
+                (lo[0] + r, *lo[1:]), (lo[0] + r_hi - 1, *hi[1:])))
         return out
-
-    def _law_index_slab(self, lo: Site, hi: Site) -> np.ndarray:
-        if self._override is not None or self.spec.dependence.mode == "iid":
-            return self.law_index_axes(_box_axes(lo, hi))
-        # a block window hashes each cell of the padded slab once
-        w = self.spec.dependence.window_radius
-        cell_u = hash_uniform(axis_hash(
-            self.spec.master_seed,
-            _box_axes([l - w for l in lo], [h + w for h in hi])))
-        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        acc = np.zeros(shape, dtype=np.float64)
-        for c in self._window_cells:
-            sl = tuple(slice(w + ci, w + ci + s) for ci, s in zip(c, shape))
-            acc += cell_u[sl]
-        del cell_u
-        return self._select(np.mod(acc, 1.0, out=acc))
 
     def law_index_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Law indices at the sites whose i-th coordinates are `axes[i]`.
 
-        The axes are integer arrays that broadcast together, such as the
-        open mesh of a box or affine expressions in lattice coordinates;
-        the result has their broadcast shape and `law_index_grid`'s
-        dtype, and no (..., d) site array is built.  A block window adds
-        its cell uniforms in window-cell order, as `law_index_grid` does,
-        but hashes every window cell of every site, where the grid hashes
-        each cell of its padded box once.  `law_index` computes its memo
-        misses here, on a site's coordinates, and `montecarlo.step_batch`
-        its rows' laws, on the transposed (rows, d) sites.
+        The one evaluator of the map.  The axes are integer arrays that
+        broadcast together, such as the open mesh of a box or affine
+        expressions in lattice coordinates; the result has their broadcast
+        shape and the smallest unsigned dtype that holds the law count,
+        and no (..., d) site array is built.  A block window adds the
+        uniforms of every window cell of every site in window-cell order.
+        Callers: `law_index` on a site's coordinates, `law_index_grid` and
+        the DP on their slabs, `montecarlo.step_batch` on its transposed
+        (rows, d) sites.
         """
         axes = [np.asarray(a, dtype=np.int64) for a in axes]
-        if self._override is not None:
-            flat = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*axes)))
-            return np.array([self._override(x) for x in flat],
-                            dtype=self._index_dtype
-                            ).reshape(np.broadcast_shapes(*(a.shape for a in axes)))
         seed = self.spec.master_seed
         if self.spec.dependence.mode == "iid":
             return self._select(hash_uniform(axis_hash(seed, axes)))
@@ -376,13 +358,6 @@ class EnvironmentField:
         # index past the end would wrap to 0 in the narrow dtype
         return np.searchsorted(self._cum_weights[:-1], u, side="right").astype(
             self._index_dtype)
-
-    @classmethod
-    def from_index_function(
-        cls, spec: EnvironmentSpec, law_index_fn: Callable[[Site], int]
-    ) -> "EnvironmentField":
-        """Hand-built field for oracles and tests; determinism is the caller's duty."""
-        return cls(spec, law_index_fn)
 
 
 def _box_axes(lo: Site, hi: Site) -> list[np.ndarray]:
@@ -424,8 +399,10 @@ def check_box_memory(cells: int, error: type[Exception], what: str) -> None:
 
     Call it before evaluating the cells' law indices, so an oversized
     request fails at once with a typed error instead of a MemoryError or
-    an out-of-memory kill.  The budget is the least of physical memory
-    and the process's soft RLIMIT_AS and RLIMIT_DATA, where they are set.
+    an out-of-memory kill.  The budget is the least of physical memory,
+    the cgroup memory limit and the process's soft RLIMIT_AS and
+    RLIMIT_DATA, where they are set.  v1's "unlimited" limit, about 2**63,
+    exceeds physical memory and so never binds.
     """
     need = cells * BYTES_PER_BOX_CELL
     limits = []
@@ -434,6 +411,14 @@ def check_box_memory(cells: int, error: type[Exception], what: str) -> None:
                        "physical memory"))
     except (AttributeError, ValueError, OSError):
         pass
+    for path in _CGROUP_LIMIT_FILES:
+        try:
+            with open(path, "rb") as f:
+                text = f.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            limits.append((int(text), "the cgroup memory limit"))
     try:
         import resource  # here, not at the top: the CLI's start-up stays lean
         for name in ("RLIMIT_AS", "RLIMIT_DATA"):

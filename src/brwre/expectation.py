@@ -324,7 +324,7 @@ def iter_layers(
     a negative horizon or a start of the wrong dimension.  The horizon
     alone sizes the solve: the slabs cover the lattice sites of the
     layers' boxes.  Raises SolverError, before any step, if they would not
-    fit in physical memory.
+    fit in the memory budget of `check_box_memory`.
     """
     if n < 0:
         raise SolverError("negative horizon")

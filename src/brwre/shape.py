@@ -38,8 +38,8 @@ def _open_moves(
     some law closes some offset.
 
     Raises ShapeError if `start` does not have the environment's dimension
-    or, before anything is allocated, if the box would not fit in physical
-    memory.
+    or, before anything is allocated, if the box would not fit in the
+    memory budget of `check_box_memory`.
     """
     d = env.spec.dimension
     if len(start) != d:

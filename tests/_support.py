@@ -1,7 +1,8 @@
 """Shared environment builders and reference solvers for the test suite.
 
-Besides the law and environment builders, this module holds the oracles
-that only tests use, each built from package internals:
+Besides the law and environment builders, among them `function_field`,
+a hand-built environment whose law index at x is fn(x), this module holds
+the oracles that only tests use, each built from package internals:
 - `nearest_neighbour`: the unit step set of Z^d;
 - `cell_hash` and `cell_uniform`: the environment hash of single sites or
   stacked site arrays, against which the box hashing is checked;
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,6 +80,25 @@ def iid_env(laws, weights, seed, dimension=1, step_set=None) -> EnvironmentField
 
 def homogeneous_env(law, dimension=1, step_set=None) -> EnvironmentField:
     return iid_env([law], [1.0], 0, dimension, step_set)
+
+
+@dataclass(frozen=True, eq=False)
+class _FunctionField(EnvironmentField):
+    fn: Callable[[Site], int]
+
+    def law_index_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        axes = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in axes))
+        sites = zip(*(a.ravel().tolist() for a in axes))
+        return np.array([self.fn(x) for x in sites], dtype=self._index_dtype
+                        ).reshape(axes[0].shape)
+
+
+def function_field(spec: EnvironmentSpec,
+                   fn: Callable[[Site], int]) -> EnvironmentField:
+    """The field of `spec` with law index fn(x) at x; determinism is the
+    caller's duty.  It overrides only `law_index_axes`, the one evaluator
+    that `law_index`, `law_index_grid`, the DP and the population step read."""
+    return _FunctionField(spec, fn)
 
 
 # every particle produces one child at +1 and one at -1: the population

@@ -537,7 +537,7 @@ class TestShape:
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         # what the memory preflight does not foresee still ends in a typed
-        # error, not a traceback
+        # error that names the command, not a traceback
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
@@ -549,7 +549,7 @@ class TestShape:
         assert "Traceback" not in err
         assert json.loads(err) == {"error": {
             "code": 3, "type": "MemoryError",
-            "message": "Unable to allocate 8.00 GiB for an array"}}
+            "message": "shape: Unable to allocate 8.00 GiB for an array"}}
 
 
 class TestReport:

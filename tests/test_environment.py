@@ -12,7 +12,6 @@ from brwre import environment
 from brwre.environment import (
     Dependence,
     EnvironmentError_,
-    EnvironmentField,
     EnvironmentSpec,
     OffspringConfig,
     _logsumexp,
@@ -22,17 +21,22 @@ from brwre.environment import (
     spec_from_dict,
     spec_to_dict,
 )
+from brwre.expectation import iter_layers
 from brwre.lattice import StepSet
+from brwre.montecarlo import PopulationBatch, step_batch
 from brwre.seeding import axis_hash
 
 from _support import (
     cell_hash,
     cell_uniform,
+    counts,
     doubling_law,
     drift_law,
+    function_field,
     iid_env,
     law_of,
     nearest_neighbour,
+    reference_layers,
 )
 
 
@@ -215,10 +219,9 @@ class TestFieldRealization:
         frac = float(np.mean(grid == 0))
         assert abs(frac - 0.8) < 0.02
 
-    def test_from_index_function(self):
+    def test_function_field(self):
         spec = iid_env([doubling_law(), drift_law()], [0.5, 0.5], 0).spec
-        env = EnvironmentField.from_index_function(
-            spec, lambda x: abs(x[0]) % 2)
+        env = function_field(spec, lambda x: abs(x[0]) % 2)
         assert env.law_at((0,)) == doubling_law()
         assert env.law_at((3,)) == drift_law()
 
@@ -328,7 +331,7 @@ class TestAxisWiseHash:
         if dependence == "function":
             def fn(x):
                 return sum((i + 2) * c for i, c in enumerate(x)) % 3
-            env = EnvironmentField.from_index_function(spec, fn)
+            env = function_field(spec, fn)
             want = np.apply_along_axis(lambda x: fn(tuple(x)), -1, mesh)
         else:
             env = build_environment(spec)
@@ -355,7 +358,7 @@ class TestAxisWiseHash:
 
     def test_override_reads_axes(self):
         hop = law_of(({(1, 0): 1, (0, 1): 1}, 0.5), ({(-1, 0): 1, (0, -1): 1}, 0.5))
-        env = EnvironmentField.from_index_function(
+        env = function_field(
             EnvironmentSpec(dimension=2, step_set=nearest_neighbour(2),
                             law_support=(hop,), weights=(1.0,)),
             lambda x: (x[0] * 3 + x[1]) % 2)
@@ -364,10 +367,59 @@ class TestAxisWiseHash:
                                 for x in range(-2, 2)]
 
 
+class TestFunctionField:
+    """A `function_field` fake overrides only `law_index_axes`, and every
+    query of the field reads it, also on a block-window spec."""
+
+    @staticmethod
+    def fake():
+        # law 0 sends its one child right, law 1 two children up
+        right = law_of(({(1, 0): 1}, 1.0))
+        up = law_of(({(0, 1): 2}, 1.0))
+        spec = EnvironmentSpec(
+            dimension=2, step_set=nearest_neighbour(2),
+            law_support=(right, up), weights=(0.5, 0.5),
+            dependence=Dependence("block_window", 1), master_seed=3)
+
+        def fn(x):
+            return int((x[0] + 2 * x[1]) % 3 == 0)
+        return spec, fn, function_field(spec, fn)
+
+    def test_law_index_and_grid(self):
+        spec, fn, env = self.fake()
+        lo, hi = (-4, -3), (5, 6)
+        want = [[fn((x, y)) for y in range(lo[1], hi[1] + 1)]
+                for x in range(lo[0], hi[0] + 1)]
+        assert env.law_index_grid(lo, hi).tolist() == want
+        # the hash of the spec gives other indices
+        assert build_environment(spec).law_index_grid(lo, hi).tolist() != want
+        assert [env.law_index((x, 1)) for x in range(lo[0], hi[0] + 1)] \
+            == [row[1 - lo[1]] for row in want]
+
+    def test_layers(self):
+        _, _, env = self.fake()
+        pairs = zip(iter_layers(env, (1, -1), 5),
+                    reference_layers(env, (1, -1), 5))
+        for fld, (lo, values) in pairs:
+            assert fld.lo == lo
+            assert fld.values.tobytes() == values.tobytes()
+
+    def test_population_step(self):
+        _, fn, env = self.fake()
+        start = {(x, y): 1 + x + 3 * y for x in range(3) for y in range(3)}
+        nxt = step_batch(env, PopulationBatch.from_counts(0, [start]),
+                         [np.random.default_rng(0)])
+        want = {}
+        for (x, y), c in start.items():
+            site, k = ((x, y + 1), 2) if fn((x, y)) else ((x + 1, y), 1)
+            want[site] = want.get(site, 0) + k * c
+        assert counts(nxt, 0) == want
+
+
 class TestGridMemory:
     def test_block_window_box_builds_no_site_mesh(self):
-        # the d = 3 BFS box of `brwre shape` at radius 24, window 1: the
-        # hash of the padded box stays below its stacked int64 mesh
+        # the d = 3 BFS box of `brwre shape` at radius 24, window 1: its
+        # slabs' hashes stay below the box's stacked int64 mesh
         units = nearest_neighbour(3).offsets
         hop = law_of(*[({u: 1}, 1 / 6) for u in units])
         spec = EnvironmentSpec(
@@ -469,7 +521,7 @@ class TestKeptBox:
                         else Dependence("iid")),
             master_seed=17)
         if kind == "function":
-            return EnvironmentField.from_index_function(
+            return function_field(
                 spec, lambda x: sum((i + 2) * c for i, c in enumerate(x)) % 3)
         return build_environment(spec)
 

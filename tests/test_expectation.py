@@ -253,10 +253,12 @@ class TestMemoryPreflight:
         with pytest.raises(SolverError, match=f"horizon {2 * h}"):
             list(iter_layers(env, start, 2 * h))
 
-    def test_soft_address_space_limit_binds(self):
+    def test_soft_address_space_limit_binds(self, tmp_path):
         # a child process lowers its own soft RLIMIT_AS to half of physical
         # memory before it imports the package; a box that fits physical
-        # memory but not the limit is refused, and the message names it
+        # memory but not the limit is refused, and the message names it.
+        # The preflight reads a missing cgroup file, so that the host's
+        # cgroup limit cannot bind first.
         code = """if True:
             import os, resource
             phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -265,14 +267,16 @@ class TestMemoryPreflight:
             if hard != resource.RLIM_INFINITY:
                 limit = min(limit, hard)
             resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+            from brwre import environment
             from brwre.environment import BYTES_PER_BOX_CELL, check_box_memory
+            environment._CGROUP_LIMIT_FILES = (%r,)
             check_box_memory(10**6, RuntimeError, "a small box")
             try:
                 check_box_memory(limit // BYTES_PER_BOX_CELL + 1,
                                  RuntimeError, "a large box")
             except RuntimeError as exc:
                 print(exc)
-            """
+            """ % str(tmp_path / "missing")
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=src),
@@ -281,19 +285,52 @@ class TestMemoryPreflight:
         assert out.stdout.startswith("a large box needs")
         assert "the soft RLIMIT_AS is" in out.stdout
 
-    def test_soft_data_limit_binds(self, monkeypatch):
-        # 1 GiB of RLIMIT_DATA, RLIMIT_AS unlimited and so ignored
+    def test_soft_data_limit_binds(self, tmp_path, monkeypatch):
+        # 1 GiB of RLIMIT_DATA, RLIMIT_AS unlimited and so ignored, and no
+        # cgroup file
         def getrlimit(which):
             soft = (2**30 if which == resource.RLIMIT_DATA
                     else resource.RLIM_INFINITY)
             return soft, resource.RLIM_INFINITY
 
         monkeypatch.setattr(resource, "getrlimit", getrlimit)
+        monkeypatch.setattr(environment, "_CGROUP_LIMIT_FILES",
+                            (str(tmp_path / "missing"),))
         fits = 2**30 // BYTES_PER_BOX_CELL
         check_box_memory(fits, SolverError, "a fitting box")
         with pytest.raises(SolverError,
                            match="the soft RLIMIT_DATA is 1.0 GiB"):
             check_box_memory(fits + 1, SolverError, "a larger box")
+
+    @pytest.mark.parametrize("v2,v1,binds", [
+        ("1073741824\n", None, True),
+        (None, "1073741824\n", True),
+        ("max\n", None, False),
+        (None, "9223372036854771712\n", False),  # v1's "unlimited"
+        (None, None, False),
+    ], ids=["v2-number", "v1-number", "v2-max", "v1-unlimited", "missing"])
+    def test_cgroup_limit(self, tmp_path, monkeypatch, v2, v1, binds):
+        # the v2 and v1 files under tmp_path, a missing one where the text
+        # is None; no RLIMIT is set
+        files = []
+        for name, text in (("memory.max", v2), ("memory.limit_in_bytes", v1)):
+            if text is not None:
+                (tmp_path / name).write_text(text)
+            files.append(str(tmp_path / name))
+        monkeypatch.setattr(environment, "_CGROUP_LIMIT_FILES", tuple(files))
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (resource.RLIM_INFINITY,) * 2)
+        fits = 2**30 // BYTES_PER_BOX_CELL
+        check_box_memory(fits, SolverError, "a fitting box")
+        if binds:
+            with pytest.raises(SolverError,
+                               match="the cgroup memory limit is 1.0 GiB"):
+                check_box_memory(fits + 1, SolverError, "a larger box")
+        else:
+            phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            with pytest.raises(SolverError, match="physical memory is"):
+                check_box_memory(phys // BYTES_PER_BOX_CELL + 1,
+                                 SolverError, "a box beyond physical memory")
 
 
 def _lattice_env(steps, dependence, seed):

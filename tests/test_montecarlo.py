@@ -41,6 +41,7 @@ from _support import (
     counts,
     doubling_law,
     drift_law,
+    function_field,
     homogeneous_env,
     iid_env,
     law_of,
@@ -334,7 +335,7 @@ class TestBatchedStep:
                        ({(-1,): 2}, 0.25))
         triple = law_of(({(-1,): 2, (1,): 1}, 1.0))
         spec = iid_env([pairs, triple], [0.5, 0.5], 0).spec
-        env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
+        env = function_field(spec, lambda x: x[0] % 2)
         sizes = [2**62 - 1, 2**62, 2**62 + 1, 5, 10**30, 3 * 2**70, 1, 2**64]
         state = PopulationBatch.from_counts(
             0, [{(x,): c for x, c in enumerate(sizes)}])
@@ -372,7 +373,7 @@ class TestBatchedStep:
                       ({(-1,): 2}, 1e-15))
         triple = law_of(({(-1,): 2, (1,): 1}, 1.0))
         spec = iid_env([rare, triple], [0.5, 0.5], 0).spec
-        env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
+        env = function_field(spec, lambda x: x[0] % 2)
         sizes = [2**62 - 1, 2**62, 2**64, 5, 10**30, 3 * 2**70, 1, 2**64]
         state = PopulationBatch.from_counts(
             0, [{(x,): c for x, c in enumerate(sizes)}])
@@ -507,7 +508,7 @@ class TestLockstep:
                       ({(-1,): 2}, 1e-15))
         triple = law_of(({(-1,): 2, (1,): 1}, 1.0))
         spec = iid_env([rare, triple], [0.5, 0.5], 0).spec
-        env = EnvironmentField.from_index_function(spec, lambda x: x[0] % 2)
+        env = function_field(spec, lambda x: x[0] % 2)
         sizes = [2**62 - 1, 2**62, 2**64, 5, 10**30, 3 * 2**70, 1, 2**64]
         states = [{(x + r,): c for x, c in enumerate(sizes)} for r in range(3)]
         stats, alone_stats = SamplerStats(), SamplerStats()

@@ -20,8 +20,6 @@ from pathlib import Path
 import brwre
 
 KEPT = {
-    "environment.EnvironmentField.from_index_function":
-        "test fake: an environment from any site -> law index function",
     "environment.is_delta_aperiodic":
         "awaiting its CLI path: the shape theorem's delta-aperiodicity",
     "expectation.check_anderson_equation": "acceptance criterion 09",

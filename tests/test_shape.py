@@ -24,6 +24,7 @@ from brwre.shape import (
 )
 
 from _support import (
+    function_field,
     homogeneous_env,
     iid_env,
     iter_reachable,
@@ -401,7 +402,7 @@ class TestRowEndHull:
         outside = law_of(*[({y: 1}, p) for y, p in zip(
             unit_vectors(d), [0.02] * (2 * d - 1) + [1.0 - 0.02 * (2 * d - 1)])])
         spec = iid_env([inside, outside], [0.5, 0.5], 0, dimension=d).spec
-        env = EnvironmentField.from_index_function(
+        env = function_field(
             spec, lambda x: 0 if max(abs(c) for c in x) <= 2 else 1)
         ptm = passage_times(env, 0.05, 8)
         for m in (2, 3, 5, 8):
