@@ -28,8 +28,9 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from . import __version__
 from .environment import (
@@ -55,22 +56,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_INCONCLUSIVE = 4
 
-# the parameters each command accepts; README's per-command table lists
-# exactly these
-PARAMETERS: dict[str, tuple[str, ...]] = {
-    "check": (),
-    "solve": ("horizon", "start", "adjoint", "save"),
-    "shape": ("horizon", "delta_grid"),
-    "beta": ("horizon", "grid"),
-    "classify": ("tolerance",),
-    "simulate": ("horizon", "replicas", "start", "track_sites", "bit_budget",
-                 "return_probability"),
-    "report": (),
-}
-COMMANDS = tuple(PARAMETERS)
-# the scalar parameters a flag may override, with the flag's type; a
-# command gets the flag when it accepts the parameter
-_OVERRIDES = {"horizon": int, "replicas": int, "tolerance": float}
 
 class ConfigError(ValueError):
     pass
@@ -98,19 +83,85 @@ class ConfigDoc:
     parameters: dict
 
 
-def _as_int(doc: Mapping, key: str, where: str, *, lo: int | None = None,
-            default: int | None = None) -> int | None:
-    if key not in doc or doc[key] is None:
-        return default
-    return checked_int(doc[key], f"{where}.{key}", ConfigError, lo=lo)
+class _Param(NamedTuple):
+    """A command parameter: `read(value, where, dimension)` checks a value
+    and returns its canonical form, `default(dimension, earlier)` fills an
+    absent one from the parameters read before it (None: required), and
+    `flag` is the type of its `--name` override flag (None: no flag)."""
+
+    read: Callable[[Any, str, int], Any]
+    default: Callable[[int, dict], Any] | None
+    flag: type | None = None
 
 
-def _as_site(value, dimension: int, where: str) -> list[int]:
+def _read_block(table: Mapping[str, _Param], doc, where: str,
+                dimension: int | None) -> dict:
+    """Check a parameter block against `table` and fill its defaults; a
+    null value counts as absent.  Returns the canonical form."""
+    reject_unknown(doc, table, where, ConfigError)
+    out: dict[str, Any] = {}
+    for name, param in table.items():
+        value = doc.get(name)
+        if value is not None:
+            out[name] = param.read(value, f"{where}.{name}", dimension)
+        elif param.default is None:
+            raise ConfigError(f"{where}.{name} is required")
+        else:
+            out[name] = param.default(dimension, out)
+    return out
+
+
+def _int(lo: int) -> Callable[[Any, str, int], int]:
+    return lambda value, where, dimension: checked_int(
+        value, where, ConfigError, lo=lo)
+
+
+def _const(value) -> Callable[[int, dict], Any]:
+    return lambda dimension, earlier: value
+
+
+def _as_site(value, where: str, dimension: int) -> list[int]:
     if (not isinstance(value, list) or len(value) != dimension
             or not all(isinstance(c, int) and not isinstance(c, bool)
                        for c in value)):
         raise ConfigError(f"{where} must be a list of {dimension} integers")
     return list(value)
+
+
+def _as_sites(value, where: str, dimension: int) -> list[list[int]]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a nonempty list")
+    return [_as_site(s, f"{where}[{i}]", dimension)
+            for i, s in enumerate(value)]
+
+
+def _one_of(*choices) -> Callable[[Any, str, int], Any]:
+    """A reader of the JSON values `choices`, where true is not 1."""
+    def read(value, where: str, dimension: int):
+        if not any(value == c and type(value) is type(c) for c in choices):
+            raise ConfigError(f"{where} must be one of {json.dumps(choices)}")
+        return value
+    return read
+
+
+def _as_tolerance(value, where: str, dimension: int) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0.0 < value < 1.0:
+        raise ConfigError(f"{where} must be a number in (0, 1)")
+    return float(value)
+
+
+def _as_deltas(value, where: str, dimension: int) -> list[float]:
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(v, (int, float))
+                       and not isinstance(v, bool) for v in value)):
+        raise ConfigError(f"{where} must be a nonempty number list")
+    grid = [float(v) for v in value]
+    if any(not 0.0 <= v < 1.0 for v in grid):
+        raise ConfigError(f"{where} values must lie in [0, 1)")
+    if sorted(set(grid)) != grid:
+        raise ConfigError(f"{where} must be strictly increasing")
+    return grid
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -131,7 +182,7 @@ def _parse_fraction(v, where: str) -> Fraction:
     raise ConfigError(f"{where} is not a rational number: {v!r}")
 
 
-def _parse_grid(value, dimension: int, where: str) -> list[list[str]]:
+def _parse_grid(value, where: str, dimension: int) -> list[list[str]]:
     """Normalize a direction grid to nested fraction strings."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a nonempty list")
@@ -148,95 +199,36 @@ def _parse_grid(value, dimension: int, where: str) -> list[list[str]]:
     return out
 
 
-def _validate_parameters(command: str, params: Mapping,
-                         dimension: int | None) -> dict:
-    """Check ranges and fill defaults; returns the canonical form."""
-    w = f"parameters({command})"
-    reject_unknown(params, PARAMETERS[command], w, ConfigError)
-    if not PARAMETERS[command]:
-        return {}
-    if command == "solve":
-        horizon = _as_int(params, "horizon", w, lo=0)
-        if horizon is None:
-            raise ConfigError(f"{w}.horizon is required")
-        start = params.get("start", [0] * dimension)
-        adjoint = params.get("adjoint", False)
-        if not isinstance(adjoint, bool):
-            raise ConfigError(f"{w}.adjoint must be a boolean")
-        save = params.get("save", "last")
-        if save not in ("last", "all"):
-            raise ConfigError(f"{w}.save must be 'last' or 'all'")
-        return {
-            "horizon": horizon,
-            "start": _as_site(start, dimension, f"{w}.start"),
-            "adjoint": adjoint,
-            "save": save,
-        }
-    if command == "shape":
-        horizon = _as_int(params, "horizon", w, lo=1)
-        if horizon is None:
-            raise ConfigError(f"{w}.horizon is required")
-        grid = params.get("delta_grid")
-        if (not isinstance(grid, list) or not grid
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in grid)):
-            raise ConfigError(f"{w}.delta_grid must be a nonempty number list")
-        grid = [float(v) for v in grid]
-        if any(not 0.0 <= v < 1.0 for v in grid):
-            raise ConfigError(f"{w}.delta_grid values must lie in [0, 1)")
-        if sorted(set(grid)) != grid:
-            raise ConfigError(f"{w}.delta_grid must be strictly increasing")
-        return {"horizon": horizon, "delta_grid": grid}
-    if command == "beta":
-        horizon = _as_int(params, "horizon", w, lo=1)
-        if horizon is None:
-            raise ConfigError(f"{w}.horizon is required")
-        if "grid" not in params:
-            raise ConfigError(f"{w}.grid is required")
-        return {
-            "horizon": horizon,
-            "grid": _parse_grid(params["grid"], dimension, f"{w}.grid"),
-        }
-    if command == "classify":
-        tol = params.get("tolerance", 1e-6)
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
-                or not 0.0 < tol < 1.0:
-            raise ConfigError(f"{w}.tolerance must be a number in (0, 1)")
-        return {"tolerance": float(tol)}
-    # simulate
-    horizon = _as_int(params, "horizon", w, lo=1)
-    replicas = _as_int(params, "replicas", w, lo=1)
-    if horizon is None or replicas is None:
-        raise ConfigError(f"{w}.horizon and {w}.replicas are required")
-    start = _as_site(params.get("start", [0] * dimension), dimension,
-                     f"{w}.start")
-    track = params.get("track_sites", [start])
-    if not isinstance(track, list) or not track:
-        raise ConfigError(f"{w}.track_sites must be a nonempty list")
-    track = [_as_site(s, dimension, f"{w}.track_sites[{i}]")
-             for i, s in enumerate(track)]
-    ret = params.get("return_probability")
-    if ret is not None:
-        reject_unknown(ret, {"horizon", "replicas"},
-                       f"{w}.return_probability", ConfigError)
-        ret = {
-            "horizon": _as_int(ret, "horizon",
-                               f"{w}.return_probability", lo=1),
-            "replicas": _as_int(ret, "replicas",
-                                f"{w}.return_probability", lo=1),
-        }
-        if ret["horizon"] is None or ret["replicas"] is None:
-            raise ConfigError(
-                f"{w}.return_probability needs horizon and replicas")
-    return {
-        "horizon": horizon,
-        "replicas": replicas,
-        "bit_budget": _as_int(params, "bit_budget", w, lo=16,
-                              default=DEFAULT_BIT_BUDGET),
-        "start": start,
-        "track_sites": track,
-        "return_probability": ret,
-    }
+# each command's parameters in reading order; README's per-command table
+# lists exactly these, with their defaults and bounds
+_HORIZON = _Param(_int(1), None, int)
+_START = _Param(_as_site, lambda dimension, earlier: [0] * dimension)
+PARAMETERS: dict[str, dict[str, _Param]] = {
+    "check": {},
+    "solve": {
+        "horizon": _Param(_int(0), None, int),
+        "start": _START,
+        "adjoint": _Param(_one_of(False, True), _const(False)),
+        "save": _Param(_one_of("last", "all"), _const("last")),
+    },
+    "shape": {"horizon": _HORIZON, "delta_grid": _Param(_as_deltas, None)},
+    "beta": {"horizon": _HORIZON, "grid": _Param(_parse_grid, None)},
+    "classify": {"tolerance": _Param(_as_tolerance, _const(1e-6), float)},
+    "simulate": {
+        "horizon": _HORIZON,
+        "replicas": _Param(_int(1), None, int),
+        "start": _START,
+        "track_sites": _Param(
+            _as_sites, lambda dimension, earlier: [list(earlier["start"])]),
+        "bit_budget": _Param(_int(16), _const(DEFAULT_BIT_BUDGET)),
+        "return_probability": _Param(partial(_read_block, {
+            "horizon": _Param(_int(1), None),
+            "replicas": _Param(_int(1), None),
+        }), _const(None)),
+    },
+    "report": {},
+}
+COMMANDS = tuple(PARAMETERS)
 
 
 def config_from_dict(doc: Mapping) -> ConfigDoc:
@@ -259,9 +251,11 @@ def config_from_dict(doc: Mapping) -> ConfigDoc:
             spec = spec_from_dict(env_doc)
         except EnvironmentError_ as exc:
             raise ConfigError(f"config.environment: {exc}") from exc
-    seed = _as_int(doc, "seed", "config", lo=0)
-    params = _validate_parameters(command, doc.get("parameters", {}),
-                                  spec.dimension if spec else None)
+    seed = None if doc.get("seed") is None else \
+        checked_int(doc["seed"], "config.seed", ConfigError, lo=0)
+    params = _read_block(PARAMETERS[command], doc.get("parameters", {}),
+                         f"parameters({command})",
+                         spec.dimension if spec else None)
     return ConfigDoc(command=command, output_dir=output_dir,
                      environment=spec, seed=seed, parameters=params)
 
@@ -528,9 +522,12 @@ def _cmd_beta(env, p, out):
 def _cmd_classify(env, p, out):
     from .classify import transience_criterion
 
-    res = transience_criterion(list(env.spec.law_support),
+    # the environment draws only the laws of positive weight, as
+    # `check_conditions` counts them; argmax_law indexes the config's list
+    charged = [i for i, w in enumerate(env.spec.weights) if w > 0.0]
+    res = transience_criterion([env.spec.law_support[i] for i in charged],
                                tol=p["tolerance"])
-    doc = res.as_dict()
+    doc = {**res.as_dict(), "argmax_law": charged[res.argmax_law]}
     out.json("classify.json", doc)
     print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_INCONCLUSIVE if res.verdict == "boundary" else EXIT_OK
@@ -812,13 +809,15 @@ def run_command(cfg: ConfigDoc, flag_seed: int | None = None) -> int:
 def _apply_overrides(cfg: ConfigDoc, args: argparse.Namespace) -> ConfigDoc:
     """Flag overrides of the output dir and the scalar parameters; only
     the parameter block needs validating again."""
-    flags = {name: getattr(args, name, None) for name in _OVERRIDES}
+    table = PARAMETERS[cfg.command]
+    flags = {name: getattr(args, name) for name, param in table.items()
+             if param.flag is not None}
     params = {**cfg.parameters,
               **{name: v for name, v in flags.items() if v is not None}}
     return dataclasses.replace(
         cfg, output_dir=args.output_dir or cfg.output_dir,
-        parameters=_validate_parameters(cfg.command, params,
-                                        cfg.environment.dimension))
+        parameters=_read_block(table, params, f"parameters({cfg.command})",
+                               cfg.environment.dimension))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -840,9 +839,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", help="override config.output_dir")
         p.add_argument("--seed", type=int,
                        help="override the master seed (beats BRWRE_SEED)")
-        for name, kind in _OVERRIDES.items():
-            if name in PARAMETERS[cmd]:
-                p.add_argument(f"--{name}", type=kind,
+        for name, param in PARAMETERS[cmd].items():
+            if param.flag is not None:
+                p.add_argument(f"--{name}", type=param.flag,
                                help=f"override parameters.{name}")
     pr = sub.add_parser("report",
                         help="consolidate artifacts into one summary")
@@ -870,9 +869,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"config.command is {cfg.command!r} but the "
                     f"{args.command!r} subcommand was invoked")
             cfg = _apply_overrides(cfg, args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, exc)
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, exc)
     try:
         return run_command(cfg, flag_seed=getattr(args, "seed", None))

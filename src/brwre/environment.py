@@ -264,10 +264,7 @@ class EnvironmentField:
 
     @cached_property
     def _window_cells(self) -> tuple[Site, ...]:
-        dep = self.spec.dependence
-        if dep.mode == "iid":
-            return (tuple(0 for _ in range(self.spec.dimension)),)
-        w = dep.window_radius
+        w = self.spec.dependence.window_radius
         cells = [
             c
             for c in product(range(-w, w + 1), repeat=self.spec.dimension)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -338,6 +339,34 @@ class TestClassify:
         # and a tiny band may flip it either way; both must stay valid codes
         code = main(["classify", cfgp, "--tolerance", "0.5"])
         assert code == 4
+
+    # a drift law of weight 1 and a fan-out law (3 children each way) of
+    # weight 0: the environment never draws the fan, so it decides nothing.
+    # With one child per atom the drift's mean total is 1, which the
+    # criterion decides at lambda = 1; the branching drift (means 0.9 at
+    # +1, 0.2 at -1), listed after the fan, goes through the descent to
+    # min Phi = ln(2 sqrt(0.18)) and keeps its listed index.
+    @pytest.mark.parametrize("drift, at, value, lambda_one", [
+        (law_of(({(1,): 1}, 0.9), ({(-1,): 1}, 0.1)), 0, 1.0, True),
+        (law_of(({(1,): 1}, 0.8), ({(-1,): 1}, 0.1),
+                ({(1,): 1, (-1,): 1}, 0.1)), 1, 2 * math.sqrt(0.18), False),
+    ], ids=["lambda-one", "descent"])
+    def test_zero_weight_law_decides_nothing(self, tmp_path, capsys, drift,
+                                             at, value, lambda_one):
+        laws = [law_of(({(1,): 3, (-1,): 3}, 1.0))]
+        laws.insert(at, drift)
+        weights = [1.0 if i == at else 0.0 for i in range(2)]
+        out = tmp_path / "out"
+        doc = base_config("classify", out)
+        doc["environment"] = spec_to_dict(iid_env(laws, weights, 1).spec)
+        assert main(["classify", write_config(tmp_path, "c.json", doc)]) == 0
+        res = json.loads((out / "classify.json").read_text())
+        assert res["verdict"] == "transient"
+        assert res["argmax_law"] == at
+        assert res["lambda_one"] is lambda_one
+        assert res["value"] == pytest.approx(value, abs=1e-9)
+        assert res["log_value"] == pytest.approx(math.log(value), abs=1e-9)
+        assert json.loads(capsys.readouterr().out) == res
 
 
 class TestSimulate:
@@ -758,11 +787,160 @@ class TestExitCodeTwo:
         args = ["simulate", cfgp] + (["--seed", flag] if flag else [])
         assert main(args) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("command", "plot"), ("output_dir", ""), ("environment", None)])
+    def test_rejected_top_level_field(self, tmp_path, capsys, key, value):
+        doc = base_config("check", tmp_path / "out")
+        doc[key] = value
+        assert main(["check", write_config(tmp_path, "c.json", doc)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert f"config.{key}" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_report_of_a_missing_directory(self, tmp_path):
+        assert main(["report", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_bad_grid_rejected(self, tmp_path):
         doc = base_config("beta", tmp_path / "out", horizon=5,
                           grid=[["0"], ["0"]])
         cfgp = write_config(tmp_path, "c.json", doc)
         assert main(["beta", cfgp]) == 2
+
+
+def table_fields(table, prefix=""):
+    """(dotted name, parameter) for every entry of a `PARAMETERS` table and
+    of the nested blocks it holds, which read through partial(_, table)."""
+    for name, param in table.items():
+        yield prefix + name, param
+        block = getattr(param.read, "args", ())
+        if block:
+            yield from table_fields(block[0], f"{prefix}{name}.")
+
+
+# the smallest parameters each command runs with (the environment is d = 1)
+VALID = {
+    "solve": {"horizon": 2},
+    "shape": {"horizon": 2, "delta_grid": [0.1]},
+    "beta": {"horizon": 2, "grid": [["0"]]},
+    "classify": {},
+    "simulate": {"horizon": 2, "replicas": 1,
+                 "return_probability": {"horizon": 2, "replicas": 2}},
+}
+# for each parameter: a value of the wrong type, then the values just
+# outside what it accepts
+BAD = {
+    "solve": {"horizon": ("5", [-1]), "start": (0, [[0, 0]]),
+              "adjoint": (1, []), "save": (1, ["first"])},
+    "shape": {"horizon": (1.5, [0]),
+              "delta_grid": (0.1, [[True], [1.0], [-0.1], [0.2, 0.1]])},
+    "beta": {"horizon": ("5", [0]),
+             "grid": ("0", [[], [["0", "0"]], [["x"]], [[True]],
+                           [["0"], [0]], [[0.5], ["1/2"]]])},
+    "classify": {"tolerance": ("small", [0.0, 1.0])},
+    "simulate": {"horizon": ("5", [0]), "replicas": (2.0, [0]),
+                 "start": ([0.5], [[0, 0]]),
+                 "track_sites": ([0], [[], [[0, 0]]]),
+                 "bit_budget": ("4096", [15]),
+                 "return_probability": (5, [{"horizon": 2, "replicas": 2,
+                                             "site": [0]}]),
+                 "return_probability.horizon": ("2", [0]),
+                 "return_probability.replicas": (True, [0])},
+}
+MISSING = object()
+
+
+def required_only(command):
+    """The required parameters of VALID[command]."""
+    return {name: v for name, v in VALID[command].items()
+            if PARAMETERS[command][name].default is None}
+
+
+def rejections():
+    """(command, dotted name, value): a missing value for each required
+    parameter, then its wrong-type and out-of-range values."""
+    for command, table in PARAMETERS.items():
+        for name, param in table_fields(table):
+            wrong, outside = BAD[command][name]
+            if param.default is None:
+                yield command, name, MISSING
+            for value in (wrong, *outside):
+                yield command, name, value
+
+
+class TestParameterTable:
+    def test_bad_values_cover_the_table(self):
+        assert {cmd: set(names) for cmd, names in BAD.items()} == {
+            cmd: {name for name, _ in table_fields(table)}
+            for cmd, table in PARAMETERS.items() if table}
+
+    @pytest.mark.parametrize(
+        "command, name, value", list(rejections()),
+        ids=[f"{c}.{n}-{'missing' if v is MISSING else json.dumps(v)}"
+             for c, n, v in rejections()])
+    def test_rejected(self, tmp_path, capsys, command, name, value):
+        doc = base_config(command, tmp_path / "out",
+                          **copy.deepcopy(VALID[command]))
+        *path, last = ["parameters", *name.split(".")]
+        node = doc
+        for key in path:
+            node = node[key]
+        if value is MISSING:
+            del node[last]
+        else:
+            node[last] = value
+        assert main([command, write_config(tmp_path, "c.json", doc)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert f"parameters({command}).{name}" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name", [
+        (c, n) for c, table in PARAMETERS.items()
+        for n, param in table.items() if param.flag is not None])
+    def test_flag_value_is_read_like_the_config(self, tmp_path, capsys,
+                                                command, name):
+        doc = base_config(command, tmp_path / "out", **VALID[command])
+        value = BAD[command][name][1][0]
+        cfgp = write_config(tmp_path, "c.json", doc)
+        assert main([command, cfgp, f"--{name}", str(value)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert f"parameters({command}).{name}" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_are_the_table_flags(self, capsys):
+        # the override flags each subcommand has had since they were added
+        expected = {"check": set(), "solve": {"horizon"},
+                    "shape": {"horizon"}, "beta": {"horizon"},
+                    "classify": {"tolerance"},
+                    "simulate": {"horizon", "replicas"}}
+        for command, names in expected.items():
+            assert {n for n, p in PARAMETERS[command].items()
+                    if p.flag is not None} == names
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            usage = capsys.readouterr().out
+            assert set(re.findall(r"--(\w+)", usage)) == names | {
+                "help", "output", "seed"}
+
+    @pytest.mark.parametrize("value", ["7", 1.5, -1])
+    def test_rejected_seed(self, tmp_path, capsys, value):
+        doc = base_config("check", tmp_path / "out")
+        doc["seed"] = value
+        assert main(["check", write_config(tmp_path, "c.json", doc)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert "config.seed" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", list(VALID))
+    def test_null_is_absent(self, tmp_path, command):
+        doc = base_config(command, tmp_path / "out", **required_only(command))
+        filled = config_from_dict(doc).parameters
+        doc["parameters"] = {name: doc["parameters"].get(name)
+                             for name in PARAMETERS[command]}
+        assert config_from_dict(doc).parameters == filled
 
 
 class TestSeedPrecedence:
@@ -852,14 +1030,42 @@ class TestConfigRoundTrip:
         assert config_to_dict(cfg)["environment"] == env_doc()
 
     def test_readme_parameter_table_matches_cli(self):
-        # README's per-command table: `name` items separated by ", "
+        # README's per-command table: one row per parameter, or "none"
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        table = {
-            m[1]: {re.match(r"`(\w+)`", item)[1]
-                   for item in m[2].split(", ") if item.startswith("`")}
-            for m in re.finditer(r"^\| `(\w+)` +\| (.*) \|$", readme, re.M)
-        }
+        rows = re.findall(r"^\| `(\w+)` +\| (.*?) \| (.*?) ?\| (.*?) ?\|$",
+                          readme, re.M)
+        table = {cmd: set() for cmd, *_ in rows}
+        for cmd, name, _, _ in rows:
+            if name != "none":
+                table[cmd].add(re.fullmatch(r"`(\w+)`", name)[1])
         assert table == {cmd: set(names) for cmd, names in PARAMETERS.items()}
+
+        # each stated default is what validation fills into a config that
+        # holds only the required parameters (d = 1), and each stated
+        # integer bound is the reader's
+        for cmd, name, default, accepts in rows:
+            if name == "none":
+                continue
+            name = name.strip("`")
+            param = PARAMETERS[cmd][name]
+            if default == "required":
+                assert param.default is None, (cmd, name)
+            else:
+                filled = config_from_dict(base_config(
+                    cmd, "out", **required_only(cmd))).parameters
+                literal = re.match(r"`([^`]*)`", default)
+                stated = (
+                    [0] if default == "the origin"
+                    else [filled["start"]] if literal[1] == "[start]"
+                    else json.loads(literal[1]))
+                assert (filled[name], type(filled[name])) == (
+                    stated, type(stated)), (cmd, name)
+            bound = re.fullmatch(r"an integer >= (-?\d+)", accepts)
+            if bound:
+                lo = int(bound[1])
+                assert param.read(lo, "x", 1) == lo
+                with pytest.raises(ConfigError, match=f">= {lo}"):
+                    param.read(lo - 1, "x", 1)
 
     def test_command_list_is_complete(self):
         assert set(COMMANDS) == {"check", "solve", "shape", "beta",

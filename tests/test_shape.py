@@ -443,6 +443,19 @@ class TestHullAndDistance:
         assert convex_hull(line) == [(-3, -6, 3), (3, 6, -3)]
         assert convex_hull([(1, 2, 3), (1, 2, 3)]) == [(1, 2, 3)]
 
+    def test_hull_of_a_thin_shell(self):
+        # the 9,626 integer points with 39.5 < |x|_2 <= 40: a hull large
+        # enough that quickhull compacts its dead facets (twice)
+        axis = np.arange(-40, 41)
+        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        r2 = (cube ** 2).sum(axis=1)
+        shell = cube[(r2 > 39.5 ** 2) & (r2 <= 40 ** 2)]
+        assert len(shell) == 9626
+        hull = convex_hull(shell)
+        assert len(hull) == 1422
+        assert hull == qhull_vertices(shell)
+
     def test_hull_empty_rejected(self):
         with pytest.raises(ShapeError):
             convex_hull([])
