@@ -17,10 +17,13 @@ the largest term, with all the trials of an iteration in one batch.
 
 The excluded point t = 0 corresponds to lambda = 1, where the criterion
 degenerates to "every support law has mean total offspring <= 1"; that case
-is tested separately and flagged.
+is tested first and flagged with `lambda_one`.  It returns "transient"
+without a descent: `t_star` is 0, `value` the largest mean total (exp of
+Phi(0), at most 1, not the minimum of Phi), `log_value` its log (0 when
+some law's mean total is exactly 1) and `gradient_norm` 0.
 
-The reported `value` is on the lambda scale (exp of the minimum of Phi), the
-quantity compared against 1; `log_value` is the minimum itself.
+Otherwise the reported `value` is on the lambda scale (exp of the minimum
+of Phi), the quantity compared against 1; `log_value` is the minimum itself.
 `gradient_norm` is the norm of the smallest subgradient at the minimizer,
 so it reads about 0 at a minimum, a kink where several laws tie included.
 """

@@ -39,10 +39,11 @@ PROB_TOL = 1e-12
 # built the environment, d = 3 nearest-neighbour steps: a `brwre solve`
 # (layers, `expected_total` of each, writers) took 21.6-33.5 B per lattice
 # cell at horizons 60, 90 and 120, i.i.d. and block window, forward and
-# adjoint (the law-index slabs are 1 of them); `passage_times` at radius 30
-# and 50 took 13.2-15.0 B per box cell, i.i.d. and block window (int32
-# times, uint8 law indices, the box hashed in slabs).  The constant is the
-# DP's maximum, the larger of the two.
+# adjoint (the uint8 law-index slabs are 1 B of them); `passage_times` at
+# radius 30 and 50 took 13.2-15.0 B per box cell, i.i.d. and block window
+# (int32 times, uint8 law indices, the box hashed by `law_index_axes` in
+# row slabs of `_SLAB_CELLS`).  The constant is the DP's maximum, the
+# larger of the two.
 BYTES_PER_BOX_CELL = 34
 
 # The cgroup memory limit files `check_box_memory` reads where they exist:
@@ -53,9 +54,9 @@ _CGROUP_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",
 # Most sites `EnvironmentField.law_index` remembers; the oldest goes first.
 _INDEX_MEMO_SIZE = 1 << 14
 
-# `law_index_grid` hashes its box in slabs of whole rows along axis 0 of
+# `law_index_axes` hashes a request in slabs of whole rows along axis 0 of
 # about this many cells, so the uint64 hashes and float64 sums of a slab,
-# not of the box, are the transient memory of a box evaluation.
+# not of the request, are the transient memory of an evaluation.
 _SLAB_CELLS = 1 << 15
 
 
@@ -250,10 +251,10 @@ class EnvironmentField:
     query reads, and the one method a hand-built test field overrides.
     The one cache is `_index_memo`, in which `law_index`, whose callers are
     per-site ones (the induced walk, tests), keeps at most
-    `_INDEX_MEMO_SIZE` sites, evicting the oldest first.  The vectorized
-    evaluations keep nothing: `law_index_grid` hashes each box it is asked
-    for (the BFS, `check_anderson_equation`), and `law_index_axes` the
-    sites it is given (the DP's slabs, the population steps' rows).
+    `_INDEX_MEMO_SIZE` sites, evicting the oldest first.  Every other
+    request is hashed afresh, slab by slab, and nothing of it is kept: the
+    DP's slabs, the population steps' rows, and the boxes of the BFS and
+    `check_anderson_equation`.
     """
 
     spec: EnvironmentSpec
@@ -297,44 +298,36 @@ class EnvironmentField:
     def law_at(self, x: Site) -> SiteLaw:
         return self.spec.law_support[self.law_index(x)]
 
-    def law_index_grid(self, lo: Site, hi: Site) -> np.ndarray:
-        """Law indices over the inclusive box [lo, hi], vectorized.
-
-        Returns a fresh array of shape hi-lo+1 whose entry at (x-lo) is
-        law_index(x), in the smallest unsigned dtype that holds the law
-        count (uint8 up to 256 laws, uint16 up to 65,536).  The box is
-        checked against the memory budget, then filled by `law_index_axes`
-        in slabs of whole rows along axis 0; nothing is kept between
-        calls.  Callers only index tables with the indices.
-        """
-        lo, hi = tuple(lo), tuple(hi)
-        if any(h < l for l, h in zip(lo, hi)):
-            raise EnvironmentError_(f"empty box {lo}..{hi}")
-        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        check_box_memory(math.prod(shape), EnvironmentError_,
-                         f"a law-index box over {lo}..{hi}")
-        out = np.empty(shape, dtype=self._index_dtype)
-        rows = max(1, _SLAB_CELLS // math.prod(shape[1:]))
-        for r in range(0, shape[0], rows):
-            r_hi = min(r + rows, shape[0])
-            out[r:r_hi] = self.law_index_axes(_box_axes(
-                (lo[0] + r, *lo[1:]), (lo[0] + r_hi - 1, *hi[1:])))
-        return out
-
     def law_index_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Law indices at the sites whose i-th coordinates are `axes[i]`.
 
         The one evaluator of the map.  The axes are integer arrays that
         broadcast together, such as the open mesh of a box or affine
-        expressions in lattice coordinates; the result has their broadcast
-        shape and the smallest unsigned dtype that holds the law count,
-        and no (..., d) site array is built.  A block window adds the
-        uniforms of every window cell of every site in window-cell order.
-        Callers: `law_index` on a site's coordinates, `law_index_grid` and
-        the DP on their slabs, `montecarlo.step_batch` on its transposed
-        (rows, d) sites.
+        expressions in lattice coordinates; the result is a fresh array of
+        their broadcast shape in the smallest unsigned dtype that holds the
+        law count (uint8 up to 256 laws, uint16 up to 65,536), and no
+        (..., d) site array is built.  The broadcast shape is hashed in
+        slabs of whole rows along axis 0 of about `_SLAB_CELLS` cells; an
+        axis that does not vary along axis 0 passes whole.  A cell's index
+        does not depend on its slab.  Callers: `law_index` on a site's
+        coordinates, the DP on its slabs, the BFS and
+        `check_anderson_equation` on the open mesh of a box,
+        `montecarlo.step_batch` on its transposed (rows, d) sites.
         """
         axes = [np.asarray(a, dtype=np.int64) for a in axes]
+        shape = np.broadcast_shapes(*(a.shape for a in axes))
+        rows = max(1, _SLAB_CELLS // (math.prod(shape[1:]) or 1))
+        if math.prod(shape[:1]) <= rows:
+            return self._hash(axes)
+        out = np.empty(shape, dtype=self._index_dtype)
+        for r in range(0, shape[0], rows):
+            out[r:r + rows] = self._hash(
+                [a[r:r + rows] if a.ndim == len(shape) and len(a) > 1 else a
+                 for a in axes])
+        return out
+
+    def _hash(self, axes: list[np.ndarray]) -> np.ndarray:
+        """Law indices at the broadcast sites of `axes`, hashed at once."""
         seed = self.spec.master_seed
         if self.spec.dependence.mode == "iid":
             return self._select(hash_uniform(axis_hash(seed, axes)))

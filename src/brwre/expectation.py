@@ -401,7 +401,7 @@ def check_anderson_equation(env: EnvironmentField, layers: list[LogMassField]) -
 
         u_x = shifted((0,) * d)
         u_next = np.exp(cur.values)
-        idx = env.law_index_grid(cur.lo, cur.hi)
+        idx = env.law_index_axes(_box_axes(cur.lo, cur.hi))
         lap = np.zeros(shape)
         for j, y in enumerate(offsets):
             lap += p_table[idx, j] * (shifted(y) - u_x)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .environment import EnvironmentField, check_box_memory
+from .environment import EnvironmentField, _box_axes, check_box_memory
 from .lattice import Site
 
 INF = math.inf
@@ -57,7 +57,7 @@ def _open_moves(
         ],
         dtype=bool,
     )
-    idx = None if law_open.all() else env.law_index_grid(lo, hi)
+    idx = None if law_open.all() else env.law_index_axes(_box_axes(lo, hi))
     moves = []
     for j, y in enumerate(offsets):
         if all(abs(c) < side for c in y):

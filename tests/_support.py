@@ -1,8 +1,9 @@
 """Shared environment builders and reference solvers for the test suite.
 
 Besides the law and environment builders, among them `function_field`,
-a hand-built environment whose law index at x is fn(x), this module holds
-the oracles that only tests use, each built from package internals:
+a hand-built environment whose law index at x is fn(x), and `box_laws`,
+the law indices of a box, this module holds the oracles that only tests
+use, each built from package internals:
 - `nearest_neighbour`: the unit step set of Z^d;
 - `cell_hash` and `cell_uniform`: the environment hash of single sites or
   stacked site arrays, against which the box hashing is checked;
@@ -41,6 +42,7 @@ from brwre.environment import (
     EnvironmentSpec,
     OffspringConfig,
     SiteLaw,
+    _box_axes,
     build_environment,
 )
 from brwre.growth import GrowthError
@@ -97,8 +99,13 @@ def function_field(spec: EnvironmentSpec,
                    fn: Callable[[Site], int]) -> EnvironmentField:
     """The field of `spec` with law index fn(x) at x; determinism is the
     caller's duty.  It overrides only `law_index_axes`, the one evaluator
-    that `law_index`, `law_index_grid`, the DP and the population step read."""
+    that `law_index`, the DP, the BFS and the population step read."""
     return _FunctionField(spec, fn)
+
+
+def box_laws(env: EnvironmentField, lo: Site, hi: Site) -> np.ndarray:
+    """The law indices of the inclusive box [lo, hi], indexed by x - lo."""
+    return env.law_index_axes(_box_axes(lo, hi))
 
 
 # every particle produces one child at +1 and one at -1: the population

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from brwre import expectation, montecarlo, shape
+from brwre import environment, expectation, montecarlo, shape
 from brwre.cli import (
     COMMANDS,
     PARAMETERS,
@@ -22,6 +23,7 @@ from brwre.cli import (
     main,
 )
 from brwre.environment import (
+    BYTES_PER_BOX_CELL,
     Dependence,
     EnvironmentSpec,
     build_environment,
@@ -29,7 +31,7 @@ from brwre.environment import (
     spec_to_dict,
 )
 from brwre.expectation import read_layer_binary, read_layer_csv
-from brwre.lattice import unit_vectors
+from brwre.lattice import StepSet, unit_vectors
 from brwre.montecarlo import SamplerStats, iter_batch, realized_local_exponent
 from brwre.seeding import PURPOSE_DYNAMICS, replica_rng
 from brwre.shape import passage_times
@@ -400,6 +402,42 @@ class TestSimulate:
             "simulate", tmp_path / "out", horizon=40, replicas=4,
             bit_budget=16))
         assert main(["simulate", cfgp]) == 3
+
+    def test_scatter_box_preflight_exits_3(self, tmp_path, capsys,
+                                           monkeypatch):
+        # 64 MiB of RLIMIT_DATA, RLIMIT_AS unlimited, no cgroup file; one
+        # child at +100000 and one at -100000, so generation g scatters
+        # into 200000 g + 1 cells: 61.2 MB at g = 9, 68.0 MB at g = 10
+        def getrlimit(which):
+            soft = (64 << 20 if which == resource.RLIMIT_DATA
+                    else resource.RLIM_INFINITY)
+            return soft, resource.RLIM_INFINITY
+
+        monkeypatch.setattr(resource, "getrlimit", getrlimit)
+        monkeypatch.setattr(environment, "_CGROUP_LIMIT_FILES",
+                            (str(tmp_path / "missing"),))
+        far = 100_000
+        law = law_of(({(far,): 1, (-far,): 1}, 1.0))
+        env = iid_env([law], [1.0], 7,
+                      step_set=StepSet(((1,), (-1,), (far,), (-far,))))
+        doc = {"command": "simulate", "output_dir": str(tmp_path / "out"),
+               "environment": spec_to_dict(env.spec),
+               "parameters": {"horizon": 12, "replicas": 1}}
+        cfgp = write_config(tmp_path, "c.json", doc)
+        box = (200_000 * 10 + 1) * BYTES_PER_BOX_CELL
+        tracemalloc.start()
+        try:
+            assert main(["simulate", cfgp]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SimulationError"
+        assert err["message"].startswith("generation 10 needs a 2000001-cell")
+        assert "the soft RLIMIT_DATA is 0.1 GiB" in err["message"]
+        # the largest allocation is generation 9's box of 1,800,001 int64
+        # counts, 14.4 MB
+        assert peak < box / 4
 
     def test_deterministic_given_seed(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

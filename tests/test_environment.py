@@ -27,6 +27,7 @@ from brwre.montecarlo import PopulationBatch, step_batch
 from brwre.seeding import axis_hash
 
 from _support import (
+    box_laws,
     cell_hash,
     cell_uniform,
     counts,
@@ -166,7 +167,7 @@ class TestFieldRealization:
     def test_scalar_matches_grid_iid(self):
         env = iid_env([doubling_law(), drift_law(), drift_law()],
                       [0.2, 0.5, 0.3], 7)
-        grid = env.law_index_grid((-20,), (20,))
+        grid = box_laws(env, (-20,), (20,))
         for i, x in enumerate(range(-20, 21)):
             assert env.law_index((x,)) == grid[i]
 
@@ -180,7 +181,7 @@ class TestFieldRealization:
             law_support=(planar, lazy), weights=(0.5, 0.5),
             dependence=Dependence("block_window", 1), master_seed=9)
         env = build_environment(spec)
-        grid = env.law_index_grid((-5, -5), (5, 5))
+        grid = box_laws(env, (-5, -5), (5, 5))
         for i, x in enumerate(range(-5, 6)):
             for j, y in enumerate(range(-5, 6)):
                 assert env.law_index((x, y)) == grid[i, j]
@@ -208,14 +209,14 @@ class TestFieldRealization:
             env.law_index((x,))
         assert len(env._index_memo) == bound
         assert (0,) not in env._index_memo  # the oldest went first
-        grid = env.law_index_grid((0,), (last - 1,))
+        grid = box_laws(env, (0,), (last - 1,))
         for x in (0, 1, bound // 2, last - 1):
             assert env.law_index((x,)) == grid[x]
         assert len(env._index_memo) <= bound
 
     def test_weights_respected(self):
         env = iid_env([doubling_law(), drift_law()], [0.8, 0.2], 3)
-        grid = env.law_index_grid((0,), (19999,))
+        grid = box_laws(env, (0,), (19999,))
         frac = float(np.mean(grid == 0))
         assert abs(frac - 0.8) < 0.02
 
@@ -296,6 +297,63 @@ class TestSpecValidation:
                 dependence=Dependence("iid"), master_seed=0)
 
 
+def _hop_atoms(counts=None):
+    return [{"counts": counts or {"(1,)": 1, "(-1,)": 1}, "p": 1.0}]
+
+
+# one valid d = 1 document, and per rejection the top-level fields that
+# replace its own and a pattern of the error they raise
+VALID_SPEC = {"dimension": 1, "step_set": [[1], [-1]],
+              "laws": [{"atoms": _hop_atoms()}], "weights": [1.0],
+              "dependence": {"mode": "iid"}, "seed": 0}
+SPEC_REJECTIONS = {
+    "negative-child-count": (
+        {"laws": [{"atoms": _hop_atoms({"(1,)": 2, "(-1,)": -1})}]},
+        r"negative child count at \(-1,\)"),
+    "law-without-atoms": ({"laws": [{"atoms": []}]}, "law with no atoms"),
+    "unknown-mode": ({"dependence": {"mode": "sticky"}},
+                     "unknown dependence mode 'sticky'"),
+    "window-without-radius": ({"dependence": {"mode": "block_window"}},
+                              "needs window_radius >= 1"),
+    "iid-with-radius": ({"dependence": {"mode": "iid", "window_radius": 2}},
+                        "iid mode takes no window_radius"),
+    "dimension-4": ({"dimension": 4, "laws": [], "weights": []},
+                    "dimension 4 not supported"),
+    "weight-count": ({"weights": [0.5, 0.5]}, "one weight per support law"),
+    "empty-support": ({"laws": [], "weights": []}, "empty law support"),
+    "negative-weight": ({"laws": [{"atoms": _hop_atoms()}] * 2,
+                         "weights": [1.5, -0.5]}, "negative weight"),
+    "bad-offset-key": ({"laws": [{"atoms": _hop_atoms({"(one,)": 1})}]},
+                       r"bad offset key '\(one,\)'"),
+    "offset-key-coords": ({"laws": [{"atoms": _hop_atoms({"(1,0)": 1})}]},
+                          "has 2 coords, expected 1"),
+    "step-set-without-units": ({"step_set": [[1], [2]]},
+                               r"environment.step_set: step set lacks unit"),
+    "mode-not-a-string": ({"dependence": {"mode": 3}},
+                          "dependence.mode must be a string"),
+}
+
+
+class TestSpecRejections:
+    """Each check of the spec's classes and of `spec_from_dict` raises
+    EnvironmentError_ on a document that reaches it."""
+
+    def test_valid_document_parses(self):
+        assert spec_from_dict(VALID_SPEC).law_support[0].mean_total == 2.0
+
+    @pytest.mark.parametrize("fields, match", SPEC_REJECTIONS.values(),
+                             ids=SPEC_REJECTIONS.keys())
+    def test_rejected(self, fields, match):
+        with pytest.raises(EnvironmentError_, match=match):
+            spec_from_dict({**VALID_SPEC, **fields})
+
+    def test_duplicate_offset(self):
+        # `from_dict` reads a mapping, which holds each offset once, so
+        # only the constructor can be handed a repeated one
+        with pytest.raises(EnvironmentError_, match=r"duplicate offset \(1,\)"):
+            OffspringConfig((((1,), 1), ((1,), 2)))
+
+
 class TestAxisWiseHash:
     """The box hash mixes one axis at a time over an open mesh; it equals
     the per-site hash of an explicit (..., d) mesh bit for bit."""
@@ -344,7 +402,7 @@ class TestAxisWiseHash:
                 u = np.mod(u, 1.0)
             want = np.searchsorted(np.cumsum([0.3, 0.5, 0.2]), u,
                                    side="right")
-        assert np.array_equal(env.law_index_grid(lo, hi), want)
+        assert np.array_equal(box_laws(env, lo, hi), want)
         assert np.array_equal(env.law_index_axes(np.moveaxis(mesh, -1, 0)),
                               want)
         # a sheared lattice frame, as the DP's slabs pass it: site
@@ -362,7 +420,7 @@ class TestAxisWiseHash:
             EnvironmentSpec(dimension=2, step_set=nearest_neighbour(2),
                             law_support=(hop,), weights=(1.0,)),
             lambda x: (x[0] * 3 + x[1]) % 2)
-        got = env.law_index_grid((-2, 0), (1, 2))
+        got = box_laws(env, (-2, 0), (1, 2))
         assert got.tolist() == [[(x * 3 + y) % 2 for y in range(0, 3)]
                                 for x in range(-2, 2)]
 
@@ -390,9 +448,9 @@ class TestFunctionField:
         lo, hi = (-4, -3), (5, 6)
         want = [[fn((x, y)) for y in range(lo[1], hi[1] + 1)]
                 for x in range(lo[0], hi[0] + 1)]
-        assert env.law_index_grid(lo, hi).tolist() == want
+        assert box_laws(env, lo, hi).tolist() == want
         # the hash of the spec gives other indices
-        assert build_environment(spec).law_index_grid(lo, hi).tolist() != want
+        assert box_laws(build_environment(spec), lo, hi).tolist() != want
         assert [env.law_index((x, 1)) for x in range(lo[0], hi[0] + 1)] \
             == [row[1 - lo[1]] for row in want]
 
@@ -431,7 +489,7 @@ class TestGridMemory:
         mesh_bytes = 3 * 8 * (2 * r + 3) ** 3
         tracemalloc.start()
         try:
-            env.law_index_grid((-r,) * 3, (r,) * 3)
+            box_laws(env, (-r,) * 3, (r,) * 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -439,8 +497,8 @@ class TestGridMemory:
 
 
 class TestNarrowLawIndices:
-    """`law_index_grid` returns the smallest unsigned dtype that holds the
-    law count, hashing its box in slabs of rows along axis 0."""
+    """`law_index_axes` returns the smallest unsigned dtype that holds the
+    law count, hashing its request in slabs of rows along axis 0."""
 
     @staticmethod
     def env(d, dependence, laws=3, seed=31):
@@ -481,7 +539,7 @@ class TestNarrowLawIndices:
     def test_dtype_holds_the_law_count(self, laws, dtype):
         env = self.env(2, "iid", laws)
         lo, hi = (-3, -2), (4, 3)
-        got = env.law_index_grid(lo, hi)
+        got = box_laws(env, lo, hi)
         assert got.dtype == dtype
         assert env.law_index_axes([np.array([0, 1]), np.array([0, 2])]).dtype \
             == dtype
@@ -501,14 +559,32 @@ class TestNarrowLawIndices:
         if sliced:
             monkeypatch.setattr(environment, "_SLAB_CELLS", slab_cells)
         env = self.env(d, dependence)
-        got = env.law_index_grid(lo, hi)
+        got = box_laws(env, lo, hi)
         assert got.dtype == np.uint8
         assert np.array_equal(got, self.per_cell(env, lo, hi))
 
+    @pytest.mark.parametrize("dependence", ["iid", "block_window"])
+    def test_axes_fixed_along_rows_pass_whole(self, monkeypatch, dependence):
+        # a DP-like request over 9 x 5 cells: axis 0 varies along both
+        # mesh axes, axis 1 along the second only (shape (1, 5)), axis 2
+        # is a scalar; slabs of 2 rows cut axis 0 alone
+        env = self.env(3, dependence)
+        z0, z1 = np.arange(-4, 5).reshape(-1, 1), np.arange(5).reshape(1, -1)
+        axes = [z0 + z1, 3 - z1, np.int64(-2)]
+        whole = env.law_index_axes(axes)
+        monkeypatch.setattr(environment, "_SLAB_CELLS", 10)
+        assert np.array_equal(env.law_index_axes(axes), whole)
+        want = [[env.law_index((x + y, 3 - y, -2)) for y in range(5)]
+                for x in range(-4, 5)]
+        assert whole.tolist() == want
+        # one site as 0-d axes, as `law_index` passes it
+        assert env.law_index_axes((1, 2, -2)).shape == ()
+        assert env.law_index_axes((1, 2, -2)) == want[4][1]
+
 
 class TestKeptBox:
-    """`law_index_grid` keeps no box between requests: each call returns
-    a fresh array, and an empty box raises inside one asked for before."""
+    """`law_index_axes` keeps no box between requests: each call returns
+    a fresh array."""
 
     @staticmethod
     def env(d, kind):
@@ -528,20 +604,13 @@ class TestKeptBox:
     @pytest.mark.parametrize("kind", ["iid", "window", "function"])
     def test_each_request_returns_a_fresh_array(self, kind):
         env = self.env(2, kind)
-        whole = env.law_index_grid((-5, -5), (5, 5))
-        part = env.law_index_grid((0, -2), (3, 4))
+        whole = box_laws(env, (-5, -5), (5, 5))
+        part = box_laws(env, (0, -2), (3, 4))
         assert not np.shares_memory(whole, part)
         assert np.array_equal(part, whole[5:9, 3:10])
         part[...] = 0
-        assert np.array_equal(env.law_index_grid((0, -2), (3, 4)),
+        assert np.array_equal(box_laws(env, (0, -2), (3, 4)),
                               whole[5:9, 3:10])
-
-    @pytest.mark.parametrize("kind", ["iid", "window", "function"])
-    def test_empty_box_raises_inside_the_kept_box(self, kind):
-        env = self.env(2, kind)
-        env.law_index_grid((-5, -5), (5, 5))
-        with pytest.raises(EnvironmentError_, match="empty box"):
-            env.law_index_grid((0, 0), (1, -1))
 
 
 class TestLogSumExp:

@@ -163,7 +163,7 @@ class TestAgainstEnumeration:
 
     def test_three_dimensional_block_window(self):
         # two laws picked by a radius-1 window: the DP reads the d = 3
-        # windowed law_index_grid, the reference reads per-site law_index
+        # windowed law_index_axes, the reference reads per-site law_index
         env = cube_env(Dependence("block_window", 1))
         start = (1, -2, 0)
         for fld, n in zip(iter_layers(env, start, 5), range(6)):

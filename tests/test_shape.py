@@ -160,7 +160,8 @@ def open_law_3d():
 
 class TestMemoryPreflight:
     def test_oversized_box_raises_before_allocating(self):
-        # a (2 * 10**4 + 1)**3 box: the check must fire before law_index_grid
+        # a (2 * 10**4 + 1)**3 box: the check must fire before the box is
+        # allocated
         env = homogeneous_env(open_law_3d(), dimension=3)
         tracemalloc.start()
         try:
@@ -627,13 +628,13 @@ class TestOpenMoves:
                         for u in units[::2]])
         env = iid_env([pair, open_law_2d()], [0.4, 0.6], 3, dimension=2)
         calls = []
-        orig = EnvironmentField.law_index_grid
+        orig = EnvironmentField.law_index_axes
 
-        def counting(self, lo, hi):
-            calls.append((lo, hi))
-            return orig(self, lo, hi)
+        def counting(self, axes):
+            calls.append(axes)
+            return orig(self, axes)
 
-        monkeypatch.setattr(EnvironmentField, "law_index_grid", counting)
+        monkeypatch.setattr(EnvironmentField, "law_index_axes", counting)
         ptm = passage_times(env, 0.2, 10)
         assert calls == []
         assert np.array_equal(ptm.grid, np.where(

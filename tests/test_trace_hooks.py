@@ -10,8 +10,6 @@ losing one of those would crash every traced run instead.
 
 import inspect
 
-import numpy as np
-
 from brwre import (
     classify,
     cli,
@@ -37,7 +35,6 @@ TRACED = [
     (montecarlo, "estimate_return_probability"),
     (environment, "build_environment"),
     (environment, "EnvironmentField.law_index"),
-    (environment, "EnvironmentField.law_index_grid"),
     (svgplot, "render_curve"),
     (svgplot, "render_polygons"),
     (svgplot, "render_interval_sets"),
@@ -73,8 +70,6 @@ def test_hooks_read_what_the_calls_return():
     assert ptm.origin == (0,) and ptm.radius == 3
     assert max(ptm.times.values()) >= 1
     assert len(shape.shape_polytope(ptm, 2).hull) >= 1
-
-    assert isinstance(env.law_index_grid((0,), (1,)), np.ndarray)
 
 
 def test_hooks_read_arguments_by_position():
