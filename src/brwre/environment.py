@@ -46,7 +46,7 @@ PROB_TOL = 1e-12
 # larger of the two.
 BYTES_PER_BOX_CELL = 34
 
-# The cgroup memory limit files `check_box_memory` reads where they exist:
+# The cgroup memory limit files `memory_budget` reads where they exist:
 # cgroup v2 ("max" when there is none), then v1.
 _CGROUP_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",
                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -384,17 +384,15 @@ def _logsumexp(expo: np.ndarray, axis: int = -1) -> tuple[np.ndarray, ...]:
     return value, weights, m + rest
 
 
-def check_box_memory(cells: int, error: type[Exception], what: str) -> None:
-    """Raise `error` if a working set of `cells` box cells would not fit.
+def memory_budget() -> tuple[float, str]:
+    """The memory a command may use, in bytes, and the limit that sets it.
 
-    Call it before evaluating the cells' law indices, so an oversized
-    request fails at once with a typed error instead of a MemoryError or
-    an out-of-memory kill.  The budget is the least of physical memory,
-    the cgroup memory limit and the process's soft RLIMIT_AS and
-    RLIMIT_DATA, where they are set.  v1's "unlimited" limit, about 2**63,
-    exceeds physical memory and so never binds.
+    The least of physical memory, the cgroup memory limit and the
+    process's soft RLIMIT_AS and RLIMIT_DATA, where they are set; v1's
+    "unlimited" cgroup limit, about 2**63, exceeds physical memory and so
+    never binds.  (inf, "") when none can be read.  None of them changes
+    within a run, so a caller that checks many boxes reads it once.
     """
-    need = cells * BYTES_PER_BOX_CELL
     limits = []
     try:
         limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
@@ -417,12 +415,34 @@ def check_box_memory(cells: int, error: type[Exception], what: str) -> None:
                 limits.append((soft, f"the soft {name}"))
     except ImportError:  # no resource module on this platform
         pass
-    have, limit = min(limits, default=(need, ""))
+    return min(limits, default=(math.inf, ""))
+
+
+def _size(nbytes: float) -> str:
+    # GiB to one decimal, and the bytes, so that a need and a limit that
+    # round alike still read apart
+    return f"{nbytes / 2**30:.1f} GiB ({nbytes:,} B)"
+
+
+def check_box_memory(cells: int, error: type[Exception], what: str, *,
+                     budget: tuple[float, str] | None = None,
+                     also: tuple[int, str] = (0, "")) -> None:
+    """Raise `error` if a working set of `cells` box cells would not fit.
+
+    Call it before evaluating the cells' law indices, so an oversized
+    request fails at once with a typed error instead of a MemoryError or
+    an out-of-memory kill.  The budget is `memory_budget()`, read here
+    unless the caller passes it.  `also` is (bytes, what) of a working set
+    beyond the box that the same preflight counts.
+    """
+    need = cells * BYTES_PER_BOX_CELL + also[0]
+    have, limit = budget if budget is not None else memory_budget()
     if need > have:
+        more = f", and {_size(also[0])} for {also[1]}" if also[0] else ""
         raise error(
-            f"{what} needs a {cells}-cell box, about {need / 2**30:.1f} GiB "
-            f"at {BYTES_PER_BOX_CELL} B per cell; {limit} is "
-            f"{have / 2**30:.1f} GiB"
+            f"{what} needs a {cells}-cell box, about "
+            f"{_size(cells * BYTES_PER_BOX_CELL)} at {BYTES_PER_BOX_CELL} B "
+            f"per cell{more}; {limit} is {_size(have)}"
         )
 
 

@@ -223,7 +223,8 @@ class _Tables:
     `log_mu[j]` holds log mu_y of offset j per law.
     """
 
-    def __init__(self, env: EnvironmentField, start: Site, n: int, adjoint: bool):
+    def __init__(self, env: EnvironmentField, start: Site, n: int,
+                 adjoint: bool, also: tuple[int, str] = (0, "")):
         offsets = env.spec.step_set.sorted_offsets()
         sign = -1 if adjoint else 1
         moves = [tuple(sign * c for c in y) for y in offsets]
@@ -252,7 +253,7 @@ class _Tables:
                 boxes[c] = (lo, hi)
         check_box_memory(sum(math.prod(h - l + 1 for l, h in zip(lo, hi))
                              for lo, hi in boxes.values()),
-                         SolverError, f"horizon {n}")
+                         SolverError, f"horizon {n}", also=also)
         laws = env.spec.law_support
         with np.errstate(divide="ignore"):
             # log mu_y per offset (rows) and law (columns)
@@ -313,6 +314,8 @@ def iter_layers(
     start: Site,
     n: int,
     adjoint: bool = False,
+    *,
+    also: tuple[int, str] = (0, ""),
 ) -> Iterator[LogMassField]:
     """Yield layers 0..n one at a time (constant memory in the horizon).
 
@@ -324,7 +327,8 @@ def iter_layers(
     a negative horizon or a start of the wrong dimension.  The horizon
     alone sizes the solve: the slabs cover the lattice sites of the
     layers' boxes.  Raises SolverError, before any step, if they would not
-    fit in the memory budget of `check_box_memory`.
+    fit in the memory budget of `check_box_memory`, together with `also`,
+    (bytes, what) of a working set the caller needs after the last step.
     """
     if n < 0:
         raise SolverError("negative horizon")
@@ -332,16 +336,16 @@ def iter_layers(
     if len(start) != env.spec.dimension:
         raise SolverError(f"start {start} has dimension {len(start)}, the "
                           f"environment dimension {env.spec.dimension}")
-    return _layers(env, start, n, adjoint)
+    return _layers(env, start, n, adjoint, also)
 
 
-def _layers(env: EnvironmentField, start: Site, n: int,
-            adjoint: bool) -> Iterator[LogMassField]:
+def _layers(env: EnvironmentField, start: Site, n: int, adjoint: bool,
+            also: tuple[int, str]) -> Iterator[LogMassField]:
     fld = LogMassField.delta(start)
     yield fld
     if n == 0:
         return
-    tables = _Tables(env, start, n, adjoint)
+    tables = _Tables(env, start, n, adjoint, also)
     for _ in range(n):
         fld = _step_dense(fld, tables)
         yield fld

@@ -4,16 +4,19 @@ beta(a) is the exponential rate of the expected particle count along the
 ray n*a.  beta is concave, so by Varadhan's lemma the tilted total mass
 Lambda_T(t) = (1/T) log sum_x m_T(x) e^{t.x} tends to sup_a [beta(a) + t.a]
 and beta(a) = inf_t [Lambda(t) - t.a].  The estimate reads one DP layer T
-(the horizon): for every direction at once a damped Newton minimizes
-Lambda_T(t) - t.a over the box |t_i| <= SEARCH_RADIUS, starting at t = 0,
-where Lambda_T(0) = log E Z_T / T is the total growth rate; every estimate
-is therefore at most that rate.  A direction is -inf exactly when T*a lies
-outside the convex hull of the layer's sites.
+(the horizon).  A direction is -inf exactly when T*a lies outside the
+convex hull of the layer's sites.  For all directions with T*a inside
+the hull together, a damped Newton minimizes Lambda_T(t) - t.a from
+t = 0, where Lambda_T(0) = log E Z_T / T is the total growth rate, so
+every estimate is at most that rate.  Each row keeps to its own box
+|t_i| <= max(64, R_a), and R_a bounds its minimizers (`_newton`).  A
+direction with T*a on the hull's boundary takes the same transform over
+the sites of the minimal face through T*a, the exact limit
+|t| -> infinity of the infimum; on a vertex that is log m_T(T*a) / T.
 
 Finite-T bias: for a homogeneous law m_T is a T-fold convolution, so
-Lambda_T = Lambda and the estimate is exact up to the minimizer's accuracy
-(boundary directions, whose infimum lies at |t| -> infinity, stop where
-the remaining decrease is below NEWTON_TOL).  In a random environment
+Lambda_T = Lambda and the estimate is exact up to the minimizer's accuracy,
+boundary directions included.  In a random environment
 Lambda_T differs from its limit by an error the code does not bound, and
 rare islands of favourable laws can move it (intermittency).  The point
 value log m_T(T*a) / T, read where T*a is a site with mass, is kept as a
@@ -34,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expectation
-from .classify import SEARCH_RADIUS
 from .environment import EnvironmentField, _logsumexp
 from .expectation import NEG_INF
-from .lattice import RationalVector
+from .lattice import RationalVector, step_lattice
 from .shape import _row_ends, convex_hull, hull_inequalities
 
 NEWTON_STEPS = 100  # damped Newton iterations, at most
@@ -115,66 +117,147 @@ def _b_hull(
     return ((lo,),) if lo == hi else ((lo,), (hi,))
 
 
-def _outside_hull(sites: np.ndarray, dirs: list[RationalVector],
-                  n: int) -> np.ndarray:
-    """Whether each n*a lies outside the hull of lexicographic integer sites.
+def _hull_slack(sites: np.ndarray, dirs: list[RationalVector], n: int
+                ) -> tuple[np.ndarray, ...]:
+    """Where each n*a lies against the hull of lexicographic integer sites.
 
-    The row ends of the sites are hulled once, as integer inequalities
-    A @ x <= b (a flat set's affine hull enters as pairs of opposite
-    rows); n*a, scaled by a's denominator, is outside exactly when some
-    row has A @ (n * numerators) > denominator * b.  The products are
-    exact Python integers.
+    The row ends of the sites, which hold the hull's vertices, are hulled
+    once, as integer inequalities A @ x <= b.  Returns (slack, facet,
+    rows, bounds, ends): for a = p / q, slack holds q * b - A @ (n * p)
+    per row, exact Python ints, negative on some row exactly when n*a is
+    outside the hull and zero on the rows tight at it; `facet` marks the
+    rows that are not equations of a flat set's affine hull (those enter
+    A as pairs of opposite rows, tight at every site), and `ends` indexes
+    the row ends.
     """
-    rows, bounds = (x.astype(object) for x in hull_inequalities(
-        sites[_row_ends(sites)]))
+    ends = np.flatnonzero(_row_ends(sites))
+    rows, bounds = hull_inequalities(sites[ends])
+    facet = ~(sites[ends].astype(rows.dtype) @ rows.T == bounds).all(axis=0)
     points = n * np.array([a.numerators for a in dirs], dtype=object)
     scale = np.array([a.denominator for a in dirs], dtype=object)
-    return ((points @ rows.T) > scale[:, None] * bounds).any(axis=1)
+    slack = scale[:, None] * bounds.astype(object) - points @ rows.T.astype(object)
+    return slack, facet, rows, bounds, ends
 
 
 def _legendre(sites: np.ndarray, log_mass: np.ndarray, n: int,
-              dirs: np.ndarray) -> np.ndarray:
-    """inf over |t_i| <= SEARCH_RADIUS of Lambda_n(t) - t.a for each row a.
+              dirs: list[RationalVector]) -> tuple[np.ndarray, np.ndarray]:
+    """(values, outside): inf_t Lambda_n(t) - t.a for each direction a,
+    -inf where n*a lies outside the hull of the sites.
 
-    Damped Newton on all rows at once: Lambda_n(t) is `_logsumexp` over n,
-    the gradient the tilted mean site / n - a and the Hessian the tilted
+    Where n*a is inside the hull, `_newton` finds the infimum.  Where n*a
+    lies on the hull's boundary the infimum is the limit |t| -> infinity
+    along the normal cone of the minimal face through n*a, which is the
+    transform of the sites on that face: the face takes its directions to
+    a call of its own, and a vertex face gives log m_n(n*a) / n.
+    """
+    slack, facet, rows, bounds, ends = _hull_slack(sites, dirs, n)
+    outside = (slack < 0).any(axis=1)
+    values = np.full(len(dirs), NEG_INF)
+    inside = np.flatnonzero(~outside)
+    if not len(inside):
+        return values, outside
+    cut = slack[inside][:, facet]
+    tight = cut == 0
+    # rho: the largest l_inf ball around n*a inside the hull's facets
+    den = np.array([dirs[k].denominator for k in inside.tolist()], dtype=object)
+    l1 = np.abs(rows[facet].astype(object)).sum(axis=1)
+    rho = (cut / (den[:, None] * l1)).astype(np.float64).min(
+        axis=1, initial=np.inf)
+    values[inside] = _newton(
+        sites, log_mass, n, np.array([dirs[k].as_floats() for k in inside]),
+        ~tight.any(axis=1), rho, log_mass[ends].min())
+    faces: dict[tuple[int, ...], list[int]] = {}
+    for k, on in zip(inside.tolist(), tight):
+        if on.any():
+            faces.setdefault(tuple(np.flatnonzero(on).tolist()), []).append(k)
+    for face, ks in faces.items():
+        a, b = rows[facet][list(face)], bounds[facet][list(face)]
+        on = (sites.astype(a.dtype) @ a.T == b).all(axis=1)
+        values[ks] = _legendre(sites[on], log_mass[on], n,
+                               [dirs[k] for k in ks])[0]
+    return values, outside
+
+
+def _newton(sites: np.ndarray, log_mass: np.ndarray, n: int,
+            dirs: np.ndarray, live: np.ndarray, rho: np.ndarray,
+            low: float) -> np.ndarray:
+    """inf_t Lambda_n(t) - t.a for the rows a of `dirs` that are `live`
+    (the values of the other rows are 0).
+
+    Damped Newton from t = 0: Lambda_n(t) is `_logsumexp` over n, the
+    gradient the tilted mean site / n - a and the Hessian the tilted
     covariance / n, with the weights normalised by their row sum (not by
     `_logsumexp`'s total, which moves the profile's last bits).  A step
-    halves until the value does not rise, and a row stops once its Newton
-    decrement, or its halving, runs out.  The pseudo-inverse takes
-    singular Hessians (all weight on one face of the hull).
+    halves until the value does not rise; a row leaves once its Newton
+    decrement, or its halving, runs out, and a halving evaluates only the
+    rows still rising.  The pseudo-inverse takes singular Hessians (all
+    weight on one face of the hull).  The products t @ x.T and w @ x run
+    over every row, the others riding along, since the BLAS kernel, and
+    with it the last bits, depends on the row count.
+
+    A step moves each coordinate of t by at most 64 (a longer one is cut
+    back along its direction, else its halvings could all be clipped to
+    one point), and a trial is clipped to its row's box
+    |t_i| <= max(64, R_a), R_a = (n Lambda_n(0) - low) / rho_a, with `low`
+    the least log mass at the hull's row ends and `rho_a` the largest
+    l_inf radius about n*a inside the hull's facets.  The box holds every
+    minimizer: n*a + rho_a sign(t) is in the hull, so the vertex v that
+    maximizes t.v has n (Lambda_n(t) - t.a) >= log m_n(v) + rho_a |t|_1,
+    while at a minimizer the left side is at most n Lambda_n(0).  The
+    floor 64, the fixed box of earlier releases, keeps the bits of the
+    rows that stayed inside it.
     """
     x = sites.astype(np.float64)
+    d = x.shape[1]
+    t = np.zeros_like(dirs)
+    f, g, h = np.zeros(len(dirs)), np.zeros_like(dirs), np.zeros((len(dirs), d, d))
 
-    def tilted(t):
-        value, w, _ = _logsumexp(log_mass + t @ x.T, axis=1)
+    def tilted(rows, at):
+        full = t.copy()
+        full[rows] = at
+        prod = full @ x.T
+        expo = prod[rows]
+        expo += log_mass
+        value, w, _ = _logsumexp(expo, axis=1)
         w /= w.sum(axis=1)[:, None]
-        mean = w @ x
+        prod[rows] = w
+        mean = (prod @ x)[rows]
         dev = x - mean[:, None, :]
         cov = np.einsum("km,kmi,kmj->kij", w, dev, dev)
-        f = value / n - (t * dirs).sum(axis=1)
-        return f, mean / n - dirs, cov / n
+        return (value / n - (at * dirs[rows]).sum(axis=1),
+                mean / n - dirs[rows], cov / n)
 
-    t = np.zeros_like(dirs)
-    f, g, h = tilted(t)
-    done = np.zeros(len(dirs), dtype=bool)
+    rows = np.flatnonzero(live)
+    if not len(rows):
+        return f
+    f[rows], g[rows], h[rows] = tilted(rows, t[rows])
+    box = np.zeros((len(dirs), 1))
+    box[rows, 0] = np.maximum(64.0, (n * f[rows] - low) / rho[rows])
     for _ in range(NEWTON_STEPS):
-        step = -np.einsum("kij,kj->ki", np.linalg.pinv(h), g)
-        done |= -(g * step).sum(axis=1) <= 2 * NEWTON_TOL
-        if done.all():
+        step = -np.einsum("kij,kj->ki", np.linalg.pinv(h[rows]), g[rows])
+        moving = ~(-(g[rows] * step).sum(axis=1) <= 2 * NEWTON_TOL)
+        rows, step = rows[moving], step[moving]
+        if not len(rows):
             break
-        scale = np.where(done, 0.0, 1.0)
+        over = np.abs(step).max(axis=1) / 64.0
+        step = np.where((over > 1)[:, None], step / over[:, None], step)
+        scale = np.ones(len(rows))
+        rising = np.arange(len(rows))
         for _ in range(_HALVINGS):
-            trial = np.clip(t + scale[:, None] * step, -SEARCH_RADIUS,
-                            SEARCH_RADIUS)
-            ft, gt, ht = tilted(trial)
-            rise = ft > f
-            if not rise.any():
+            r = rows[rising]
+            trial = np.clip(t[r] + scale[rising, None] * step[rising],
+                            -box[r], box[r])
+            ft, gt, ht = tilted(r, trial)
+            rise = ft > f[r]
+            keep = r[~rise]
+            t[keep], f[keep], g[keep], h[keep] = (
+                trial[~rise], ft[~rise], gt[~rise], ht[~rise])
+            rising = rising[rise]
+            if not len(rising):
                 break
-            scale[rise] /= 2
-        done |= rise
-        keep = ~rise
-        t[keep], f[keep], g[keep], h[keep] = trial[keep], ft[keep], gt[keep], ht[keep]
+            scale[rising] /= 2
+        # a row whose halvings ran out stops where it stood
+        rows = np.delete(rows, rising)
     return f
 
 
@@ -195,14 +278,20 @@ def beta_profile(
     for a in dirs:
         if a.dimension != d:
             raise GrowthError(f"direction {a} has wrong dimension")
-    for layer in expectation.iter_layers(env, (0,) * d, n):
+    # the Legendre step joins the DP's memory preflight, at the bytes per
+    # layer cell that tracemalloc shows `_legendre` take: 8 per direction
+    # for the products over every row, 8 + 8 d per moving direction for
+    # its weights and deviations, and 8 + 8 d for the float sites and the
+    # face masks.  The directions counted are those in the hull of the
+    # steps, which holds the layer's.
+    steps = env.spec.step_set.sorted_offsets()
+    rows = int((_hull_slack(np.array(steps), dirs, 1)[0] >= 0).all(axis=1).sum())
+    cells = math.prod(n * w + 1 for w in step_lattice(steps).width)
+    also = (cells * (rows * (16 + 8 * d) + 8 + 8 * d), "the Legendre step")
+    for layer in expectation.iter_layers(env, (0,) * d, n, also=also):
         pass
     sites, log_mass = layer._finite()
-    outside = _outside_hull(sites, dirs, n)
-    values = np.full(len(dirs), NEG_INF)
-    if not outside.all():
-        values[~outside] = _legendre(sites, log_mass, n, np.array(
-            [a.as_floats() for a, out in zip(dirs, outside) if not out]))
+    values, outside = _legendre(sites, log_mass, n, dirs)
     estimates = []
     for a, v, out in zip(dirs, values.tolist(), outside.tolist()):
         on_site = all(n * c % a.denominator == 0 for c in a.numerators)

@@ -53,6 +53,7 @@ from .environment import (
     EnvironmentField,
     SimulationError,
     check_box_memory,
+    memory_budget,
 )
 from .lattice import Site, add, unit_vectors
 from .seeding import PURPOSE_RETURN_PROBE, replica_rng
@@ -375,7 +376,8 @@ def replica_batches(env: EnvironmentField, horizon: int,
 def step_batch(env: EnvironmentField, batch: PopulationBatch,
                rngs: Sequence[np.random.Generator], *,
                bit_budget: int = DEFAULT_BIT_BUDGET,
-               stats: SamplerStats | None = None) -> PopulationBatch:
+               stats: SamplerStats | None = None,
+               budget: tuple[float, str] | None = None) -> PopulationBatch:
     """Advance every replica of the batch one generation, replica r
     drawing from `rngs[r]`.
 
@@ -394,7 +396,8 @@ def step_batch(env: EnvironmentField, batch: PopulationBatch,
     sizes, as when it is stepped alone (laws in index order, sites in
     lexicographic order), so a fixed generator state yields a fixed next
     state whatever the batch.  BitBudgetError names the first generation
-    at which any replica exceeds the budget.
+    at which any replica exceeds the budget.  The scatter box is checked
+    against `budget`, a run's `memory_budget()`, read here when None.
     """
     stats = stats if stats is not None else SamplerStats()
     tables = _tables(env)
@@ -406,7 +409,7 @@ def step_batch(env: EnvironmentField, batch: PopulationBatch,
     shape = (len(batch), *(hi - lo + 1 + tables.step_hi - tables.step_lo
                            ).tolist())
     check_box_memory(math.prod(shape), SimulationError,
-                     f"generation {batch.n + 1}")
+                     f"generation {batch.n + 1}", budget=budget)
     laws = env.law_index_axes(coords.T)
 
     draws = np.zeros((len(n), tables.atoms), dtype=dtype)
@@ -471,7 +474,8 @@ def iter_batch(env: EnvironmentField, start: Site, n: int,
     it comes holds one generation per replica.  The arguments are checked
     here, when the function is called: ValueError if n is negative or
     `start` does not have the environment's dimension.  Because every
-    offspring configuration is nonempty no total ever drops to zero.
+    offspring configuration is nonempty no total ever drops to zero.  The
+    memory budget of the generations' scatter boxes is read once.
     """
     return _generations(env, _checked_start(env, start, n), n, list(rngs),
                         bit_budget, stats)
@@ -490,9 +494,10 @@ def _checked_start(env: EnvironmentField, start: Site, n: int) -> Site:
 def _generations(env, start, n, rngs, bit_budget, stats):
     batch = PopulationBatch.initial(start, len(rngs))
     yield batch
+    budget = memory_budget()
     for _ in range(n):
-        batch = step_batch(env, batch, rngs,
-                           bit_budget=bit_budget, stats=stats)
+        batch = step_batch(env, batch, rngs, bit_budget=bit_budget,
+                           stats=stats, budget=budget)
         yield batch
 
 
@@ -688,14 +693,15 @@ def estimate_return_probability(env: EnvironmentField, x: Site,
     if horizon < 1 or replicas < 1:
         raise ValueError("horizon and replicas must be positive")
     x = _checked_start(env, x, horizon)
+    budget = memory_budget()
     hits = 0
     for batch_replicas in replica_batches(env, horizon, replicas):
         rngs = [replica_rng(master_seed, r, PURPOSE_RETURN_PROBE)
                 for r in batch_replicas]
         batch = PopulationBatch.initial(x, len(rngs))
         for _ in range(horizon):  # generation 0 stands on x
-            batch = step_batch(env, batch, rngs,
-                               bit_budget=bit_budget, stats=stats)
+            batch = step_batch(env, batch, rngs, bit_budget=bit_budget,
+                               stats=stats, budget=budget)
             away = [c == 0 for c in batch.count(x)]
             hits += away.count(False)
             if not any(away):

@@ -21,6 +21,9 @@ use, each built from package internals:
   from one BFS;
 - `total_growth`: log E Z_n / n from its own DP pass, which `beta_profile`
   and `solve`'s growth trace report from theirs;
+- `legendre_reference`: the Legendre step as it was before settled rows
+  left the Newton loop and boundary directions took their face, which
+  the interior rows of `growth._legendre` must match bit for bit;
 - `reference_layers`: a per-site scalar DP.
 """
 
@@ -35,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from brwre import expectation
-from brwre.classify import _Phi
+from brwre.classify import SEARCH_RADIUS, _Phi
 from brwre.environment import (
     Dependence,
     EnvironmentField,
@@ -43,9 +46,10 @@ from brwre.environment import (
     OffspringConfig,
     SiteLaw,
     _box_axes,
+    _logsumexp,
     build_environment,
 )
-from brwre.growth import GrowthError
+from brwre.growth import _HALVINGS, NEWTON_STEPS, NEWTON_TOL, GrowthError
 from brwre.lattice import RationalVector, Site, StepSet, unit_vectors
 from brwre.montecarlo import (
     _EXACT_LIMIT,
@@ -233,6 +237,52 @@ def total_growth(env: EnvironmentField, n: int) -> float:
     for last in expectation.iter_layers(env, (0,) * env.spec.dimension, n):
         pass
     return expectation.expected_total(last) / n
+
+
+def legendre_reference(sites: np.ndarray, log_mass: np.ndarray, n: int,
+                       dirs: np.ndarray) -> np.ndarray:
+    """inf over |t_i| <= SEARCH_RADIUS of Lambda_n(t) - t.a for each row a.
+
+    Damped Newton on all rows at once: Lambda_n(t) is `_logsumexp` over n,
+    the gradient the tilted mean site / n - a and the Hessian the tilted
+    covariance / n, with the weights normalised by their row sum (not by
+    `_logsumexp`'s total, which moves the profile's last bits).  A step
+    halves until the value does not rise, and a row stops once its Newton
+    decrement, or its halving, runs out.  The pseudo-inverse takes
+    singular Hessians (all weight on one face of the hull).
+    """
+    x = sites.astype(np.float64)
+
+    def tilted(t):
+        value, w, _ = _logsumexp(log_mass + t @ x.T, axis=1)
+        w /= w.sum(axis=1)[:, None]
+        mean = w @ x
+        dev = x - mean[:, None, :]
+        cov = np.einsum("km,kmi,kmj->kij", w, dev, dev)
+        f = value / n - (t * dirs).sum(axis=1)
+        return f, mean / n - dirs, cov / n
+
+    t = np.zeros_like(dirs)
+    f, g, h = tilted(t)
+    done = np.zeros(len(dirs), dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        step = -np.einsum("kij,kj->ki", np.linalg.pinv(h), g)
+        done |= -(g * step).sum(axis=1) <= 2 * NEWTON_TOL
+        if done.all():
+            break
+        scale = np.where(done, 0.0, 1.0)
+        for _ in range(_HALVINGS):
+            trial = np.clip(t + scale[:, None] * step, -SEARCH_RADIUS,
+                            SEARCH_RADIUS)
+            ft, gt, ht = tilted(trial)
+            rise = ft > f
+            if not rise.any():
+                break
+            scale[rise] /= 2
+        done |= rise
+        keep = ~rise
+        t[keep], f[keep], g[keep], h[keep] = trial[keep], ft[keep], gt[keep], ht[keep]
+    return f
 
 
 def cell_hash(seed: int, coords: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import os
@@ -312,6 +313,48 @@ class TestBeta:
         cls = json.loads((out / "beta_classifier.json").read_text())
         assert cls["verdict"] == "inconclusive"
 
+    @pytest.mark.parametrize("limit_mib,code", [(160, 3), (1024, 0)])
+    def test_legendre_step_joins_the_preflight(self, tmp_path, limit_mib,
+                                               code):
+        # a d = 3 beta at T = 60 over {-1/2, 0, 1/2}^3: the DP's slabs need
+        # about 15 MB and the Legendre step about 180 MB more, so a child
+        # whose soft RLIMIT_AS is 160 MiB refuses before the first DP
+        # step, and one with 1 GiB completes.  The child reads a missing
+        # cgroup file, so that the host's cgroup limit cannot bind first.
+        out = tmp_path / "out"
+        half = ["-1/2", "0", "1/2"]
+        doc = {"command": "beta", "output_dir": str(out),
+               "environment": spec_to_dict(
+                   homogeneous_env(cube_law(), dimension=3).spec),
+               "parameters": {"horizon": 60, "grid": [
+                   list(a) for a in itertools.product(half, repeat=3)]}}
+        cfgp = write_config(tmp_path, "c.json", doc)
+        run = _fresh(
+            "import resource, sys\n"
+            "from brwre import environment\n"
+            "from brwre.cli import main\n"
+            "environment._CGROUP_LIMIT_FILES = (sys.argv[2],)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "limit = int(sys.argv[3]) << 20\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    limit = min(limit, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+            "sys.exit(main(['beta', sys.argv[1]]))\n",
+            cfgp, str(tmp_path / "missing"), str(limit_mib))
+        assert run.returncode == code, run.stderr
+        if code == 0:
+            assert len((out / "profile.csv").read_text().splitlines()) == 28
+            return
+        assert "Traceback" not in run.stderr
+        err = json.loads(run.stderr)["error"]
+        assert err["type"] == "SolverError"
+        assert err["message"].startswith("horizon 60 needs")
+        assert "for the Legendre step; the soft RLIMIT_AS is" in err["message"]
+        # the DP alone would fit
+        dp = re.search(r"\(([\d,]+) B\) at 34 B per cell", err["message"])
+        assert int(dp.group(1).replace(",", "")) < limit_mib << 20
+        assert not (out / "profile.csv").exists()
+
 
 class TestClassify:
     def test_recurrent_exits_zero(self, tmp_path, capsys):
@@ -435,6 +478,9 @@ class TestSimulate:
         assert err["type"] == "SimulationError"
         assert err["message"].startswith("generation 10 needs a 2000001-cell")
         assert "the soft RLIMIT_DATA is 0.1 GiB" in err["message"]
+        # the bytes tell the need and the limit apart
+        assert f"({box:,} B) at 34 B per cell" in err["message"]
+        assert f"is 0.1 GiB ({64 << 20:,} B)" in err["message"]
         # the largest allocation is generation 9's box of 1,800,001 int64
         # counts, 14.4 MB
         assert peak < box / 4

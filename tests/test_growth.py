@@ -5,10 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brwre import expectation
+import _support
+from brwre import expectation, growth
+from brwre.environment import Dependence, EnvironmentSpec, build_environment
 from brwre.growth import (
     GrowthError,
-    _outside_hull,
+    _hull_slack,
+    _legendre,
     beta_estimate,
     beta_profile,
     classify_by_beta,
@@ -23,7 +26,9 @@ from _support import (
     grid_1d,
     homogeneous_env,
     iid_env,
+    l1,
     law_of,
+    legendre_reference,
     nearest_neighbour,
     random_env,
     total_growth,
@@ -257,8 +262,13 @@ class TestBHull:
                 tuple(c * scale for c in v) for v in convex_hull(pts)]
 
 
+def outside_hull(sites, dirs, n):
+    """The batched integer test: some row of the hull has negative slack."""
+    return (_hull_slack(sites, dirs, n)[0] < 0).any(axis=1)
+
+
 def outside_hull_per_direction(sites, a, n):
-    """The per-direction test that `_outside_hull` replaced: n*a is outside
+    """The per-direction test that the batched one replaced: n*a is outside
     when adding it to the row ends makes it a hull vertex that is not one
     of the sites."""
     ends = list(map(tuple, (a.denominator * sites[_row_ends(sites)]).tolist()))
@@ -291,7 +301,7 @@ class TestOutsideHull:
                   f"{n - 1}/{n}", "1", f"{n + 1}/{n}"]
         dirs = direction_grid(d, values)
         want = [outside_hull_per_direction(sites, a, n) for a in dirs]
-        assert _outside_hull(sites, dirs, n).tolist() == want
+        assert outside_hull(sites, dirs, n).tolist() == want
         assert 0 < sum(want) < len(dirs)
 
     def test_walled_layer_with_oblique_facets(self):
@@ -300,7 +310,7 @@ class TestOutsideHull:
                          if sum(map(abs, x)) <= 4 and x[0] + 2 * x[1] <= 3])
         dirs = direction_grid(3, ["-1", "-1/2", "0", "1/4", "1/2", "3/4", "1"])
         want = [outside_hull_per_direction(ball, a, 4) for a in dirs]
-        assert _outside_hull(ball, dirs, 4).tolist() == want
+        assert outside_hull(ball, dirs, 4).tolist() == want
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_flat_site_sets(self, d):
@@ -312,7 +322,116 @@ class TestOutsideHull:
                 coef = rng.integers(-2, 3, size=(int(rng.integers(1, 9)), rank))
                 sites = np.unique(coef @ span, axis=0)
                 want = [outside_hull_per_direction(sites, a, 2) for a in dirs]
-                assert _outside_hull(sites, dirs, 2).tolist() == want
+                assert outside_hull(sites, dirs, 2).tolist() == want
+
+
+def flow_env(d, dependence, seed):
+    """The benchmark flows' environment: two children at +e_i and -e_i
+    (weight 0.3) or one child to a uniform unit neighbour (0.7)."""
+    units = nearest_neighbour(d).offsets
+    split = law_of(*[({units[2 * i]: 1, units[2 * i + 1]: 1}, 1.0 / d)
+                     for i in range(d)])
+    hop = law_of(*[({y: 1}, 1.0 / len(units)) for y in units])
+    return build_environment(EnvironmentSpec(
+        dimension=d, step_set=nearest_neighbour(d), law_support=(split, hop),
+        weights=(0.3, 0.7), dependence=dependence, master_seed=seed))
+
+
+def last_layer(env, n):
+    for layer in expectation.iter_layers(env, (0,) * env.spec.dimension, n):
+        pass
+    return layer
+
+
+# (environment, horizon, coordinate values of the direction grid): every
+# site of the right parity in the l1 ball of radius n carries mass, so n*a
+# is outside the hull for |a|_1 > 1 and on its boundary for |a|_1 = 1
+LEGENDRE_LAYERS = {
+    "d1-iid": (lambda: random_env(np.random.default_rng(31)), 30,
+               [f"{k}/10" for k in range(-12, 13)]),
+    "d2-iid": (lambda: flow_env(2, Dependence("iid"), 7), 20,
+               [f"{k}/4" for k in range(-5, 6)]),
+    "d3-window": (lambda: flow_env(3, Dependence("block_window", 1), 7), 12,
+                  ["-1", "-1/2", "-1/3", "0", "1/3", "1/2", "3/4"]),
+}
+
+
+class TestLegendre:
+    """`_legendre` against the Newton that evaluated every row until all
+    were done (`legendre_reference`)."""
+
+    @pytest.mark.parametrize("case", sorted(LEGENDRE_LAYERS))
+    def test_matches_reference(self, case):
+        make, n, values = LEGENDRE_LAYERS[case]
+        env = make()
+        sites, log_mass = last_layer(env, n)._finite()
+        dirs = direction_grid(env.spec.dimension, values)
+        got, outside = _legendre(sites, log_mass, n, dirs)
+        norm = [l1(a) for a in dirs]
+        assert outside.tolist() == [r > 1 for r in norm]
+        assert np.isneginf(got[outside]).all()
+        inside = [k for k, r in enumerate(norm) if r <= 1]
+        want = legendre_reference(sites, log_mass, n, np.array(
+            [dirs[k].as_floats() for k in inside]))
+        interior = [(got[k], w) for k, w in zip(inside, want) if norm[k] < 1]
+        boundary = [(got[k], w) for k, w in zip(inside, want) if norm[k] == 1]
+        assert interior and boundary
+        assert [g for g, _ in interior] == [w for _, w in interior]
+        assert max(abs(g - w) for g, w in boundary) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(LEGENDRE_LAYERS))
+    def test_vertex_takes_the_point_value(self, case):
+        make, n, _ = LEGENDRE_LAYERS[case]
+        env = make()
+        d = env.spec.dimension
+        layer = last_layer(env, n)
+        sites, log_mass = layer._finite()
+        units = [rv(*u) for u in nearest_neighbour(d).offsets]
+        got, _ = _legendre(sites, log_mass, n, units)
+        assert got.tolist() == [layer.get(a.site_at(n)) / n for a in units]
+        for _, est in beta_profile(env, units, n).grid:
+            assert est.value == est.point
+
+    def test_moving_rows_only(self, monkeypatch):
+        # the pipeline's d2 beta layer: T = 60, the seven directions of
+        # its grid, environment seed 5
+        env = flow_env(2, Dependence("iid"), 5)
+        sites, log_mass = last_layer(env, 60)._finite()
+        dirs = [rv(*a) for a in [("0", "0"), ("1/2", "0"), ("-1/2", "0"),
+                                 ("0", "1/2"), ("0", "-1/2"), ("1/2", "1/2"),
+                                 ("-1/2", "-1/2")]]
+        rows = []
+
+        def counting(expo, axis=-1):
+            rows.append(len(expo))
+            return orig(expo, axis)
+
+        orig = growth._logsumexp
+        monkeypatch.setattr(growth, "_logsumexp", counting)
+        monkeypatch.setattr(_support, "_logsumexp", counting)
+        _legendre(sites, log_mass, 60, dirs)
+        moving = sum(rows)
+        rows.clear()
+        legendre_reference(sites, log_mass, 60,
+                           np.array([a.as_floats() for a in dirs]))
+        assert sum(rows) == 252  # every row at every evaluation
+        assert moving <= 120
+
+    def test_minimum_beyond_the_old_box(self):
+        # means 2 at +1 and 1e-100 at -1: Lambda(t) = ln(2 e^t + c e^-t)
+        # with c = 1e-100 at every T, and beta(a) = Lambda(t*) - t* a at
+        # e^(2 t*) = c (1 + a) / (2 (1 - a)), with t* from -115.5 (a = 0)
+        # to -116.9 (a = -9/10), beyond the box |t| <= 64 that clipped
+        # the estimates to -63.307, -95.307 and -120.907
+        c = 1e-100
+        law = law_of(({(1,): 2}, 1.0 - c), ({(1,): 2, (-1,): 1}, c))
+        prof = beta_profile(homogeneous_env(law),
+                            [rv(0), rv("-1/2"), rv("-9/10")], 40)
+        for a, est in prof.grid:
+            x = a.as_floats()[0]
+            t = 0.5 * math.log(c * (1 + x) / (2 * (1 - x)))
+            want = math.log(2 * math.exp(t) + c * math.exp(-t)) - t * x
+            assert abs(est.value - want) <= 1e-9
 
 
 class TestClassifier:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from brwre import montecarlo
+from brwre import environment, montecarlo
 from brwre.environment import (
     Dependence,
     EnvironmentField,
@@ -736,6 +736,41 @@ class TestReturnProbability:
             estimate_return_probability(env, (0,), 5, 0, 7)
         with pytest.raises(ValueError, match="dimension 2.*dimension 1"):
             estimate_return_probability(env, (0, 0), 5, 10, 7)
+
+
+class TestMemoryBudget:
+    """A run reads the memory budget once; each generation's scatter box
+    is checked against it."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        orig = environment.memory_budget
+
+        def counting():
+            calls.append(1)
+            return orig()
+
+        monkeypatch.setattr(environment, "memory_budget", counting)
+        monkeypatch.setattr(montecarlo, "memory_budget", counting)
+        return calls
+
+    def test_once_per_iter_batch_run(self, reads):
+        env = random_env(np.random.default_rng(34))
+        rngs = [np.random.default_rng(r) for r in (3, 4)]
+        assert len(list(iter_batch(env, (0,), 30, rngs))) == 31
+        assert len(reads) == 1
+
+    def test_once_per_return_probability_run(self, reads):
+        env = random_env(np.random.default_rng(35))
+        estimate_return_probability(env, (0,), 10, 300, 13)
+        assert len(reads) == 1
+
+    def test_a_lone_step_reads_it(self, reads):
+        env = random_env(np.random.default_rng(36))
+        step_batch(env, PopulationBatch.initial((0,), 1),
+                   [np.random.default_rng(5)])
+        assert len(reads) == 1
 
 
 class TestRealizedExponent:
