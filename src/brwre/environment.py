@@ -373,7 +373,9 @@ def _logsumexp(expo: np.ndarray, axis: int = -1) -> tuple[np.ndarray, ...]:
     """
     top = expo.max(axis=axis, keepdims=True)
     at_top = expo == top
-    m = at_top.sum(axis=axis)
+    # on a 1-D layer the axis sum costs several times the count
+    m = (np.count_nonzero(at_top) if expo.ndim == 1
+         else at_top.sum(axis=axis))
     expo -= top
     weights = np.exp(expo, out=expo)
     # masked writes: an np.where copy costs about 3x on a large layer

@@ -6,27 +6,27 @@ after, and each site resolves all of its particles with one multinomial
 draw over its offspring law, so the cost per step follows the number of
 occupied sites, not of particles.  A generation stays in array form: the
 laws of the occupied sites are hashed from their coordinates with
-`law_index_axes`, each law draws its sites below 2**62 with one exact
-`rng.multinomial` call, and the sites at or above 2**62, of all laws
-together, split into conditional binomials, one batched draw per atom, with
-probabilities tabulated per law.  Draws with a count below 2**62 are exact
-in distribution with respect to per-particle sampling.  Above 2**62 a
-binomial is approximated: by a normal when its variance npq exceeds 1e6
-(Berry-Esseen bounds the CDF error by C/sqrt(npq)), by a Poisson otherwise;
-means and standard deviations are exact integers.  `SamplerStats` counts
-the draws of each path: one per exact multinomial row, one per conditional
-binomial.
+`law_index_axes`, each replica draws its sites below 2**62 with one exact
+`rng.multinomial` call, law by law, sites in order, and the sites at or
+above 2**62, of all laws together, split into conditional binomials, one
+batched draw per atom, with probabilities tabulated per law.  Draws with
+a count below 2**62 are exact in distribution with respect to
+per-particle sampling.  Above 2**62 a binomial is approximated: by a
+normal when its variance npq exceeds 1e6 (Berry-Esseen bounds the CDF
+error by C/sqrt(npq)), by a Poisson otherwise; means and standard
+deviations are exact integers.  `SamplerStats` counts the draws of each
+path: one per exact multinomial row of a law with more than one atom, one
+per conditional binomial.
 
 Independent replicas are stepped together: `step_batch` advances a
 `PopulationBatch`, the states of several replicas in one set of arrays,
 and runs the law lookup, the big-integer arithmetic, the children and
-their scatter once over all of them, while each replica's generator makes
-the calls, of the same sizes and in the same order, that it makes when
-the replica is stepped alone.  A batched replica's states are therefore
-bitwise those of the replica alone, and a lone run is a batch of one.
-`replica_batches` caps a batch at `_BATCH_CELLS` scatter cells over the
-box at the horizon, so a batch's memory is bounded whatever the replica
-count.
+their scatter once over all of them, while each replica's generator draws
+the same numbers, in the same order, as when the replica is stepped
+alone.  A batched replica's states are therefore bitwise those of the
+replica alone, and a lone run is a batch of one.  `replica_batches` caps
+a batch at `_BATCH_CELLS` scatter cells over the box at the horizon, so a
+batch's memory is bounded whatever the replica count.
 
 A run is a stream: `iter_batch` yields one generation of its replicas at a
 time and keeps only the current one, whose counts reach about n bits at up
@@ -133,8 +133,9 @@ def _per_replica(rngs: Sequence[np.random.Generator], rep: np.ndarray,
     """`draw(rng, rows)` for each replica's run of rows, concatenated.
 
     `rep` is the nondecreasing replica index of the rows and `rows` a slice
-    of them; each replica's generator draws for its own rows only, in row
-    order, so the draws are those of the replica stepped alone.
+    of them; each replica's generator makes one call for its own rows
+    only, in row order, so the draws are those of the replica stepped
+    alone.
     """
     return np.concatenate([draw(rngs[rep[s.start]], s) for s in _runs(rep)])
 
@@ -202,22 +203,6 @@ def _binomials(rngs: Sequence[np.random.Generator], rep: np.ndarray,
     kb[flipped] = nb[flipped] - kb[flipped]
     out[big] = kb
     return out
-
-
-def _exact_multinomials(rngs: Sequence[np.random.Generator], rep: np.ndarray,
-                        n: np.ndarray, probs: np.ndarray,
-                        stats: SamplerStats) -> np.ndarray:
-    """Multinomial(n_i, probs) for counts below 2**62: (rows, atoms) int64.
-
-    One `rng.multinomial` call per replica, `rep` as in `_binomials`; a
-    one-atom law draws nothing.
-    """
-    if len(probs) == 1:
-        return n[:, None].astype(np.int64)
-    stats.exact_draws += len(n)
-    ns = n.astype(np.int64)
-    return _per_replica(rngs, rep,
-                        lambda rng, s: rng.multinomial(ns[s], probs))
 
 
 def _conditional_chain(rngs: Sequence[np.random.Generator], rep: np.ndarray,
@@ -307,7 +292,8 @@ class _Tables:
     """Per-environment sampler tables, built on first use.
 
     Atom rows are padded with leading zeros to the largest atom count A:
-    `chain` holds the `_chain_tables` of the (laws, A) atom probabilities,
+    `probs` holds the (laws, A) atom probabilities, `chain` their
+    `_chain_tables`, `drawn[law]` whether the law has more than one atom,
     and `terms[law]` the law's nonzero child counts, as (offset column,
     ((atom column, count), ...)) over the sorted step set.  `walk_rows`
     holds the induced-walk tables of each law index the walk has stood
@@ -337,6 +323,8 @@ class _Tables:
                        for j, col in enumerate(table.T) if col.any()]
                       for table in children]
         self.max_children = int(children.sum(axis=2).max())
+        self.probs = probs
+        self.drawn = np.array([len(law.atoms) > 1 for law in laws])
         self.chain = _chain_tables(probs)
         d = spec.dimension
         self.units = unit_vectors(d)
@@ -382,22 +370,23 @@ def step_batch(env: EnvironmentField, batch: PopulationBatch,
     drawing from `rngs[r]`.
 
     The laws of the rows' sites, over all replicas, are hashed with one
-    `env.law_index_axes` call.  Each law draws its sites below 2**62 with
-    one `rng.multinomial` call per replica; the sites at or above 2**62, of
-    every law together, run one conditional-binomial chain over
-    `_Tables.chain`, each pass one call per replica and sampling path.
+    `env.law_index_axes` call.  Each replica draws its sites below 2**62
+    with one `rng.multinomial` call over their `_Tables.probs` rows, law by
+    law, sites in order; the sites at or above 2**62, of every law
+    together, run one conditional-binomial chain over `_Tables.chain`, each
+    pass one call per replica and sampling path.
     Each law adds its atoms' draws into children, multiplying only the
     counts above one.  Children are added into a box of (replica, site)
     cells over the next generation's bounding box, one shifted add per
     step offset; its nonzero cells, row-major, are the next batch in
     (replica, site) order.  The arithmetic runs in int64 while every
     total times the largest offspring count is below 2**63.  A replica's
-    generator draws the same calls, in the same order and with the same
-    sizes, as when it is stepped alone (laws in index order, sites in
-    lexicographic order), so a fixed generator state yields a fixed next
-    state whatever the batch.  BitBudgetError names the first generation
-    at which any replica exceeds the budget.  The scatter box is checked
-    against `budget`, a run's `memory_budget()`, read here when None.
+    generator draws the same numbers in the same order as when it is
+    stepped alone (laws in index order, sites in lexicographic order), so
+    a fixed generator state yields a fixed next state whatever the batch.
+    BitBudgetError names the first generation at which any replica
+    exceeds the budget.  The scatter box is checked against `budget`, a
+    run's `memory_budget()`, read here when None.
     """
     stats = stats if stats is not None else SamplerStats()
     tables = _tables(env)
@@ -414,22 +403,25 @@ def step_batch(env: EnvironmentField, batch: PopulationBatch,
 
     draws = np.zeros((len(n), tables.atoms), dtype=dtype)
     exact = n < _EXACT_LIMIT
-    by_law = np.argsort(laws, kind="stable")
-    # laws is unsigned (uint8 up to 256 laws); sorted, its differences are
-    # >= 0 and cannot wrap
-    groups = [by_law[s] for s in _runs(laws[by_law])]
-    for rows in groups:
-        rows = rows[exact[rows]]
-        if len(rows):
-            law = env.spec.law_support[laws[rows[0]]]
-            draws[rows, tables.atoms - len(law.atoms):] = _exact_multinomials(
-                rngs, rep[rows], n[rows], law.atom_probs, stats)
+    if exact.any():
+        # (replica, law, site) order; a padded row's leading zeros draw 0
+        # without using the generator, so a one-atom law's row uses none
+        rows = np.flatnonzero(exact)
+        rows = rows[np.lexsort((laws[rows], rep[rows]))]
+        ns, probs = n[rows].astype(np.int64), tables.probs[laws[rows]]
+        draws[rows] = _per_replica(
+            rngs, rep[rows], lambda rng, s: rng.multinomial(ns[s], probs[s]))
+        stats.exact_draws += int(np.count_nonzero(tables.drawn[laws[rows]]))
     if not exact.all():
         big = np.flatnonzero(~exact)
         draws[big] = _conditional_chain(
             rngs, rep[big], n[big], [t[laws[big]] for t in tables.chain],
             stats)
 
+    by_law = np.argsort(laws, kind="stable")
+    # laws is unsigned (uint8 up to 256 laws); sorted, its differences are
+    # >= 0 and cannot wrap
+    groups = [by_law[s] for s in _runs(laws[by_law])]
     children = np.zeros((len(n), len(tables.offsets)), dtype=dtype)
     for rows in groups:
         own = draws if len(groups) == 1 else draws[rows]

@@ -13,6 +13,9 @@ use, each built from package internals:
   pass of the population sampler's conditional chain;
 - `sample_multinomial`: one Multinomial(n, probs) draw for any integer n,
   the one-row case of the population sampler;
+- `exact_draws_reference`: one generation's draws of the rows below 2**62
+  made law by law, one `rng.multinomial` call per law and replica, which
+  `step_batch`'s one call per replica must match bit for bit;
 - `counts`: one replica's site -> count dict of a population batch;
 - `iter_reachable`: the sets R(k) reached in exactly k delta-open steps;
 - `sub`: the difference x - y of two sites;
@@ -57,7 +60,9 @@ from brwre.montecarlo import (
     SamplerStats,
     _chain_tables,
     _conditional_chain,
-    _exact_multinomials,
+    _per_replica,
+    _runs,
+    _tables,
 )
 from brwre.seeding import axis_hash, hash_uniform
 from brwre.shape import INF, ShapeError, _advance, _open_moves, passage_times
@@ -351,12 +356,43 @@ def sample_multinomial(rng: np.random.Generator, n: int,
     """
     stats = stats if stats is not None else SamplerStats()
     if n < _EXACT_LIMIT:
-        row = _exact_multinomials([rng], _ONE, np.array([n]), probs, stats)[0]
+        stats.exact_draws += int(len(probs) > 1)
+        row = rng.multinomial(n, probs)
     else:
         row = _conditional_chain([rng], _ONE, np.array([n], dtype=object),
                                  _chain_tables(np.asarray(probs)[None, :]),
                                  stats)[0]
     return [int(c) for c in row]
+
+
+def exact_draws_reference(env: EnvironmentField, batch: PopulationBatch,
+                          rngs: Sequence[np.random.Generator],
+                          stats: SamplerStats) -> np.ndarray:
+    """The (rows, atoms) draws of the batch's rows below 2**62, 0 in the
+    others, drawn law by law: each law's rows take one `rng.multinomial`
+    call per replica over the law's own atoms, and a one-atom law draws
+    nothing.  Atom columns are padded with leading zeros as in `_Tables`.
+    """
+    tables = _tables(env)
+    n, rep = batch.values, batch.replica
+    laws = env.law_index_axes(batch.sites.T)
+    draws = np.zeros((len(n), tables.atoms), dtype=object)
+    exact = n < _EXACT_LIMIT
+    by_law = np.argsort(laws, kind="stable")
+    for rows in (by_law[s] for s in _runs(laws[by_law])):
+        rows = rows[exact[rows]]
+        if not len(rows):
+            continue
+        probs = env.spec.law_support[laws[rows[0]]].atom_probs
+        ns = n[rows].astype(np.int64)
+        if len(probs) == 1:
+            got = ns[:, None]
+        else:
+            stats.exact_draws += len(rows)
+            got = _per_replica(rngs, rep[rows],
+                               lambda rng, s: rng.multinomial(ns[s], probs))
+        draws[rows, tables.atoms - len(probs):] = got
+    return draws
 
 
 def counts(batch: PopulationBatch, r: int) -> dict[Site, int]:

@@ -41,6 +41,7 @@ from _support import (
     counts,
     doubling_law,
     drift_law,
+    exact_draws_reference,
     function_field,
     homogeneous_env,
     iid_env,
@@ -437,6 +438,94 @@ class TestBatchedStep:
         nxt = step_batch(env, state, [np.random.default_rng(44)])
         assert nxt.n == 1 and len(counts(state, 0)) == 50
         assert calls == []
+
+
+class _Recording:
+    """A generator that forwards to a real one and keeps the draws of each
+    `multinomial` call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.multinomials = []
+
+    def multinomial(self, n, pvals):
+        out = self.rng.multinomial(n, pvals)
+        self.multinomials.append(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestExactRows:
+    """Each replica draws its rows below 2**62 with one multinomial call,
+    bitwise what one call per law and replica drew."""
+
+    ONE = law_of(({(-1,): 2, (1,): 1}, 1.0))
+    TWO = law_of(({(1,): 2}, 0.3), ({(-1,): 1}, 0.7))
+    FOUR = law_of(({(1,): 2}, 0.25), ({(1,): 1, (-1,): 1}, 0.4),
+                  ({(-1,): 2}, 0.15), ({(1,): 1}, 0.2))
+
+    @staticmethod
+    def _rngs(replicas):
+        return [replica_rng(2718, r, PURPOSE_DYNAMICS)
+                for r in range(replicas)]
+
+    def test_matches_the_per_law_reference(self):
+        # site x takes law x % 3: one, two and four atoms, interleaved, so
+        # a replica's (law, site) order is not its site order
+        spec = iid_env([self.ONE, self.TWO, self.FOUR], [0.2, 0.3, 0.5],
+                       0).spec
+        env = function_field(spec, lambda x: x[0] % 3)
+        small = [5, 12, 1, 30, 7, 2, 9, 40, 3]
+        straddling = [2**62 - 1, 2**62, 2**62 + 1, 5, 10**30, 3 * 2**70, 1,
+                      2**64, 17]
+        states = [{(x,): c for x, c in enumerate(small)},
+                  {(x,): c for x, c in enumerate(straddling)},
+                  {(x + 1,): c for x, c in enumerate(straddling[::-1])}]
+        batch = PopulationBatch.from_counts(0, states)
+        rngs = [_Recording(rng) for rng in self._rngs(3)]
+        stats = SamplerStats()
+        nxt = step_batch(env, batch, rngs, stats=stats)
+
+        ref_rngs, ref_stats = self._rngs(3), SamplerStats()
+        draws = exact_draws_reference(env, batch, ref_rngs, ref_stats)
+        laws = env.law_index_axes(batch.sites.T)
+        big = np.flatnonzero(batch.values >= 2**62)
+        draws[big] = montecarlo._conditional_chain(
+            ref_rngs, batch.replica[big], batch.values[big],
+            [t[laws[big]] for t in montecarlo._tables(env).chain], ref_stats)
+
+        want = [{} for _ in states]
+        for i, ((x,), r) in enumerate(zip(batch.sites.tolist(),
+                                          batch.replica.tolist())):
+            law = spec.law_support[laws[i]]
+            row = draws[i, draws.shape[1] - len(law.atoms):]
+            for (cfg, _), k in zip(law.atoms, row):
+                for (y,), c in cfg.counts:
+                    want[r][(x + y,)] = want[r].get((x + y,), 0) + int(k) * c
+        assert [counts(nxt, r) for r in range(3)] == [
+            {z: c for z, c in w.items() if c} for w in want]
+        exact = batch.values < 2**62
+        for r, rng in enumerate(rngs):
+            rows = np.flatnonzero(exact & (batch.replica == r))
+            rows = rows[np.argsort(laws[rows], kind="stable")]
+            (got,) = rng.multinomials
+            assert got.tolist() == draws[rows].tolist()
+        assert stats == ref_stats
+        assert stats.normal_draws > 0
+        assert ([rng.rng.bit_generator.state for rng in rngs]
+                == [rng.bit_generator.state for rng in ref_rngs])
+        assert ([rng.rng.bit_generator.state for rng in rngs]
+                != [rng.bit_generator.state for rng in self._rngs(3)])
+
+    def test_one_multinomial_call_per_replica(self):
+        spec = iid_env([self.TWO, self.FOUR], [0.5, 0.5], 0).spec
+        env = function_field(spec, lambda x: x[0] % 2)
+        states = [{(x + r,): x + 1 for x in range(6)} for r in range(3)]
+        rngs = [_Recording(rng) for rng in self._rngs(3)]
+        step_batch(env, PopulationBatch.from_counts(0, states), rngs)
+        assert [len(rng.multinomials) for rng in rngs] == [1, 1, 1]
 
 
 def _block_window_d2_env():
